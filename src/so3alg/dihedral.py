@@ -18,8 +18,8 @@ from .errors import (
     NotADifferential,
     SchemaError,
 )
-from .linalg import Q, QMatrix
-from .toral import QWSpace, VMap, qw_sum, _vspace_homology
+from .linalg import Q, QMatrix, chain_homology
+from .toral import QWSpace, VMap, qw_sum
 
 TAIL = "tail"
 
@@ -75,7 +75,7 @@ def _homology_tools(space: QWSpace, d: VMap):
     for s in (1, -1):
         dims = {g: space.dim(g, s) for g in degs}
         mats = {g: d.block(g, s) for g in degs}
-        hdims, reps, projs = _vspace_homology(dims, mats)
+        hdims, reps, projs = chain_homology(dims, mats)
         for g, h in hdims.items():
             if h:
                 p, m = out_dims.get(g, (0, 0))
@@ -588,9 +588,8 @@ def is_weak_equivalence(f: DihedralMorphism) -> bool:
     for key in keys:
         pairs.append((f.x.level(key), f.y.level(key), f.component(key)))
     for cx, cy, comp in pairs:
-        _, tx = _homology_tools(cx.space, cx.d)
+        hx_dims, tx = _homology_tools(cx.space, cx.d)
         hy_dims, ty = _homology_tools(cy.space, cy.d)
-        hx_dims = _homology_tools(cx.space, cx.d)[0]
         degs = set(hx_dims) | set(hy_dims)
         for g in degs:
             for s in (1, -1):

@@ -20,7 +20,7 @@ from .errors import (
     SchemaError,
     WrongAlgebraForClass,
 )
-from .linalg import Q, QMatrix
+from .linalg import Q, QMatrix, chain_homology
 
 EXCEPTIONAL_CLASSES = ("SO3", "Sigma4", "A4", "A5", "D4")
 
@@ -200,9 +200,6 @@ class GroupComplex:
 
     def is_zero(self) -> bool:
         return not self.modules
-
-    def total_dim(self) -> int:
-        return sum(d for d, _a in self.modules.values())
 
     def check_differential(self):
         for g in self.modules:
@@ -410,13 +407,11 @@ def internal_hom_conj(x: GroupComplex, y: GroupComplex) -> GroupComplex:
 
 def _homology_data(x: GroupComplex):
     """Per degree: homology dimension, representing cycles, and projection."""
-    from .toral import _vspace_homology
-
     degs = set(x.modules)
     degs |= {g - 1 for g in degs} | {g + 1 for g in degs}
     dims = {g: x.dim(g) for g in degs}
     mats = {g: x.diff(g) for g in degs}
-    return _vspace_homology(dims, mats)
+    return chain_homology(dims, mats)
 
 
 def homology_W(x: GroupComplex) -> GroupComplex:

@@ -33,7 +33,7 @@ from .errors import (
     NotHomogeneous,
     SchemaError,
 )
-from .linalg import Q, QMatrix
+from .linalg import IncrementalSpan, Q, QMatrix, chain_homology
 
 # -- rings -------------------------------------------------------------------
 
@@ -381,42 +381,6 @@ def auto_window(window: tuple[int, int], modules) -> tuple[int, int]:
     return (window[0] - pad, window[1] + pad)
 
 
-# -- graded vector spaces with involution ---------------------------------
-
-
-class GradedQWSpace:
-    """A finite graded rational vector space with involution matrices."""
-
-    __slots__ = ("inv",)
-
-    def __init__(self, inv: dict[int, QMatrix]):
-        clean = {}
-        for g, m in inv.items():
-            if m.rows != m.cols:
-                raise SchemaError("involution matrix must be square")
-            if (m @ m) != QMatrix.identity(m.rows):
-                raise InvariantError("involution does not square to the identity")
-            if m.rows:
-                clean[g] = m
-        self.inv = clean
-
-    def dim(self, degree: int) -> int:
-        m = self.inv.get(degree)
-        return m.rows if m else 0
-
-    def degrees(self):
-        return sorted(self.inv)
-
-    def eigen_split(self) -> dict[int, tuple[int, int]]:
-        """Per-degree dimensions of the +1 and -1 eigenspaces."""
-        out = {}
-        for g, m in self.inv.items():
-            plus = (m + QMatrix.identity(m.rows)).rank()
-            minus = (m - QMatrix.identity(m.rows)).rank()
-            out[g] = (plus, minus)
-        return out
-
-
 # -- graded Smith reduction ------------------------------------------------
 
 
@@ -609,53 +573,6 @@ def base_change_map(phi: ModuleMap) -> ModuleMap:
         if i in back_c and j in back_d
     }
     return ModuleMap(dom, cod, phi.degree, ent)
-
-
-# -- incremental spans -------------------------------------------------------
-
-
-class IncrementalSpan:
-    """Maintains a growing spanning set with exact membership tests."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.vectors: list[list[Fraction]] = []
-        self._reduced: list[tuple[int, list[Fraction], list[Fraction]]] = []
-
-    def _reduce(self, v):
-        r = [Fraction(x) for x in v]
-        mu = [Q(0)] * len(self.vectors)
-        for pivot, rv, cf in self._reduced:
-            if r[pivot] != 0:
-                lam = r[pivot] / rv[pivot]
-                r = [x - lam * y for x, y in zip(r, rv)]
-                for j, c in enumerate(cf):
-                    mu[j] += lam * c
-        return r, mu
-
-    def coefficients(self, v):
-        """Express v in terms of the added vectors, or None."""
-        r, mu = self._reduce(v)
-        if any(x != 0 for x in r):
-            return None
-        return mu
-
-    def add(self, v) -> bool:
-        """Add v if independent; returns True when the span grew."""
-        r, mu = self._reduce(v + [Q(0)] * 0)
-        if all(x == 0 for x in r):
-            return False
-        k = len(self.vectors)
-        self.vectors.append([Fraction(x) for x in v])
-        cf = [-x for x in mu] + [Q(1)]
-        for _, _, old in self._reduced:
-            old.append(Q(0))
-        pivot = next(i for i, x in enumerate(r) if x != 0)
-        self._reduced.append((pivot, r, cf))
-        return True
-
-    def rank(self) -> int:
-        return len(self._reduced)
 
 
 # -- barcode decomposition ---------------------------------------------------
@@ -946,12 +863,6 @@ class WindowMap:
         return ModuleMap(src, self.codomain, phi.degree + self.degree, ent)
 
 
-def window_map_of(phi: ModuleMap, window) -> WindowMap:
-    lo, hi = window
-    mats = {g: phi.evaluate(g) for g in range(lo, hi + 1)}
-    return WindowMap(phi.domain, phi.codomain, phi.degree, window, mats)
-
-
 def cokernel_of_map(
     phi: ModuleMap, window, out_ring: Ring | None = None
 ) -> tuple[GradedModule, WindowMap]:
@@ -1060,45 +971,10 @@ def homology_realized(m: GradedModule, d: ModuleMap, window=None):
         window = auto_window((0, 0), [m])
     lo, hi = window
     step = m.ring.step
-    Zb, Bb, reps, hdims = {}, {}, {}, {}
-    for g in range(lo, hi + 1):
-        dmat = d.evaluate(g)
-        Z = dmat.kernel_basis() if dmat.cols else QMatrix(0, 0)
-        Zb[g] = Z
-    for g in range(lo, hi + 1):
-        up = d.evaluate(g + 1)
-        # image basis inside the full space
-        span = IncrementalSpan(m.dim(g))
-        bcols = []
-        for j in range(up.cols):
-            v = up.col(j)
-            if any(x != 0 for x in v) and span.add(v):
-                bcols.append(v)
-        hcols = []
-        for j in range(Zb[g].cols):
-            v = Zb[g].col(j)
-            if span.add(v):
-                hcols.append(v)
-        Bb[g] = bcols
-        reps[g] = hcols
-        hdims[g] = len(hcols)
-
-    def make_tools(g):
-        dim = m.dim(g)
-        bcols, hcols = Bb[g], reps[g]
-        both = bcols + hcols
-        mat = QMatrix(dim, len(both), [[both[j][i] for j in range(len(both))] for i in range(dim)])
-
-        def to_h(vec):
-            sol = mat.solve(list(vec))
-            if sol is None:
-                raise InvariantError("vector is not a cycle modulo boundaries")
-            return sol[len(bcols):]
-
-        rep = QMatrix(dim, len(hcols), [[hcols[j][i] for j in range(len(hcols))] for i in range(dim)])
-        return rep, to_h
-
-    tools = {g: make_tools(g) for g in range(lo, hi + 1)}
+    dims = {g: m.dim(g) for g in range(lo, hi + 1)}
+    mats = {g: d.evaluate(g) for g in range(lo, hi + 2)}
+    hdims, reps, projs = chain_homology(dims, mats)
+    tools = {g: (reps[g], projs[g]) for g in range(lo, hi + 1)}
     spaces, acts, invs = {}, {}, {}
     for g in range(lo, hi + 1):
         if hdims[g]:

@@ -3,7 +3,9 @@
 Matrices are small (desk scale), so a plain list-of-lists representation with
 ``fractions.Fraction`` entries is used throughout.  Elimination uses
 first-nonzero pivoting, so every derived basis (kernels, images, cokernel
-complements) is deterministic for a given input.
+complements) is deterministic for a given input.  ``IncrementalSpan`` grows a
+basis one vector at a time, and ``chain_homology`` builds on it the homology
+of a chain of vector spaces that every algebraic model uses.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import InvariantError
+
 Q = Fraction
 
-__all__ = ["Q", "QMatrix"]
+__all__ = ["Q", "QMatrix", "IncrementalSpan", "chain_homology"]
 
 
 def _frac(x) -> Fraction:
@@ -204,10 +208,6 @@ class QMatrix:
                 out.data[pc][k] = -R.data[r][fc]
         return out
 
-    def column_space_basis(self) -> list[int]:
-        """Indices of a deterministic basis among the columns."""
-        return self.rref()[1]
-
     def cokernel_data(self) -> tuple["QMatrix", int]:
         """Projection onto a complement of the column space.
 
@@ -246,14 +246,19 @@ class QMatrix:
         return x
 
     def solve_matrix(self, B: "QMatrix") -> "QMatrix | None":
-        """Solve self @ X = B for X, or None if inconsistent."""
-        cols = []
-        for j in range(B.cols):
-            x = self.solve(B.col(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return QMatrix(self.cols, B.cols, [[cols[j][i] for j in range(B.cols)] for i in range(self.cols)])
+        """Solve self @ X = B for X, or None if any column is inconsistent.
+
+        One elimination of [self | B]: its row operations depend on self
+        only, so every column of X is the solution ``solve`` gives for that
+        column of B.
+        """
+        R, pivots = self.hstack(B).rref()
+        if pivots and pivots[-1] >= self.cols:
+            return None
+        X = QMatrix(self.cols, B.cols)
+        for r, c in enumerate(pivots):
+            X.data[c] = R.data[r][self.cols :]
+        return X
 
     def inverse(self) -> "QMatrix":
         if self.rows != self.cols:
@@ -268,3 +273,107 @@ class QMatrix:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
+
+
+# -- incremental spans and chain homology ------------------------------------------
+
+
+class IncrementalSpan:
+    """A growing list of independent vectors with exact membership tests.
+
+    Every accepted vector is kept reduced against the earlier ones, together
+    with the combination of accepted vectors that equals it, so membership
+    and coefficients take one pass over the accepted vectors and no fresh
+    elimination.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        # (pivot, reduced vector, its coefficients in the accepted vectors)
+        self._reduced: list[tuple[int, list[Fraction], list[Fraction]]] = []
+
+    def _reduce(self, v):
+        if len(v) != self.dim:
+            raise ValueError("vector length mismatch")
+        r = [_frac(x) for x in v]
+        mu = [Q(0)] * len(self._reduced)
+        for pivot, rv, cf in self._reduced:
+            if r[pivot] != 0:
+                lam = r[pivot] / rv[pivot]
+                r = [x - lam * y if y else x for x, y in zip(r, rv)]
+                for j, c in enumerate(cf):
+                    if c:
+                        mu[j] += lam * c
+        return r, mu
+
+    def coefficients(self, v):
+        """Coefficients of v in the accepted vectors, or None if v is not in
+        their span.
+
+        Entry i is the coefficient of the i-th vector that ``add`` accepted,
+        in the order they were accepted.  The accepted vectors are
+        independent, so the coefficients are unique.
+        """
+        r, mu = self._reduce(v)
+        if any(x != 0 for x in r):
+            return None
+        return mu
+
+    def add(self, v) -> bool:
+        """Add v if independent; returns True when the span grew."""
+        r, mu = self._reduce(v)
+        if all(x == 0 for x in r):
+            return False
+        cf = [-x for x in mu] + [Q(1)]
+        for _, _, old in self._reduced:
+            old.append(Q(0))
+        pivot = next(i for i, x in enumerate(r) if x != 0)
+        self._reduced.append((pivot, r, cf))
+        return True
+
+    def rank(self) -> int:
+        return len(self._reduced)
+
+
+def chain_homology(dims, mats):
+    """Homology of a chain of vector spaces indexed by degree.
+
+    dims maps a degree g to the dimension of C_g; mats maps g to the
+    differential C_g -> C_{g-1} as a dims[g-1] x dims[g] matrix, and a
+    missing degree means the zero map.  Returns (hdims, reps, projs), each
+    keyed by every degree of dims: hdims[g] is the dimension of H_g; the
+    columns of reps[g] are cycles representing the chosen basis of H_g; and
+    projs[g] sends a cycle of C_g to its coordinates in that basis, raising
+    InvariantError on a vector that is not a cycle.
+
+    At each degree one IncrementalSpan takes the nonzero columns of the
+    incoming differential first and the kernel basis of the outgoing one
+    after them; the vectors it accepts from the kernel are the
+    representatives.  Projections rely on that insertion order: the
+    boundaries come first, so a cycle's coefficients past them are its
+    homology coordinates, in the order of the columns of reps[g].
+    """
+    hdims, reps, projs = {}, {}, {}
+    for g in sorted(dims):
+        n = dims[g]
+        down = mats[g] if g in mats else QMatrix(dims.get(g - 1, 0), n)
+        Z = down.kernel_basis() if n else QMatrix(0, 0)
+        up = mats[g + 1] if g + 1 in mats else QMatrix(n, dims.get(g + 1, 0))
+        span = IncrementalSpan(n)
+        for j in range(up.cols):
+            v = up.col(j)
+            if any(c != 0 for c in v):
+                span.add(v)
+        nb = span.rank()
+        hcols = [v for v in (Z.col(j) for j in range(Z.cols)) if span.add(v)]
+        hdims[g] = len(hcols)
+        reps[g] = QMatrix(n, len(hcols), [[v[i] for v in hcols] for i in range(n)])
+
+        def to_h(vec, span=span, nb=nb):
+            mu = span.coefficients(vec)
+            if mu is None:
+                raise InvariantError("vector is not a cycle modulo boundaries")
+            return mu[nb:]
+
+        projs[g] = to_h
+    return hdims, reps, projs

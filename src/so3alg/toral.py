@@ -38,7 +38,6 @@ from .graded import (
     POLY_D,
     TORSION,
     GradedModule,
-    IncrementalSpan,
     ModuleMap,
     Summand,
     WindowMap,
@@ -57,7 +56,7 @@ from .graded import (
     _sort_key,
     _normalize_summand,
 )
-from .linalg import Q, QMatrix
+from .linalg import IncrementalSpan, Q, QMatrix, chain_homology
 
 TAIL = "tail"
 
@@ -99,9 +98,6 @@ class QWSpace:
 
     def degrees(self):
         return sorted(self.dims, reverse=True)
-
-    def total_dim(self):
-        return sum(p + m for p, m in self.dims.values())
 
     def suspend(self, k):
         return QWSpace({g + k: pm for g, pm in self.dims.items()})
@@ -836,10 +832,6 @@ def unit_of_adjunction(x: ToralObject) -> ToralMorphism:
     return ToralMorphism(x, rfx, 0, alpha, VMap.identity(x.V))
 
 
-def _bc_index(src, j):
-    return src.index(j)
-
-
 def counit_of_adjunction(y: ToralObject) -> ToralMorphism:
     """F(R(y)) -> y on the O2 side: evaluation of fixed points."""
     fry = functor_F(functor_R(y))
@@ -1472,47 +1464,6 @@ def ext_A(
 # -- homology of a differential --------------------------------------------------
 
 
-def _vspace_homology(dims, mats):
-    """Homology of a chain of vector spaces indexed by degree.
-
-    dims: degree -> dimension; mats: degree -> matrix degree -> degree - 1.
-    Returns (hdims, reps, to_h) keyed by degree.
-    """
-    from .linalg import QMatrix as _Q
-
-    hdims, reps, projs = {}, {}, {}
-    degs = sorted(dims)
-    for g in degs:
-        n = dims[g]
-        down = mats.get(g, _Q(dims.get(g - 1, 0), n))
-        Z = down.kernel_basis() if n else _Q(0, 0)
-        up = mats.get(g + 1, _Q(n, dims.get(g + 1, 0)))
-        span = IncrementalSpan(n)
-        bcols = []
-        for j in range(up.cols):
-            v = up.col(j)
-            if any(c != 0 for c in v) and span.add(v):
-                bcols.append(v)
-        hcols = []
-        for j in range(Z.cols):
-            v = Z.col(j)
-            if span.add(v):
-                hcols.append(v)
-        hdims[g] = len(hcols)
-        both = bcols + hcols
-        mat = _Q(n, len(both), [[both[j][i] for j in range(len(both))] for i in range(n)])
-
-        def to_h(vec, mat=mat, nb=len(bcols)):
-            sol = mat.solve(list(vec))
-            if sol is None:
-                raise InvariantError("vector is not a cycle modulo boundaries")
-            return sol[nb:]
-
-        reps[g] = _Q(n, len(hcols), [[hcols[j][i] for j in range(len(hcols))] for i in range(n)])
-        projs[g] = to_h
-    return hdims, reps, projs
-
-
 def homology_dA(x: ToralObject, window=None) -> ToralObject:
     """Homology of an object with differential, as a plain object."""
     if not x.has_differential():
@@ -1531,7 +1482,7 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
             dims.setdefault(g - 1, x.V.dim(g - 1, s))
         mats = {g: x.dV.block(g, s) for g in dims}
         vdims[s], vmats[s] = dims, mats
-    hv_data = {s: _vspace_homology(vdims[s], vmats[s]) for s in (1, -1)}
+    hv_data = {s: chain_homology(vdims[s], vmats[s]) for s in (1, -1)}
     hv = QWSpace(
         {
             g: (hv_data[1][0].get(g, 0), hv_data[-1][0].get(g, 0))

@@ -1,0 +1,51 @@
+"""Import layering of the engine, read from the source with ``ast``.
+
+``exceptional`` is a leaf over the linear algebra: it may import only from
+``linalg`` and ``errors`` inside the package.  Homology helpers are shared
+through the public ``linalg.chain_homology``, so no module imports a private
+homology helper from another module.
+"""
+
+import ast
+from pathlib import Path
+
+import so3alg
+
+PACKAGE = Path(so3alg.__file__).resolve().parent
+
+
+def _package_imports(module: str):
+    """(imported module, imported names) for every import of an so3alg
+    module in the source of ``module``, at any depth of the file."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                target = node.module or ""
+            elif node.level == 0 and (node.module or "").startswith("so3alg."):
+                target = node.module[len("so3alg."):]
+            else:
+                continue
+            out.append((target, [a.name for a in node.names]))
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("so3alg."):
+                    out.append((a.name[len("so3alg."):], []))
+    return out
+
+
+def test_exceptional_imports_only_linalg_and_errors():
+    targets = {target for target, _ in _package_imports("exceptional")}
+    assert targets <= {"linalg", "errors"}, targets
+
+
+def test_no_private_homology_helper_crosses_modules():
+    crossings = [
+        (path.stem, target, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for target, names in _package_imports(path.stem)
+        for name in names
+        if name.startswith("_") and "homology" in name
+    ]
+    assert crossings == []

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from so3alg.linalg import QMatrix
+from so3alg.errors import InvariantError
+from so3alg.linalg import IncrementalSpan, QMatrix, chain_homology
 
 
 def test_identity_and_mul():
@@ -95,3 +97,102 @@ def test_cokernel_complements_rank(a):
 def test_kernel_vectors_annihilated(a):
     k = a.kernel_basis()
     assert (a @ k).is_zero()
+
+
+@given(small_matrix(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_matrix_matches_column_by_column_solve(a, data):
+    """One elimination of [A | B] gives what solve gives for each column,
+    and None when exactly one column is inconsistent."""
+    cols = [
+        a.apply(data.draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols)))
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    p, d = a.cokernel_data()
+    if d and cols and data.draw(st.booleans()):
+        # row k of p pairs with itself to a positive number while p @ a == 0,
+        # so it lies outside the column space of a
+        k = data.draw(st.integers(0, d - 1))
+        cols[data.draw(st.integers(0, len(cols) - 1))] = p.data[k]
+    b = QMatrix(a.rows, len(cols), [[c[i] for c in cols] for i in range(a.rows)])
+    expected = [a.solve(c) for c in cols]
+    got = a.solve_matrix(b)
+    if None in expected:
+        assert expected.count(None) == 1
+        assert got is None
+    else:
+        assert [got.col(j) for j in range(b.cols)] == expected
+
+
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_span_coefficients_rebuild_in_insertion_order(vectors, data):
+    span = IncrementalSpan(4)
+    accepted = [v for v in vectors if span.add(v)]
+    assert span.rank() == len(accepted) == (QMatrix.from_rows(vectors).rank() if vectors else 0)
+    lam = data.draw(st.lists(st.integers(-3, 3), min_size=len(accepted), max_size=len(accepted)))
+    v = [sum((c * w[i] for c, w in zip(lam, accepted)), Q(0)) for i in range(4)]
+    assert span.coefficients(v) == lam
+    if len(accepted) < 4:
+        outside = next(
+            e for e in ([int(i == k) for i in range(4)] for k in range(4))
+            if QMatrix.from_rows(accepted + [e]).rank() > len(accepted)
+        )
+        assert span.coefficients(outside) is None
+
+
+def _random_complex(rng, dims):
+    """Differentials d_g : C_g -> C_{g-1} with d_{g-1} @ d_g == 0, built from
+    the top degree down as products M @ P with P @ d_{g+1} == 0."""
+    degs = sorted(dims, reverse=True)
+    mats = {}
+    for g in degs[:-1]:
+        up = mats.get(g + 1)
+        proj = QMatrix.identity(dims[g]) if up is None else up.cokernel_data()[0]
+        m = QMatrix(dims[g - 1], proj.rows, [[rng.randint(-2, 2) for _ in range(proj.rows)] for _ in range(dims[g - 1])])
+        mats[g] = m @ proj
+    return mats
+
+
+def _stacked_oracle(dims, mats, g):
+    """The slow path at degree g: [boundaries | cycle reps] as the pivot
+    columns of [d_{g+1} | ker d_g], to be solved by one elimination per
+    vector."""
+    n = dims[g]
+    up = mats.get(g + 1, QMatrix(n, 0))
+    Z = mats.get(g, QMatrix(dims.get(g - 1, 0), n)).kernel_basis()
+    both = up.hstack(Z)
+    _, pivots = both.rref()
+    stacked = QMatrix(n, len(pivots), [[both.data[i][c] for c in pivots] for i in range(n)])
+    nb = sum(1 for c in pivots if c < up.cols)
+    return stacked, nb, Z
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_chain_homology_matches_stacked_solve(seed):
+    rng = random.Random(seed)
+    dims = {g: rng.randint(0, 4) for g in range(4)}
+    mats = _random_complex(rng, dims)
+    for g in range(1, 4):
+        if g - 1 in mats:
+            assert (mats[g - 1] @ mats[g]).is_zero()
+    hdims, reps, projs = chain_homology(dims, mats)
+    for g in dims:
+        stacked, nb, Z = _stacked_oracle(dims, mats, g)
+        up_rank = mats[g + 1].rank() if g + 1 in mats else 0
+        assert hdims[g] == stacked.cols - nb == Z.cols - up_rank
+        assert [reps[g].col(j) for j in range(reps[g].cols)] == [stacked.col(j) for j in range(nb, stacked.cols)]
+        for _ in range(3):
+            cycle = Z.apply([rng.randint(-3, 3) for _ in range(Z.cols)])
+            assert projs[g](cycle) == stacked.solve(cycle)[nb:]
+
+
+def test_chain_homology_projection_rejects_a_non_cycle():
+    # C_1 = Q^2 -> C_0 = Q, d = (1 0): e_1 is a cycle, e_0 is not
+    dims = {0: 1, 1: 2}
+    mats = {1: QMatrix.from_rows([[1, 0]])}
+    hdims, reps, projs = chain_homology(dims, mats)
+    assert hdims == {0: 0, 1: 1}
+    assert projs[1]([0, 5]) == [Q(5)]
+    with pytest.raises(InvariantError):
+        projs[1]([1, 0])
