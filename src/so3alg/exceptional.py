@@ -152,6 +152,8 @@ class GroupComplex:
     def __init__(self, algebra: FiniteGroupAlg, modules: dict, diffs: dict | None = None):
         self.algebra = algebra
         self.modules = {}
+        # the checks compare integral forms, each taken once per matrix
+        forms = {}
         for g, (dim, action) in modules.items():
             if dim == 0:
                 continue
@@ -159,24 +161,28 @@ class GroupComplex:
             for e, mat in enumerate(acts):
                 if (mat.rows, mat.cols) != (dim, dim):
                     raise SchemaError(f"action matrix at degree {g} has wrong shape")
-            if acts[algebra.identity] != QMatrix.identity(dim):
+            rho = [mat.integral() for mat in acts]
+            if not rho[algebra.identity].is_identity():
                 raise InvariantError("identity must act as the identity")
             # checking a generating set against every element suffices:
             # rho(sa) = rho(s)rho(a) extends multiplicatively to all words
             for a in algebra.generators:
                 for b in range(algebra.order):
-                    if acts[a] @ acts[b] != acts[algebra.mult(a, b)]:
+                    if rho[a] @ rho[b] != rho[algebra.mult(a, b)]:
                         raise InvariantError("action matrices are not a representation")
             self.modules[g] = (dim, tuple(acts))
+            forms[g] = rho
         self.diffs = {}
         for g, mat in (diffs or {}).items():
-            if mat.is_zero():
+            form = mat.integral()
+            if form.is_zero():
                 continue
             want = (self.dim(g - 1), self.dim(g))
             if (mat.rows, mat.cols) != want:
                 raise SchemaError(f"differential at degree {g} has wrong shape")
+            # a nonzero differential of the right shape has both ends in forms
             for e in range(algebra.order):
-                if self.action(g - 1, e) @ mat != mat @ self.action(g, e):
+                if forms[g - 1][e] @ form != form @ forms[g][e]:
                     raise InvariantError("differential is not equivariant")
             self.diffs[g] = mat
 
@@ -241,8 +247,9 @@ class GroupChainMap:
                 mat = QMatrix(y.dim(g), x.dim(g))
             if (mat.rows, mat.cols) != (y.dim(g), x.dim(g)):
                 raise SchemaError(f"component at degree {g} has wrong shape")
+            f = mat.integral()
             for e in range(x.algebra.order):
-                if y.action(g, e) @ mat != mat @ x.action(g, e):
+                if y.action(g, e).integral() @ f != f @ x.action(g, e).integral():
                     raise InvariantError("chain map is not equivariant")
             self.mats[g] = mat
 
@@ -253,8 +260,10 @@ class GroupChainMap:
         return mat
 
     def is_chain_map(self) -> bool:
-        for g in set(self.x.modules) | set(self.y.modules):
-            if self.y.diff(g) @ self.component(g) != self.component(g - 1) @ self.x.diff(g):
+        degs = set(self.x.modules) | set(self.y.modules)
+        f = {g: self.component(g).integral() for g in degs | {g - 1 for g in degs}}
+        for g in degs:
+            if self.y.diff(g).integral() @ f[g] != f[g - 1] @ self.x.diff(g).integral():
                 return False
         return True
 

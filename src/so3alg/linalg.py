@@ -1,23 +1,31 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are small (desk scale), so a plain list-of-lists representation with
-``fractions.Fraction`` entries is used throughout.  Elimination uses
-first-nonzero pivoting, so every derived basis (kernels, images, cokernel
-complements) is deterministic for a given input.  ``IncrementalSpan`` grows a
-basis one vector at a time, and ``chain_homology`` builds on it the homology
-of a chain of vector spaces that every algebraic model uses.
+Matrices are small (desk scale): a ``QMatrix`` is a list of rows of
+``fractions.Fraction`` entries.  Products are not taken in Fractions: every
+product goes through ``IntegralForm``, which clears a matrix's denominators
+once (``QMatrix.integral``) and multiplies Python ints, and invariant checks
+compare integral forms by cross-multiplying their denominators.  No other
+module reads a Fraction's denominator, except the CLI's rational codec.
+Elimination uses first-nonzero pivoting, so every derived basis (kernels,
+images, cokernel complements) is deterministic for a given input.
+``IncrementalSpan`` grows a basis one vector at a time, and
+``chain_homology`` builds on it the homology of a chain of vector spaces that
+every algebraic model uses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
 
 Q = Fraction
 
-__all__ = ["Q", "QMatrix", "IncrementalSpan", "chain_homology"]
+__all__ = ["Q", "QMatrix", "IntegralForm", "IncrementalSpan", "chain_homology"]
+
+_ZERO = Q(0)
 
 
 def _frac(x) -> Fraction:
@@ -123,21 +131,17 @@ class QMatrix:
         return QMatrix(self.rows, self.cols, [[k * x for x in row] for row in self.data])
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch in mul: {self.cols} vs {other.rows}")
-        out = QMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            ri = self.data[i]
-            oi = out.data[i]
-            for k in range(self.cols):
-                a = ri[k]
-                if a == 0:
-                    continue
-                rk = other.data[k]
-                for j in range(other.cols):
-                    if rk[j] != 0:
-                        oi[j] += a * rk[j]
-        return out
+        return (self.integral() @ other.integral()).rational()
+
+    def integral(self) -> "IntegralForm":
+        """The canonical integral form: ``den`` is the lcm of the entries'
+        denominators, so equal matrices have equal forms."""
+        den = lcm(*{x.denominator for row in self.data for x in row})
+        if den == 1:
+            ints = [[x.numerator for x in row] for row in self.data]
+        else:
+            ints = [[x.numerator * (den // x.denominator) for x in row] for row in self.data]
+        return IntegralForm(self.rows, self.cols, den, ints)
 
     def transpose(self) -> "QMatrix":
         return QMatrix(
@@ -273,6 +277,70 @@ class QMatrix:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
+
+
+class IntegralForm:
+    """A rational matrix as ``ints / den``: a list of rows of Python ints over
+    one positive common denominator.
+
+    A product's ``den`` is the product of its factors' denominators, so it
+    need not be the lcm; ``==`` therefore cross-multiplies the denominators,
+    and compares the matrices the forms stand for without building a
+    Fraction.
+    """
+
+    __slots__ = ("rows", "cols", "den", "ints")
+
+    def __init__(self, rows: int, cols: int, den: int, ints: list[list[int]]):
+        self.rows = rows
+        self.cols = cols
+        self.den = den
+        self.ints = ints
+
+    def __matmul__(self, other: "IntegralForm") -> "IntegralForm":
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch in mul: {self.cols} vs {other.rows}")
+        # the nonzero entries of each row of the right factor, read once
+        right = [[(j, v) for j, v in enumerate(row) if v] for row in other.ints]
+        out = []
+        for row in self.ints:
+            acc = [0] * other.cols
+            for a, rk in zip(row, right):
+                if a:
+                    for j, v in rk:
+                        acc[j] += a * v
+            out.append(acc)
+        return IntegralForm(self.rows, other.cols, self.den * other.den, out)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntegralForm) or (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        a, b = self.den, other.den
+        if a == b:
+            return self.ints == other.ints
+        return all(
+            [x * b for x in r] == [y * a for y in s] for r, s in zip(self.ints, other.ints)
+        )
+
+    def is_zero(self) -> bool:
+        return not any(any(row) for row in self.ints)
+
+    def is_identity(self) -> bool:
+        d = self.den
+        return self.rows == self.cols and all(
+            x == (d if i == j else 0) for i, row in enumerate(self.ints) for j, x in enumerate(row)
+        )
+
+    def rational(self) -> QMatrix:
+        """The QMatrix this form stands for."""
+        d = self.den
+        out = QMatrix.__new__(QMatrix)
+        out.rows, out.cols = self.rows, self.cols
+        if d == 1:
+            out.data = [[Q(v) if v else _ZERO for v in row] for row in self.ints]
+        else:
+            out.data = [[Q(v, d) if v else _ZERO for v in row] for row in self.ints]
+        return out
 
 
 # -- incremental spans and chain homology ------------------------------------------

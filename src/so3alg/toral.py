@@ -181,11 +181,13 @@ class VMap:
         if other.codomain != self.domain:
             raise SchemaError("V-map composition mismatch")
         blocks = {}
-        for g, (p, m) in other.domain.dims.items():
+        for g in other.domain.dims:
             for s in (1, -1):
-                if other.domain.dim(g, s):
-                    mat = self.block(g + other.degree, s) @ other.block(g, s)
-                    blocks[(g, s)] = mat
+                # a missing block is zero, and so is any product with it
+                right = other.blocks.get((g, s))
+                left = self.blocks.get((g + other.degree, s))
+                if right is not None and left is not None:
+                    blocks[(g, s)] = left @ right
         return VMap(other.domain, self.codomain, self.degree + other.degree, blocks)
 
     def __add__(self, other):

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,26 @@ def test_reports_are_byte_identical(tmp_path):
     assert main(["resolve", path, "--out", str(out1)]) == 0
     assert main(["resolve", path, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_a_second_call_inherits_no_option_from_the_first(tmp_path, capsys):
+    """main reuses one parser: a call without --window or --out must report
+    what the same call reports in a fresh interpreter."""
+    path = write_object(tmp_path, "sphere", sphere())
+    out = tmp_path / "report.json"
+    assert main(["hom", "--window=-1:1", "--out", str(out), path, path]) == 0
+    first = out.read_bytes()
+    capsys.readouterr()
+    assert main(["hom", path, path]) == 0
+    second = capsys.readouterr().out
+    assert out.read_bytes() == first
+    src = Path(sys.modules["so3alg"].__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    alone = subprocess.run(
+        [sys.executable, "-m", "so3alg.cli", "hom", path, path],
+        capture_output=True, env=env, check=True,
+    )
+    assert second.encode() == alone.stdout
 
 
 def test_split_and_homology_verbs(tmp_path):

@@ -179,6 +179,54 @@ def test_non_equivariant_differential_rejected():
         GroupComplex(alg, mods, {1: bad})
 
 
+# non-unimodular changes of basis: conjugating by them gives actions with
+# non-integral entries, so the checks must scale by the right denominators
+P = QMatrix.from_rows([[2, 1], [0, 3]])
+R = QMatrix.from_rows([[1, 1], [1, 3]])
+
+
+def conjugated(rep, p):
+    dim, mats = rep
+    pinv = p.inverse()
+    return dim, {e: p @ m @ pinv for e, m in mats.items()}
+
+
+def test_rational_actions_are_checked_exactly():
+    alg = weyl_group_of("D4")
+    dim, acts = conjugated(small_rep(alg), P)
+    assert any(x.denominator > 1 for m in acts.values() for row in m.data for x in row)
+    GroupComplex(alg, {0: (dim, acts)})
+    with pytest.raises(InvariantError, match="identity must act as the identity"):
+        GroupComplex(alg, {0: (dim, {**acts, alg.identity: QMatrix.identity(2).scale(Q(1, 2))})})
+    e = next(a for a in range(alg.order) if a != alg.identity)
+    for bad in (acts[e].scale(2), acts[e].scale(Q(1, 2)), acts[e] + QMatrix.identity(2).scale(Q(1, 3))):
+        with pytest.raises(InvariantError, match="not a representation"):
+            GroupComplex(alg, {0: (dim, {**acts, e: bad})})
+    # rho(1) = 1/2 squares to 1/4: its integral form squares to the integral
+    # form of the identity, so only the denominators tell them apart
+    half = {0: QMatrix.identity(1), 1: QMatrix(1, 1, [[Q(1, 2)]])}
+    with pytest.raises(InvariantError, match="not a representation"):
+        GroupComplex(order_two_group(), {0: (1, half)})
+
+
+def test_rational_differentials_and_chain_maps_are_checked_exactly():
+    alg = weyl_group_of("D4")
+    rp, rr = conjugated(small_rep(alg), P), conjugated(small_rep(alg), R)
+    intertwiner = R @ P.inverse()
+    skewed = R @ QMatrix.diagonal([1, 2]) @ P.inverse()
+    x = GroupComplex(alg, {0: rr, 1: rp}, {1: intertwiner.scale(Q(1, 3))})
+    with pytest.raises(InvariantError, match="differential is not equivariant"):
+        GroupComplex(alg, {0: rr, 1: rp}, {1: skewed})
+    y = GroupComplex(alg, {0: rr, 1: rr}, {1: QMatrix.identity(2).scale(Q(1, 2))})
+    f = GroupChainMap(x, y, {0: QMatrix.identity(2).scale(3), 1: intertwiner.scale(2)})
+    assert f.is_chain_map()
+    # equivariant in each degree but off by a scalar in degree 0
+    g = GroupChainMap(x, y, {0: QMatrix.identity(2).scale(Q(3, 2)), 1: intertwiner.scale(2)})
+    assert not g.is_chain_map()
+    with pytest.raises(InvariantError, match="chain map is not equivariant"):
+        GroupChainMap(x, y, {0: QMatrix.identity(2), 1: skewed})
+
+
 def test_d_squared_checked():
     alg = trivial_group()
     one = {0: QMatrix.identity(1)}

@@ -3,7 +3,9 @@
 ``exceptional`` is a leaf over the linear algebra: it may import only from
 ``linalg`` and ``errors`` inside the package.  Homology helpers are shared
 through the public ``linalg.chain_homology``, so no module imports a private
-homology helper from another module.
+homology helper from another module.  How a rational matrix is turned into
+integers (``QMatrix.integral``) is decided in ``linalg`` alone: no other
+module reads a denominator, except the CLI's rational codec.
 """
 
 import ast
@@ -49,3 +51,35 @@ def test_no_private_homology_helper_crosses_modules():
         if name.startswith("_") and "homology" in name
     ]
     assert crossings == []
+
+
+def _attribute_reads(module: str, attrs):
+    """(enclosing function, attribute) for every read of one of attrs in the
+    source of ``module``; the function is None at module level."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr in attrs:
+            out.append((func, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+# where a module other than linalg may take a rational apart
+DENOMINATOR_READERS = {("cli", "frac_str")}
+
+
+def test_only_linalg_takes_rationals_apart():
+    reads = {
+        (path.stem, func)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "linalg"
+        for func, _ in _attribute_reads(path.stem, {"denominator", "as_integer_ratio"})
+    }
+    assert reads <= DENOMINATOR_READERS, reads - DENOMINATOR_READERS

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,68 @@ def small_matrix(draw, rows=None, cols=None):
         )
     )
     return QMatrix.from_rows(data)
+
+
+def fraction_matmul(a, b):
+    """The schoolbook product in Fraction arithmetic: the oracle for ``@``."""
+    assert a.cols == b.rows
+    return QMatrix(
+        a.rows,
+        b.cols,
+        [[sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), Q(0)) for j in range(b.cols)] for i in range(a.rows)],
+    )
+
+
+@st.composite
+def rational_matrix(draw, rows, cols):
+    entry = st.builds(Q, st.integers(-6, 6), st.integers(1, 6))
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return QMatrix(rows, cols, data)
+
+
+@st.composite
+def rational_product(draw):
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(rational_matrix(r, k)), draw(rational_matrix(k, c))
+
+
+@given(rational_product())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_the_fraction_oracle(ab):
+    a, b = ab
+    assert a @ b == fraction_matmul(a, b)
+
+
+@given(rational_product(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_integral_forms_are_canonical_and_compare_by_value(ab, data):
+    a, b = ab
+    fa = a.integral()
+    assert fa.den == lcm(*(x.denominator for row in a.data for x in row))
+    assert fa.rational() == a
+    # a product's denominator is da * db, not the lcm, and still compares
+    # equal to the canonical form of the same matrix
+    prod = fa @ b.integral()
+    assert prod.rational() == a @ b
+    assert prod == (a @ b).integral()
+    if prod.rows and prod.cols:
+        i = data.draw(st.integers(0, prod.rows - 1))
+        j = data.draw(st.integers(0, prod.cols - 1))
+        other = (a @ b).copy()
+        other.data[i][j] += data.draw(st.sampled_from([Q(1), Q(-1, 2), Q(1, 6)]))
+        assert prod != other.integral()
+        assert other.integral() != prod
+
+
+def test_integral_form_identity_and_zero():
+    assert QMatrix.identity(3).integral().is_identity()
+    assert QMatrix.identity(0).integral().is_identity()
+    half = QMatrix.identity(2).scale(Q(1, 2))
+    assert not half.integral().is_identity()
+    assert (half.integral() @ QMatrix.identity(2).scale(2).integral()).is_identity()
+    assert not QMatrix.from_rows([[1, 0], [0, 1], [0, 0]]).integral().is_identity()
+    assert QMatrix(2, 3).integral().is_zero()
+    assert not QMatrix.from_rows([[0, Q(1, 3)]]).integral().is_zero()
 
 
 @given(small_matrix())

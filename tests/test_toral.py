@@ -99,6 +99,42 @@ def test_vmap_identity_compose_and_block_shapes():
     assert w.is_zero() and one.compose(w).is_zero()
 
 
+def _random_vmap(rng, dom, cod, degree):
+    """Blocks with rational entries, about a third of them left out."""
+    blocks = {}
+    for g in dom.dims:
+        for s in (1, -1):
+            r, c = cod.dim(g + degree, s), dom.dim(g, s)
+            if r and c and rng.random() < 0.67:
+                blocks[(g, s)] = QMatrix(
+                    r, c, [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c)] for _ in range(r)]
+                )
+    return VMap(dom, cod, degree, blocks)
+
+
+def test_vmap_compose_matches_a_blockwise_dense_oracle():
+    rng = random.Random(7)
+    missing = {"left": 0, "right": 0}
+    for _ in range(30):
+        u, v, w = (QWSpace({g: (rng.randint(0, 2), rng.randint(0, 2)) for g in range(-2, 3)}) for _ in range(3))
+        f = _random_vmap(rng, u, v, 1)
+        h = _random_vmap(rng, v, w, -2)
+        hf = h.compose(f)
+        assert hf.degree == -1
+        for g in range(-2, 3):
+            for s in (1, -1):
+                missing["left"] += (g + 1, s) not in h.blocks and (g, s) in f.blocks
+                missing["right"] += (g + 1, s) in h.blocks and (g, s) not in f.blocks
+                # missing blocks are dense zero matrices of the right shape
+                left, right = h.block(g + 1, s), f.block(g, s)
+                dense = [
+                    [sum((left.data[i][k] * right.data[k][j] for k in range(left.cols)), Q(0)) for j in range(right.cols)]
+                    for i in range(left.rows)
+                ]
+                assert hf.block(g, s).data == dense
+    assert missing["left"] and missing["right"]
+
+
 def test_vmap_suspend_and_twist():
     v = QWSpace({0: (1, 0)})
     one = VMap.identity(v)
