@@ -584,7 +584,8 @@ def is_weak_equivalence(f: DihedralMorphism) -> bool:
     if not f.is_chain_map():
         return False
     pairs = [(f.x.level_inf(), f.y.level_inf(), f.f_inf)]
-    keys = set(f.x.slots.explicit) | set(f.y.slots.explicit) | {TAIL}
+    # a fixed order: the loop stops at the first failing slot
+    keys = sorted(set(f.x.slots.explicit) | set(f.y.slots.explicit)) + [TAIL]
     for key in keys:
         pairs.append((f.x.level(key), f.y.level(key), f.component(key)))
     for cx, cy, comp in pairs:

@@ -19,6 +19,14 @@ homology) by an interval ("barcode") decomposition of the action of c along
 each residue-class-and-sign chain of degrees, carried out with exact basis
 tracking so that every canonical generator comes with an explicit
 representative vector.
+
+Window walks pay for what the modules hold, not for the window's width.  A
+module computes its basis in a degree once and keeps it as a tuple (modules
+are immutable, and every module is made by ``__init__`` or
+``GradedModule._canonical``, which start the cache).  Cokernels skip the
+degrees where the codomain is zero and find all canonical coordinates of a
+degree in one elimination; the canonical reconstruction skips chains that
+are zero on the whole window.
 """
 
 from __future__ import annotations
@@ -105,12 +113,26 @@ def _sort_key(s: Summand):
 class GradedModule:
     """A canonical-form graded module: an ordered tuple of thin summands."""
 
-    __slots__ = ("ring", "summands")
+    __slots__ = ("ring", "summands", "_bases")
 
     def __init__(self, ring: Ring, summands):
         self.ring = ring
         norm = [_normalize_summand(ring, s) for s in summands]
         self.summands = tuple(sorted(norm, key=_sort_key))
+        self._bases = {}
+
+    @staticmethod
+    def _canonical(ring: Ring, summands) -> "GradedModule":
+        """A module from summands already normalized and in canonical order.
+
+        The one constructor besides ``__init__``: every module starts with an
+        empty basis cache.
+        """
+        m = GradedModule.__new__(GradedModule)
+        m.ring = ring
+        m.summands = tuple(summands)
+        m._bases = {}
+        return m
 
     @staticmethod
     def zero(ring: Ring) -> "GradedModule":
@@ -162,13 +184,17 @@ class GradedModule:
             return None
         return a
 
-    def basis(self, degree: int) -> list[tuple[int, int]]:
-        out = []
-        for i in range(len(self.summands)):
-            a = self.power_at(i, degree)
-            if a is not None:
-                out.append((i, a))
-        return out
+    def basis(self, degree: int) -> tuple[tuple[int, int], ...]:
+        """The (summand, generator power) pairs alive in a degree, in summand
+        order; computed once per degree and kept with the module."""
+        b = self._bases.get(degree)
+        if b is None:
+            b = self._bases[degree] = tuple(
+                (i, a)
+                for i in range(len(self.summands))
+                if (a := self.power_at(i, degree)) is not None
+            )
+        return b
 
     def dim(self, degree: int) -> int:
         return len(self.basis(degree))
@@ -217,9 +243,7 @@ def direct_sum(modules) -> tuple[GradedModule, list[list[int]]]:
         for i, s in enumerate(m.summands):
             tagged.append((s, k, i))
     tagged.sort(key=lambda t: (_sort_key(t[0]), t[1], t[2]))
-    out = GradedModule.__new__(GradedModule)
-    out.ring = ring
-    out.summands = tuple(t[0] for t in tagged)
+    out = GradedModule._canonical(ring, (t[0] for t in tagged))
     maps = [[0] * len(m.summands) for m in modules]
     for new_idx, (_, k, i) in enumerate(tagged):
         maps[k][i] = new_idx
@@ -349,13 +373,19 @@ class ModuleMap:
         """Matrix of the map from degree to degree + self.degree."""
         src = self.domain.basis(degree)
         dst = self.codomain.basis(degree + self.degree)
-        pos = {key: r for r, key in enumerate(dst)}
         m = QMatrix(len(dst), len(src))
+        if not src or not dst:
+            return m
+        # every entry passed _power_or_error in __init__, so its power is
+        # the plain degree difference
+        step = self.codomain.ring.step
+        by_src: dict[int, list] = {}
+        for (i, j), coef in self.entries.items():
+            a = (self.codomain.summands[i].shift - self.domain.summands[j].shift - self.degree) // step
+            by_src.setdefault(j, []).append((i, a, coef))
+        pos = {key: r for r, key in enumerate(dst)}
         for col, (j, b) in enumerate(src):
-            for (i, jj), coef in self.entries.items():
-                if jj != j:
-                    continue
-                a = self._power_or_error(i, jj)
+            for i, a, coef in by_src.get(j, ()):
                 row = pos.get((i, b + a))
                 if row is not None:
                     m.data[row][col] = coef
@@ -477,9 +507,7 @@ def localize(m: GradedModule) -> tuple[GradedModule, list[int]]:
             continue
         tagged.append((_normalize_summand(ring, Summand(LAURENT, s.shift, s.sign)), i))
     tagged.sort(key=lambda t: (_sort_key(t[0]), t[1]))
-    out = GradedModule.__new__(GradedModule)
-    out.ring = ring
-    out.summands = tuple(t[0] for t in tagged)
+    out = GradedModule._canonical(ring, (t[0] for t in tagged))
     return out, [t[1] for t in tagged]
 
 
@@ -518,9 +546,7 @@ def fixed_points_c_to_d(m: GradedModule) -> tuple[GradedModule, list[tuple[int, 
             new = Summand(s.kind, shift, 1)
         tagged.append((_normalize_summand(ring, new), i, e))
     tagged.sort(key=lambda t: (_sort_key(t[0]), t[1]))
-    out = GradedModule.__new__(GradedModule)
-    out.ring = ring
-    out.summands = tuple(t[0] for t in tagged)
+    out = GradedModule._canonical(ring, (t[0] for t in tagged))
     return out, [(t[1], t[2]) for t in tagged]
 
 
@@ -556,9 +582,7 @@ def base_change_d_to_c(m: GradedModule) -> tuple[GradedModule, list[int]]:
             new = Summand(s.kind, s.shift, 1)
         tagged.append((_normalize_summand(ring, new), i))
     tagged.sort(key=lambda t: (_sort_key(t[0]), t[1]))
-    out = GradedModule.__new__(GradedModule)
-    out.ring = ring
-    out.summands = tuple(t[0] for t in tagged)
+    out = GradedModule._canonical(ring, (t[0] for t in tagged))
     return out, [t[1] for t in tagged]
 
 
@@ -721,7 +745,7 @@ def canonical_from_window(wm: WindowModule) -> tuple[GradedModule, list[Realized
         if not degs:
             continue
         for start_sign in (1, -1):
-            dims, bases, present = [], [], []
+            dims, bases = [], []
             for p, g in enumerate(degs):
                 s = start_sign * ((-1) ** p if ring.flip else 1)
                 if wm.dim(g):
@@ -734,7 +758,8 @@ def canonical_from_window(wm: WindowModule) -> tuple[GradedModule, list[Realized
                     basis = QMatrix(0, 0)
                 dims.append(basis.cols)
                 bases.append(basis)
-                present.append(g)
+            if not any(dims):
+                continue  # no bars: the chain is zero on the whole window
             # chain maps in eigen coordinates
             cmaps = []
             for p in range(len(degs) - 1):
@@ -878,10 +903,10 @@ def cokernel_of_map(
     spaces, acts, invs = {}, {}, {}
     proj, lift = {}, {}
     for g in range(lo, hi + 1):
+        if not n.dim(g):
+            continue
         mat = phi.evaluate(g - phi.degree)
-        if mat.cols == 0:
-            mat = QMatrix(n.dim(g), 0)
-        P, d = mat.cokernel_data()
+        P, d = mat.cokernel_data() if mat.cols else (QMatrix.identity(mat.rows), mat.rows)
         proj[g] = P
         if d:
             spaces[g] = d
@@ -902,51 +927,38 @@ def cokernel_of_map(
     C, realized = canonical_from_window(wm)
     mats = {}
     for g in range(lo, hi + 1):
-        cols_src = n.dim(g)
         # matrix from ambient coordinates to canonical coordinates of C at g
-        amb_to_C = []
-        if spaces.get(g, 0):
-            for cidx in range(cols_src):
-                e = [Q(0)] * cols_src
-                e[cidx] = Q(1)
-                coords = _window_coordinates(C, realized, wm, g, proj[g].apply(e))
-                amb_to_C.append(coords)
-        basis_C = C.basis(g)
-        mat = QMatrix(len(basis_C), cols_src)
-        for cidx, coords in enumerate(amb_to_C):
-            for r, (k, _a) in enumerate(basis_C):
-                if k in coords:
-                    mat.data[r][cidx] = coords[k]
-        mats[g] = mat
+        if spaces.get(g):
+            mats[g] = _window_coordinates(C, realized, wm, g, proj[g])
+        else:
+            mats[g] = QMatrix(C.dim(g), n.dim(g))
     pr = WindowMap(n, C, 0, window, mats)
     return C, pr
 
 
-def _window_coordinates(C: GradedModule, realized, wm: WindowModule, g: int, vec):
-    """Express a window vector at degree g in canonical summand coordinates.
+def _window_coordinates(C: GradedModule, realized, wm: WindowModule, g: int, vecs: QMatrix):
+    """Express the columns of vecs, window vectors at degree g, in canonical
+    coordinates: row r of the result belongs to C.basis(g)[r].
 
-    Returns {summand index: coefficient}; the basis of C at degree g consists
-    of the realized generators pushed down by the action.
+    The basis of C at degree g consists of the realized generators pushed
+    down by the action.  They are independent, so the coordinates are
+    unique, and one elimination gives them for every column.
     """
     cols = []
-    idxs = []
-    for k, r in enumerate(realized):
-        a = C.power_at(k, g)
-        if a is None:
-            continue
+    for k, a in C.basis(g):
+        r = realized[k]
         v = r.vector
         deg = r.degree
         for _ in range(a):
             v = wm.acts[deg].apply(v)
             deg -= wm.ring.step
         cols.append(v)
-        idxs.append(k)
     dim = wm.dim(g)
     mat = QMatrix(dim, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(dim)])
-    sol = mat.solve(list(vec))
+    sol = mat.solve_matrix(vecs)
     if sol is None:
         raise InvariantError("vector not expressible in canonical coordinates")
-    return {idxs[j]: sol[j] for j in range(len(idxs))}
+    return sol
 
 
 def homology_slot(m: GradedModule, d: ModuleMap) -> GradedModule:

@@ -131,6 +131,10 @@ class QMatrix:
         return QMatrix(self.rows, self.cols, [[k * x for x in row] for row in self.data])
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch in mul: {self.cols} vs {other.rows}")
+        if not (self.rows and self.cols and other.cols):
+            return QMatrix(self.rows, other.cols)
         return (self.integral() @ other.integral()).rational()
 
     def integral(self) -> "IntegralForm":
@@ -199,6 +203,8 @@ class QMatrix:
         return m, pivots
 
     def rank(self) -> int:
+        if not (self.rows and self.cols):
+            return 0
         return len(self.rref()[1])
 
     def kernel_basis(self) -> "QMatrix":

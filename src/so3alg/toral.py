@@ -225,9 +225,7 @@ def _module_with_index(ring, tagged):
     """
     norm = [(_normalize_summand(ring, s), tag) for s, tag in tagged]
     order = sorted(range(len(norm)), key=lambda k: (_sort_key(norm[k][0]), k))
-    m = GradedModule.__new__(GradedModule)
-    m.ring = ring
-    m.summands = tuple(norm[k][0] for k in order)
+    m = GradedModule._canonical(ring, (norm[k][0] for k in order))
     tags = [norm[k][1] for k in order]
     pos = {tag: i for i, tag in enumerate(tags)}
     return m, tags, pos
@@ -1313,13 +1311,14 @@ class InjectiveResolution:
             for g in range(lo, hi + 1):
                 a = inc.evaluate(g)
                 b = q.evaluate(g)
-                if a.cols and a.rank() != a.cols:
+                ra, rb = a.rank(), b.rank()
+                if ra != a.cols:
                     return False
                 if not (b @ a).is_zero():
                     return False
-                if a.rank() + b.rank() != a.rows:
+                if ra + rb != a.rows:
                     return False
-                if b.rank() != b.rows:
+                if rb != b.rows:
                     return False
         return True
 

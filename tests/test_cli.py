@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from so3alg.cli import (
+    _fixture_doc,
     dihedral_from_json,
     dihedral_to_json,
     evaluate_burnside,
@@ -220,6 +222,27 @@ def test_bad_window_exits_2(tmp_path):
     path = write_object(tmp_path, "sphere", sphere())
     assert main(["hom", "--window=oops", path, path]) == 2
     assert main(["hom", "--window=3:1", path, path]) == 2
+
+
+def test_oversized_window_exits_2_at_once(tmp_path):
+    path = write_object(tmp_path, "sphere", sphere())
+    start = time.perf_counter()
+    assert main(["hom", path, path, "--window=-100000:100000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert main(["hom", path, path, "--window=0:256"]) == 2
+    assert main(["hom", path, path, "--window=0:255"]) == 0
+
+
+def test_oversized_torsion_length_exits_2_at_once(tmp_path):
+    doc = _fixture_doc("cell-C2")
+    for s in doc["M"]["explicit"]["2"]["summands"]:
+        s["len"] = 10**7
+    path = tmp_path / "long-C2.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("resolve", "star-check", "homology"):
+        start = time.perf_counter()
+        assert main([verb, str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
 
 
 def test_star_failure_exits_3(tmp_path):

@@ -1,7 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+
+import so3alg
 
 from so3alg.dihedral import (
     TAIL,
@@ -374,3 +381,45 @@ def test_suspension_shifts_homology():
     h = homology_Ch(m)
     hs = homology_Ch(suspend_dihedral(m, 2))
     assert hs == suspend_dihedral(h, 2)
+
+
+WEAK_EQUIVALENCE_WORK = """
+import json
+from so3alg.dihedral import (
+    DihedralMorphism, QWComplex, direct_sum_dihedral, functor_const, functor_i_k,
+    is_weak_equivalence,
+)
+from so3alg.linalg import QMatrix
+from so3alg.toral import QWSpace, VMap
+
+x = functor_const(QWComplex(QWSpace({0: (1, 0), 1: (2, 0), 2: (1, 0)})))
+for k in (3, 5):
+    x = direct_sum_dihedral(x, functor_i_k(QWComplex(QWSpace({0: (1, 1), 1: (2, 1)})), k))
+# the identity except at slot 5, where it is zero: only slot 5 fails
+f = DihedralMorphism(x, x, 0, VMap.identity(x.m_inf),
+                     {key: VMap.identity(x.slot(key)) for key in x.keys() if key != 5})
+calls = 0
+rref = QMatrix.rref
+
+def counted(self):
+    global calls
+    calls += 1
+    return rref(self)
+
+QMatrix.rref = counted
+print(json.dumps([is_weak_equivalence(f), calls]))
+"""
+
+
+def test_weak_equivalence_work_does_not_follow_the_hash_seed():
+    src = str(Path(so3alg.__file__).resolve().parent.parent)
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", WEAK_EQUIVALENCE_WORK],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        outs.append(json.loads(done.stdout))
+    assert outs[0] == outs[1]
+    assert outs[0][0] is False

@@ -461,3 +461,175 @@ def test_direct_sum_bookkeeping():
     assert len(s.summands) == 2
     assert s.summands[maps[0][0]] == a.summands[0]
     assert s.summands[maps[1][0]] == b.summands[0]
+
+
+# -- cached bases and window walks against their slow paths ----------------------
+
+
+def scan_basis(m, g):
+    """The basis of m at degree g by a power_at scan over every summand."""
+    return [(i, a) for i in range(len(m.summands)) if (a := m.power_at(i, g)) is not None]
+
+
+def rand_module(rng, ring, kinds=(FREE, TORSION, LAURENT), size=4):
+    summands = []
+    for _ in range(rng.randint(0, size)):
+        kind = rng.choice(kinds)
+        sign = rng.choice([1, -1]) if ring.var == "c" else 1
+        length = rng.randint(1, 3) if kind == TORSION else 0
+        summands.append(Summand(kind, rng.randint(-5, 5), sign, length))
+    return GradedModule(ring, summands)
+
+
+def rand_map(rng, dom, cod, degree):
+    """A random map: a random coefficient on every entry the grading, the
+    torsion rules and the involution allow."""
+    ent = {}
+    for i in range(len(cod.summands)):
+        for j in range(len(dom.summands)):
+            try:
+                allowed = ModuleMap(dom, cod, degree, {(i, j): 1}).entries
+            except InvariantError:
+                continue
+            if allowed and rng.random() < 0.7:
+                ent[(i, j)] = F(rng.randint(-3, 3), rng.randint(1, 2))
+    return ModuleMap(dom, cod, degree, ent)
+
+
+def test_cached_basis_is_a_power_at_scan_for_every_constructor():
+    from so3alg.toral import _module_with_index
+
+    rng = random.Random(17)
+    for _ in range(20):
+        ring = rng.choice([POLY_C, POLY_D])
+        m = rand_module(rng, ring)
+        other = rand_module(rng, ring)
+        fixed = fixed_points_c_to_d(m)[0] if ring.var == "c" else None
+        based = None
+        if ring.var == "d":
+            based = base_change_d_to_c(GradedModule(ring, [
+                Summand(s.kind, s.shift, 1, s.length) for s in m.summands]))[0]
+        tagged = [(s, k) for k, s in enumerate(m.summands)]
+        modules = [
+            m,
+            GradedModule.zero(ring),
+            m.suspend(3),
+            m.twist(),
+            direct_sum([m, other])[0],
+            localize(m)[0],
+            fixed,
+            based,
+            _module_with_index(ring, tagged)[0],
+            canonical_from_window(window_of_module(m, auto_window((0, 0), [m])))[0],
+        ]
+        for mod in modules:
+            if mod is None:
+                continue
+            for g in range(-20, 21):
+                b = mod.basis(g)
+                assert isinstance(b, tuple)
+                assert list(b) == scan_basis(mod, g)
+                assert mod.basis(g) is b  # computed once
+                assert mod.dim(g) == len(b)
+
+
+def per_column_evaluate(phi, degree):
+    """ModuleMap.evaluate as a scan of every entry for every column."""
+    src = scan_basis(phi.domain, degree)
+    dst = scan_basis(phi.codomain, degree + phi.degree)
+    pos = {key: r for r, key in enumerate(dst)}
+    m = QMatrix(len(dst), len(src))
+    for col, (j, b) in enumerate(src):
+        for (i, jj), coef in phi.entries.items():
+            if jj == j:
+                row = pos.get((i, b + phi._power_or_error(i, jj)))
+                if row is not None:
+                    m.data[row][col] = coef
+    return m
+
+
+def test_evaluate_matches_the_per_column_scan():
+    rng = random.Random(19)
+    nonzero = 0
+    for _ in range(60):
+        ring = rng.choice([POLY_C, POLY_D])
+        dom, cod = rand_module(rng, ring), rand_module(rng, ring)
+        phi = rand_map(rng, dom, cod, rng.choice([0, -1, -2, 2]))
+        for g in range(-16, 17):
+            fast = phi.evaluate(g)
+            assert fast == per_column_evaluate(phi, g)
+            nonzero += not fast.is_zero()
+    assert nonzero > 50
+
+
+def per_vector_coordinates(C, realized, wm, g, vecs):
+    """Canonical coordinates of each column of vecs by its own QMatrix.solve."""
+    basis = scan_basis(C, g)
+    cols = []
+    for k, a in basis:
+        v, deg = realized[k].vector, realized[k].degree
+        for _ in range(a):
+            v = wm.acts[deg].apply(v)
+            deg -= wm.ring.step
+        cols.append(v)
+    n = wm.dim(g)
+    mat = QMatrix(n, len(cols), [[c[i] for c in cols] for i in range(n)])
+    out = QMatrix(len(basis), vecs.cols)
+    for col in range(vecs.cols):
+        sol = mat.solve(vecs.col(col))
+        assert sol is not None
+        for r, x in enumerate(sol):
+            out.data[r][col] = x
+    return out
+
+
+def test_cokernel_projection_matches_the_per_vector_solve_oracle(monkeypatch):
+    import so3alg.graded as graded
+
+    seen = []
+    real = graded._window_coordinates
+
+    def spy(C, realized, wm, g, vecs):
+        out = real(C, realized, wm, g, vecs)
+        seen.append((C, realized, wm, g, vecs, out))
+        return out
+
+    monkeypatch.setattr(graded, "_window_coordinates", spy)
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(40):
+        ring = rng.choice([POLY_C, POLY_D])
+        dom = rand_module(rng, ring, kinds=(FREE, TORSION))
+        cod = rand_module(rng, ring, kinds=(FREE, TORSION))
+        phi = rand_map(rng, dom, cod, 0)
+        w = auto_window((0, 0), [dom, cod])
+        seen.clear()
+        C, pr = cokernel_of_map(phi, w)
+        for C_, realized, wm, g, vecs, out in seen:
+            assert pr.mats[g] is out
+            assert out == per_vector_coordinates(C_, realized, wm, g, vecs)
+            checked += 1
+        for g in range(w[0], w[1] + 1):
+            p = pr.evaluate(g)
+            assert (p @ phi.evaluate(g)).is_zero()
+            assert p.rank() == C.dim(g) == p.rows
+    assert checked > 100
+
+
+def test_cokernel_eliminates_no_empty_matrix(monkeypatch):
+    shapes = []
+    rref = QMatrix.rref
+
+    def recorded(self):
+        shapes.append((self.rows, self.cols))
+        return rref(self)
+
+    monkeypatch.setattr(QMatrix, "rref", recorded)
+    rng = random.Random(29)
+    for _ in range(20):
+        ring = rng.choice([POLY_C, POLY_D])
+        dom = rand_module(rng, ring, kinds=(FREE, TORSION))
+        cod = rand_module(rng, ring, kinds=(FREE, TORSION))
+        cokernel_of_map(rand_map(rng, dom, cod, 0), auto_window((0, 0), [dom, cod]))
+    assert shapes
+    assert all(r and c for r, c in shapes)

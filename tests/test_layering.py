@@ -5,7 +5,9 @@
 through the public ``linalg.chain_homology``, so no module imports a private
 homology helper from another module.  How a rational matrix is turned into
 integers (``QMatrix.integral``) is decided in ``linalg`` alone: no other
-module reads a denominator, except the CLI's rational codec.
+module reads a denominator, except the CLI's rational codec.  Every
+``GradedModule`` carries its basis cache: outside ``__init__``, modules are
+made only by ``GradedModule._canonical``.
 """
 
 import ast
@@ -83,3 +85,40 @@ def test_only_linalg_takes_rationals_apart():
         for func, _ in _attribute_reads(path.stem, {"denominator", "as_integer_ratio"})
     }
     assert reads <= DENOMINATOR_READERS, reads - DENOMINATOR_READERS
+
+
+def _new_calls(module: str, cls: str):
+    """The enclosing function of every ``X.__new__(...)`` call in the source
+    of ``module`` whose receiver or first argument names ``cls``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    out = []
+
+    def names(node):
+        return isinstance(node, ast.Name) and node.id == cls
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"
+            and (names(node.func.value) or (node.args and names(node.args[0])))
+        ):
+            out.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_graded_modules_bypass_init_only_through_the_one_constructor():
+    # every GradedModule carries a basis cache; __init__ and
+    # GradedModule._canonical are the only places that make one
+    calls = {
+        (path.stem, func)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in _new_calls(path.stem, "GradedModule")
+    }
+    assert calls == {("graded", "_canonical")}

@@ -1,7 +1,13 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+
+import so3alg
+from so3alg.cli import main
 
 from so3alg.errors import (
     InvariantError,
@@ -18,11 +24,13 @@ from so3alg.graded import (
     GradedModule,
     ModuleMap,
     Summand,
+    WindowMap,
 )
 from so3alg.linalg import Q, QMatrix
 from so3alg.toral import (
     TAIL,
     HomSpace,
+    InjectiveResolution,
     QWSpace,
     SlotFamily,
     ToralMorphism,
@@ -345,6 +353,47 @@ def test_injective_resolutions_are_exact():
         assert check_star(res.Y0, strict=True)
         assert check_star(res.Y1, strict=True)
         assert res.check_exact()
+
+
+class _ZeroComponents:
+    """Stands in for the inclusion of a resolution: every component is zero."""
+
+    def __init__(self, include):
+        self.include = include
+
+    def component(self, key):
+        c = self.include.component(key)
+        return ModuleMap.zero(c.domain, c.codomain, c.degree)
+
+
+def test_exactness_check_rejects_a_broken_resolution():
+    for x in (sphere(), sigma_H(2), make_eV(QWSpace({0: (1, 1)}))):
+        res = injective_resolution(x)
+        broken_include = dataclasses.replace(res, include=_ZeroComponents(res.include))
+        assert not broken_include.check_exact()
+        if res.Y1.is_zero():
+            continue  # e(V) is injective: its quotient map is zero already
+        zero_quot = {
+            key: WindowMap(q.domain, q.codomain, q.degree, q.window, {})
+            for key, q in res.quot.items()
+        }
+        assert not dataclasses.replace(res, quot=zero_quot).check_exact()
+
+
+def test_resolve_checks_exactness_once(monkeypatch, tmp_path):
+    calls = []
+    real = InjectiveResolution.check_exact
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(InjectiveResolution, "check_exact", counted)
+    fixture = Path(so3alg.__file__).parent / "data" / "cell-C2.json"
+    out = tmp_path / "resolve.json"
+    assert main(["resolve", str(fixture), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert json.loads(out.read_text())["exact"] is True
 
 
 def test_injective_envelopes_have_no_higher_ext():
