@@ -99,8 +99,9 @@ _RING_NAMES = {
 }
 _KIND_NAMES = {"Free": FREE, "Torsion": TORSION, "Laurent": LAURENT}
 
-# Input budgets: every verb walks a window at least as wide as --window and as
-# the span of each torsion summand, so wider input is refused as it is read.
+# Input budgets: every verb walks a window at least as wide as --window, as
+# the span of each torsion summand and as the largest summand shift, so wider
+# input is refused as it is read.
 MAX_WINDOW_DEGREES = 256
 MAX_TORSION_LENGTH = 64  # spans 256 degrees over Q[d]
 
@@ -135,6 +136,8 @@ def module_from_json(doc: dict) -> GradedModule:
         raise ParseError(f"bad module document: {exc}")
     if any(s.length > MAX_TORSION_LENGTH for s in summands):
         raise ParseError(f"torsion length above the limit of {MAX_TORSION_LENGTH}")
+    if any(abs(s.shift) > MAX_WINDOW_DEGREES for s in summands):
+        raise ParseError(f"summand shift above the limit of {MAX_WINDOW_DEGREES}")
     return GradedModule(ring, summands)
 
 
@@ -505,28 +508,25 @@ def cmd_hom(args) -> tuple[dict, int]:
     return {"verb": "hom", "dims": {str(t): d for t, d in dims.items()}}, 0
 
 
-def cmd_ext(args) -> tuple[dict, int]:
+def _hom_ext_report(verb, compute, args) -> tuple[dict, int]:
+    """Print and report a degreewise (hom, ext) table of two object files."""
     x, y = load_toral(args.files[0]), load_toral(args.files[1])
     lo, hi = _window(args.window)
-    table = ext_A(x, y, range(lo, hi + 1), (lo, hi))
+    table = compute(x, y, range(lo, hi + 1), (lo, hi))
     for t in sorted(table):
         print(f"degree {t}: hom {table[t][0]}, ext {table[t][1]}")
     return {
-        "verb": "ext",
+        "verb": verb,
         "dims": {str(t): {"hom": h, "ext": e} for t, (h, e) in table.items()},
     }, 0
+
+
+def cmd_ext(args) -> tuple[dict, int]:
+    return _hom_ext_report("ext", ext_A, args)
 
 
 def cmd_bracket(args) -> tuple[dict, int]:
-    x, y = load_toral(args.files[0]), load_toral(args.files[1])
-    lo, hi = _window(args.window)
-    table = adams_bracket(x, y, range(lo, hi + 1), (lo, hi))
-    for t in sorted(table):
-        print(f"degree {t}: hom {table[t][0]}, ext {table[t][1]}")
-    return {
-        "verb": "bracket",
-        "dims": {str(t): {"hom": h, "ext": e} for t, (h, e) in table.items()},
-    }, 0
+    return _hom_ext_report("bracket", adams_bracket, args)
 
 
 def cmd_resolve(args) -> tuple[dict, int]:

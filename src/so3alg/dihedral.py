@@ -19,7 +19,7 @@ from .errors import (
     SchemaError,
 )
 from .linalg import Q, QMatrix, chain_homology
-from .toral import QWSpace, VMap, qw_sum
+from .toral import QWSpace, VMap, qw_sum, vmap_sum
 
 TAIL = "tail"
 
@@ -608,7 +608,8 @@ def is_weak_equivalence(f: DihedralMorphism) -> bool:
 def is_fibration(f: DihedralMorphism) -> bool:
     """Levelwise surjective at infinity, every explicit slot, and the tail."""
     checks = [(f.x.m_inf, f.y.m_inf, f.f_inf)]
-    keys = set(f.x.slots.explicit) | set(f.y.slots.explicit) | {TAIL}
+    # a fixed order: the loop stops at the first failing slot
+    keys = sorted(set(f.x.slots.explicit) | set(f.y.slots.explicit)) + [TAIL]
     for key in keys:
         checks.append((f.x.slot(key), f.y.slot(key), f.component(key)))
     for _sx, sy, comp in checks:
@@ -634,11 +635,11 @@ def direct_sum_dihedral(a: DihedralObject, b: DihedralObject) -> DihedralObject:
     keys = (set(a.slots.explicit) | set(b.slots.explicit) | {TAIL}) - {TAIL}
     m_inf, offs = _sum_spaces([a.m_inf, b.m_inf])
     explicit, germ, d_slots = {}, {}, {}
-    d_inf = _sum_vmaps(m_inf, m_inf, [a.d_inf, b.d_inf])
+    d_inf = vmap_sum(m_inf, m_inf, [a.d_inf, b.d_inf])
     for key in sorted(keys) + [TAIL]:
         space, _ = _sum_spaces([a.slot(key), b.slot(key)])
-        germ[key] = _block_vmap(m_inf, space, [a.germ_of(key), b.germ_of(key)])
-        d_slots[key] = _sum_vmaps(space, space, [a.d_slot(key), b.d_slot(key)])
+        germ[key] = vmap_sum(m_inf, space, [a.germ_of(key), b.germ_of(key)])
+        d_slots[key] = vmap_sum(space, space, [a.d_slot(key), b.d_slot(key)])
         if key != TAIL:
             explicit[key] = space
         else:
@@ -646,34 +647,6 @@ def direct_sum_dihedral(a: DihedralObject, b: DihedralObject) -> DihedralObject:
     return DihedralObject(
         m_inf, GermSequence(explicit, tail), germ, d_inf, d_slots
     )
-
-
-def _sum_vmaps(dom: QWSpace, cod: QWSpace, maps) -> VMap:
-    """Block-diagonal sum of maps whose domains and codomains add up."""
-    degree = maps[0].degree
-    blocks = {}
-    for g in dom.dims:
-        for s in (1, -1):
-            cols = dom.dim(g, s)
-            rows = cod.dim(g + degree, s)
-            if not cols:
-                continue
-            mat = [[Q(0)] * cols for _ in range(rows)]
-            ro = co = 0
-            for f in maps:
-                b = f.block(g, s)
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        mat[ro + i][co + j] = b.data[i][j]
-                ro += b.rows
-                co += b.cols
-            blocks[(g, s)] = QMatrix(rows, cols, mat)
-    return VMap(dom, cod, degree, blocks)
-
-
-def _block_vmap(dom: QWSpace, cod: QWSpace, maps) -> VMap:
-    """Column-stacked maps out of a summed domain into a summed codomain."""
-    return _sum_vmaps(dom, cod, maps)
 
 
 def suspend_dihedral(m: DihedralObject, k: int) -> DihedralObject:

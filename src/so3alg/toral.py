@@ -9,6 +9,10 @@ rotation-group side slot 1 is a module over Q[d] without involution, and the
 structure map there lands in the W-fixed points of the Laurent module, which
 is a module over Q[d, d^{-1}].
 
+Which of the two Laurent models of V a structure map lands in is decided in
+one place, ``laurent_model(v, torus)`` with ``torus = x.slot_is_torus(key)``;
+each space builds each model once and keeps it.
+
 This module implements the adjunction between the two sides (base change
 against fixed points), twisted variants, the basic objects e(V) and f(N),
 the standard generators, degreewise hom and Ext via injective resolutions of
@@ -66,13 +70,15 @@ TAIL = "tail"
 class QWSpace:
     """A graded Q[W]-space in canonical eigen form: (plus, minus) per degree.
 
-    The basis in each degree is ordered: sign-+ vectors first.
+    The basis in each degree is ordered: sign-+ vectors first.  A space keeps
+    its two Laurent models once built (see ``laurent_model``).
     """
 
-    __slots__ = ("dims",)
+    __slots__ = ("dims", "_models")
 
     def __init__(self, dims: dict[int, tuple[int, int]]):
         self.dims = {g: (p, m) for g, (p, m) in dims.items() if p or m}
+        self._models = {}
 
     @staticmethod
     def zero() -> "QWSpace":
@@ -215,44 +221,77 @@ class VMap:
         )
 
 
+def vmap_sum(dom: QWSpace, cod: QWSpace, maps) -> VMap:
+    """Block-diagonal sum of maps whose domains and codomains add up."""
+    degree = maps[0].degree
+    blocks = {}
+    for g in dom.dims:
+        for s in (1, -1):
+            cols = dom.dim(g, s)
+            rows = cod.dim(g + degree, s)
+            if not cols:
+                continue
+            mat = [[Q(0)] * cols for _ in range(rows)]
+            ro = co = 0
+            for f in maps:
+                b = f.block(g, s)
+                for i in range(b.rows):
+                    for j in range(b.cols):
+                        mat[ro + i][co + j] = b.data[i][j]
+                ro += b.rows
+                co += b.cols
+            blocks[(g, s)] = QMatrix(rows, cols, mat)
+    return VMap(dom, cod, degree, blocks)
+
+
 # -- Laurent models of V -----------------------------------------------------
 
 
 def _module_with_index(ring, tagged):
     """Build a module from (summand, tag) pairs; returns (module, tags, pos).
 
-    tags is aligned with the module's summand order; pos maps tag -> index.
+    tags is a tuple aligned with the module's summand order; pos maps
+    tag -> index.
     """
     norm = [(_normalize_summand(ring, s), tag) for s, tag in tagged]
     order = sorted(range(len(norm)), key=lambda k: (_sort_key(norm[k][0]), k))
     m = GradedModule._canonical(ring, (norm[k][0] for k in order))
-    tags = [norm[k][1] for k in order]
+    tags = tuple(norm[k][1] for k in order)
     pos = {tag: i for i, tag in enumerate(tags)}
     return m, tags, pos
 
 
-def laurent_of(v: QWSpace):
-    """The Laurent extension of V, as a Q[c]-module of Laurent summands."""
-    tagged = [(Summand(LAURENT, g, s), (g, s, i)) for (g, s, i) in v.vectors()]
-    return _module_with_index(POLY_C, tagged)
+def laurent_model(v: QWSpace, torus: bool):
+    """The Laurent model of V that structure maps land in: (module, tags, pos).
 
+    Away from the torus slot it is the Laurent extension of V, a Q[c]-module
+    with one Laurent summand per basis vector.  At the torus slot it is the
+    W-fixed points of that extension, over Q[d, d^{-1}]: a sign-+ vector in
+    degree k contributes a Laurent summand with shift k (even powers of c), a
+    sign-- vector one with shift k - 2 (odd powers).  Each summand is tagged
+    with its basis vector (degree, sign, index); pos maps tag -> index.
 
-def fd_of(v: QWSpace):
-    """W-fixed points of the Laurent extension, over Q[d, d^{-1}].
-
-    A sign-+ vector in degree k contributes a Laurent summand with shift k
-    (even powers of c); a sign-- vector contributes shift k - 2 (odd powers).
+    Each model is built once per space and kept on it; callers must not
+    change what is returned.
     """
-    tagged = []
-    for (g, s, i) in v.vectors():
-        shift = g if s == 1 else g - 2
-        tagged.append((Summand(LAURENT, shift, 1), (g, s, i)))
-    return _module_with_index(POLY_D, tagged)
+    model = v._models.get(torus)
+    if model is None:
+        if torus:
+            tagged = [
+                (Summand(LAURENT, g if s == 1 else g - 2, 1), (g, s, i))
+                for (g, s, i) in v.vectors()
+            ]
+        else:
+            tagged = [(Summand(LAURENT, g, s), (g, s, i)) for (g, s, i) in v.vectors()]
+        model = _module_with_index(POLY_D if torus else POLY_C, tagged)
+        v._models[torus] = model
+    return model
 
 
-def laurent_map_of(phi: VMap) -> ModuleMap:
-    dom, _, pos_d = laurent_of(phi.domain)
-    cod, _, pos_c = laurent_of(phi.codomain)
+def laurent_model_map(phi: VMap, torus: bool) -> ModuleMap:
+    """A V-map transported to the Laurent models of its domain and codomain."""
+    dom, _, pos_d = laurent_model(phi.domain, torus)
+    cod, _, pos_c = laurent_model(phi.codomain, torus)
     ent = {}
     for (g, s), mat in phi.blocks.items():
         for iy in range(mat.rows):
@@ -262,16 +301,23 @@ def laurent_map_of(phi: VMap) -> ModuleMap:
     return ModuleMap(dom, cod, phi.degree, ent)
 
 
-def fd_map_of(phi: VMap) -> ModuleMap:
-    dom, _, pos_d = fd_of(phi.domain)
-    cod, _, pos_c = fd_of(phi.codomain)
-    ent = {}
-    for (g, s), mat in phi.blocks.items():
-        for iy in range(mat.rows):
-            for ix in range(mat.cols):
-                if mat.data[iy][ix] != 0:
-                    ent[(pos_c[(g + phi.degree, s, iy)], pos_d[(g, s, ix)])] = mat.data[iy][ix]
-    return ModuleMap(dom, cod, phi.degree, ent)
+def _reindex_entries(entries, row_tags, pos, cols=None) -> dict:
+    """Structure-map entries re-indexed into another model of V.
+
+    An entry (i, j) moves to row pos[row_tags[i]] and column cols[j]; it is
+    dropped when j is not in cols, and cols None keeps the columns.
+    """
+    out = {}
+    for (i, j), coef in entries.items():
+        if cols is not None:
+            if j not in cols:
+                continue
+            j = cols[j]
+        r = pos.get(row_tags[i])
+        if r is None:
+            raise InvariantError(f"structure map reaches {row_tags[i]}, outside the new space")
+        out[(r, j)] = coef
+    return out
 
 
 # -- slot families and objects ------------------------------------------------
@@ -367,9 +413,7 @@ class ToralObject:
         return self.side == "SO3" and key == 1
 
     def beta_codomain(self, key):
-        if self.slot_is_torus(key):
-            return fd_of(self.V)[0]
-        return laurent_of(self.V)[0]
+        return laurent_model(self.V, self.slot_is_torus(key))[0]
 
     def keys(self):
         return self.M.keys()
@@ -493,12 +537,15 @@ class ToralMorphism:
         keys = set(self.alpha) | set(other.alpha)
         return all(self.component(k) == other.component(k) for k in keys) and self.phi == other.phi
 
+    def _keys(self):
+        # a fixed order: the checks below stop at the first failing slot
+        return sorted(set(self.x.M.explicit) | set(self.y.M.explicit)) + [TAIL]
+
     def is_valid(self) -> bool:
         """The defining square commutes at every slot."""
         x, y = self.x, self.y
-        keys = set(x.M.explicit) | set(y.M.explicit) | {TAIL}
-        for key in keys:
-            l_phi = fd_map_of(self.phi) if x.slot_is_torus(key) else laurent_map_of(self.phi)
+        for key in self._keys():
+            l_phi = laurent_model_map(self.phi, x.slot_is_torus(key))
             lhs = y.beta[key] if key in y.beta else y.beta[TAIL]
             lhs = lhs.compose(self.component(key))
             rhs = l_phi.compose(x.beta[key] if key in x.beta else x.beta[TAIL])
@@ -508,10 +555,7 @@ class ToralMorphism:
 
     def is_chain_map(self) -> bool:
         x, y = self.x, self.y
-        keys = set(x.M.explicit) | set(y.M.explicit) | {TAIL}
-        for key in keys:
-            dx = x.differential(key) if key in x.M.explicit or key == TAIL else x.differential(TAIL)
-            dy = y.differential(key) if key in y.M.explicit or key == TAIL else y.differential(TAIL)
+        for key in self._keys():
             if y.differential(key).compose(self.component(key)) != self.component(key).compose(
                 x.differential(key)
             ):
@@ -537,14 +581,10 @@ def _localized_beta(x: ToralObject, key) -> ModuleMap:
         if s.kind == TORSION:
             continue  # torsion dies after inverting d
         tagged.append((Summand(LAURENT, s.shift, 1), i))
-    ldom, tags, pos = _module_with_index(LAURENT_C, tagged)
-    lcod, _, vpos = laurent_of(x.V)
-    _, fdtags, _ = fd_of(x.V)
-    ent = {}
-    for (i_fd, j), coef in b.entries.items():
-        if j in pos:
-            ent[(vpos[fdtags[i_fd]], pos[j])] = coef
-    return ModuleMap(ldom, lcod, 0, ent)
+    ldom, _, pos = _module_with_index(LAURENT_C, tagged)
+    lcod, _, vpos = laurent_model(x.V, False)
+    fdtags = laurent_model(x.V, True)[1]
+    return ModuleMap(ldom, lcod, 0, _reindex_entries(b.entries, fdtags, vpos, pos))
 
 
 def check_star(x: ToralObject, strict: bool = False) -> bool:
@@ -655,17 +695,10 @@ def suspend_object(x: ToralObject, k: int) -> ToralObject:
     v = x.V.suspend(k)
     beta = {}
     for key in x.keys():
-        b = x.beta[key]
-        cod_ring = b.codomain.ring
-        cod = fd_of(v)[0] if x.slot_is_torus(key) else laurent_of(v)[0]
-        # transport entries through the suspension of both models
-        old_tags = fd_of(x.V)[1] if x.slot_is_torus(key) else laurent_of(x.V)[1]
-        new_pos = fd_of(v)[2] if x.slot_is_torus(key) else laurent_of(v)[2]
-        ent = {}
-        for (i, j), coef in b.entries.items():
-            g, s, idx = old_tags[i]
-            ent[(new_pos[(g + k, s, idx)], j)] = coef
-        beta[key] = ModuleMap(fam.slot(key), cod, 0, ent)
+        torus = x.slot_is_torus(key)
+        cod, _, pos = laurent_model(v, torus)
+        tags = [(g + k, s, i) for g, s, i in laurent_model(x.V, torus)[1]]
+        beta[key] = ModuleMap(fam.slot(key), cod, 0, _reindex_entries(x.beta[key].entries, tags, pos))
     dM = None
     dV = None
     if x.dM is not None:
@@ -683,29 +716,18 @@ def direct_sum_objects(a: ToralObject, b: ToralObject) -> ToralObject:
     explicit = {}
     beta = {}
 
-    def v_tag(part, tag):
-        g, s, i = tag
-        if part == 0:
-            return (g, s, i)
-        return (g, s, a.V.dim(g, s) + i)
-
     def build(key):
-        ma, mb = a.M.slot(key), b.M.slot(key)
-        msum, maps = direct_sum([ma, mb])
-        torus = side == "SO3" and key == 1
-        if torus:
-            cod, _, pos = fd_of(v)
-            tags_a = fd_of(a.V)[1]
-            tags_b = fd_of(b.V)[1]
-        else:
-            cod, _, pos = laurent_of(v)
-            tags_a = laurent_of(a.V)[1]
-            tags_b = laurent_of(b.V)[1]
+        msum, maps = direct_sum([a.M.slot(key), b.M.slot(key)])
+        torus = a.slot_is_torus(key)
+        cod, _, pos = laurent_model(v, torus)
         ent = {}
-        for part, (obj, tags) in enumerate(((a, tags_a), (b, tags_b))):
+        for part, obj in enumerate((a, b)):
+            # b's vectors follow a's in each (degree, sign) block of the sum
+            tags = [
+                (g, s, part * a.V.dim(g, s) + i) for g, s, i in laurent_model(obj.V, torus)[1]
+            ]
             bmap = obj.beta[key] if key in obj.beta else obj.beta[TAIL]
-            for (i, j), coef in bmap.entries.items():
-                ent[(pos[v_tag(part, tags[i])], maps[part][j])] = coef
+            ent.update(_reindex_entries(bmap.entries, tags, pos, dict(enumerate(maps[part]))))
         return msum, ModuleMap(msum, cod, 0, ent), maps
 
     for key in keys:
@@ -727,35 +749,19 @@ def direct_sum_objects(a: ToralObject, b: ToralObject) -> ToralObject:
                 for (i, j), coef in d.entries.items():
                     ent[(maps[part][i], maps[part][j])] = coef
             dM[key] = ModuleMap(msum, msum, -1, ent)
-        blocks = {}
-        for g, (p, m) in v.dims.items():
-            for s in (1, -1):
-                cols = v.dim(g, s)
-                rows = v.dim(g - 1, s)
-                if cols == 0:
-                    continue
-                mat = QMatrix(rows, cols)
-                da = a.dV if a.dV is not None else VMap.zero(a.V, a.V, -1)
-                db = b.dV if b.dV is not None else VMap.zero(b.V, b.V, -1)
-                ba, bb = da.block(g, s), db.block(g, s)
-                for r in range(ba.rows):
-                    for c in range(ba.cols):
-                        mat.data[r][c] = ba.data[r][c]
-                for r in range(bb.rows):
-                    for c in range(bb.cols):
-                        mat.data[a.V.dim(g - 1, s) + r][a.V.dim(g, s) + c] = bb.data[r][c]
-                blocks[(g, s)] = mat
-        dV = VMap(v, v, -1, blocks)
+        dV = vmap_sum(v, v, [
+            obj.dV if obj.dV is not None else VMap.zero(obj.V, obj.V, -1) for obj in (a, b)
+        ])
     return ToralObject(side, fam, v, beta, dM, dV)
 
 
 def make_eV(V: QWSpace, side: str = "SO3") -> ToralObject:
     """The basic object with M the full Laurent family of V."""
-    lmod = laurent_of(V)[0]
+    lmod = laurent_model(V, False)[0]
     beta = {TAIL: ModuleMap.identity(lmod)}
     explicit = {}
     if side == "SO3":
-        explicit[1] = fd_of(V)[0]
+        explicit[1] = laurent_model(V, True)[0]
         beta[1] = ModuleMap.identity(explicit[1])
     return ToralObject(side, SlotFamily(side, explicit, lmod), V, beta)
 
@@ -774,19 +780,14 @@ def functor_F(x: ToralObject) -> ToralObject:
     """Base change at the torus slot: from the SO3 side to the O2 side."""
     if x.side != "SO3":
         raise SchemaError("F consumes objects on the SO3 side")
-    m1 = x.M.slot(1)
-    new1, src = base_change_d_to_c(m1)
-    fdtags = fd_of(x.V)[1]
-    lpos = laurent_of(x.V)[2]
+    new1, src = base_change_d_to_c(x.M.slot(1))
+    lmod, _, lpos = laurent_model(x.V, False)
     back = {orig: k for k, orig in enumerate(src)}
-    ent = {}
-    for (i, j), coef in x.beta[1].entries.items():
-        if j in back:
-            ent[(lpos[fdtags[i]], back[j])] = coef
+    ent = _reindex_entries(x.beta[1].entries, laurent_model(x.V, True)[1], lpos, back)
     explicit = {n: m for n, m in x.M.explicit.items() if n != 1}
     explicit[1] = new1
     beta = {key: x.beta[key] for key in x.keys() if key != 1}
-    beta[1] = ModuleMap(new1, laurent_of(x.V)[0], 0, ent)
+    beta[1] = ModuleMap(new1, lmod, 0, ent)
     return ToralObject("O2", SlotFamily("O2", explicit, x.M.tail), x.V, beta)
 
 
@@ -794,22 +795,18 @@ def functor_R(y: ToralObject) -> ToralObject:
     """W-fixed points at slot 1: from the O2 side to the SO3 side."""
     if y.side != "O2":
         raise SchemaError("R consumes objects on the O2 side")
-    m1 = y.M.slot(1)
-    fixed, real = fixed_points_c_to_d(m1)
-    ltags = laurent_of(y.V)[1]
-    fdpos = fd_of(y.V)[2]
+    fixed, _ = fixed_points_c_to_d(y.M.slot(1))
+    ltags = laurent_model(y.V, False)[1]
+    fmod, _, fpos = laurent_model(y.V, True)
     b1 = y.beta[1] if 1 in y.beta else y.beta[TAIL]
-    fmap = fixed_points_map(b1)
     # re-index the codomain from fixed(Laurent V) to the fixed-point model
     _, creal = fixed_points_c_to_d(b1.codomain)
-    ent = {}
-    for (i, j), coef in fmap.entries.items():
-        orig, _e = creal[i]
-        ent[(fdpos[ltags[orig]], j)] = coef
+    tags = [ltags[orig] for orig, _e in creal]
+    ent = _reindex_entries(fixed_points_map(b1).entries, tags, fpos)
     explicit = {n: m for n, m in y.M.explicit.items() if n != 1}
     explicit[1] = fixed
     beta = {key: y.beta[key] for key in y.keys() if key != 1}
-    beta[1] = ModuleMap(fixed, fd_of(y.V)[0], 0, ent)
+    beta[1] = ModuleMap(fixed, fmod, 0, ent)
     return ToralObject("SO3", SlotFamily("SO3", explicit, y.M.tail), y.V, beta)
 
 
@@ -879,14 +876,13 @@ def twist_object(y: ToralObject) -> ToralObject:
     if y.side != "O2":
         raise SchemaError("the twist lives on the O2 side")
     v = y.V.twist()
-    lpos_old = laurent_of(y.V)[2]
-    lpos_new = laurent_of(v)[2]
-    back = {pos: lpos_new[(g, -s, i)] for (g, s, i), pos in lpos_old.items()}
     explicit, beta, dm = {}, {}, {}
     for key in y.keys():
         m, idx = _twist_with_index(y.M.slot(key))
-        ent = {(back[i], idx[j]): c for (i, j), c in y.beta[key].entries.items()}
-        bmap = ModuleMap(m, laurent_of(v)[0], 0, ent)
+        torus = y.slot_is_torus(key)
+        cod, _, pos = laurent_model(v, torus)
+        tags = [(g, -s, i) for g, s, i in laurent_model(y.V, torus)[1]]
+        bmap = ModuleMap(m, cod, 0, _reindex_entries(y.beta[key].entries, tags, pos, idx))
         if y.has_differential():
             dm[key] = ModuleMap(
                 m, m, -1,
@@ -977,8 +973,8 @@ def sphere() -> ToralObject:
     v = QWSpace({0: (1, 0)})
     tail = GradedModule(POLY_C, [Summand(FREE, 0, 1)])
     slot1 = GradedModule(POLY_D, [Summand(FREE, 0, 1)])
-    lmod, _, lpos = laurent_of(v)
-    fmod, _, fpos = fd_of(v)
+    lmod, _, lpos = laurent_model(v, False)
+    fmod, _, fpos = laurent_model(v, True)
     beta = {
         TAIL: ModuleMap(tail, lmod, 0, {(lpos[(0, 1, 0)], 0): Q(1)}),
         1: ModuleMap(slot1, fmod, 0, {(fpos[(0, 1, 0)], 0): Q(1)}),
@@ -996,8 +992,8 @@ def sigma_T_minus() -> ToralObject:
     v = QWSpace({0: (0, 1)})
     tail = GradedModule(POLY_C, [Summand(FREE, 0, -1)])
     slot1 = GradedModule(POLY_D, [Summand(FREE, 2, 1)])
-    lmod, _, lpos = laurent_of(v)
-    fmod, _, fpos = fd_of(v)
+    lmod, _, lpos = laurent_model(v, False)
+    fmod, _, fpos = laurent_model(v, True)
     beta = {
         TAIL: ModuleMap(tail, lmod, 0, {(lpos[(0, -1, 0)], 0): Q(1)}),
         1: ModuleMap(slot1, fmod, 0, {(fpos[(0, -1, 0)], 0): Q(1)}),
@@ -1079,15 +1075,9 @@ def parity_split(x: ToralObject) -> tuple[ToralObject, ToralObject]:
             ) if keep else (GradedModule.zero(m.ring), [])
             reindex = {keep[k]: maps[k][0] for k in range(len(keep))}
             torus = x.slot_is_torus(key)
-            old_tags = fd_of(x.V)[1] if torus else laurent_of(x.V)[1]
-            pos = fd_of(v)[2] if torus else laurent_of(v)[2]
-            ent = {}
-            for (i, j), coef in x.beta[key].entries.items():
-                if j in reindex:
-                    g, s, idx = old_tags[i]
-                    ent[(pos[(g, s, _parity_index(x.V, v, g, s, idx))], reindex[j])] = coef
-            cod = fd_of(v)[0] if torus else laurent_of(v)[0]
-            bmap = ModuleMap(sub, cod, 0, ent)
+            cod, _, pos = laurent_model(v, torus)
+            tags = laurent_model(x.V, torus)[1]
+            bmap = ModuleMap(sub, cod, 0, _reindex_entries(x.beta[key].entries, tags, pos, reindex))
             if key == TAIL:
                 tail = sub
                 tail_beta = bmap
@@ -1098,12 +1088,6 @@ def parity_split(x: ToralObject) -> tuple[ToralObject, ToralObject]:
         beta[TAIL] = tail_beta
         parts.append(ToralObject(x.side, fam, v, beta))
     return parts[0], parts[1]
-
-
-def _parity_index(vold: QWSpace, vnew: QWSpace, g, s, idx):
-    if vnew.dim(g, s) == 0:
-        raise InvariantError("structure map does not preserve parity")
-    return idx
 
 
 # -- the graded hom space as an exact linear system ----------------------------
@@ -1161,10 +1145,7 @@ class HomSpace:
             dom, cod = x.M.slot(key), y.M.slot(key)
             bx, by = self._slot_beta(x, key), self._slot_beta(y, key)
             torus = x.slot_is_torus(key)
-            if torus:
-                lx_pos, ly_pos = fd_of(x.V)[2], fd_of(y.V)[2]
-            else:
-                lx_pos, ly_pos = laurent_of(x.V)[2], laurent_of(y.V)[2]
+            lx_pos, ly_pos = laurent_model(x.V, torus)[2], laurent_model(y.V, torus)[2]
             lx_mod, ly_mod = bx.codomain, by.codomain
             lo, hi = auto_window(
                 (min(0, t) - 4, max(0, t) + 4), [dom, cod, lx_mod, ly_mod]
@@ -1473,7 +1454,7 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
         raise NotADifferential("d squared is not zero on V")
     # the structure map must be a chain map
     for key in x.keys():
-        ld = fd_map_of(x.dV) if x.slot_is_torus(key) else laurent_map_of(x.dV)
+        ld = laurent_model_map(x.dV, x.slot_is_torus(key))
         if x.beta[key].compose(x.dM[key]) != ld.compose(x.beta[key]):
             raise NotADifferential("structure map is not a chain map")
     vdims, vmats = {}, {}
@@ -1496,12 +1477,8 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
         win = auto_window(window or (0, 0), [m, x.beta[key].codomain])
         H, realized, tools = homology_realized(m, x.dM[key], win)
         torus = x.slot_is_torus(key)
-        if torus:
-            lmod, ltags, _ = fd_of(x.V)
-            hmod, _, hpos = fd_of(hv)
-        else:
-            lmod, ltags, _ = laurent_of(x.V)
-            hmod, _, hpos = laurent_of(hv)
+        lmod, ltags, _ = laurent_model(x.V, torus)
+        hmod, _, hpos = laurent_model(hv, torus)
         ent = {}
         for k, r in enumerate(realized):
             g = r.degree
@@ -1544,16 +1521,9 @@ def adams_bracket(x: ToralObject, y: ToralObject, degrees, window=(-12, 12)):
 # -- wide spheres ------------------------------------------------------------------
 
 
-def _model_of(x: ToralObject, key):
-    """(module, tags, positions) of the Laurent model of V at a slot."""
-    if x.slot_is_torus(key):
-        return fd_of(x.V)
-    return laurent_of(x.V)
-
-
 def _euler_element(x: ToralObject, key, tag, E: int):
     """Coordinates of c^E (x) t_tag in the Laurent model at a slot."""
-    mod, _, pos = _model_of(x, key)
+    mod, _, pos = laurent_model(x.V, x.slot_is_torus(key))
     deg = tag[0] - 2 * E
     return deg, _collect_terms(mod, pos, deg, [(tag, E, Q(1))])
 
@@ -1671,14 +1641,14 @@ def _rank_one_cover(x, key, degree, vector, s_n):
     T = QWSpace({g_t: (1, 0)})
     tag = (g_t, 1, 0)
     tail = GradedModule(POLY_C, [Summand(FREE, degree, s_n)])
-    lpos = laurent_of(T)[2]
-    beta = {TAIL: ModuleMap(tail, laurent_of(T)[0], 0, {(lpos[tag], 0): Q(1)})}
+    lmod, _, lpos = laurent_model(T, False)
+    beta = {TAIL: ModuleMap(tail, lmod, 0, {(lpos[tag], 0): Q(1)})}
     explicit = {}
     if side == "SO3":
         slot1 = GradedModule(POLY_D, [Summand(FREE, degree - 2 * j, 1)])
-        fpos = fd_of(T)[2]
+        fmod, _, fpos = laurent_model(T, True)
         explicit[1] = slot1
-        beta[1] = ModuleMap(slot1, fd_of(T)[0], 0, {(fpos[tag], 0): Q(1)})
+        beta[1] = ModuleMap(slot1, fmod, 0, {(fpos[tag], 0): Q(1)})
     P = ToralObject(side, SlotFamily(side, explicit, tail), T, beta)
     dom = P.M.slot(key)
     ent = {}
@@ -1694,7 +1664,7 @@ def _rank_one_cover(x, key, degree, vector, s_n):
 def _proof_cover(x, key, degree, vector, s_n, w):
     side = x.side
     m_slot = x.M.slot(key)
-    L, ltags, lpos = _model_of(x, key)
+    L, ltags, _ = laurent_model(x.V, x.slot_is_torus(key))
     terms = _expand_terms(L, ltags, degree, w)
     tags = x.V.vectors()
     minexp = {}
@@ -1773,7 +1743,7 @@ def _proof_cover(x, key, degree, vector, s_n, w):
         (Summand(FREE, tag[0] - 2 * A[tag], 1), tag) for tag in tags
     ]
     S_other, _, spos = _module_with_index(POLY_C, tagged)
-    lmod_c, _, lpos_c = laurent_of(x.V)
+    lmod_c, _, lpos_c = laurent_model(x.V, False)
     free_beta = ModuleMap(
         S_other, lmod_c, 0, {(lpos_c[tag], spos[tag]): Q(1) for tag in tags}
     )
@@ -1783,7 +1753,7 @@ def _proof_cover(x, key, degree, vector, s_n, w):
             (Summand(FREE, tag[0] - 2 * A[tag], 1), tag) for tag in tags
         ]
         S_one, _, spos_d = _module_with_index(POLY_D, tagged_d)
-        fmod, _, fpos = fd_of(x.V)
+        fmod, _, fpos = laurent_model(x.V, True)
         explicit[1] = S_one
         beta[1] = ModuleMap(
             S_one, fmod, 0, {(fpos[tag], spos_d[tag]): Q(1) for tag in tags}
@@ -1795,7 +1765,7 @@ def _proof_cover(x, key, degree, vector, s_n, w):
         tail_mod = S_slot
         beta[TAIL] = span_beta
         for k2 in x.M.explicit:
-            if side == "SO3" and k2 == 1:
+            if x.slot_is_torus(k2):
                 continue
             explicit[k2] = S_other
             beta[k2] = free_beta
@@ -1810,7 +1780,7 @@ def _proof_cover(x, key, degree, vector, s_n, w):
         if key2 == key:
             continue
         dom = P.M.slot(key2)
-        pos2 = spos_d if (side == "SO3" and key2 == 1) else spos
+        pos2 = spos_d if x.slot_is_torus(key2) else spos
         m2 = x.M.slot(key2)
         ent = {}
         for tag in tags:

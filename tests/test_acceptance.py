@@ -65,7 +65,7 @@ from so3alg.toral import (
     hom_A,
     homology_dA,
     injective_resolution,
-    laurent_of,
+    laurent_model,
     make_eV,
     make_fN,
     map_F,
@@ -321,7 +321,7 @@ def test_criterion_2_cell_image_fixtures():
     # F~(sigma_T): free rank two at every slot mapping onto the localized
     # rank-(1,1) space, with the degree-2 sign generator at the trivial slot
     v = QWSpace({0: (1, 1)})
-    lmod, _tags, lpos = laurent_of(v)
+    lmod, _tags, lpos = laurent_model(v, False)
     slot1 = GradedModule(POLY_C, [Summand(FREE, 2, -1), Summand(FREE, 0, -1)])
     tail = GradedModule(POLY_C, [Summand(FREE, 0, 1), Summand(FREE, 0, -1)])
     beta = {

@@ -245,6 +245,25 @@ def test_oversized_torsion_length_exits_2_at_once(tmp_path):
         assert time.perf_counter() - start < 1.0
 
 
+def test_oversized_summand_shift_exits_2_at_once(tmp_path):
+    def shifted(shift):
+        doc = _fixture_doc("cell-C2")
+        for s in doc["M"]["explicit"]["2"]["summands"]:
+            s["shift"] = shift
+        path = tmp_path / f"shifted-C2-{shift}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    far = shifted(10**7)
+    for argv in (["resolve", far], ["hom", far, far]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+    assert main(["star-check", shifted(-257)]) == 2
+    assert main(["star-check", shifted(256)]) == 0
+    assert main(["star-check", shifted(-256)]) == 0
+
+
 def test_star_failure_exits_3(tmp_path):
     # a free module with zero structure map cannot become an isomorphism
     # after inverting the Euler class

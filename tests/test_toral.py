@@ -18,6 +18,7 @@ from so3alg.errors import (
 )
 from so3alg.graded import (
     FREE,
+    LAURENT,
     POLY_C,
     POLY_D,
     TORSION,
@@ -29,6 +30,7 @@ from so3alg.graded import (
 from so3alg.linalg import Q, QMatrix
 from so3alg.toral import (
     TAIL,
+    _reindex_entries,
     HomSpace,
     InjectiveResolution,
     QWSpace,
@@ -41,15 +43,13 @@ from so3alg.toral import (
     counit_of_adjunction,
     direct_sum_objects,
     ext_A,
-    fd_map_of,
-    fd_of,
     functor_F,
     functor_R,
     hom_A,
     homology_dA,
     injective_resolution,
-    laurent_map_of,
-    laurent_of,
+    laurent_model,
+    laurent_model_map,
     make_EFbar_plus,
     make_alpha,
     make_eV,
@@ -155,7 +155,7 @@ def test_vmap_suspend_and_twist():
 
 def test_laurent_model_dims_match_the_space():
     v = QWSpace({1: (2, 1), -2: (0, 1)})
-    L, tags, pos = laurent_of(v)
+    L, tags, pos = laurent_model(v, False)
     assert len(tags) == 4 and set(pos.values()) == set(range(4))
     # every vector of v contributes one tower, present in all lower degrees
     # of the right parity
@@ -166,7 +166,7 @@ def test_laurent_model_dims_match_the_space():
 
 def test_fixed_point_model_shifts_by_sign():
     v = QWSpace({4: (1, 1)})
-    D, tags, pos = fd_of(v)
+    D, tags, pos = laurent_model(v, True)
     by_tag = {t: D.summands[pos[t]] for t in tags}
     # divisible towers carry their shift reduced mod the step of Q[d]
     assert by_tag[(4, 1, 0)].shift == 4 % 4
@@ -177,8 +177,48 @@ def test_fixed_point_model_shifts_by_sign():
 def test_model_transport_of_identity_is_identity():
     v = QWSpace({0: (1, 1), 3: (2, 0)})
     one = VMap.identity(v)
-    assert laurent_map_of(one) == ModuleMap.identity(laurent_of(v)[0])
-    assert fd_map_of(one) == ModuleMap.identity(fd_of(v)[0])
+    assert laurent_model_map(one, False) == ModuleMap.identity(laurent_model(v, False)[0])
+    assert laurent_model_map(one, True) == ModuleMap.identity(laurent_model(v, True)[0])
+
+
+def model_summand(tag, torus):
+    """The Laurent summand of one basis vector of V, from the definition."""
+    g, s, _i = tag
+    if torus:
+        return Summand(LAURENT, g if s == 1 else g - 2, 1)
+    return Summand(LAURENT, g, s)
+
+
+def test_laurent_models_are_built_once_per_space():
+    rng = random.Random(83)
+    for _ in range(20):
+        v = QWSpace({
+            g: (rng.randint(0, 2), rng.randint(0, 2))
+            for g in rng.sample(range(-3, 4), rng.randint(0, 3))
+        })
+        x = make_eV(v)
+        # constructions that read the models of v must leave them unchanged
+        parity_split(direct_sum_objects(x, x))
+        hom_A(x, x, [0])
+        for torus in (False, True):
+            model = laurent_model(v, torus)
+            assert laurent_model(v, torus) is model
+            assert laurent_model(QWSpace(v.dims), torus) == model
+            module, tags, pos = model
+            ring = POLY_D if torus else POLY_C
+            vectors = v.vectors()
+            assert isinstance(tags, tuple) and sorted(tags) == sorted(vectors)
+            assert pos == {tag: i for i, tag in enumerate(tags)}
+            assert module == GradedModule(ring, [model_summand(t, torus) for t in vectors])
+            for tag in tags:
+                want = GradedModule(ring, [model_summand(tag, torus)]).summands[0]
+                assert module.summands[pos[tag]] == want
+            # summands that tie keep the order of the basis vectors
+            for a, b in zip(tags, tags[1:]):
+                if module.summands[pos[a]] == module.summands[pos[b]]:
+                    assert vectors.index(a) < vectors.index(b)
+        for key in x.keys():
+            assert x.beta_codomain(key) is laurent_model(v, x.slot_is_torus(key))[0]
 
 
 # -- objects and schema checks -------------------------------------------------
@@ -449,13 +489,22 @@ def test_parity_split_recovers_even_and_odd_parts():
     )
 
 
+def test_a_structure_map_leaving_the_new_space_is_an_invariant_error():
+    # parity_split re-indexes beta into the parity part of V; a row whose
+    # vector is not there is a broken invariant, not a missing key
+    pos = laurent_model(QWSpace({0: (1, 0)}), False)[2]
+    with pytest.raises(InvariantError):
+        _reindex_entries({(0, 0): Q(1)}, [(1, 1, 0)], pos)
+    assert _reindex_entries({(0, 0): Q(1)}, [(0, 1, 0)], pos) == {(0, 0): Q(1)}
+
+
 # -- homology of a differential ------------------------------------------------------
 
 
 def with_differential(v, dv):
     ev = make_eV(v)
     dm = {
-        key: (fd_map_of(dv) if ev.slot_is_torus(key) else laurent_map_of(dv))
+        key: laurent_model_map(dv, ev.slot_is_torus(key))
         for key in ev.keys()
     }
     return ToralObject(ev.side, ev.M, ev.V, ev.beta, dm, dv)
