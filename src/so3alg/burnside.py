@@ -21,7 +21,7 @@ values differ from the tail value, which this representation enforces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SchemaError

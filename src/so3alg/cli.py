@@ -18,7 +18,6 @@ from . import burnside
 from .errors import (
     EngineError,
     FixtureMismatch,
-    InvariantError,
     ParseError,
     SchemaError,
 )
@@ -32,13 +31,11 @@ from .graded import (
     TORSION,
     GradedModule,
     ModuleMap,
-    Ring,
     Summand,
 )
 from .linalg import Q, QMatrix
 from .toral import (
     TAIL,
-    HomSpace,
     QWSpace,
     SlotFamily,
     ToralMorphism,
@@ -56,7 +53,6 @@ from .toral import (
     sigma_T,
     sigma_one,
     sphere,
-    suspend_object,
     unit_of_adjunction,
     unit_of_twisted_adjunction,
     wide_sphere_cover,

@@ -18,7 +18,7 @@ from .errors import (
     NotADifferential,
     SchemaError,
 )
-from .linalg import Q, QMatrix, chain_homology
+from .linalg import Q, QMatrix, block_matrix, chain_homology, project_columns
 from .toral import QWSpace, VMap, qw_sum, vmap_sum
 
 TAIL = "tail"
@@ -80,21 +80,19 @@ def _homology_tools(space: QWSpace, d: VMap):
             if h:
                 p, m = out_dims.get(g, (0, 0))
                 out_dims[g] = (p + h, m) if s == 1 else (p, m + h)
-        tools[s] = (reps, projs)
+        tools[s] = (hdims, reps, projs)
     return out_dims, tools
 
 
 def _induced_block(f: VMap, hx_tools, hy_tools, g, s) -> QMatrix:
     """The map induced by a chain map between homologies at one bidegree."""
-    reps_x, _ = hx_tools[s]
-    _, projs_y = hy_tools[s]
+    _, reps_x, _ = hx_tools[s]
+    hdims_y, _, projs_y = hy_tools[s]
     rep = reps_x.get(g)
     if rep is None or rep.cols == 0:
         return QMatrix(0, 0)
-    img = f.block(g, s) @ rep
-    cols = [projs_y[g + f.degree](img.col(j)) for j in range(img.cols)]
-    rows = len(cols[0]) if cols else 0
-    return QMatrix(rows, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(rows)])
+    t = g + f.degree
+    return project_columns(projs_y[t], f.block(g, s) @ rep, hdims_y[t])
 
 
 # -- objects ---------------------------------------------------------------------
@@ -364,46 +362,16 @@ def germ_fixed_points(m: DihedralObject) -> QWComplex:
     normal form.
     """
     n = m.normalized()
-    parts = [(n.m_inf, n.d_inf)]
+    total, diffs = n.m_inf, [n.d_inf]
     for k in sorted(n.slots.explicit):
-        space = n.slot(k)
-        fixed = QWSpace({g: (p, 0) for g, (p, _m) in space.dims.items()})
+        fixed = QWSpace({g: (p, 0) for g, (p, _m) in n.slot(k).dims.items()})
         # the slot differential is equivariant, so it restricts to the
         # fixed part: its (g, +) blocks
         d = n.d_slot(k)
-        blocks = {(g, 1): d.block(g, 1) for g in space.dims if space.dim(g, 1)}
-        parts.append((fixed, VMap(fixed, fixed, -1, blocks)))
-    total, offs = _sum_spaces([p[0] for p in parts])
-    blocks = {}
-    for g in total.dims:
-        for s in (1, -1):
-            rows, cols = total.dim(g - 1, s), total.dim(g, s)
-            if not cols:
-                continue
-            mat = [[Q(0)] * cols for _ in range(rows)]
-            for idx, (space, d) in enumerate(parts):
-                b = d.block(g, s)
-                ro, co = offs[idx](g - 1, s), offs[idx](g, s)
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        mat[ro + i][co + j] = b.data[i][j]
-            blocks[(g, s)] = QMatrix(rows, cols, mat)
-    return QWComplex(total, VMap(total, total, -1, blocks))
-
-
-def _sum_spaces(spaces):
-    """Direct sum of QW-spaces with per-part offset functions."""
-    total = QWSpace.zero()
-    offsets = []
-    for sp in spaces:
-        before = total
-
-        def off(g, s, before=before):
-            return before.dim(g, s)
-
-        offsets.append(off)
-        total = qw_sum(total, sp)
-    return total, offsets
+        blocks = {(g, 1): mat for (g, s), mat in d.blocks.items() if s == 1}
+        diffs.append(VMap(fixed, fixed, -1, blocks))
+        total = qw_sum(total, fixed)
+    return QWComplex(total, vmap_sum(total, total, diffs))
 
 
 def map_germ_fixed_points(f: DihedralMorphism) -> VMap:
@@ -416,49 +384,34 @@ def map_germ_fixed_points(f: DihedralMorphism) -> VMap:
     gx, gy = germ_fixed_points(f.x), germ_fixed_points(f.y)
     x_keys = sorted(nx.slots.explicit)
     y_keys = sorted(ny.slots.explicit)
+    y_index = {k: 1 + i for i, k in enumerate(y_keys)}
+    # the deviation of f at each explicit target slot, applied to the
+    # template value of the source coordinates at infinity
+    devs = [
+        f.component(k).compose(nx.germ_of(k)) + f.y.germ_of(k).compose(f.f_inf).scale(-1)
+        for k in y_keys
+    ]
     blocks = {}
     for g in gx.space.dims:
-        cols = gx.space.dim(g, 1)
-        rows = gy.space.dim(g + f.degree, 1)
-        if not cols:
-            continue
-        mat = [[Q(0)] * cols for _ in range(rows)]
-        col = 0
+        t = g + f.degree
+        rows = [ny.m_inf.dim(t, 1)] + [ny.slot(k).dim(t, 1) for k in y_keys]
+        cols = [nx.m_inf.dim(g, 1)] + [nx.slot(k).dim(g, 1) for k in x_keys]
+        parts = {}
         # the infinity coordinates
-        finf = f.f_inf.block(g, 1)
-        for j in range(nx.m_inf.dim(g, 1)):
-            for i in range(finf.rows):
-                mat[i][col] = finf.data[i][j]
-            # deviation of f at each explicit target slot, applied to the
-            # template value of the source coordinate
-            row0 = ny.m_inf.dim(g + f.degree, 1)
-            for k in y_keys:
-                dev = f.component(k).compose(nx.germ_of(k)) + f.y.germ_of(k).compose(
-                    f.f_inf
-                ).scale(Q(-1))
-                b = dev.block(g, 1)
-                for i in range(b.rows):
-                    mat[row0 + i][col] = b.data[i][j]
-                row0 += ny.slot(k).dim(g + f.degree, 1)
-            col += 1
+        for i, h in enumerate([f.f_inf] + devs):
+            b = h.blocks.get((g, 1))
+            if b is not None:
+                parts[(i, 0)] = b
         # the correction coordinates
-        for k in x_keys:
-            fk = f.component(k).block(g, 1)
-            for j in range(nx.slot(k).dim(g, 1)):
-                if k in ny.slots.explicit:
-                    row0 = ny.m_inf.dim(g + f.degree, 1)
-                    for k2 in y_keys:
-                        if k2 == k:
-                            break
-                        row0 += ny.slot(k2).dim(g + f.degree, 1)
-                    for i in range(fk.rows):
-                        mat[row0 + i][col] = fk.data[i][j]
-                elif any(fk.data[i][j] != 0 for i in range(fk.rows)):
-                    raise InvariantError(
-                        "correction escapes the explicit slots of the target"
-                    )
-                col += 1
-        blocks[(g, 1)] = QMatrix(rows, cols, mat)
+        for j, k in enumerate(x_keys, 1):
+            b = f.component(k).blocks.get((g, 1))
+            if b is None:
+                continue
+            if k not in y_index:
+                raise InvariantError("correction escapes the explicit slots of the target")
+            parts[(y_index[k], j)] = b
+        if parts:
+            blocks[(g, 1)] = block_matrix(rows, cols, parts)
     return VMap(gx.space, gy.space, f.degree, blocks)
 
 
@@ -509,38 +462,26 @@ def counit_const(m: DihedralObject) -> DihedralMorphism:
     gm = germ_fixed_points(m)
     src = functor_const(gm)
     keys = sorted(n.slots.explicit)
+    # the coordinates of gm in each degree: infinity, then each explicit slot
+    cols = {g: [n.m_inf.dim(g, 1)] + [n.slot(k).dim(g, 1) for k in keys] for g in gm.space.dims}
     # projection to the infinity coordinates
-    proj_blocks = {}
-    for g in gm.space.dims:
-        cols = gm.space.dim(g, 1)
-        rows = n.m_inf.dim(g, 1)
-        mat = [[Q(0)] * cols for _ in range(rows)]
-        for j in range(rows):
-            mat[j][j] = Q(1)
-        proj_blocks[(g, 1)] = QMatrix(rows, cols, mat)
-    proj = VMap(gm.space, n.m_inf, 0, proj_blocks)
+    proj = VMap(gm.space, n.m_inf, 0, {
+        (g, 1): block_matrix(c[:1], c, {(0, 0): QMatrix.identity(c[0])})
+        for g, c in cols.items() if c[0]
+    })
     f_slots = {TAIL: n.germ[TAIL].compose(proj)}
-    for k in keys:
-        space = n.slot(k)
-        base = n.germ_of(k).compose(proj)
+    for i, k in enumerate(keys, 1):
+        # the germ on the infinity coordinates plus the slot's own correction
+        germ = n.germ_of(k)
         blocks = {}
-        for g in gm.space.dims:
-            cols = gm.space.dim(g, 1)
-            rows = space.dim(g, 1)
-            mat = [[Q(0)] * cols for _ in range(rows)]
-            b = base.block(g, 1)
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    mat[i][j] = b.data[i][j]
-            col0 = n.m_inf.dim(g, 1)
-            for k2 in keys:
-                nk = n.slot(k2).dim(g, 1)
-                if k2 == k:
-                    for i in range(min(rows, nk)):
-                        mat[i][col0 + i] = mat[i][col0 + i] + Q(1)
-                col0 += nk
-            blocks[(g, 1)] = QMatrix(rows, cols, mat)
-        f_slots[k] = VMap(gm.space, space, 0, blocks)
+        for g, c in cols.items():
+            parts = {(0, i): QMatrix.identity(c[i])} if c[i] else {}
+            b = germ.blocks.get((g, 1))
+            if b is not None:
+                parts[(0, 0)] = b
+            if parts:
+                blocks[(g, 1)] = block_matrix([n.slot(k).dim(g, 1)], c, parts)
+        f_slots[k] = VMap(gm.space, n.slot(k), 0, blocks)
     return DihedralMorphism(src, n, 0, proj, f_slots)
 
 
@@ -552,29 +493,17 @@ def homology_Ch(m: DihedralObject) -> DihedralObject:
     m.check_differential()
     hinf_dims, hinf_tools = _homology_tools(m.m_inf, m.d_inf)
     h_inf = QWSpace(hinf_dims)
-    explicit, germ, levels = {}, {}, {}
+    slots, germ = {}, {}
     for key in m.keys():
         dims, tools = _homology_tools(m.slot(key), m.d_slot(key))
-        space = QWSpace(dims)
-        blocks = {}
-        for g in h_inf.dims:
-            if h_inf.dim(g, 1):
-                blocks[(g, 1)] = _induced_block(
-                    m.germ_of(key), hinf_tools, tools, g, 1
-                )
-        levels[key] = space
-        germ[key] = (space, blocks)
-    tail = levels[TAIL]
-    out_germ = {}
-    for key in m.keys():
-        space, blocks = germ[key]
-        vm = VMap(h_inf, space, 0, blocks)
-        if key == TAIL:
-            out_germ[TAIL] = vm
-        else:
-            explicit[key] = space
-            out_germ[key] = vm
-    return DihedralObject(h_inf, GermSequence(explicit, tail), out_germ)
+        slots[key] = QWSpace(dims)
+        blocks = {
+            (g, 1): _induced_block(m.germ_of(key), hinf_tools, tools, g, 1)
+            for g in h_inf.dims if h_inf.dim(g, 1)
+        }
+        germ[key] = VMap(h_inf, slots[key], 0, blocks)
+    tail = slots.pop(TAIL)
+    return DihedralObject(h_inf, GermSequence(slots, tail), germ)
 
 
 def is_weak_equivalence(f: DihedralMorphism) -> bool:
@@ -633,11 +562,11 @@ def make_generator_dihedral(tag) -> DihedralObject:
 
 def direct_sum_dihedral(a: DihedralObject, b: DihedralObject) -> DihedralObject:
     keys = (set(a.slots.explicit) | set(b.slots.explicit) | {TAIL}) - {TAIL}
-    m_inf, offs = _sum_spaces([a.m_inf, b.m_inf])
+    m_inf = qw_sum(a.m_inf, b.m_inf)
     explicit, germ, d_slots = {}, {}, {}
     d_inf = vmap_sum(m_inf, m_inf, [a.d_inf, b.d_inf])
     for key in sorted(keys) + [TAIL]:
-        space, _ = _sum_spaces([a.slot(key), b.slot(key)])
+        space = qw_sum(a.slot(key), b.slot(key))
         germ[key] = vmap_sum(m_inf, space, [a.germ_of(key), b.germ_of(key)])
         d_slots[key] = vmap_sum(space, space, [a.d_slot(key), b.d_slot(key)])
         if key != TAIL:
@@ -681,31 +610,21 @@ def cone(f: DihedralMorphism) -> DihedralObject:
 
 
 def _cone_diff(sa: QWSpace, sb: QWSpace, da: VMap, db: VMap, comp: VMap) -> VMap:
-    dom, _ = _sum_spaces([sa, sb])
+    """The differential [[-da, 0], [comp, db]] on sa + sb; comp has degree 0,
+    so out of the suspension sa it lowers the degree by one."""
+    dom = qw_sum(sa, sb)
+    pieces = {(0, 0): (da.scale(-1), 0), (1, 0): (comp, -1), (1, 1): (db, 0)}
     blocks = {}
     for g in dom.dims:
         for s in (1, -1):
-            cols = dom.dim(g, s)
-            rows = dom.dim(g - 1, s)
-            if not cols:
-                continue
-            mat = [[Q(0)] * cols for _ in range(rows)]
-            na, nb_ = sa.dim(g, s), sb.dim(g, s)
-            ra = sa.dim(g - 1, s)
-            b = da.block(g, s)
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    mat[i][j] = -b.data[i][j]
-            # the map component: degree 0 out of the suspension is degree -1
-            c = comp.block(g - 1, s)
-            for i in range(c.rows):
-                for j in range(c.cols):
-                    mat[ra + i][j] = c.data[i][j]
-            d = db.block(g, s)
-            for i in range(d.rows):
-                for j in range(d.cols):
-                    mat[ra + i][na + j] = d.data[i][j]
-            blocks[(g, s)] = QMatrix(rows, cols, mat)
+            parts = {
+                ij: f.blocks[(g + shift, s)]
+                for ij, (f, shift) in pieces.items() if (g + shift, s) in f.blocks
+            }
+            if parts:
+                blocks[(g, s)] = block_matrix(
+                    [sa.dim(g - 1, s), sb.dim(g - 1, s)], [sa.dim(g, s), sb.dim(g, s)], parts
+                )
     return VMap(dom, dom, -1, blocks)
 
 

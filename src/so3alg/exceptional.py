@@ -20,7 +20,7 @@ from .errors import (
     SchemaError,
     WrongAlgebraForClass,
 )
-from .linalg import Q, QMatrix, chain_homology
+from .linalg import QMatrix, block_matrix, chain_homology, project_columns
 
 EXCEPTIONAL_CLASSES = ("SO3", "Sigma4", "A4", "A5", "D4")
 
@@ -277,76 +277,64 @@ class GroupChainMap:
 # -- tensor and hom ------------------------------------------------------------------
 
 
-def _kron(a: QMatrix, b: QMatrix) -> QMatrix:
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    data = [[Q(0)] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a.data[i][j] == 0:
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    data[i * b.rows + k][j * b.cols + l] = a.data[i][j] * b.data[k][l]
-    return QMatrix(rows, cols, data)
+def _total_complex(alg: FiniteGroupAlg, levels: dict, size, action, pieces) -> GroupComplex:
+    """The total complex of a double complex, one block matrix per degree.
+
+    levels maps a degree n to its blocks in order; size(n, b) is the
+    dimension of block b of degree n, action(n, b, e) the action of element e
+    on it, and pieces(n, b) yields (target, matrix) for each nonzero
+    component of the differential from that block into the block target of
+    degree n - 1.
+    """
+    sizes = {n: [size(n, b) for b in bl] for n, bl in levels.items()}
+    modules = {}
+    for n, bl in levels.items():
+        acts = {
+            e: block_matrix(sizes[n], sizes[n], {(i, i): action(n, b, e) for i, b in enumerate(bl)})
+            for e in range(alg.order)
+        }
+        modules[n] = (sum(sizes[n]), acts)
+    diffs = {}
+    for n, bl in levels.items():
+        blocks = {}
+        for j, b in enumerate(bl):
+            for target, mat in pieces(n, b):
+                blocks[(levels[n - 1].index(target), j)] = mat
+        if blocks:
+            diffs[n] = block_matrix(sizes[n - 1], sizes[n], blocks)
+    return GroupComplex(alg, modules, diffs)
 
 
 def tensor_diagonal(x: GroupComplex, y: GroupComplex) -> GroupComplex:
     """Total complex of the tensor over Q, with the diagonal action."""
     if x.algebra != y.algebra:
         raise AlgebraMismatch("tensor across algebras")
-    alg = x.algebra
-    pairs = {}
+    levels = {}
     for p in x.degrees():
         for q in y.degrees():
-            pairs.setdefault(p + q, []).append((p, q))
-    for n in pairs:
-        pairs[n].sort(reverse=True)
-    offsets, dims = {}, {}
-    for n, pq in pairs.items():
-        off, pos = {}, 0
-        for p, q in pq:
-            off[(p, q)] = pos
-            pos += x.dim(p) * y.dim(q)
-        offsets[n], dims[n] = off, pos
-    modules = {}
-    for n, pq in pairs.items():
-        acts = {}
-        for e in range(alg.order):
-            blocks = [_kron(x.action(p, e), y.action(q, e)) for p, q in pq]
-            mat = [[Q(0)] * dims[n] for _ in range(dims[n])]
-            pos = 0
-            for b in blocks:
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        mat[pos + i][pos + j] = b.data[i][j]
-                pos += b.rows
-            acts[e] = QMatrix(dims[n], dims[n], mat)
-        modules[n] = (dims[n], acts)
-    diffs = {}
-    for n, pq in pairs.items():
-        if (n - 1) not in pairs:
-            continue
-        rows, cols = dims[n - 1], dims[n]
-        mat = [[Q(0)] * cols for _ in range(rows)]
-        for p, q in pq:
-            co = offsets[n][(p, q)]
-            # d(x) tensor y
-            if (p - 1, q) in offsets.get(n - 1, {}):
-                ro = offsets[n - 1][(p - 1, q)]
-                b = _kron(x.diff(p), QMatrix.identity(y.dim(q)))
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        mat[ro + i][co + j] = b.data[i][j]
-            # Koszul sign on x tensor d(y)
-            if (p, q - 1) in offsets.get(n - 1, {}):
-                ro = offsets[n - 1][(p, q - 1)]
-                sign = Q(-1) if p % 2 else Q(1)
-                b = _kron(QMatrix.identity(x.dim(p)), y.diff(q))
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        mat[ro + i][co + j] = sign * b.data[i][j]
-        diffs[n] = QMatrix(rows, cols, mat)
-    return GroupComplex(alg, modules, diffs)
+            levels.setdefault(p + q, []).append((p, q))
+    for n in levels:
+        levels[n].sort(reverse=True)
+
+    def pieces(n, pq):
+        # a nonzero differential out of a block has a nonzero target block
+        p, q = pq
+        # d(x) tensor y
+        dx = x.diffs.get(p)
+        if dx is not None:
+            yield (p - 1, q), dx.kron(QMatrix.identity(y.dim(q)))
+        # Koszul sign on x tensor d(y)
+        dy = y.diffs.get(q)
+        if dy is not None:
+            b = QMatrix.identity(x.dim(p)).kron(dy)
+            yield (p, q - 1), b.scale(-1) if p % 2 else b
+
+    return _total_complex(
+        x.algebra, levels,
+        lambda n, pq: x.dim(pq[0]) * y.dim(pq[1]),
+        lambda n, pq, e: x.action(pq[0], e).kron(y.action(pq[1], e)),
+        pieces,
+    )
 
 
 def internal_hom_conj(x: GroupComplex, y: GroupComplex) -> GroupComplex:
@@ -355,60 +343,30 @@ def internal_hom_conj(x: GroupComplex, y: GroupComplex) -> GroupComplex:
         raise AlgebraMismatch("hom across algebras")
     alg = x.algebra
     levels = {}
+    # p runs upward and meets each level at most once, so levels are sorted
     for p in x.degrees():
-        for n in [qy - p for qy in y.degrees()]:
-            levels.setdefault(n, []).append(p)
-    for n in levels:
-        levels[n] = sorted(set(levels[n]))
-    offsets, dims = {}, {}
-    for n, ps in levels.items():
-        off, pos = {}, 0
-        for p in ps:
-            off[p] = pos
-            pos += y.dim(p + n) * x.dim(p)
-        offsets[n], dims[n] = off, pos
-    modules = {}
-    for n, ps in levels.items():
-        acts = {}
-        for e in range(alg.order):
-            mat = [[Q(0)] * dims[n] for _ in range(dims[n])]
-            pos = 0
-            for p in ps:
-                # g . f = g o f o g^{-1}: on matrix coordinates this is the
-                # Kronecker product of the target action with the inverse
-                # transpose-free source action
-                b = _kron(y.action(p + n, e), x.action(p, alg.inv(e)).transpose())
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        mat[pos + i][pos + j] = b.data[i][j]
-                pos += b.rows
-            acts[e] = QMatrix(dims[n], dims[n], mat)
-        modules[n] = (dims[n], acts)
-    diffs = {}
-    for n, ps in levels.items():
-        if (n - 1) not in levels:
-            continue
-        rows, cols = dims[n - 1], dims[n]
-        mat = [[Q(0)] * cols for _ in range(rows)]
-        for p in ps:
-            co = offsets[n][p]
-            # post-composition with the target differential
-            if p in offsets.get(n - 1, {}):
-                ro = offsets[n - 1][p]
-                b = _kron(y.diff(p + n), QMatrix.identity(x.dim(p)))
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        mat[ro + i][co + j] = b.data[i][j]
-            # pre-composition with the source differential, with a sign
-            if (p + 1) in offsets.get(n - 1, {}):
-                ro = offsets[n - 1][p + 1]
-                sign = Q(-1) if n % 2 else Q(1)
-                b = _kron(QMatrix.identity(y.dim(p + n)), x.diff(p + 1).transpose())
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        mat[ro + i][co + j] = sign * b.data[i][j]
-        diffs[n] = QMatrix(rows, cols, mat)
-    return GroupComplex(alg, modules, diffs)
+        for qy in y.degrees():
+            levels.setdefault(qy - p, []).append(p)
+
+    def action(n, p, e):
+        # g . f = g o f o g^{-1}: on matrix coordinates this is the Kronecker
+        # product of the target action with the inverse transpose-free source
+        # action
+        return y.action(p + n, e).kron(x.action(p, alg.inv(e)).transpose())
+
+    def pieces(n, p):
+        # a nonzero differential out of a block has a nonzero target block
+        # post-composition with the target differential
+        dy = y.diffs.get(p + n)
+        if dy is not None:
+            yield p, dy.kron(QMatrix.identity(x.dim(p)))
+        # pre-composition with the source differential, with a sign
+        dx = x.diffs.get(p + 1)
+        if dx is not None:
+            b = QMatrix.identity(y.dim(p + n)).kron(dx.transpose())
+            yield p + 1, b.scale(-1) if n % 2 else b
+
+    return _total_complex(alg, levels, lambda n, p: y.dim(p + n) * x.dim(p), action, pieces)
 
 
 # -- homology and the projective structure ----------------------------------------------
@@ -431,11 +389,10 @@ def homology_W(x: GroupComplex) -> GroupComplex:
     for g, h in hdims.items():
         if not h:
             continue
-        acts = {}
-        for e in range(x.algebra.order):
-            img = x.action(g, e) @ reps[g]
-            cols = [projs[g](img.col(j)) for j in range(img.cols)]
-            acts[e] = QMatrix(h, h, [[cols[j][i] for j in range(h)] for i in range(h)])
+        acts = {
+            e: project_columns(projs[g], x.action(g, e) @ reps[g], h)
+            for e in range(x.algebra.order)
+        }
         modules[g] = (h, acts)
     return GroupComplex(x.algebra, modules)
 
@@ -454,10 +411,7 @@ def is_weq(f: GroupChainMap) -> bool:
             return False
         if not a:
             continue
-        img = f.component(g) @ reps_x[g]
-        cols = [projs_y[g](img.col(j)) for j in range(img.cols)]
-        mat = QMatrix(b, a, [[cols[j][i] for j in range(a)] for i in range(b)])
-        if mat.rank() != a:
+        if project_columns(projs_y[g], f.component(g) @ reps_x[g], b).rank() != a:
             return False
     return True
 

@@ -41,7 +41,7 @@ from .errors import (
     NotHomogeneous,
     SchemaError,
 )
-from .linalg import IncrementalSpan, Q, QMatrix, chain_homology
+from .linalg import IncrementalSpan, Q, QMatrix, chain_homology, project_columns
 
 # -- rings -------------------------------------------------------------------
 
@@ -390,16 +390,6 @@ class ModuleMap:
                 if row is not None:
                     m.data[row][col] = coef
         return m
-
-    def suspend(self, k: int) -> "ModuleMap":
-        return ModuleMap(
-            self.domain.suspend(k), self.codomain.suspend(k), self.degree, dict(self.entries)
-        )
-
-    def twist(self) -> "ModuleMap":
-        return ModuleMap(
-            self.domain.twist(), self.codomain.twist(), self.degree, dict(self.entries)
-        )
 
 
 def auto_window(window: tuple[int, int], modules) -> tuple[int, int]:
@@ -992,17 +982,11 @@ def homology_realized(m: GradedModule, d: ModuleMap, window=None):
         if hdims[g]:
             spaces[g] = hdims[g]
     for g in list(spaces):
-        rep, to_h = tools[g]
-        inv_amb = m.involution_matrix(g) @ rep
-        cols = [to_h(inv_amb.col(j)) for j in range(hdims[g])]
-        invs[g] = QMatrix(
-            hdims[g], hdims[g], [[cols[j][i] for j in range(hdims[g])] for i in range(hdims[g])]
-        )
+        rep = reps[g]
+        invs[g] = project_columns(projs[g], m.involution_matrix(g) @ rep, hdims[g])
         tgt = g - step
         if spaces.get(tgt):
-            act_amb = m.action_matrix(g) @ rep
-            cols = [tools[tgt][1](act_amb.col(j)) for j in range(hdims[g])]
-            acts[g] = QMatrix(hdims[tgt], hdims[g], [[cols[j][i] for j in range(hdims[g])] for i in range(hdims[tgt])])
+            acts[g] = project_columns(projs[tgt], m.action_matrix(g) @ rep, hdims[tgt])
         else:
             acts[g] = QMatrix(0, hdims[g])
     wm = WindowModule(m.ring, window, spaces, acts, invs)

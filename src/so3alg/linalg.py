@@ -8,14 +8,19 @@ compare integral forms by cross-multiplying their denominators.  No other
 module reads a Fraction's denominator, except the CLI's rational codec.
 Elimination uses first-nonzero pivoting, so every derived basis (kernels,
 images, cokernel complements) is deterministic for a given input.
+Block matrices are assembled in one place: ``block_matrix`` places blocks
+given by their (row block, column block) position, and ``QMatrix.kron`` is
+the Kronecker product; no other module places entries by hand.
 ``IncrementalSpan`` grows a basis one vector at a time, and
 ``chain_homology`` builds on it the homology of a chain of vector spaces that
-every algebraic model uses.
+every algebraic model uses; ``project_columns`` reads a matrix of cycles in
+the homology basis that ``chain_homology`` chose.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -23,7 +28,9 @@ from .errors import InvariantError
 
 Q = Fraction
 
-__all__ = ["Q", "QMatrix", "IntegralForm", "IncrementalSpan", "chain_homology"]
+__all__ = [
+    "Q", "QMatrix", "IntegralForm", "IncrementalSpan", "block_matrix", "chain_homology", "project_columns",
+]
 
 _ZERO = Q(0)
 
@@ -65,10 +72,6 @@ class QMatrix:
         for i in range(n):
             m.data[i][i] = Q(1)
         return m
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "QMatrix":
-        return QMatrix(rows, cols)
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence]) -> "QMatrix":
@@ -161,10 +164,14 @@ class QMatrix:
             [r1 + r2 for r1, r2 in zip(self.data, other.data)],
         )
 
-    def vstack(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.cols:
-            raise ValueError("col mismatch in vstack")
-        return QMatrix(self.rows + other.rows, self.cols, [r[:] for r in self.data] + [r[:] for r in other.data])
+    def kron(self, other: "QMatrix") -> "QMatrix":
+        """The Kronecker product: entry (i, j) of self times the block other."""
+        data = [
+            [a * b if a and b else _ZERO for a in ra for b in rb]
+            for ra in self.data
+            for rb in other.data
+        ]
+        return _wrap(self.rows * other.rows, self.cols * other.cols, data)
 
     def col(self, j: int) -> list[Fraction]:
         return [self.data[i][j] for i in range(self.rows)]
@@ -285,6 +292,31 @@ class QMatrix:
         return self.rows == self.cols and self.rank() == self.rows
 
 
+def _wrap(rows: int, cols: int, data: list[list[Fraction]]) -> QMatrix:
+    """A QMatrix over rows that already hold Fractions of the right shape."""
+    out = QMatrix.__new__(QMatrix)
+    out.rows, out.cols, out.data = rows, cols, data
+    return out
+
+
+def block_matrix(row_sizes: Sequence[int], col_sizes: Sequence[int], blocks: dict) -> QMatrix:
+    """Assemble a matrix from blocks.
+
+    Row block i has row_sizes[i] rows and column block j has col_sizes[j]
+    columns; blocks maps (i, j) to the QMatrix at that position, and an absent
+    block is zero.  A block of the wrong shape raises ValueError.
+    """
+    row_off, col_off = [0, *accumulate(row_sizes)], [0, *accumulate(col_sizes)]
+    data = [[_ZERO] * col_off[-1] for _ in range(row_off[-1])]
+    for (i, j), b in blocks.items():
+        if (b.rows, b.cols) != (row_sizes[i], col_sizes[j]):
+            raise ValueError(f"block {(i, j)} is {b.rows}x{b.cols}, not {row_sizes[i]}x{col_sizes[j]}")
+        r0, c0, c1 = row_off[i], col_off[j], col_off[j + 1]
+        for k, row in enumerate(b.data):
+            data[r0 + k][c0:c1] = row
+    return _wrap(row_off[-1], col_off[-1], data)
+
+
 class IntegralForm:
     """A rational matrix as ``ints / den``: a list of rows of Python ints over
     one positive common denominator.
@@ -340,13 +372,11 @@ class IntegralForm:
     def rational(self) -> QMatrix:
         """The QMatrix this form stands for."""
         d = self.den
-        out = QMatrix.__new__(QMatrix)
-        out.rows, out.cols = self.rows, self.cols
         if d == 1:
-            out.data = [[Q(v) if v else _ZERO for v in row] for row in self.ints]
+            data = [[Q(v) if v else _ZERO for v in row] for row in self.ints]
         else:
-            out.data = [[Q(v, d) if v else _ZERO for v in row] for row in self.ints]
-        return out
+            data = [[Q(v, d) if v else _ZERO for v in row] for row in self.ints]
+        return _wrap(self.rows, self.cols, data)
 
 
 # -- incremental spans and chain homology ------------------------------------------
@@ -451,3 +481,13 @@ def chain_homology(dims, mats):
 
         projs[g] = to_h
     return hdims, reps, projs
+
+
+def project_columns(proj, mat: QMatrix, rows: int) -> QMatrix:
+    """The rows x mat.cols matrix whose column j is proj(mat.col(j)).
+
+    With proj one of the projections of ``chain_homology`` and the columns of
+    mat cycles, this is the matrix of their homology classes.
+    """
+    cols = [proj(mat.col(j)) for j in range(mat.cols)]
+    return QMatrix(rows, mat.cols, [[c[i] for c in cols] for i in range(rows)])

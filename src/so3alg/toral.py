@@ -37,14 +37,12 @@ from .graded import (
     FREE,
     LAURENT,
     LAURENT_C,
-    LAURENT_D,
     POLY_C,
     POLY_D,
     TORSION,
     GradedModule,
     ModuleMap,
     Summand,
-    WindowMap,
     WindowModule,
     auto_window,
     canonical_from_window,
@@ -60,7 +58,7 @@ from .graded import (
     _sort_key,
     _normalize_summand,
 )
-from .linalg import IncrementalSpan, Q, QMatrix, chain_homology
+from .linalg import IncrementalSpan, Q, QMatrix, block_matrix, chain_homology
 
 TAIL = "tail"
 
@@ -227,20 +225,13 @@ def vmap_sum(dom: QWSpace, cod: QWSpace, maps) -> VMap:
     blocks = {}
     for g in dom.dims:
         for s in (1, -1):
-            cols = dom.dim(g, s)
-            rows = cod.dim(g + degree, s)
-            if not cols:
-                continue
-            mat = [[Q(0)] * cols for _ in range(rows)]
-            ro = co = 0
-            for f in maps:
-                b = f.block(g, s)
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        mat[ro + i][co + j] = b.data[i][j]
-                ro += b.rows
-                co += b.cols
-            blocks[(g, s)] = QMatrix(rows, cols, mat)
+            parts = {(i, i): f.blocks[(g, s)] for i, f in enumerate(maps) if (g, s) in f.blocks}
+            if parts:
+                blocks[(g, s)] = block_matrix(
+                    [f.codomain.dim(g + degree, s) for f in maps],
+                    [f.domain.dim(g, s) for f in maps],
+                    parts,
+                )
     return VMap(dom, cod, degree, blocks)
 
 
@@ -690,21 +681,28 @@ def _vector_entries(m: GradedModule, degree: int, vec) -> dict[int, Fraction]:
 
 
 def suspend_object(x: ToralObject, k: int) -> ToralObject:
-    explicit = {n: m.suspend(k) for n, m in x.M.explicit.items()}
-    fam = SlotFamily(x.side, explicit, x.M.tail.suspend(k))
+    """The k-fold suspension.
+
+    Suspending a slot module normalizes its Laurent shifts, which may
+    re-order its summands; beta and the differential follow them.
+    """
     v = x.V.suspend(k)
-    beta = {}
+    slots, beta = {}, {}
+    dM = None if x.dM is None else {}
     for key in x.keys():
+        m, idx = _with_index(
+            x.M.slot(key), lambda s: Summand(s.kind, s.shift + k, s.sign, s.length)
+        )
         torus = x.slot_is_torus(key)
         cod, _, pos = laurent_model(v, torus)
         tags = [(g + k, s, i) for g, s, i in laurent_model(x.V, torus)[1]]
-        beta[key] = ModuleMap(fam.slot(key), cod, 0, _reindex_entries(x.beta[key].entries, tags, pos))
-    dM = None
-    dV = None
-    if x.dM is not None:
-        dM = {key: x.dM[key].suspend(k) for key in x.keys()}
-        dV = x.dV.suspend(k)
-    return ToralObject(x.side, fam, v, beta, dM, dV)
+        slots[key] = m
+        beta[key] = ModuleMap(m, cod, 0, _reindex_entries(x.beta[key].entries, tags, pos, idx))
+        if dM is not None:
+            dM[key] = _reindex_map(x.dM[key], m, m, idx, idx)
+    tail = slots.pop(TAIL)
+    dV = None if dM is None else x.dV.suspend(k)
+    return ToralObject(x.side, SlotFamily(x.side, slots, tail), v, beta, dM, dV)
 
 
 def direct_sum_objects(a: ToralObject, b: ToralObject) -> ToralObject:
@@ -834,7 +832,7 @@ def counit_of_adjunction(y: ToralObject) -> ToralMorphism:
     fry = functor_F(functor_R(y))
     m1 = y.M.slot(1)
     fixed, real = fixed_points_c_to_d(m1)
-    bc, src = base_change_d_to_c(fixed)
+    _, src = base_change_d_to_c(fixed)
     ent = {}
     for k, (orig, _e) in enumerate(real):
         ent[(orig, src.index(k))] = Q(1)
@@ -861,14 +859,21 @@ def map_R(m: ToralMorphism) -> ToralMorphism:
     return ToralMorphism(rx, ry, m.degree, alpha, m.phi)
 
 
+def _with_index(m: GradedModule, change):
+    """The module whose summands are change(s) for the summands s of m, with
+    the induced re-indexing: summand j of m becomes summand pos[j]."""
+    new, _tags, pos = _module_with_index(m.ring, [(change(s), j) for j, s in enumerate(m.summands)])
+    return new, pos
+
+
 def _twist_with_index(m: GradedModule):
     """The sign-twist of a module, with the induced summand re-indexing."""
-    tagged = [
-        (Summand(s.kind, s.shift, -s.sign, s.length), j)
-        for j, s in enumerate(m.summands)
-    ]
-    twisted, _tags, pos = _module_with_index(m.ring, tagged)
-    return twisted, pos
+    return _with_index(m, lambda s: Summand(s.kind, s.shift, -s.sign, s.length))
+
+
+def _reindex_map(f: ModuleMap, dom: GradedModule, cod: GradedModule, idx_d, idx_c) -> ModuleMap:
+    """f between the re-indexed modules: entry (i, j) moves to (idx_c[i], idx_d[j])."""
+    return ModuleMap(dom, cod, f.degree, {(idx_c[i], idx_d[j]): c for (i, j), c in f.entries.items()})
 
 
 def twist_object(y: ToralObject) -> ToralObject:
@@ -884,10 +889,7 @@ def twist_object(y: ToralObject) -> ToralObject:
         tags = [(g, -s, i) for g, s, i in laurent_model(y.V, torus)[1]]
         bmap = ModuleMap(m, cod, 0, _reindex_entries(y.beta[key].entries, tags, pos, idx))
         if y.has_differential():
-            dm[key] = ModuleMap(
-                m, m, -1,
-                {(idx[i], idx[j]): c for (i, j), c in y.dM[key].entries.items()},
-            )
+            dm[key] = _reindex_map(y.dM[key], m, m, idx, idx)
         if key == TAIL:
             tail, tail_beta = m, bmap
         else:
@@ -906,13 +908,7 @@ def twist_morphism(m: ToralMorphism) -> ToralMorphism:
     for key in set(m.alpha):
         _, idx_x = _twist_with_index(m.x.M.slot(key))
         _, idx_y = _twist_with_index(m.y.M.slot(key))
-        alpha[key] = ModuleMap(
-            tx.M.slot(key), ty.M.slot(key), m.degree,
-            {
-                (idx_y[i], idx_x[j]): c
-                for (i, j), c in m.component(key).entries.items()
-            },
-        )
+        alpha[key] = _reindex_map(m.component(key), tx.M.slot(key), ty.M.slot(key), idx_x, idx_y)
     return ToralMorphism(tx, ty, m.degree, alpha, m.phi.twist())
 
 
@@ -1121,7 +1117,7 @@ class HomSpace:
                 for j in range(len(dom.summands)):
                     if _entry_allowed(dom, cod, degree, i, j):
                         self._add(("a", key, i, j))
-        for g, (p, m) in sorted(x.V.dims.items()):
+        for g in sorted(x.V.dims):
             for s in (1, -1):
                 for ix in range(x.V.dim(g, s)):
                     for iy in range(y.V.dim(g + degree, s)):
@@ -1390,7 +1386,7 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
     alpha = {}
     for key in x.keys():
         e_slot = e_part.M.slot(key)
-        msum, maps = direct_sum([e_slot, I_slots[key]])
+        _, maps = direct_sum([e_slot, I_slots[key]])
         ent = {}
         for (i, j), coef in x.beta[key].entries.items():
             ent[(maps[0][i], j)] = coef

@@ -7,7 +7,10 @@ homology helper from another module.  How a rational matrix is turned into
 integers (``QMatrix.integral``) is decided in ``linalg`` alone: no other
 module reads a denominator, except the CLI's rational codec.  Every
 ``GradedModule`` carries its basis cache: outside ``__init__``, modules are
-made only by ``GradedModule._canonical``.
+made only by ``GradedModule._canonical``.  Every name imported into a module
+is read there.  Block matrices are assembled by ``linalg.block_matrix`` and
+``QMatrix.kron``: no other module allocates a rational zero grid
+``[[Q(0)] * n for ...]`` to place entries in by hand.
 """
 
 import ast
@@ -122,3 +125,85 @@ def test_graded_modules_bypass_init_only_through_the_one_constructor():
         for func in _new_calls(path.stem, "GradedModule")
     }
     assert calls == {("graded", "_canonical")}
+
+
+def _tree(module: str):
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def _modules():
+    return [path.stem for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def _unread_imports(tree):
+    """Names bound by an import in a module's tree and never read: not
+    loaded as a name, and not listed in ``__all__``."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {e.value for e in node.value.elts}
+    return [name for name in imported if name not in read]
+
+
+def test_every_imported_name_is_read():
+    unread = {module: _unread_imports(_tree(module)) for module in _modules()}
+    assert {m: names for m, names in unread.items() if names} == {}
+
+
+def test_unread_import_scan_sees_an_unread_name():
+    source = "from __future__ import annotations\nimport json\nfrom .linalg import Q, QMatrix\nx = Q(1)\n"
+    assert _unread_imports(ast.parse(source)) == ["json", "QMatrix"]
+    assert _unread_imports(ast.parse("from .linalg import Q\n__all__ = ['Q']\n")) == []
+
+
+def _is_rational_zero(node) -> bool:
+    """``Q(0)``, ``Fraction(0)`` or the name ``_ZERO``."""
+    if isinstance(node, ast.Name):
+        return node.id == "_ZERO"
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("Q", "Fraction")
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == 0
+    )
+
+
+def _zero_grids(tree):
+    """Line of every comprehension whose element is ``[zero] * n``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ListComp)
+        and isinstance(node.elt, ast.BinOp)
+        and isinstance(node.elt.op, ast.Mult)
+        and isinstance(node.elt.left, ast.List)
+        and len(node.elt.left.elts) == 1
+        and _is_rational_zero(node.elt.left.elts[0])
+    ]
+
+
+def test_only_linalg_allocates_zero_grids():
+    grids = {
+        module: _zero_grids(_tree(module)) for module in _modules() if module != "linalg"
+    }
+    assert {m: lines for m, lines in grids.items() if lines} == {}
+
+
+def test_zero_grid_scan_sees_a_hand_placed_grid():
+    assert _zero_grids(ast.parse("m = [[Q(0)] * c for _ in range(r)]\n")) == [1]
+    assert _zero_grids(ast.parse("m = [[_ZERO] * c for _ in range(r)]\n")) == [1]
+    assert _zero_grids(ast.parse("maps = [[0] * n for m in modules]\n")) == []
+    assert _zero_grids(_tree("linalg"))

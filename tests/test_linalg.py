@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from so3alg.errors import InvariantError
-from so3alg.linalg import IncrementalSpan, QMatrix, chain_homology
+from so3alg.linalg import IncrementalSpan, QMatrix, block_matrix, chain_homology, project_columns
 
 
 def test_identity_and_mul():
@@ -259,3 +259,86 @@ def test_chain_homology_projection_rejects_a_non_cycle():
     assert projs[1]([0, 5]) == [Q(5)]
     with pytest.raises(InvariantError):
         projs[1]([1, 0])
+
+
+@st.composite
+def block_layout(draw):
+    """Block sizes (zero allowed) and a random subset of blocks of those shapes."""
+    row_sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    col_sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    blocks = {}
+    for i, r in enumerate(row_sizes):
+        for j, c in enumerate(col_sizes):
+            if draw(st.booleans()):
+                blocks[(i, j)] = draw(rational_matrix(r, c))
+    return row_sizes, col_sizes, blocks
+
+
+@given(block_layout())
+@settings(max_examples=150, deadline=None)
+def test_block_matrix_matches_an_entrywise_oracle(layout):
+    row_sizes, col_sizes, blocks = layout
+    m = block_matrix(row_sizes, col_sizes, blocks)
+    assert (m.rows, m.cols) == (sum(row_sizes), sum(col_sizes))
+    # the oracle: entry (r, c) lies in the row block i with
+    # sum(row_sizes[:i]) <= r < sum(row_sizes[:i + 1]), and likewise for c
+    row_of = [(i, k) for i, n in enumerate(row_sizes) for k in range(n)]
+    col_of = [(j, k) for j, n in enumerate(col_sizes) for k in range(n)]
+    for r, (i, ri) in enumerate(row_of):
+        for c, (j, cj) in enumerate(col_of):
+            b = blocks.get((i, j))
+            assert m.data[r][c] == (b.data[ri][cj] if b is not None else 0)
+            assert isinstance(m.data[r][c], Q)
+
+
+@given(block_layout(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_block_matrix_rejects_a_block_of_the_wrong_shape(layout, data):
+    row_sizes, col_sizes, blocks = layout
+    i = data.draw(st.integers(0, len(row_sizes) - 1))
+    j = data.draw(st.integers(0, len(col_sizes) - 1))
+    r = data.draw(st.integers(0, 4))
+    c = data.draw(st.integers(0, 4).filter(lambda c: (r, c) != (row_sizes[i], col_sizes[j])))
+    blocks[(i, j)] = QMatrix(r, c)
+    with pytest.raises(ValueError):
+        block_matrix(row_sizes, col_sizes, blocks)
+
+
+def loop_kron(a, b):
+    """The Kronecker product by placing entries one at a time: the oracle
+    for ``QMatrix.kron``."""
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    data = [[Q(0)] * cols for _ in range(rows)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            if a.data[i][j] == 0:
+                continue
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    data[i * b.rows + k][j * b.cols + l] = a.data[i][j] * b.data[k][l]
+    return QMatrix(rows, cols, data)
+
+
+@st.composite
+def rational_pair(draw):
+    r1, c1, r2, c2 = (draw(st.integers(0, 4)) for _ in range(4))
+    return draw(rational_matrix(r1, c1)), draw(rational_matrix(r2, c2))
+
+
+@given(rational_pair())
+@settings(max_examples=150, deadline=None)
+def test_kron_matches_the_loop_oracle(ab):
+    a, b = ab
+    k = a.kron(b)
+    assert k == loop_kron(a, b)
+    assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+
+
+def test_project_columns_reads_homology_classes():
+    # C_1 = Q^2 -> C_0 = Q, d = (1 0): e_1 spans H_1, and e_0 + e_1 is no cycle
+    hdims, _, projs = chain_homology({0: 1, 1: 2}, {1: QMatrix.from_rows([[1, 0]])})
+    cycles = QMatrix.from_rows([[0, 0, 0], [2, -1, 0]])
+    assert project_columns(projs[1], cycles, hdims[1]) == QMatrix.from_rows([[2, -1, 0]])
+    assert project_columns(projs[1], QMatrix(2, 0), hdims[1]) == QMatrix(1, 0)
+    with pytest.raises(InvariantError):
+        project_columns(projs[1], QMatrix.from_rows([[1], [1]]), hdims[1])

@@ -479,6 +479,44 @@ def test_smash_truncates_torsion_lengths():
     assert y.M.explicit[2].summands == (Summand(TORSION, 0, 1, 2),)
 
 
+def _random_spaces(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield QWSpace({
+            g: (rng.randint(0, 2), rng.randint(0, 2))
+            for g in rng.sample(range(-3, 4), rng.randint(0, 3))
+        })
+
+
+def test_suspension_of_e_v_is_e_of_the_suspended_space():
+    # suspending re-normalizes Laurent shifts and so re-orders the slot
+    # summands; beta must follow them (this space used to raise)
+    v = QWSpace({-2: (2, 0), -1: (1, 2), 2: (2, 0)})
+    assert suspend_object(make_eV(v), 1) == make_eV(v.suspend(1))
+    for v in _random_spaces(83, 200):
+        x = make_eV(v)
+        for k in (1, 2, -1, 3):
+            assert suspend_object(x, k) == make_eV(v.suspend(k)), (v, k)
+
+
+def _e_v_with_differential(v, dv):
+    """e(V) with the differential dV, carried to every slot by the Laurent
+    models; beta is the identity, so it commutes with the differential."""
+    x = make_eV(v)
+    dM = {key: laurent_model_map(dv, x.slot_is_torus(key)) for key in x.keys()}
+    return ToralObject(x.side, x.M, v, x.beta, dM, dv)
+
+
+def test_suspension_moves_the_differential_with_the_summands():
+    v = QWSpace({-2: (2, 0), -1: (1, 2), 2: (2, 0)})
+    dv = VMap(v, v, -1, {(-1, 1): QMatrix.from_rows([[1], [2]])})
+    x = _e_v_with_differential(v, dv)
+    for k in (1, 2, -1, 3):
+        y = suspend_object(x, k)
+        assert y == _e_v_with_differential(v.suspend(k), dv.suspend(k)), k
+        assert suspend_object(y, -k) == x
+
+
 def test_parity_split_recovers_even_and_odd_parts():
     x = direct_sum_objects(sphere(), suspend_object(sphere(), 1))
     even, odd = parity_split(x)
