@@ -18,7 +18,7 @@ from .errors import (
     NotADifferential,
     SchemaError,
 )
-from .linalg import Q, QMatrix, block_matrix, chain_homology, project_columns
+from .linalg import Q, QMatrix, block_matrix, chain_homology
 from .toral import QWSpace, VMap, qw_sum, vmap_sum
 
 TAIL = "tail"
@@ -74,7 +74,7 @@ def _homology_tools(space: QWSpace, d: VMap):
     out_dims, tools = {}, {}
     for s in (1, -1):
         dims = {g: space.dim(g, s) for g in degs}
-        mats = {g: d.block(g, s) for g in degs}
+        mats = {g: mat for (g, t), mat in d.blocks.items() if t == s}
         hdims, reps, projs = chain_homology(dims, mats)
         for g, h in hdims.items():
             if h:
@@ -87,12 +87,12 @@ def _homology_tools(space: QWSpace, d: VMap):
 def _induced_block(f: VMap, hx_tools, hy_tools, g, s) -> QMatrix:
     """The map induced by a chain map between homologies at one bidegree."""
     _, reps_x, _ = hx_tools[s]
-    hdims_y, _, projs_y = hy_tools[s]
+    _, _, projs_y = hy_tools[s]
     rep = reps_x.get(g)
     if rep is None or rep.cols == 0:
         return QMatrix(0, 0)
     t = g + f.degree
-    return project_columns(projs_y[t], f.block(g, s) @ rep, hdims_y[t])
+    return projs_y[t](f.block(g, s) @ rep)
 
 
 # -- objects ---------------------------------------------------------------------
@@ -669,14 +669,16 @@ def hom_dihedral(x: DihedralObject, y: DihedralObject, degrees) -> dict[int, int
                 for jx in range(p):
                     row = {}
                     for mid in range(x.slots.tail.dim(g, 1)):
-                        if bx.data[mid][jx] != 0:
+                        coef = bx[mid, jx]
+                        if coef:
                             u = index.get((TAIL, g, 1, r, mid))
                             if u is not None:
-                                row[u] = row.get(u, Q(0)) + bx.data[mid][jx]
+                                row[u] = row.get(u, Q(0)) + coef
                     for mid in range(y.m_inf.dim(g + t, 1)):
-                        if by.data[r][mid] != 0:
+                        coef = by[r, mid]
+                        if coef:
                             u = index[("inf", g, mid, jx)]
-                            row[u] = row.get(u, Q(0)) - by.data[r][mid]
+                            row[u] = row.get(u, Q(0)) - coef
                     if row:
                         rows.append(row)
         n = len(unknowns)

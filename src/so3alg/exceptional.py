@@ -20,7 +20,7 @@ from .errors import (
     SchemaError,
     WrongAlgebraForClass,
 )
-from .linalg import QMatrix, block_matrix, chain_homology, project_columns
+from .linalg import QMatrix, block_matrix, chain_homology
 
 EXCEPTIONAL_CLASSES = ("SO3", "Sigma4", "A4", "A5", "D4")
 
@@ -152,16 +152,13 @@ class GroupComplex:
     def __init__(self, algebra: FiniteGroupAlg, modules: dict, diffs: dict | None = None):
         self.algebra = algebra
         self.modules = {}
-        # the checks compare integral forms, each taken once per matrix
-        forms = {}
         for g, (dim, action) in modules.items():
             if dim == 0:
                 continue
-            acts = [action[e] for e in range(algebra.order)]
-            for e, mat in enumerate(acts):
+            rho = tuple(action[e] for e in range(algebra.order))
+            for mat in rho:
                 if (mat.rows, mat.cols) != (dim, dim):
                     raise SchemaError(f"action matrix at degree {g} has wrong shape")
-            rho = [mat.integral() for mat in acts]
             if not rho[algebra.identity].is_identity():
                 raise InvariantError("identity must act as the identity")
             # checking a generating set against every element suffices:
@@ -170,19 +167,18 @@ class GroupComplex:
                 for b in range(algebra.order):
                     if rho[a] @ rho[b] != rho[algebra.mult(a, b)]:
                         raise InvariantError("action matrices are not a representation")
-            self.modules[g] = (dim, tuple(acts))
-            forms[g] = rho
+            self.modules[g] = (dim, rho)
         self.diffs = {}
         for g, mat in (diffs or {}).items():
-            form = mat.integral()
-            if form.is_zero():
+            if mat.is_zero():
                 continue
             want = (self.dim(g - 1), self.dim(g))
             if (mat.rows, mat.cols) != want:
                 raise SchemaError(f"differential at degree {g} has wrong shape")
-            # a nonzero differential of the right shape has both ends in forms
+            # a nonzero differential of the right shape has both ends in modules
+            src, tgt = self.modules[g][1], self.modules[g - 1][1]
             for e in range(algebra.order):
-                if forms[g - 1][e] @ form != form @ forms[g][e]:
+                if tgt[e] @ mat != mat @ src[e]:
                     raise InvariantError("differential is not equivariant")
             self.diffs[g] = mat
 
@@ -247,9 +243,8 @@ class GroupChainMap:
                 mat = QMatrix(y.dim(g), x.dim(g))
             if (mat.rows, mat.cols) != (y.dim(g), x.dim(g)):
                 raise SchemaError(f"component at degree {g} has wrong shape")
-            f = mat.integral()
             for e in range(x.algebra.order):
-                if y.action(g, e).integral() @ f != f @ x.action(g, e).integral():
+                if y.action(g, e) @ mat != mat @ x.action(g, e):
                     raise InvariantError("chain map is not equivariant")
             self.mats[g] = mat
 
@@ -261,9 +256,8 @@ class GroupChainMap:
 
     def is_chain_map(self) -> bool:
         degs = set(self.x.modules) | set(self.y.modules)
-        f = {g: self.component(g).integral() for g in degs | {g - 1 for g in degs}}
         for g in degs:
-            if self.y.diff(g).integral() @ f[g] != f[g - 1] @ self.x.diff(g).integral():
+            if self.y.diff(g) @ self.component(g) != self.component(g - 1) @ self.x.diff(g):
                 return False
         return True
 
@@ -377,8 +371,7 @@ def _homology_data(x: GroupComplex):
     degs = set(x.modules)
     degs |= {g - 1 for g in degs} | {g + 1 for g in degs}
     dims = {g: x.dim(g) for g in degs}
-    mats = {g: x.diff(g) for g in degs}
-    return chain_homology(dims, mats)
+    return chain_homology(dims, x.diffs)
 
 
 def homology_W(x: GroupComplex) -> GroupComplex:
@@ -390,7 +383,7 @@ def homology_W(x: GroupComplex) -> GroupComplex:
         if not h:
             continue
         acts = {
-            e: project_columns(projs[g], x.action(g, e) @ reps[g], h)
+            e: projs[g](x.action(g, e) @ reps[g])
             for e in range(x.algebra.order)
         }
         modules[g] = (h, acts)
@@ -411,7 +404,7 @@ def is_weq(f: GroupChainMap) -> bool:
             return False
         if not a:
             continue
-        if project_columns(projs_y[g], f.component(g) @ reps_x[g], b).rank() != a:
+        if projs_y[g](f.component(g) @ reps_x[g]).rank() != a:
             return False
     return True
 

@@ -41,7 +41,7 @@ from .errors import (
     NotHomogeneous,
     SchemaError,
 )
-from .linalg import IncrementalSpan, Q, QMatrix, chain_homology, project_columns
+from .linalg import IncrementalSpan, Q, QMatrix, chain_homology
 
 # -- rings -------------------------------------------------------------------
 
@@ -212,12 +212,12 @@ class GradedModule:
         src = self.basis(degree)
         dst = self.basis(degree - self.ring.step)
         pos = {key: k for k, key in enumerate(dst)}
-        m = QMatrix(len(dst), len(src))
+        ent = {}
         for col, (i, a) in enumerate(src):
             row = pos.get((i, a + 1))
             if row is not None:
-                m.data[row][col] = Q(1)
-        return m
+                ent[(row, col)] = 1
+        return QMatrix.from_entries(len(dst), len(src), ent)
 
     def max_shift(self) -> int:
         return max((abs(s.shift) for s in self.summands), default=0)
@@ -373,9 +373,8 @@ class ModuleMap:
         """Matrix of the map from degree to degree + self.degree."""
         src = self.domain.basis(degree)
         dst = self.codomain.basis(degree + self.degree)
-        m = QMatrix(len(dst), len(src))
         if not src or not dst:
-            return m
+            return QMatrix(len(dst), len(src))
         # every entry passed _power_or_error in __init__, so its power is
         # the plain degree difference
         step = self.codomain.ring.step
@@ -384,12 +383,13 @@ class ModuleMap:
             a = (self.codomain.summands[i].shift - self.domain.summands[j].shift - self.degree) // step
             by_src.setdefault(j, []).append((i, a, coef))
         pos = {key: r for r, key in enumerate(dst)}
+        ent = {}
         for col, (j, b) in enumerate(src):
             for i, a, coef in by_src.get(j, ()):
                 row = pos.get((i, b + a))
                 if row is not None:
-                    m.data[row][col] = coef
-        return m
+                    ent[(row, col)] = coef
+        return QMatrix.from_entries(len(dst), len(src), ent)
 
 
 def auto_window(window: tuple[int, int], modules) -> tuple[int, int]:
@@ -741,9 +741,7 @@ def canonical_from_window(wm: WindowModule) -> tuple[GradedModule, list[Realized
                 if wm.dim(g):
                     mat, signs = eigen[g]
                     cols = [j for j, sg in enumerate(signs) if sg == s]
-                    basis = QMatrix(
-                        mat.rows, len(cols), [[mat.data[i][j] for j in cols] for i in range(mat.rows)]
-                    )
+                    basis = mat.columns(cols)
                 else:
                     basis = QMatrix(0, 0)
                 dims.append(basis.cols)
@@ -983,10 +981,10 @@ def homology_realized(m: GradedModule, d: ModuleMap, window=None):
             spaces[g] = hdims[g]
     for g in list(spaces):
         rep = reps[g]
-        invs[g] = project_columns(projs[g], m.involution_matrix(g) @ rep, hdims[g])
+        invs[g] = projs[g](m.involution_matrix(g) @ rep)
         tgt = g - step
         if spaces.get(tgt):
-            acts[g] = project_columns(projs[tgt], m.action_matrix(g) @ rep, hdims[tgt])
+            acts[g] = projs[tgt](m.action_matrix(g) @ rep)
         else:
             acts[g] = QMatrix(0, hdims[g])
     wm = WindowModule(m.ring, window, spaces, acts, invs)

@@ -285,10 +285,8 @@ def laurent_model_map(phi: VMap, torus: bool) -> ModuleMap:
     cod, _, pos_c = laurent_model(phi.codomain, torus)
     ent = {}
     for (g, s), mat in phi.blocks.items():
-        for iy in range(mat.rows):
-            for ix in range(mat.cols):
-                if mat.data[iy][ix] != 0:
-                    ent[(pos_c[(g + phi.degree, s, iy)], pos_d[(g, s, ix)])] = mat.data[iy][ix]
+        for iy, ix, coef in mat.entries():
+            ent[(pos_c[(g + phi.degree, s, iy)], pos_d[(g, s, ix)])] = coef
     return ModuleMap(dom, cod, phi.degree, ent)
 
 
@@ -1157,8 +1155,11 @@ class HomSpace:
                 mid_pos = {k: r for r, k in enumerate(mid_b)}
                 out_pos = {k: r for r, k in enumerate(out_b)}
                 lx_b = lx_mod.basis(g)
+                # entries are read once per degree: columns of by, rows of bx
                 by_mat = by.evaluate(g + t)
+                by_cols = [by_mat.col(j) for j in range(by_mat.cols)]
                 bx_mat = bx.evaluate(g)
+                bx_rows = [bx_mat.row(i) for i in range(bx_mat.rows)]
                 eq = [
                     [dict() for _ in range(len(src_b))] for _ in range(len(out_b))
                 ]
@@ -1174,8 +1175,7 @@ class HomSpace:
                             r_mid = mid_pos.get((i, b + a))
                             if r_mid is None:
                                 continue
-                            for r in range(len(out_b)):
-                                coef = by_mat.data[r][r_mid]
+                            for r, coef in enumerate(by_cols[r_mid]):
                                 if coef:
                                     eq[r][c][u] = eq[r][c].get(u, Q(0)) + coef
                     else:
@@ -1193,8 +1193,7 @@ class HomSpace:
                             r = out_pos.get((il, bl + p))
                             if r is None:
                                 continue
-                            for c in range(len(src_b)):
-                                coef = bx_mat.data[cl][c]
+                            for c, coef in enumerate(bx_rows[cl]):
                                 if coef:
                                     eq[r][c][u] = eq[r][c].get(u, Q(0)) - coef
                 for r in range(len(out_b)):
@@ -1211,7 +1210,7 @@ class HomSpace:
         """Build the morphism with the given unknown values."""
         x, y, t = self.x, self.y, self.degree
         ent_by_key = {key: {} for key in self.keys}
-        blocks = {}
+        block_ents = {}
         for u, label in enumerate(self.unknowns):
             val = vec[u]
             if val == 0:
@@ -1221,10 +1220,11 @@ class HomSpace:
                 ent_by_key[key][(i, j)] = val
             else:
                 _, g, s, iy, ix = label
-                mat = blocks.setdefault(
-                    (g, s), QMatrix(y.V.dim(g + t, s), x.V.dim(g, s))
-                )
-                mat.data[iy][ix] = val
+                block_ents.setdefault((g, s), {})[(iy, ix)] = val
+        blocks = {
+            (g, s): QMatrix.from_entries(y.V.dim(g + t, s), x.V.dim(g, s), ent)
+            for (g, s), ent in block_ents.items()
+        }
         alpha = {
             key: ModuleMap(x.M.slot(key), y.M.slot(key), t, ent)
             for key, ent in ent_by_key.items()
@@ -1244,13 +1244,11 @@ class HomSpace:
                     raise InvariantError("morphism entry outside the hom space")
                 vec[u] = coef
         for (g, s), mat in m.phi.blocks.items():
-            for iy in range(mat.rows):
-                for ix in range(mat.cols):
-                    if mat.data[iy][ix] != 0:
-                        u = self.index.get(("v", g, s, iy, ix))
-                        if u is None:
-                            raise InvariantError("V-entry outside the hom space")
-                        vec[u] = mat.data[iy][ix]
+            for iy, ix, coef in mat.entries():
+                u = self.index.get(("v", g, s, iy, ix))
+                if u is None:
+                    raise InvariantError("V-entry outside the hom space")
+                vec[u] = coef
         return vec
 
     def coords_of(self, m: ToralMorphism):
@@ -1330,12 +1328,13 @@ def _solve_extension(m: GradedModule, incl: ModuleMap, emb: ModuleMap, window):
                         if jj != j:
                             continue
                         if out_pos.get((i, b + a)) == r:
-                            coef = inc_mat.data[cm][c]
+                            coef = inc_mat[cm, c]
                             if coef:
                                 row[u] = row.get(u, Q(0)) + coef
-                if row or emb_mat.data[r][c] != 0:
+                target = emb_mat[r, c]
+                if row or target:
                     rows.append(row)
-                    rhs.append(emb_mat.data[r][c])
+                    rhs.append(target)
     n = len(unknowns)
     mat = QMatrix(len(rows), n, [[row.get(u, Q(0)) for u in range(n)] for row in rows])
     sol = mat.solve(rhs)
@@ -1458,7 +1457,7 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
         dims = {g: x.V.dim(g, s) for g in x.V.degrees()}
         for g in list(dims):
             dims.setdefault(g - 1, x.V.dim(g - 1, s))
-        mats = {g: x.dV.block(g, s) for g in dims}
+        mats = {g: mat for (g, t), mat in x.dV.blocks.items() if t == s}
         vdims[s], vmats[s] = dims, mats
     hv_data = {s: chain_homology(vdims[s], vmats[s]) for s in (1, -1)}
     hv = QWSpace(
@@ -1485,9 +1484,8 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
             new_terms = []
             for (gv, sv, iv), j, coef in terms:
                 proj = hv_data[sv][2][gv]
-                vec = [Q(0)] * x.V.dim(gv, sv)
-                vec[iv] = coef
-                for h_idx, c2 in enumerate(proj(vec)):
+                vec = QMatrix.from_entries(x.V.dim(gv, sv), 1, {(iv, 0): coef})
+                for h_idx, c2 in enumerate(proj(vec).col(0)):
                     if c2 != 0:
                         new_terms.append(((gv, sv, h_idx), j, c2))
             out_vec = _collect_terms(hmod, hpos, g, new_terms)

@@ -207,18 +207,12 @@ def rand_chain_object(rng):
 def regular_rep(alg):
     acts = {}
     for e in range(alg.order):
-        m = QMatrix(alg.order, alg.order)
-        for b in range(alg.order):
-            m.data[alg.mult(e, b)][b] = Q(1)
-        acts[e] = m
+        acts[e] = QMatrix.from_entries(alg.order, alg.order, {(alg.mult(e, b), b): Q(1) for b in range(alg.order)})
     return (alg.order, acts)
 
 
 def right_translation(alg, a):
-    m = QMatrix(alg.order, alg.order)
-    for b in range(alg.order):
-        m.data[alg.mult(b, a)][b] = Q(1)
-    return m
+    return QMatrix.from_entries(alg.order, alg.order, {(alg.mult(b, a), b): Q(1) for b in range(alg.order)})
 
 
 def rand_group_complex(rng, alg):
@@ -567,10 +561,7 @@ def _incl_first(dom, total, g_shift=0):
         for s in (1, -1):
             r, c = total.dim(g, s), dom.dim(g, s)
             if r and c:
-                mat = QMatrix(r, c)
-                for i in range(c):
-                    mat.data[i][i] = Q(1)
-                blocks[(g, s)] = mat
+                blocks[(g, s)] = QMatrix.from_entries(r, c, {(i, i): Q(1) for i in range(c)})
     return VMap(dom, total, 0, blocks)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from so3alg.cli import (
+    MAX_SUMMANDS,
     _fixture_doc,
     dihedral_from_json,
     dihedral_to_json,
@@ -17,6 +18,7 @@ from so3alg.cli import (
     frac_parse,
     frac_str,
     main,
+    space_from_json,
     toral_from_json,
     toral_to_json,
 )
@@ -262,6 +264,38 @@ def test_oversized_summand_shift_exits_2_at_once(tmp_path):
     assert main(["star-check", shifted(-257)]) == 2
     assert main(["star-check", shifted(256)]) == 0
     assert main(["star-check", shifted(-256)]) == 0
+
+
+def test_negative_dimension_exits_2(tmp_path):
+    doc = _fixture_doc("cell-C2")
+    doc["V"] = {"dims": {"0": [-3, 0]}}
+    path = tmp_path / "negative-C2.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("resolve", "star-check"):
+        assert main([verb, str(path)]) == 2
+    for bad in ({"dims": {"1": [0, -1]}}, {"dims": []}):
+        with pytest.raises(ParseError):
+            space_from_json(bad)
+
+
+def test_oversized_module_or_space_exits_2_at_once(tmp_path):
+    def written(name, summands=None, vdims=None):
+        doc = _fixture_doc("cell-C2")
+        slot = doc["M"]["explicit"]["2"]
+        slot["summands"] = slot["summands"] * (summands // 2) if summands else slot["summands"]
+        if vdims is not None:
+            doc["V"] = {"dims": {"0": vdims}}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    over = [written("many", summands=MAX_SUMMANDS + 2), written("wide", vdims=[MAX_SUMMANDS, 1])]
+    for path in over:
+        for argv in (["resolve", path], ["hom", path, path]):
+            start = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - start < 1.0
+    assert main(["star-check", written("at-limit", summands=MAX_SUMMANDS)]) == 0
 
 
 def test_star_failure_exits_3(tmp_path):

@@ -34,18 +34,12 @@ from so3alg.linalg import Q, QMatrix
 def regular_rep(alg):
     acts = {}
     for e in range(alg.order):
-        m = QMatrix(alg.order, alg.order)
-        for b in range(alg.order):
-            m.data[alg.mult(e, b)][b] = Q(1)
-        acts[e] = m
+        acts[e] = QMatrix.from_entries(alg.order, alg.order, {(alg.mult(e, b), b): Q(1) for b in range(alg.order)})
     return (alg.order, acts)
 
 
 def right_translation(alg, a):
-    m = QMatrix(alg.order, alg.order)
-    for b in range(alg.order):
-        m.data[alg.mult(b, a)][b] = Q(1)
-    return m
+    return QMatrix.from_entries(alg.order, alg.order, {(alg.mult(b, a), b): Q(1) for b in range(alg.order)})
 
 
 def random_equivariant(alg, rng):
@@ -194,7 +188,7 @@ def conjugated(rep, p):
 def test_rational_actions_are_checked_exactly():
     alg = weyl_group_of("D4")
     dim, acts = conjugated(small_rep(alg), P)
-    assert any(x.denominator > 1 for m in acts.values() for row in m.data for x in row)
+    assert any(x.denominator > 1 for m in acts.values() for i in range(m.rows) for x in m.row(i))
     GroupComplex(alg, {0: (dim, acts)})
     with pytest.raises(InvariantError, match="identity must act as the identity"):
         GroupComplex(alg, {0: (dim, {**acts, alg.identity: QMatrix.identity(2).scale(Q(1, 2))})})
@@ -310,9 +304,9 @@ def equivariant_map_dim(x, y, g):
                 for j in range(n):
                     row = [Q(0)] * (m * n)
                     for k in range(m):
-                        row[k * n + j] += a.data[i][k]
+                        row[k * n + j] += a[i, k]
                     for l in range(n):
-                        row[i * n + l] -= b.data[l][j]
+                        row[i * n + l] -= b[l, j]
                     rows.append(row)
         mat = QMatrix(len(rows), m * n, rows)
         total += m * n - mat.rank()

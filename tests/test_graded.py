@@ -427,11 +427,11 @@ def test_differential_from_window_rejects_non_commuting():
     for g in range(lo + 1, hi + 1):
         basis_src = m.basis(g)
         basis_dst = m.basis(g - 1)
-        mat = QMatrix(len(basis_dst), len(basis_src))
+        ent = {}
         for col, (i, a) in enumerate(basis_src):
             if i == 0 and (1, a) in basis_dst:
-                mat.data[basis_dst.index((1, a))][col] = Q(1)
-        good[g] = mat
+                ent[(basis_dst.index((1, a)), col)] = Q(1)
+        good[g] = QMatrix.from_entries(len(basis_dst), len(basis_src), ent)
     d = differential_from_window(m, w, good)
     assert d.entries == {(1, 0): Q(1)}
 
@@ -445,11 +445,11 @@ def test_differential_from_window_rejects_nonzero_square():
     for g in range(lo + 1, hi + 1):
         basis_src = m.basis(g)
         basis_dst = m.basis(g - 1)
-        mat = QMatrix(len(basis_dst), len(basis_src))
+        ent = {}
         for col, (i, a) in enumerate(basis_src):
             if i + 1 <= 2 and (i + 1, a) in basis_dst:
-                mat.data[basis_dst.index((i + 1, a))][col] = Q(1)
-        mats[g] = mat
+                ent[(basis_dst.index((i + 1, a)), col)] = Q(1)
+        mats[g] = QMatrix.from_entries(len(basis_dst), len(basis_src), ent)
     with pytest.raises(NotADifferential):
         differential_from_window(m, w, mats)
 
@@ -538,14 +538,14 @@ def per_column_evaluate(phi, degree):
     src = scan_basis(phi.domain, degree)
     dst = scan_basis(phi.codomain, degree + phi.degree)
     pos = {key: r for r, key in enumerate(dst)}
-    m = QMatrix(len(dst), len(src))
+    ent = {}
     for col, (j, b) in enumerate(src):
         for (i, jj), coef in phi.entries.items():
             if jj == j:
                 row = pos.get((i, b + phi._power_or_error(i, jj)))
                 if row is not None:
-                    m.data[row][col] = coef
-    return m
+                    ent[(row, col)] = coef
+    return QMatrix.from_entries(len(dst), len(src), ent)
 
 
 def test_evaluate_matches_the_per_column_scan():
@@ -574,13 +574,13 @@ def per_vector_coordinates(C, realized, wm, g, vecs):
         cols.append(v)
     n = wm.dim(g)
     mat = QMatrix(n, len(cols), [[c[i] for c in cols] for i in range(n)])
-    out = QMatrix(len(basis), vecs.cols)
+    ent = {}
     for col in range(vecs.cols):
         sol = mat.solve(vecs.col(col))
         assert sol is not None
         for r, x in enumerate(sol):
-            out.data[r][col] = x
-    return out
+            ent[(r, col)] = x
+    return QMatrix.from_entries(len(basis), vecs.cols, ent)
 
 
 def test_cokernel_projection_matches_the_per_vector_solve_oracle(monkeypatch):

@@ -3,11 +3,11 @@
 ``exceptional`` is a leaf over the linear algebra: it may import only from
 ``linalg`` and ``errors`` inside the package.  Homology helpers are shared
 through the public ``linalg.chain_homology``, so no module imports a private
-homology helper from another module.  How a rational matrix is turned into
-integers (``QMatrix.integral``) is decided in ``linalg`` alone: no other
-module reads a denominator, except the CLI's rational codec.  Every
-``GradedModule`` carries its basis cache: outside ``__init__``, modules are
-made only by ``GradedModule._canonical``.  Every name imported into a module
+homology helper from another module.  How a rational matrix is stored (ints
+over one denominator) is decided in ``linalg`` alone: no other module touches
+a matrix's storage or reads a denominator, except the CLI's rational codec.
+Every ``GradedModule`` carries its basis cache: outside ``__init__``, modules
+are made only by ``GradedModule._canonical``.  Every name imported into a module
 is read there.  Block matrices are assembled by ``linalg.block_matrix`` and
 ``QMatrix.kron``: no other module allocates a rational zero grid
 ``[[Q(0)] * n for ...]`` to place entries in by hand.
@@ -58,10 +58,9 @@ def test_no_private_homology_helper_crosses_modules():
     assert crossings == []
 
 
-def _attribute_reads(module: str, attrs):
-    """(enclosing function, attribute) for every read of one of attrs in the
-    source of ``module``; the function is None at module level."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+def _attribute_reads(tree, attrs):
+    """(enclosing function, attribute) for every use (read or write) of one
+    of attrs in a module's tree; the function is None at module level."""
     out = []
 
     def visit(node, func):
@@ -85,7 +84,7 @@ def test_only_linalg_takes_rationals_apart():
         (path.stem, func)
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "linalg"
-        for func, _ in _attribute_reads(path.stem, {"denominator", "as_integer_ratio"})
+        for func, _ in _attribute_reads(_tree(path.stem), {"denominator", "as_integer_ratio"})
     }
     assert reads <= DENOMINATOR_READERS, reads - DENOMINATOR_READERS
 
@@ -206,4 +205,28 @@ def test_zero_grid_scan_sees_a_hand_placed_grid():
     assert _zero_grids(ast.parse("m = [[Q(0)] * c for _ in range(r)]\n")) == [1]
     assert _zero_grids(ast.parse("m = [[_ZERO] * c for _ in range(r)]\n")) == [1]
     assert _zero_grids(ast.parse("maps = [[0] * n for m in modules]\n")) == []
-    assert _zero_grids(_tree("linalg"))
+    # the Fraction oracles of the linear algebra tests place entries in such
+    # grids; linalg places ints, which the scan does not count
+    assert _zero_grids(ast.parse((Path(__file__).parent / "test_linalg.py").read_text()))
+
+
+# a QMatrix's storage, ints over one denominator, and ``data``, the name of
+# the Fraction rows that storage replaced
+MATRIX_STORAGE = {"data", "ints", "den"}
+
+
+def test_only_linalg_touches_matrix_storage():
+    touches = {
+        module: sorted({func or "<module>" for func, _ in _attribute_reads(_tree(module), MATRIX_STORAGE)})
+        for module in _modules()
+        if module != "linalg"
+    }
+    assert {m: funcs for m, funcs in touches.items() if funcs} == {}
+
+
+def test_storage_scan_sees_a_planted_write_and_read():
+    source = "def f(m, x):\n    m.data[0][1] = x\n    return m.ints[0][0] * m.den\n"
+    assert sorted(_attribute_reads(ast.parse(source), MATRIX_STORAGE)) == [
+        ("f", "data"), ("f", "den"), ("f", "ints"),
+    ]
+    assert _attribute_reads(_tree("linalg"), MATRIX_STORAGE)

@@ -136,10 +136,10 @@ def test_vmap_compose_matches_a_blockwise_dense_oracle():
                 # missing blocks are dense zero matrices of the right shape
                 left, right = h.block(g + 1, s), f.block(g, s)
                 dense = [
-                    [sum((left.data[i][k] * right.data[k][j] for k in range(left.cols)), Q(0)) for j in range(right.cols)]
+                    [sum((left[i, k] * right[k, j] for k in range(left.cols)), Q(0)) for j in range(right.cols)]
                     for i in range(left.rows)
                 ]
-                assert hf.block(g, s).data == dense
+                assert [hf.block(g, s).row(i) for i in range(left.rows)] == dense
     assert missing["left"] and missing["right"]
 
 
