@@ -74,6 +74,13 @@ def frac_parse(s) -> Fraction:
         raise ParseError(f"bad rational literal {s!r}")
 
 
+def _object(doc, what: str) -> dict:
+    """doc, if it is a JSON object; a ParseError otherwise."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
 def matrix_to_json(m: QMatrix) -> list:
     return [[frac_str(x) for x in m.row(i)] for i in range(m.rows)]
 
@@ -153,6 +160,7 @@ def map_to_json(m: ModuleMap) -> dict:
 
 
 def map_from_json(doc: dict, domain: GradedModule, codomain: GradedModule) -> ModuleMap:
+    doc = _object(doc, "a map")
     try:
         entries = {
             (int(e["row"]), int(e["col"])): frac_parse(e["coef"])
@@ -161,6 +169,9 @@ def map_from_json(doc: dict, domain: GradedModule, codomain: GradedModule) -> Mo
         degree = int(doc.get("degree", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad map document: {exc}")
+    rows, cols = len(codomain.summands), len(domain.summands)
+    if any(not (0 <= i < rows and 0 <= j < cols) for i, j in entries):
+        raise ParseError(f"map entry outside the {rows} x {cols} summands")
     return ModuleMap(domain, codomain, degree, entries)
 
 
@@ -193,11 +204,14 @@ def vmap_to_json(m: VMap) -> dict:
 
 
 def vmap_from_json(doc: dict, domain: QWSpace, codomain: QWSpace) -> VMap:
+    doc = _object(doc, "a V-map")
     try:
         degree = int(doc.get("degree", 0))
         blocks = {}
         for b in doc.get("blocks", []):
             g, s = int(b["deg"]), int(b["sign"])
+            if s not in (1, -1):
+                raise ParseError(f"bad block sign {s}")
             blocks[(g, s)] = matrix_from_json(
                 b["mat"], codomain.dim(g + degree, s), domain.dim(g, s)
             )
@@ -240,12 +254,16 @@ def toral_from_json(doc: dict) -> ToralObject:
     try:
         side = doc["side"]
         explicit = {
-            int(k): module_from_json(m) for k, m in doc["M"]["explicit"].items()
+            int(k): module_from_json(m)
+            for k, m in _object(doc["M"]["explicit"], "M.explicit").items()
         }
         tail = module_from_json(doc["M"]["tail"])
         vspace = space_from_json(doc["V"])
-        beta_doc = doc.get("beta", {})
+        beta_doc = _object(doc.get("beta", {}), "beta")
         diff_doc = doc.get("diff")
+        if diff_doc is not None:
+            diff_doc = _object(diff_doc, "diff")
+            dm_doc = _object(diff_doc.get("M", {}), "diff.M")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad object document: {exc}")
     fam = SlotFamily(side, explicit, tail)
@@ -258,7 +276,7 @@ def toral_from_json(doc: dict) -> ToralObject:
     if diff_doc is not None:
         dM = {
             _slot_key(k): map_from_json(d, fam.slot(_slot_key(k)), fam.slot(_slot_key(k)))
-            for k, d in diff_doc.get("M", {}).items()
+            for k, d in dm_doc.items()
         }
         for k in fam.keys():
             dM.setdefault(k, ModuleMap.zero(fam.slot(k), fam.slot(k), -1))
@@ -290,11 +308,15 @@ def dihedral_from_json(doc: dict) -> DihedralObject:
     try:
         m_inf = space_from_json(doc["M_inf"])
         explicit = {
-            int(k): space_from_json(s) for k, s in doc["slots"]["explicit"].items()
+            int(k): space_from_json(s)
+            for k, s in _object(doc["slots"]["explicit"], "slots.explicit").items()
         }
         tail = space_from_json(doc["slots"]["tail"])
-        germ_doc = doc.get("germ", {})
+        germ_doc = _object(doc.get("germ", {}), "germ")
         diff_doc = doc.get("diff")
+        if diff_doc is not None:
+            diff_doc = _object(diff_doc, "diff")
+            ds_doc = _object(diff_doc.get("slots", {}), "diff.slots")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad germ-object document: {exc}")
     slots = GermSequence(explicit, tail)
@@ -307,7 +329,7 @@ def dihedral_from_json(doc: dict) -> DihedralObject:
         d_inf = vmap_from_json(diff_doc.get("inf", {"degree": -1}), m_inf, m_inf)
         d_slots = {
             _slot_key(k): vmap_from_json(d, slots.slot(_slot_key(k)), slots.slot(_slot_key(k)))
-            for k, d in diff_doc.get("slots", {}).items()
+            for k, d in ds_doc.items()
         }
     return DihedralObject(m_inf, slots, germ, d_inf, d_slots)
 

@@ -14,19 +14,25 @@ Maps between canonical modules are stored as one rational coefficient per
 (target summand, source summand) pair: homogeneity determines the monomial
 power, so the coefficient is the whole datum.
 
-Canonical forms are reconstructed from degreewise data (kernels, cokernels,
-homology) by an interval ("barcode") decomposition of the action of c along
-each residue-class-and-sign chain of degrees, carried out with exact basis
-tracking so that every canonical generator comes with an explicit
-representative vector.
+Kernels, cokernels, homology and the spans of elements are all subquotients
+Z/B of a canonical module on a window, and one routine, ``window_subquotient``,
+computes them: each degree is one ``linalg.subquotient`` elimination, which
+gives representatives and a projection.  Every representative is sign-pure,
+so the window module carries one involution sign per basis vector, not an
+involution matrix, and the action of the ring generator is induced through
+the projections.  The canonical form is then reconstructed by an interval
+("barcode") decomposition of the action along each residue-class-and-sign
+chain of degrees, with exact basis tracking, so that every canonical
+generator comes with an explicit representative vector of the ambient
+module.
 
 Window walks pay for what the modules hold, not for the window's width.  A
 module computes its basis in a degree once and keeps it as a tuple (modules
 are immutable, and every module is made by ``__init__`` or
-``GradedModule._canonical``, which start the cache).  Cokernels skip the
-degrees where the codomain is zero and find all canonical coordinates of a
-degree in one elimination; the canonical reconstruction skips chains that
-are zero on the whole window.
+``GradedModule._canonical``, which start the cache).  The subquotient walk
+skips the degrees where there are no cycles, and a cokernel finds all
+canonical coordinates of a degree in one elimination; the canonical
+reconstruction skips chains that are zero on the whole window.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .errors import (
     NotHomogeneous,
     SchemaError,
 )
-from .linalg import IncrementalSpan, Q, QMatrix, chain_homology
+from .linalg import IncrementalSpan, Q, QMatrix, subquotient
 
 # -- rings -------------------------------------------------------------------
 
@@ -202,10 +208,6 @@ class GradedModule:
     def basis_sign(self, i: int, a: int) -> int:
         s = self.summands[i]
         return s.sign * (-1) ** (a % 2) if self.ring.flip else s.sign
-
-    def involution_matrix(self, degree: int) -> QMatrix:
-        b = self.basis(degree)
-        return QMatrix.diagonal([self.basis_sign(i, a) for i, a in b])
 
     def action_matrix(self, degree: int) -> QMatrix:
         """Multiplication by the ring generator, degree -> degree - step."""
@@ -654,120 +656,98 @@ def barcode(dims: list[int], maps: list[QMatrix]) -> list[Bar]:
 
 
 class WindowModule:
-    """Degreewise data of a graded module on a window, with an involution.
+    """Degreewise data of a graded module on a window, in a basis of
+    sign-pure vectors.
 
-    spaces: degree -> dimension; acts: degree -> matrix to degree - step;
-    invs: degree -> involution matrix.
+    signs: degree -> the involution sign of each basis vector (their number
+    is the dimension); acts: degree g -> matrix of the ring generator from g
+    to g - step, for g - step in the window (a missing one is zero).
     """
 
-    def __init__(self, ring: Ring, window, spaces, acts, invs):
+    def __init__(self, ring: Ring, window, signs, acts):
         self.ring = ring
         self.window = window
-        self.spaces = spaces
+        self.signs = signs
         self.acts = acts
-        self.invs = invs
 
     def dim(self, g):
-        return self.spaces.get(g, 0)
+        return len(self.signs.get(g, ()))
 
 
 def window_of_module(m: GradedModule, window) -> WindowModule:
     lo, hi = window
-    spaces, acts, invs = {}, {}, {}
+    signs, acts = {}, {}
     for g in range(lo, hi + 1):
-        d = m.dim(g)
-        if d:
-            spaces[g] = d
-            invs[g] = m.involution_matrix(g)
-    for g in range(lo, hi + 1):
-        if spaces.get(g):
-            acts[g] = m.action_matrix(g)
-    return WindowModule(m.ring, window, spaces, acts, invs)
+        if m.dim(g):
+            signs[g] = [m.basis_sign(i, a) for i, a in m.basis(g)]
+            if g - m.ring.step >= lo:
+                acts[g] = m.action_matrix(g)
+    return WindowModule(m.ring, window, signs, acts)
 
 
-def _eigenbasis(inv: QMatrix) -> tuple[QMatrix, list[int]]:
-    """Columns forming a +1-then--1 eigenbasis, with the sign list."""
-    n = inv.rows
-    plus = []
-    minus = []
-    seen = IncrementalSpan(n)
-    for j in range(n):
-        e = [Q(0)] * n
-        e[j] = Q(1)
-        col = inv.col(j)
-        p = [(x + y) / 2 for x, y in zip(e, col)]
-        m_ = [(x - y) / 2 for x, y in zip(e, col)]
-        if any(x != 0 for x in p) and seen.add(p):
-            plus.append(p)
-        if any(x != 0 for x in m_) and seen.add(m_):
-            minus.append(m_)
-    cols = plus + minus
-    signs = [1] * len(plus) + [-1] * len(minus)
-    mat = QMatrix(n, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(n)])
-    return mat, signs
+def sign_of(m: GradedModule, degree: int, vec) -> int | None:
+    """The involution sign of a vector of m at a degree: the one sign of the
+    basis vectors where it is nonzero (+1 for the zero vector), or None when
+    it mixes signs."""
+    signs = {m.basis_sign(i, a) for (i, a), x in zip(m.basis(degree), vec) if x}
+    if len(signs) > 1:
+        return None
+    return signs.pop() if signs else 1
 
 
 @dataclass
 class RealizedSummand:
     summand: Summand
     degree: int  # degree of the canonical generator
-    vector: list  # generator vector in the window coordinates at that degree
+    vector: list  # generator vector at that degree
 
 
 def canonical_from_window(wm: WindowModule) -> tuple[GradedModule, list[RealizedSummand]]:
     """Reconstruct the canonical form visible on a window.
 
-    Chains run down each residue class of degrees, refined by sign (the
-    eigenspaces of the involution; over Q[c] the action swaps signs along
-    the chain).  Bars reaching the bottom of the window are free (Laurent
-    over a Laurent ring); divisible torsion appears as a stage cut off at
-    the window top, which is the intended window truncation.
+    Chains run down each residue class of degrees, refined by sign: the
+    chain of a sign takes the window coordinates of that sign, and over Q[c]
+    the action swaps signs along the chain, which is checked.  Bars reaching
+    the bottom of the window are free (Laurent over a Laurent ring);
+    divisible torsion appears as a stage cut off at the window top, which is
+    the intended window truncation.  Realized vectors are in the window
+    coordinates.
     """
     ring = wm.ring
     step = ring.step
+    flip = -1 if ring.flip else 1
     lo, hi = wm.window
-    eigen = {}
-    for g, inv in wm.invs.items():
-        eigen[g] = _eigenbasis(inv)
+    for g, act in wm.acts.items():
+        src, dst = wm.signs[g], wm.signs.get(g - step, ())
+        if any(dst[r] != flip * src[c] for r, c, _ in act.entries()):
+            raise InvariantError("action does not respect the involution chains")
     out: list[RealizedSummand] = []
     for res in range(step):
         degs = [g for g in range(hi, lo - 1, -1) if g % step == res]
         if not degs:
             continue
         for start_sign in (1, -1):
-            dims, bases = [], []
-            for p, g in enumerate(degs):
-                s = start_sign * ((-1) ** p if ring.flip else 1)
-                if wm.dim(g):
-                    mat, signs = eigen[g]
-                    cols = [j for j, sg in enumerate(signs) if sg == s]
-                    basis = mat.columns(cols)
-                else:
-                    basis = QMatrix(0, 0)
-                dims.append(basis.cols)
-                bases.append(basis)
+            # the window coordinates of the chain's sign at each position
+            idx = [
+                [j for j, sg in enumerate(wm.signs.get(g, ())) if sg == start_sign * flip**p]
+                for p, g in enumerate(degs)
+            ]
+            dims = [len(js) for js in idx]
             if not any(dims):
                 continue  # no bars: the chain is zero on the whole window
-            # chain maps in eigen coordinates
             cmaps = []
             for p in range(len(degs) - 1):
-                g = degs[p]
-                if dims[p] == 0 or dims[p + 1] == 0:
+                act = wm.acts.get(degs[p])
+                if act is None or not (dims[p] and dims[p + 1]):
                     cmaps.append(QMatrix(dims[p + 1], dims[p]))
-                    continue
-                act = wm.acts.get(g)
-                if act is None:
-                    cmaps.append(QMatrix(dims[p + 1], dims[p]))
-                    continue
-                img = act @ bases[p]
-                sol = bases[p + 1].solve_matrix(img)
-                if sol is None:
-                    raise InvariantError("action does not respect the involution chains")
-                cmaps.append(sol)
+                else:
+                    cmaps.append(act.submatrix(idx[p + 1], idx[p]))
             for bar in barcode(dims, cmaps):
                 g_top = degs[bar.birth]
-                sign_top = start_sign * ((-1) ** bar.birth if ring.flip else 1)
-                vec = bases[bar.birth].apply(bar.vectors[0])
+                sign_top = start_sign * flip**bar.birth
+                vec = [Q(0)] * wm.dim(g_top)
+                for j, x in zip(idx[bar.birth], bar.vectors[0]):
+                    vec[j] = x
                 length = (bar.death - bar.birth + 1) if bar.death is not None else None
                 if length is None:
                     # a bar entering at the very top of the window and leaving
@@ -786,46 +766,99 @@ def canonical_from_window(wm: WindowModule) -> tuple[GradedModule, list[Realized
     return module, realized
 
 
-# -- kernels, cokernels, homology on a window --------------------------------
+# -- subquotients on a window: kernels, cokernels, homology, spans ---------------
+
+
+def window_subquotient(m: GradedModule, window, cycles, boundaries):
+    """The subquotient Z/B of a canonical module, reconstructed on a window.
+
+    cycles[g] and boundaries[g] are matrices whose columns are vectors of m
+    at degree g; a degree missing from cycles is zero, and one missing from
+    boundaries has no boundaries.  Each degree is one ``linalg.subquotient``.
+    Its representatives must be sign-pure, and each tags its window
+    coordinate with its sign; the action of the ring generator is induced
+    through the projection one step down, which checks that it stays in
+    Z + B.
+
+    Returns (S, realized, project): realized[k] is summand k of S with its
+    generator as a vector of m, and project(g, X) sends a matrix whose
+    columns are cycles at a degree g where S is nonzero to their coordinates
+    in S.basis(g).
+    """
+    lo, hi = window
+    step = m.ring.step
+    reps, projs, signs = {}, {}, {}
+    for g in range(lo, hi + 1):
+        Z = cycles.get(g)
+        if Z is None:
+            continue
+        reps[g], projs[g] = subquotient(Z, boundaries.get(g, QMatrix(Z.rows, 0)))
+        if reps[g].cols:
+            signs[g] = [sign_of(m, g, reps[g].col(j)) for j in range(reps[g].cols)]
+            if None in signs[g]:
+                raise InvariantError("a representative is not sign-pure")
+    acts = {}
+    for g in signs:
+        if g - step < lo:
+            continue
+        img = m.action_matrix(g) @ reps[g]
+        if g - step in projs:
+            acts[g] = projs[g - step](img)
+        elif not img.is_zero():
+            raise InvariantError("the action leaves the subquotient")
+    wm = WindowModule(m.ring, window, signs, acts)
+    S, realized = canonical_from_window(wm)
+    ambient = [
+        RealizedSummand(r.summand, r.degree, reps[r.degree].apply(r.vector)) for r in realized
+    ]
+
+    def project(g: int, X: QMatrix) -> QMatrix:
+        return _window_coordinates(S, realized, wm, g, projs[g](X))
+
+    return S, ambient, project
+
+
+def _window_coordinates(C: GradedModule, realized, wm: WindowModule, g: int, vecs: QMatrix):
+    """Express the columns of vecs, window vectors at degree g, in canonical
+    coordinates: row r of the result belongs to C.basis(g)[r].
+
+    The basis of C at degree g consists of the realized generators pushed
+    down by the action to g (a Laurent generator is realized at the window
+    top, not at its normalized shift).  They are independent, so the
+    coordinates are unique, and one elimination gives them for every column.
+    """
+    cols = []
+    for k, _a in C.basis(g):
+        v, deg = realized[k].vector, realized[k].degree
+        while deg > g:
+            v = wm.acts[deg].apply(v)
+            deg -= wm.ring.step
+        cols.append(v)
+    sol = QMatrix.from_columns(wm.dim(g), cols).solve_matrix(vecs)
+    if sol is None:
+        raise InvariantError("vector not expressible in canonical coordinates")
+    return sol
 
 
 def kernel_of_map(phi: ModuleMap, window) -> tuple[GradedModule, ModuleMap]:
     """Kernel of a map with its inclusion, reconstructed on the window."""
     m = phi.domain
     lo, hi = window
-    spaces, acts, invs, kb = {}, {}, {}, {}
+    cycles = {}
     for g in range(lo, hi + 1):
         mat = phi.evaluate(g)
-        kerb = mat.kernel_basis() if mat.cols else QMatrix(0, 0)
-        kb[g] = kerb
-        if kerb.cols:
-            spaces[g] = kerb.cols
-    for g in list(spaces):
-        # involution restricted to the kernel
-        inv_amb = m.involution_matrix(g)
-        sol = kb[g].solve_matrix(inv_amb @ kb[g])
-        if sol is None:
-            raise InvariantError("involution does not preserve the kernel")
-        invs[g] = sol
-        if spaces.get(g - m.ring.step):
-            img = m.action_matrix(g) @ kb[g]
-            sol2 = kb[g - m.ring.step].solve_matrix(img)
-            if sol2 is None:
-                raise InvariantError("action does not preserve the kernel")
-            acts[g] = sol2
-        else:
-            act = m.action_matrix(g) @ kb[g]
-            if not act.is_zero():
-                raise InvariantError("kernel window too small")
-            acts[g] = QMatrix(0, kb[g].cols)
-    wm = WindowModule(m.ring, window, spaces, acts, invs)
-    K, realized = canonical_from_window(wm)
+        kerb = mat.kernel_basis() if mat.cols else None
+        if kerb is None or not kerb.cols:
+            continue
+        cycles[g] = kerb
+        if g - m.ring.step < lo and not (m.action_matrix(g) @ kerb).is_zero():
+            raise InvariantError("kernel window too small")
+    K, realized, _ = window_subquotient(m, window, cycles, {})
     ent = {}
     for k, r in enumerate(realized):
-        amb = kb[r.degree].apply(r.vector)
         for col, (i, _a) in enumerate(m.basis(r.degree)):
-            if amb[col] != 0:
-                ent[(i, k)] = amb[col]
+            if r.vector[col] != 0:
+                ent[(i, k)] = r.vector[col]
     incl = ModuleMap(K, m, 0, ent)
     return K, incl
 
@@ -876,92 +909,32 @@ class WindowMap:
         return ModuleMap(src, self.codomain, phi.degree + self.degree, ent)
 
 
-def cokernel_of_map(
-    phi: ModuleMap, window, out_ring: Ring | None = None
-) -> tuple[GradedModule, WindowMap]:
-    """Cokernel of a map with its projection, reconstructed on the window.
-
-    out_ring lets a torsion cokernel of a map into a Laurent module be
-    reported over the polynomial subring, which is its natural home.
-    """
+def cokernel_of_map(phi: ModuleMap, window) -> tuple[GradedModule, WindowMap]:
+    """Cokernel of a map with its projection, reconstructed on the window:
+    the subquotient of the whole codomain by the image."""
     n = phi.codomain
     lo, hi = window
-    ring = out_ring or n.ring
-    step = ring.step
-    spaces, acts, invs = {}, {}, {}
-    proj, lift = {}, {}
+    cycles, image = {}, {}
     for g in range(lo, hi + 1):
-        if not n.dim(g):
-            continue
-        mat = phi.evaluate(g - phi.degree)
-        P, d = mat.cokernel_data() if mat.cols else (QMatrix.identity(mat.rows), mat.rows)
-        proj[g] = P
-        if d:
-            spaces[g] = d
-    for g in list(spaces):
-        P = proj[g]
-        sec = P.transpose() @ (P @ P.transpose()).inverse()
-        lift[g] = sec
-        invs[g] = P @ (n.involution_matrix(g) @ sec)
-        act_to = g - step
-        if spaces.get(act_to):
-            down = n.action_matrix(g)
-            if step == 4 and n.ring.step == 2:
-                down = n.action_matrix(g - 2) @ down
-            acts[g] = proj[act_to] @ (down @ sec)
-        else:
-            acts[g] = QMatrix(0, spaces[g])
-    wm = WindowModule(ring, window, spaces, acts, invs)
-    C, realized = canonical_from_window(wm)
-    mats = {}
-    for g in range(lo, hi + 1):
-        # matrix from ambient coordinates to canonical coordinates of C at g
-        if spaces.get(g):
-            mats[g] = _window_coordinates(C, realized, wm, g, proj[g])
-        else:
-            mats[g] = QMatrix(C.dim(g), n.dim(g))
-    pr = WindowMap(n, C, 0, window, mats)
-    return C, pr
-
-
-def _window_coordinates(C: GradedModule, realized, wm: WindowModule, g: int, vecs: QMatrix):
-    """Express the columns of vecs, window vectors at degree g, in canonical
-    coordinates: row r of the result belongs to C.basis(g)[r].
-
-    The basis of C at degree g consists of the realized generators pushed
-    down by the action.  They are independent, so the coordinates are
-    unique, and one elimination gives them for every column.
-    """
-    cols = []
-    for k, a in C.basis(g):
-        r = realized[k]
-        v = r.vector
-        deg = r.degree
-        for _ in range(a):
-            v = wm.acts[deg].apply(v)
-            deg -= wm.ring.step
-        cols.append(v)
-    dim = wm.dim(g)
-    mat = QMatrix(dim, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(dim)])
-    sol = mat.solve_matrix(vecs)
-    if sol is None:
-        raise InvariantError("vector not expressible in canonical coordinates")
-    return sol
+        if n.dim(g):
+            cycles[g] = QMatrix.identity(n.dim(g))
+            image[g] = phi.evaluate(g - phi.degree)
+    C, _, project = window_subquotient(n, window, cycles, image)
+    mats = {g: project(g, ident) for g, ident in cycles.items() if C.dim(g)}
+    return C, WindowMap(n, C, 0, window, mats)
 
 
 def homology_slot(m: GradedModule, d: ModuleMap) -> GradedModule:
     """Homology of a degree -1 differential on a canonical module."""
-    H, _, _ = homology_realized(m, d)
+    H, _ = homology_realized(m, d)
     return H
 
 
 def homology_realized(m: GradedModule, d: ModuleMap, window=None):
-    """Homology together with cycle representatives and projections.
+    """Homology together with cycle representatives.
 
-    Returns (H, realized, tools) where tools maps a degree to a pair
-    (rep, to_h): rep is a matrix whose columns are cycle representatives of
-    the chosen basis of H at that degree, and to_h sends a cycle vector to
-    its H coordinates.
+    Returns (H, realized): realized[k] is summand k of H with a cycle of m
+    that represents its generator.
     """
     if d.domain != m or d.codomain != m or d.degree != -1:
         raise NotADifferential("differential must be a degree -1 self-map")
@@ -970,26 +943,14 @@ def homology_realized(m: GradedModule, d: ModuleMap, window=None):
     if window is None:
         window = auto_window((0, 0), [m])
     lo, hi = window
-    step = m.ring.step
-    dims = {g: m.dim(g) for g in range(lo, hi + 1)}
-    mats = {g: d.evaluate(g) for g in range(lo, hi + 2)}
-    hdims, reps, projs = chain_homology(dims, mats)
-    tools = {g: (reps[g], projs[g]) for g in range(lo, hi + 1)}
-    spaces, acts, invs = {}, {}, {}
+    cycles, boundaries = {}, {}
     for g in range(lo, hi + 1):
-        if hdims[g]:
-            spaces[g] = hdims[g]
-    for g in list(spaces):
-        rep = reps[g]
-        invs[g] = projs[g](m.involution_matrix(g) @ rep)
-        tgt = g - step
-        if spaces.get(tgt):
-            acts[g] = projs[tgt](m.action_matrix(g) @ rep)
-        else:
-            acts[g] = QMatrix(0, hdims[g])
-    wm = WindowModule(m.ring, window, spaces, acts, invs)
-    H, realized = canonical_from_window(wm)
-    return H, realized, tools
+        if m.dim(g):
+            down = d.evaluate(g)
+            cycles[g] = QMatrix.identity(m.dim(g)) if down.is_zero() else down.kernel_basis()
+            boundaries[g] = d.evaluate(g + 1)
+    H, realized, _ = window_subquotient(m, window, cycles, boundaries)
+    return H, realized
 
 
 def differential_from_window(m: GradedModule, window, mats: dict[int, QMatrix]) -> ModuleMap:

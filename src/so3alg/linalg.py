@@ -22,9 +22,10 @@ Block matrices are assembled in one place: ``block_matrix`` places blocks
 given by their (row block, column block) position, and ``QMatrix.kron`` is
 the Kronecker product; no other module places entries by hand.
 ``IncrementalSpan`` grows a basis one integer vector at a time.
-``chain_homology`` computes the homology of a chain of vector spaces that
-every algebraic model uses, with one elimination per degree; its projections
-send a whole matrix of cycles to their homology coordinates.
+``subquotient`` takes a space of cycles modulo boundaries apart with one
+elimination, and its projection sends a whole matrix of cycles to their
+coordinates; ``chain_homology``, the homology of a chain of vector spaces
+that every algebraic model uses, is one subquotient per degree.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import InvariantError
 
 Q = Fraction
 
-__all__ = ["Q", "QMatrix", "IncrementalSpan", "block_matrix", "chain_homology"]
+__all__ = ["Q", "QMatrix", "IncrementalSpan", "block_matrix", "chain_homology", "subquotient"]
 
 _ZERO = Q(0)
 
@@ -123,6 +124,11 @@ class QMatrix:
         return QMatrix(len(vec), 1, [[x] for x in vec])
 
     @staticmethod
+    def from_columns(rows: int, vecs: Sequence[Sequence]) -> "QMatrix":
+        """The rows x len(vecs) matrix whose columns are the given vectors."""
+        return QMatrix(rows, len(vecs), [[v[i] for v in vecs] for i in range(rows)])
+
+    @staticmethod
     def diagonal(entries: Sequence) -> "QMatrix":
         n = len(entries)
         return QMatrix.from_entries(n, n, {(i, i): x for i, x in enumerate(entries)})
@@ -148,7 +154,12 @@ class QMatrix:
         return not any(map(any, self.ints))
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == QMatrix.identity(self.rows)
+        n = self.cols
+        return (
+            self.rows == n
+            and self.den == 1
+            and all(r[i] == 1 and r.count(0) == n - 1 for i, r in enumerate(self.ints))
+        )
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -172,7 +183,13 @@ class QMatrix:
 
     def columns(self, js: Sequence[int]) -> "QMatrix":
         """The matrix of the columns js of self, in that order."""
-        return _canonical(self.rows, len(js), self.den, [[r[j] for j in js] for r in self.ints])
+        return self.submatrix(range(self.rows), js)
+
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "QMatrix":
+        """The matrix of the entries of self in the rows and cols given, in
+        those orders."""
+        ints = [[r[j] for j in cols] for r in map(self.ints.__getitem__, rows)]
+        return _canonical(len(rows), len(cols), self.den, ints)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -496,6 +513,47 @@ class IncrementalSpan:
         return len(self._reduced)
 
 
+def subquotient(Z: QMatrix, B: QMatrix):
+    """The subquotient span(Z) + span(B) / span(B) of the column vectors of
+    one space, with representatives and a projection.
+
+    Z and B have one row per coordinate; their columns need not be
+    independent.  Returns (reps, proj): the columns of reps are the columns
+    of Z a greedy span accepts after every column of B, and they represent a
+    basis of the subquotient; proj sends a matrix whose columns lie in
+    span(B) + span(Z) to the matrix of their coordinates in that basis,
+    raising InvariantError when a column does not.
+
+    One elimination of [B | Z | I] runs, with I the identity.  The pivot
+    columns in B and Z are those a greedy span accepts in that order: the
+    boundaries first, then the representatives.  With k pivots there, the
+    identity block of the reduced form is the row operation E, whose first k
+    rows are a left inverse of those pivot columns and whose other rows
+    annihilate exactly their span.  A vector's coordinates in [boundaries |
+    reps] are therefore its product with the first k rows of E, and the rows
+    past the boundaries are its subquotient coordinates.  When Z is the
+    identity its block is E's own, so [B | I] is eliminated; when B is zero
+    too, nothing is.
+    """
+    n = Z.rows
+    nonzero = [j for j in range(B.cols) if any(r[j] for r in B.ints)]
+    if len(nonzero) < B.cols:
+        B = B.columns(nonzero)
+    whole = Z.cols == n and Z.is_identity()
+    if whole and not B.cols:
+        return Z, _projection(QMatrix(0, n), Z)
+    both = B if whole else B.hstack(Z)
+    R, pivots = both.hstack(QMatrix.identity(n)).rref()
+    k = sum(1 for c in pivots if c < B.cols + Z.cols)
+    nb = sum(1 for c in pivots if c < B.cols)
+    reps = Z.columns([c - B.cols for c in pivots[nb:k]])
+    E = [row[both.cols :] for row in R.ints]
+    left = _canonical(k - nb, n, R.den, E[nb:k])
+    # the annihilator only faces a zero test, so its denominator is dropped
+    annihilator = _wrap(n - k, n, 1, E[k:])
+    return reps, _projection(annihilator, left)
+
+
 def chain_homology(dims, mats):
     """Homology of a chain of vector spaces indexed by degree.
 
@@ -508,38 +566,24 @@ def chain_homology(dims, mats):
     hdims[g] x m matrix of their coordinates in that basis, raising
     InvariantError when a column is not a cycle.
 
-    At each degree one elimination of [B | Z | I] runs, with B the nonzero
-    columns of the incoming differential, Z the kernel basis of the outgoing
-    one and I the identity.  The pivot columns in B and Z are those a greedy
-    span accepts in that order: the boundaries first, then the kernel
-    vectors that are the representatives.  With k pivots there, the identity
-    block of the reduced form is the row operation E, whose first k rows are
-    a left inverse of those pivot columns and whose other rows annihilate
-    exactly their span.  A cycle's coordinates in [boundaries | reps] are
-    therefore its product with the first k rows of E, and the rows past the
-    boundaries are its homology coordinates.
+    Each degree is one ``subquotient`` of the kernel basis of the outgoing
+    differential (the identity when that is zero) by the columns of the
+    incoming one.
     """
     hdims, reps, projs = {}, {}, {}
     for g in sorted(dims):
         n = dims[g]
         down, up = mats.get(g), mats.get(g + 1)
-        Z = QMatrix.identity(n) if down is None or down.is_zero() else down.kernel_basis()
-        B = QMatrix(n, 0) if up is None else up.columns([j for j in range(up.cols) if any(r[j] for r in up.ints)])
-        if not B.cols and Z.cols == n:
-            # every chain is a cycle and none is a boundary: nothing to eliminate
-            hdims[g], reps[g], projs[g] = n, Z, _projection(QMatrix(0, n), Z)
-            continue
-        both = B.hstack(Z)
-        R, pivots = both.hstack(QMatrix.identity(n)).rref()
-        k = sum(1 for c in pivots if c < both.cols)
-        nb = sum(1 for c in pivots if c < B.cols)
-        hdims[g] = k - nb
-        reps[g] = Z.columns([c - B.cols for c in pivots[nb:k]])
-        E = [row[both.cols :] for row in R.ints]
-        left = _canonical(k - nb, n, R.den, E[nb:k])
-        # the annihilator only faces a zero test, so its denominator is dropped
-        annihilator = _wrap(n - k, n, 1, E[k:])
-        projs[g] = _projection(annihilator, left)
+        if down is None or down.is_zero():
+            Z = QMatrix.identity(n)
+            if up is None or up.is_zero():
+                # every chain is a cycle and none is a boundary: nothing to eliminate
+                hdims[g], reps[g], projs[g] = n, Z, _projection(QMatrix(0, n), Z)
+                continue
+        else:
+            Z = down.kernel_basis()
+        reps[g], projs[g] = subquotient(Z, QMatrix(n, 0) if up is None else up)
+        hdims[g] = reps[g].cols
     return hdims, reps, projs
 
 

@@ -43,9 +43,7 @@ from .graded import (
     GradedModule,
     ModuleMap,
     Summand,
-    WindowModule,
     auto_window,
-    canonical_from_window,
     base_change_d_to_c,
     base_change_map,
     cokernel_of_map,
@@ -55,10 +53,12 @@ from .graded import (
     homology_realized,
     kernel_of_map,
     localize_map,
+    sign_of,
+    window_subquotient,
     _sort_key,
     _normalize_summand,
 )
-from .linalg import IncrementalSpan, Q, QMatrix, block_matrix, chain_homology
+from .linalg import Q, QMatrix, block_matrix, chain_homology
 
 TAIL = "tail"
 
@@ -1271,7 +1271,7 @@ class InjectiveResolution:
     Y0: ToralObject
     include: ToralMorphism
     Y1: ToralObject
-    quot: dict  # slot key -> WindowMap out of the Y0 slot
+    quot: dict  # slot key of x -> the projection of the Y0 slot onto the Y1 slot (a WindowMap)
     window: tuple[int, int]
 
     def quot_of(self, key):
@@ -1398,8 +1398,7 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
     J_slots, quot = {}, {}
     for key in x.keys():
         win = auto_window(window, [x.M.slot(key), Y0.M.slot(key)])
-        ring = POLY_D if x.slot_is_torus(key) else POLY_C
-        J, pr = cokernel_of_map(include.component(key), win, out_ring=ring)
+        J, pr = cokernel_of_map(include.component(key), win)
         J_slots[key] = J
         quot[key] = pr
     Y1 = make_fN(
@@ -1430,9 +1429,7 @@ def ext_A(
                 x, res.Y1, t, alpha, VMap.zero(x.V, res.Y1.V, t)
             )
             cols.append(h1.coords_of(comp))
-        post = QMatrix(
-            h1.dim, h0.dim, [[cols[j][i] for j in range(h0.dim)] for i in range(h1.dim)]
-        )
+        post = QMatrix.from_columns(h1.dim, cols)
         rank = post.rank()
         out[t] = (h0.dim - rank, h1.dim - rank)
     return out
@@ -1470,16 +1467,14 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
     for key in x.keys():
         m = x.M.slot(key)
         win = auto_window(window or (0, 0), [m, x.beta[key].codomain])
-        H, realized, tools = homology_realized(m, x.dM[key], win)
+        H, realized = homology_realized(m, x.dM[key], win)
         torus = x.slot_is_torus(key)
         lmod, ltags, _ = laurent_model(x.V, torus)
         hmod, _, hpos = laurent_model(hv, torus)
         ent = {}
         for k, r in enumerate(realized):
             g = r.degree
-            rep, _ = tools[g]
-            cycle = rep.apply(r.vector)
-            img = x.beta[key].evaluate(g).apply(cycle)
+            img = x.beta[key].evaluate(g).apply(r.vector)
             terms = _expand_terms(lmod, ltags, g, img)
             new_terms = []
             for (gv, sv, iv), j, coef in terms:
@@ -1548,17 +1543,18 @@ def _preimage_exponent(x: ToralObject, tag):
     raise StarConditionError("no Euler power of the element is hit by beta")
 
 
-def _span_windows(L: GradedModule, gens, window):
-    """Polynomial span of homogeneous elements of L, degreewise on a window.
+def _polynomial_span(L: GradedModule, gens, window):
+    """Polynomial span of homogeneous elements of L, reconstructed on a window.
 
-    gens is a list of (degree, vector).  Returns (wm, bases, span_lists)
-    where bases[g] has the chosen basis as columns and span_lists[g] lists
-    (generator index, power) for every spanning vector at degree g.
+    gens is a list of (degree, vector).  Returns (S, realized, spans): S is
+    the span in canonical form, realized[k] the generator of its summand k
+    as a vector of L, and spans[g] = (labels, mat) for every degree g that a
+    spanning vector reaches, where the columns of mat are the spanning
+    vectors at g and labels[j] is the (generator index, power) of column j.
     """
-    ring = POLY_D if L.ring.var == "d" else POLY_C
     lo, hi = window
-    step = ring.step
-    spaces, bases, span_lists = {}, {}, {}
+    step = L.ring.step
+    spans = {}
     for g in range(hi, lo - 1, -1):
         vecs, labels = [], []
         for r, (dg, base) in enumerate(gens):
@@ -1566,37 +1562,10 @@ def _span_windows(L: GradedModule, gens, window):
             if diff >= 0 and diff % step == 0:
                 vecs.append(_apply_action(L, dg, diff // step, base))
                 labels.append((r, diff // step))
-        span = IncrementalSpan(L.dim(g))
-        chosen = [v for v in vecs if any(c != 0 for c in v) and span.add(v)]
-        if chosen:
-            spaces[g] = len(chosen)
-            bases[g] = QMatrix(
-                L.dim(g), len(chosen), [[chosen[j][i] for j in range(len(chosen))] for i in range(L.dim(g))]
-            )
-        span_lists[g] = (labels, vecs)
-    acts, invs = {}, {}
-    for g in list(spaces):
-        B = bases[g]
-        inv_img = L.involution_matrix(g) @ B
-        sol = B.solve_matrix(inv_img)
-        if sol is None:
-            raise InvariantError("span is not stable under the involution")
-        invs[g] = sol
-        below = g - step
-        if below < lo:
-            continue
-        img = L.action_matrix(g) @ B
-        if spaces.get(below):
-            sol2 = bases[below].solve_matrix(img)
-            if sol2 is None:
-                raise InvariantError("span is not stable under the action")
-            acts[g] = sol2
-        else:
-            if not img.is_zero():
-                raise InvariantError("span does not close off inside the window")
-            acts[g] = QMatrix(0, spaces[g])
-    wm = WindowModule(ring, window, spaces, acts, invs)
-    return wm, bases, span_lists
+        if vecs:
+            spans[g] = (labels, QMatrix.from_columns(L.dim(g), vecs))
+    S, realized, _ = window_subquotient(L, window, {g: mat for g, (_, mat) in spans.items()}, {})
+    return S, realized, spans
 
 
 def wide_sphere_cover(x: ToralObject, key, degree: int, vector):
@@ -1611,16 +1580,9 @@ def wide_sphere_cover(x: ToralObject, key, degree: int, vector):
     if len(vector) != m_slot.dim(degree):
         raise SchemaError("element vector has the wrong length")
     torus = x.slot_is_torus(key)
-    if torus:
-        s_n = 1
-    else:
-        flipped = m_slot.involution_matrix(degree).apply(vector)
-        if flipped == vector:
-            s_n = 1
-        elif flipped == [-v for v in vector]:
-            s_n = -1
-        else:
-            raise SchemaError("wide-sphere covers need a sign-pure element")
+    s_n = 1 if torus else sign_of(m_slot, degree, vector)
+    if s_n is None:
+        raise SchemaError("wide-sphere covers need a sign-pure element")
     w = x.beta[key].evaluate(degree).apply(vector)
     if all(c == 0 for c in w):
         return _rank_one_cover(x, key, degree, vector, s_n)
@@ -1697,23 +1659,14 @@ def _proof_cover(x, key, degree, vector, s_n, w):
     m0 = max(A[tag] - minexp[tag] for tag in minexp)
     pad = 2 * m0 + m_slot.ring.step * (m_slot.max_torsion() + 6) + 16
     lo = min(dg for dg, _ in gens) - pad
-    wm, bases, span_lists = _span_windows(L, gens, (lo, hi))
-    S_slot, realized = canonical_from_window(wm)
+    S_slot, realized, spans = _polynomial_span(L, gens, (lo, hi))
     # consistency: every relation among the spanning vectors maps to zero
     img_cols = {}
-    for g in range(lo, hi + 1):
-        labels, vecs = span_lists[g]
-        if not labels:
-            continue
-        span_mat = QMatrix(
-            L.dim(g), len(vecs), [[vecs[j][i] for j in range(len(vecs))] for i in range(L.dim(g))]
-        )
+    for g, (labels, span_mat) in spans.items():
         cols = [
             _apply_action(m_slot, imgs[r][0], k, imgs[r][1]) for r, k in labels
         ]
-        img_mat = QMatrix(
-            m_slot.dim(g), len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(m_slot.dim(g))]
-        )
+        img_mat = QMatrix.from_columns(m_slot.dim(g), cols)
         img_cols[g] = (span_mat, img_mat)
         ker = span_mat.kernel_basis()
         if not (img_mat @ ker).is_zero():
@@ -1722,11 +1675,10 @@ def _proof_cover(x, key, degree, vector, s_n, w):
     beta_ent, alpha_ent = {}, {}
     for ks, r in enumerate(realized):
         g = r.degree
-        amb = bases[g].apply(r.vector)
-        for i, coef in _vector_entries(L, g, amb).items():
+        for i, coef in _vector_entries(L, g, r.vector).items():
             beta_ent[(i, ks)] = coef
         span_mat, img_mat = img_cols[g]
-        lam = span_mat.solve(list(amb))
+        lam = span_mat.solve(r.vector)
         if lam is None:
             raise InvariantError("canonical generator escapes the span")
         target = img_mat.apply(lam)

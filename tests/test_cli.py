@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -7,8 +8,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from so3alg.cli import (
+    CELL_FIXTURES,
+    IMAGE_FIXTURES,
     MAX_SUMMANDS,
     _fixture_doc,
     dihedral_from_json,
@@ -100,7 +105,83 @@ def test_bad_documents_raise_parse_errors():
         )
     with pytest.raises(ParseError):
         dihedral_from_json({"M_inf": {"dims": {}}})
+    # containers of the wrong JSON type
+    cell = _fixture_doc("cell-C2")
+    for path, value in [
+        (("beta",), []),
+        (("M", "explicit"), []),
+        (("diff",), []),
+        (("diff",), {"V": []}),
+        (("diff",), {"M": []}),
+        (("beta", "tail"), []),
+    ]:
+        with pytest.raises(ParseError):
+            toral_from_json(replaced(cell, path, value))
+    germ = dihedral_to_json(functor_const(QWComplex(QWSpace({1: (2, 0)}))))
+    for path, value in [(("germ",), []), (("germ",), {"tail": []})]:
+        with pytest.raises(ParseError):
+            dihedral_from_json(replaced(germ, path, value))
 
+
+def replaced(doc, path, value):
+    """A deep copy of a JSON document with the node at path set to value."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {dict: "object", list: "array", str: "string", type(None): "null"}[type(value)]
+
+
+def node_paths(doc, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+FIXTURE_NAMES = [name for name, _ in CELL_FIXTURES] + list(IMAGE_FIXTURES)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_codec_fuzz_ends_with_an_exit_code(tmp_path, data):
+    """One node of a frozen fixture document replaced by a JSON value of
+    another type: star-check ends with exit 0, 2, 3 or 4, never a traceback."""
+    doc = _fixture_doc(data.draw(st.sampled_from(FIXTURE_NAMES)))
+    path = data.draw(st.sampled_from(list(node_paths(doc))[1:]))
+    kind = json_type(node_at(doc, path))
+    value = data.draw(JSON_VALUES.filter(lambda v: json_type(v) != kind))
+    target = tmp_path / "fuzzed.json"
+    target.write_text(json.dumps(replaced(doc, path, value)))
+    assert main(["star-check", str(target)]) in (0, 2, 3, 4)
 
 # -- burnside expressions ----------------------------------------------------------
 

@@ -20,6 +20,7 @@ from so3alg.graded import (
     GradedModule,
     ModuleMap,
     Summand,
+    WindowModule,
     auto_window,
     barcode,
     base_change_d_to_c,
@@ -354,7 +355,7 @@ def test_homology_acyclic_complex():
     m = GradedModule(POLY_C, [Summand(FREE, 1, 1), Summand(FREE, 0, 1)])
     d = ModuleMap(m, m, -1, {(1, 0): 1})
     h = homology_slot(m, d)
-    assert h.is_zero() or h.is_torsion() is False or True
+    assert h.is_zero()
     # oracle: degreewise homology dims all zero
     w = auto_window((0, 0), [m])
     for g in range(w[0] + 1, w[1]):
@@ -633,3 +634,64 @@ def test_cokernel_eliminates_no_empty_matrix(monkeypatch):
         cokernel_of_map(rand_map(rng, dom, cod, 0), auto_window((0, 0), [dom, cod]))
     assert shapes
     assert all(r and c for r, c in shapes)
+
+
+def parent_cokernel(phi, window):
+    """The cokernel as a quotient by a complement, for an oracle.
+
+    In each degree the rows of P (``cokernel_data``) are the coordinates and
+    the section P^T (P P^T)^-1 lifts them back; the involution induced in
+    those coordinates is diagonalized by its two eigenspaces, and the action
+    is carried into the eigenbases before the canonical reconstruction.
+    """
+    n = phi.codomain
+    lo, hi = window
+    step = n.ring.step
+    proj, eigen = {}, {}
+    for g in range(lo, hi + 1):
+        if n.dim(g):
+            mat = phi.evaluate(g - phi.degree)
+            P = mat.cokernel_data()[0] if mat.cols else QMatrix.identity(n.dim(g))
+            if P.rows:
+                proj[g] = P
+    for g, P in proj.items():
+        sec = P.transpose() @ (P @ P.transpose()).inverse()
+        inv = P @ QMatrix.diagonal([n.basis_sign(i, a) for i, a in n.basis(g)]) @ sec
+        one = QMatrix.identity(P.rows)
+        plus, minus = (inv - one).kernel_basis(), (inv + one).kernel_basis()
+        assert plus.cols + minus.cols == P.rows
+        eigen[g] = (plus.hstack(minus), [1] * plus.cols + [-1] * minus.cols, sec)
+    acts = {}
+    for g, (E, _, sec) in eigen.items():
+        if g - step >= lo:
+            below = eigen.get(g - step)
+            if below is None:
+                acts[g] = QMatrix(0, E.cols)
+            else:
+                act = proj[g - step] @ n.action_matrix(g) @ sec
+                acts[g] = below[0].inverse() @ act @ E
+    wm = WindowModule(n.ring, window, {g: e[1] for g, e in eigen.items()}, acts)
+    return canonical_from_window(wm)[0]
+
+
+def test_cokernel_matches_the_complement_section_oracle():
+    rng = random.Random(31)
+    checked = laurent = 0
+    while checked < 50:
+        ring = rng.choice([POLY_C, POLY_D])
+        dom, cod = rand_module(rng, ring), rand_module(rng, ring)
+        phi = rand_map(rng, dom, cod, rng.choice([0, 0, -2, 2]))
+        if phi.is_zero():
+            continue
+        checked += 1
+        w = auto_window((0, 0), [dom, cod])
+        C, pr = cokernel_of_map(phi, w)
+        assert C == parent_cokernel(phi, w)
+        for g in range(w[0], w[1] + 1):
+            p, f = pr.evaluate(g), phi.evaluate(g - phi.degree)
+            assert p.rows == C.dim(g) == p.rank()
+            # the kernel of the projection is the image of phi
+            assert (p @ f).is_zero()
+            assert f.rank() + p.rank() == cod.dim(g)
+        laurent += any(s.kind == LAURENT for s in C.summands)
+    assert laurent > 10
