@@ -924,12 +924,6 @@ def cokernel_of_map(phi: ModuleMap, window) -> tuple[GradedModule, WindowMap]:
     return C, WindowMap(n, C, 0, window, mats)
 
 
-def homology_slot(m: GradedModule, d: ModuleMap) -> GradedModule:
-    """Homology of a degree -1 differential on a canonical module."""
-    H, _ = homology_realized(m, d)
-    return H
-
-
 def homology_realized(m: GradedModule, d: ModuleMap, window=None):
     """Homology together with cycle representatives.
 
@@ -951,49 +945,3 @@ def homology_realized(m: GradedModule, d: ModuleMap, window=None):
             boundaries[g] = d.evaluate(g + 1)
     H, realized, _ = window_subquotient(m, window, cycles, boundaries)
     return H, realized
-
-
-def differential_from_window(m: GradedModule, window, mats: dict[int, QMatrix]) -> ModuleMap:
-    """Build a differential from raw degreewise matrices.
-
-    Checks homogeneity implicitly, the commutation rule with the ring action
-    (c-linearity), equivariance, and d*d = 0; violations raise
-    NotADifferential.  The window must exhibit every generator.
-    """
-    lo, hi = window
-    step = m.ring.step
-    for g in range(lo + 1, hi + 1):
-        dg = mats.get(g, QMatrix(m.dim(g - 1), m.dim(g)))
-        if (dg.rows, dg.cols) != (m.dim(g - 1), m.dim(g)):
-            raise SchemaError(f"differential matrix at degree {g} has wrong shape")
-        # commutation with the action: c d = d c
-        if g - step >= lo + 1:
-            lhs = m.action_matrix(g - 1) @ dg
-            dg2 = mats.get(g - step, QMatrix(m.dim(g - step - 1), m.dim(g - step)))
-            rhs = dg2 @ m.action_matrix(g)
-            if lhs != rhs:
-                raise NotADifferential("differential does not commute with the action")
-        if g + 1 <= hi:
-            up = mats.get(g + 1, QMatrix(m.dim(g), m.dim(g + 1)))
-            if not (dg @ up).is_zero():
-                raise NotADifferential("d squared is not zero")
-    ent = {}
-    for j, s in enumerate(m.summands):
-        g = s.shift
-        if not (lo + 1 <= g <= hi):
-            raise SchemaError("window does not reach a generator")
-        basis_g = m.basis(g)
-        col = basis_g.index((j, 0))
-        img = mats.get(g, QMatrix(m.dim(g - 1), m.dim(g))).col(col)
-        for cidx, (i, a) in enumerate(m.basis(g - 1)):
-            if img[cidx] != 0:
-                if a != (m.summands[i].shift - s.shift + 1) // step:
-                    raise NotADifferential("differential is not homogeneous")
-                ent[(i, j)] = img[cidx]
-    d = ModuleMap(m, m, -1, ent)
-    # confirm the raw matrices agree with the monomial map everywhere
-    for g in range(lo + 1, hi + 1):
-        dg = mats.get(g, QMatrix(m.dim(g - 1), m.dim(g)))
-        if d.evaluate(g) != dg:
-            raise NotADifferential("differential does not commute with the action")
-    return d

@@ -17,7 +17,9 @@ This module implements the adjunction between the two sides (base change
 against fixed points), twisted variants, the basic objects e(V) and f(N),
 the standard generators, degreewise hom and Ext via injective resolutions of
 length one, homology of differentials, smashing with torsion families, and
-wide-sphere covers.
+wide-sphere covers.  The hom spaces and the injective extensions of a
+resolution are linear systems with one equation per entry of a composed
+map, not per basis element on a window of degrees.
 """
 
 from __future__ import annotations
@@ -1088,11 +1090,33 @@ def parity_split(x: ToralObject) -> tuple[ToralObject, ToralObject]:
 
 
 def _entry_allowed(dom: GradedModule, cod: GradedModule, degree: int, i: int, j: int):
+    """The map with the single entry (i, j) = 1, or None where no such
+    monomial map exists or it lands past a torsion cut-off."""
     try:
-        probe = ModuleMap(dom, cod, degree, {(i, j): Q(1)})
+        unit = ModuleMap(dom, cod, degree, {(i, j): Q(1)})
     except EngineError:
-        return False
-    return bool(probe.entries)
+        return None
+    return unit if unit.entries else None
+
+
+def _entry_rows(n: int, terms, target=None):
+    """The system sum_u v_u * term_u == target, one row per map entry.
+
+    terms are (unknown index, map) pairs of maps with one domain and
+    codomain; target is such a map or None (zero).  Every ModuleMap entry is
+    a monomial and ModuleMap drops the entries past a torsion cut-off, so a
+    map into a Laurent or torsion module is zero exactly when each entry is.
+    Returns (rows over the n unknowns, right-hand side).
+    """
+    eqs = {}
+    for u, term in terms:
+        for e, coef in term.entries.items():
+            eqs.setdefault(e, {})[u] = coef
+    want = target.entries if target is not None else {}
+    for e in want:
+        eqs.setdefault(e, {})
+    rows = [[eq.get(u, Q(0)) for u in range(n)] for eq in eqs.values()]
+    return rows, [want.get(e, Q(0)) for e in eqs]
 
 
 class HomSpace:
@@ -1109,20 +1133,23 @@ class HomSpace:
         self.keys = sorted(set(x.M.explicit) | set(y.M.explicit)) + [TAIL]
         self.unknowns = []
         self.index = {}
+        units = {}
         for key in self.keys:
             dom, cod = x.M.slot(key), y.M.slot(key)
             for i in range(len(cod.summands)):
                 for j in range(len(dom.summands)):
-                    if _entry_allowed(dom, cod, degree, i, j):
+                    unit = _entry_allowed(dom, cod, degree, i, j)
+                    if unit is not None:
+                        units[len(self.unknowns)] = unit
                         self._add(("a", key, i, j))
         for g in sorted(x.V.dims):
             for s in (1, -1):
                 for ix in range(x.V.dim(g, s)):
                     for iy in range(y.V.dim(g + degree, s)):
                         self._add(("v", g, s, iy, ix))
-        rows = self._equations()
+        rows = self._equations(units)
         n = len(self.unknowns)
-        mat = QMatrix(len(rows), n, [[row.get(u, Q(0)) for u in range(n)] for row in rows])
+        mat = QMatrix(len(rows), n, rows)
         self.basis_mat = mat.kernel_basis() if n else QMatrix(0, 0)
 
     def _add(self, u):
@@ -1132,74 +1159,28 @@ class HomSpace:
     def _slot_beta(self, obj, key):
         return obj.beta[key] if key in obj.beta else obj.beta[TAIL]
 
-    def _equations(self):
+    def _equations(self, units):
+        """Rows of by o a == l o bx at every slot, one per entry of the
+        composed maps: a slot unknown contributes by o unit, a V unknown
+        minus its single-entry map of Laurent models after bx."""
         x, y, t = self.x, self.y, self.degree
+        n = len(self.unknowns)
         rows = []
         for key in self.keys:
-            dom, cod = x.M.slot(key), y.M.slot(key)
             bx, by = self._slot_beta(x, key), self._slot_beta(y, key)
             torus = x.slot_is_torus(key)
             lx_pos, ly_pos = laurent_model(x.V, torus)[2], laurent_model(y.V, torus)[2]
-            lx_mod, ly_mod = bx.codomain, by.codomain
-            lo, hi = auto_window(
-                (min(0, t) - 4, max(0, t) + 4), [dom, cod, lx_mod, ly_mod]
-            )
-            step = dom.ring.step
-            lstep = lx_mod.ring.step
-            for g in range(lo, hi + 1):
-                src_b = dom.basis(g)
-                out_b = ly_mod.basis(g + t)
-                if not src_b or not out_b:
-                    continue
-                mid_b = cod.basis(g + t)
-                mid_pos = {k: r for r, k in enumerate(mid_b)}
-                out_pos = {k: r for r, k in enumerate(out_b)}
-                lx_b = lx_mod.basis(g)
-                # entries are read once per degree: columns of by, rows of bx
-                by_mat = by.evaluate(g + t)
-                by_cols = [by_mat.col(j) for j in range(by_mat.cols)]
-                bx_mat = bx.evaluate(g)
-                bx_rows = [bx_mat.row(i) for i in range(bx_mat.rows)]
-                eq = [
-                    [dict() for _ in range(len(src_b))] for _ in range(len(out_b))
-                ]
-                for u, label in enumerate(self.unknowns):
-                    if label[0] == "a":
-                        _, k2, i, j = label
-                        if k2 != key:
-                            continue
-                        a = (cod.summands[i].shift - dom.summands[j].shift - t) // step
-                        for c, (jj, b) in enumerate(src_b):
-                            if jj != j:
-                                continue
-                            r_mid = mid_pos.get((i, b + a))
-                            if r_mid is None:
-                                continue
-                            for r, coef in enumerate(by_cols[r_mid]):
-                                if coef:
-                                    eq[r][c][u] = eq[r][c].get(u, Q(0)) + coef
-                    else:
-                        _, gv, s, iy, ix = label
-                        jl = lx_pos[(gv, s, ix)]
-                        il = ly_pos[(gv + t, s, iy)]
-                        p = (
-                            ly_mod.summands[il].shift
-                            - lx_mod.summands[jl].shift
-                            - t
-                        ) // lstep
-                        for cl, (jjl, bl) in enumerate(lx_b):
-                            if jjl != jl:
-                                continue
-                            r = out_pos.get((il, bl + p))
-                            if r is None:
-                                continue
-                            for c, coef in enumerate(bx_rows[cl]):
-                                if coef:
-                                    eq[r][c][u] = eq[r][c].get(u, Q(0)) - coef
-                for r in range(len(out_b)):
-                    for c in range(len(src_b)):
-                        if eq[r][c]:
-                            rows.append(eq[r][c])
+            terms = []
+            for u, label in enumerate(self.unknowns):
+                if label[0] == "a":
+                    if label[1] == key:
+                        terms.append((u, by.compose(units[u])))
+                else:
+                    _, g, s, iy, ix = label
+                    entry = (ly_pos[(g + t, s, iy)], lx_pos[(g, s, ix)])
+                    l_unit = ModuleMap(bx.codomain, by.codomain, t, {entry: Q(-1)})
+                    terms.append((u, l_unit.compose(bx)))
+            rows += _entry_rows(n, terms)[0]
         return rows
 
     @property
@@ -1298,50 +1279,21 @@ class InjectiveResolution:
         return True
 
 
-def _solve_extension(m: GradedModule, incl: ModuleMap, emb: ModuleMap, window):
+def _solve_extension(m: GradedModule, incl: ModuleMap, emb: ModuleMap):
     """Find psi: m -> emb.codomain with psi o incl == emb, if one exists."""
     cod = emb.codomain
-    unknowns = [
-        (i, j)
-        for i in range(len(cod.summands))
-        for j in range(len(m.summands))
-        if _entry_allowed(m, cod, 0, i, j)
-    ]
-    step = m.ring.step
-    rows, rhs = [], []
-    lo, hi = window
-    for g in range(lo, hi + 1):
-        src_b = m.basis(g)
-        out_b = cod.basis(g)
-        tm_b = incl.domain.basis(g)
-        if not tm_b or not out_b:
-            continue
-        out_pos = {k: r for r, k in enumerate(out_b)}
-        inc_mat = incl.evaluate(g)
-        emb_mat = emb.evaluate(g)
-        for r in range(len(out_b)):
-            for c in range(len(tm_b)):
-                row = {}
-                for u, (i, j) in enumerate(unknowns):
-                    a = (cod.summands[i].shift - m.summands[j].shift) // step
-                    for cm, (jj, b) in enumerate(src_b):
-                        if jj != j:
-                            continue
-                        if out_pos.get((i, b + a)) == r:
-                            coef = inc_mat[cm, c]
-                            if coef:
-                                row[u] = row.get(u, Q(0)) + coef
-                target = emb_mat[r, c]
-                if row or target:
-                    rows.append(row)
-                    rhs.append(target)
-    n = len(unknowns)
-    mat = QMatrix(len(rows), n, [[row.get(u, Q(0)) for u in range(n)] for row in rows])
-    sol = mat.solve(rhs)
+    unknowns, terms = [], []
+    for i in range(len(cod.summands)):
+        for j in range(len(m.summands)):
+            unit = _entry_allowed(m, cod, 0, i, j)
+            if unit is not None:
+                terms.append((len(unknowns), unit.compose(incl)))
+                unknowns.append((i, j))
+    rows, rhs = _entry_rows(len(unknowns), terms, emb)
+    sol = QMatrix(len(rows), len(unknowns), rows).solve(rhs)
     if sol is None:
         return None
-    ent = {unknowns[u]: sol[u] for u in range(n) if sol[u] != 0}
-    return ModuleMap(m, cod, 0, ent)
+    return ModuleMap(m, cod, 0, dict(zip(unknowns, sol)))
 
 
 def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolution:
@@ -1370,7 +1322,7 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
             emb = ModuleMap(
                 TM, imod, 0, {(pos[k], k): Q(1) for k in range(len(TM.summands))}
             )
-            solved = _solve_extension(m, incl, emb, auto_window(win, [imod]))
+            solved = _solve_extension(m, incl, emb)
             if solved is None:
                 pad += 1
         if solved is None:
@@ -1475,12 +1427,15 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
         for k, r in enumerate(realized):
             g = r.degree
             img = x.beta[key].evaluate(g).apply(r.vector)
-            terms = _expand_terms(lmod, ltags, g, img)
+            # the image is a cycle of V at each (degree, sign, c-power), not
+            # term by term: project the terms of one such part together
+            parts = {}
+            for (gv, sv, iv), j, coef in _expand_terms(lmod, ltags, g, img):
+                parts.setdefault((gv, sv, j), {})[(iv, 0)] = coef
             new_terms = []
-            for (gv, sv, iv), j, coef in terms:
-                proj = hv_data[sv][2][gv]
-                vec = QMatrix.from_entries(x.V.dim(gv, sv), 1, {(iv, 0): coef})
-                for h_idx, c2 in enumerate(proj(vec).col(0)):
+            for (gv, sv, j), part in parts.items():
+                vec = QMatrix.from_entries(x.V.dim(gv, sv), 1, part)
+                for h_idx, c2 in enumerate(hv_data[sv][2][gv](vec).col(0)):
                     if c2 != 0:
                         new_terms.append(((gv, sv, h_idx), j, c2))
             out_vec = _collect_terms(hmod, hpos, g, new_terms)

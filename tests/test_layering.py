@@ -8,7 +8,7 @@ over one denominator) is decided in ``linalg`` alone: no other module touches
 a matrix's storage or reads a denominator, except the CLI's rational codec.
 Every ``GradedModule`` carries its basis cache: outside ``__init__``, modules
 are made only by ``GradedModule._canonical``.  Every name imported into a module
-is read there.  Block matrices are assembled by ``linalg.block_matrix`` and
+is read there, and every local a function assigns is read in that function.  Block matrices are assembled by ``linalg.block_matrix`` and
 ``QMatrix.kron``: no other module allocates a rational zero grid
 ``[[Q(0)] * n for ...]`` to place entries in by hand.
 """
@@ -164,6 +164,71 @@ def test_unread_import_scan_sees_an_unread_name():
     source = "from __future__ import annotations\nimport json\nfrom .linalg import Q, QMatrix\nx = Q(1)\n"
     assert _unread_imports(ast.parse(source)) == ["json", "QMatrix"]
     assert _unread_imports(ast.parse("from .linalg import Q\n__all__ = ['Q']\n")) == []
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, not descending into nested
+    functions, lambdas or classes: those have their own locals."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(tree):
+    """(function, name) for every local a function assigns and never reads.
+
+    A local is read when it is loaded anywhere in the function, nested
+    functions included.  Names starting with ``_`` are exempt, and so are
+    names the function declares global or nonlocal.
+    """
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, declared = set(), set()
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.add(node.id)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                stored.add(node.name)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        read = {
+            node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        out += [
+            (func.name, name) for name in sorted(stored - read - declared)
+            if not name.startswith("_")
+        ]
+    return out
+
+
+def test_every_assigned_local_is_read():
+    unread = {module: _unread_locals(_tree(module)) for module in _modules()}
+    assert {m: names for m, names in unread.items() if names} == {}
+
+
+def test_unread_local_scan_sees_an_unread_local():
+    source = (
+        "def f(xs):\n"
+        "    total, _skip = 0, 1\n"
+        "    for i, x in enumerate(xs):\n"
+        "        total = x\n"
+        "    def g():\n"
+        "        y = [z for z in xs]\n"
+        "        return total\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as e:\n"
+        "        pass\n"
+        "    return g\n"
+    )
+    assert sorted(_unread_locals(ast.parse(source))) == [("f", "e"), ("f", "i"), ("g", "y")]
+    assert _unread_locals(ast.parse("def f():\n    global n\n    n = 1\n")) == []
 
 
 def _is_rational_zero(node) -> bool:
