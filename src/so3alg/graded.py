@@ -16,29 +16,37 @@ power, so the coefficient is the whole datum.
 
 Kernels, cokernels, homology and the spans of elements are all subquotients
 Z/B of a canonical module on a window, and one routine, ``window_subquotient``,
-computes them: each degree is one ``linalg.subquotient`` elimination, which
-gives representatives and a projection.  Every representative is sign-pure,
-so the window module carries one involution sign per basis vector, not an
-involution matrix, and the action of the ring generator is induced through
-the projections.  The canonical form is then reconstructed by an interval
-("barcode") decomposition of the action along each residue-class-and-sign
-chain of degrees, with exact basis tracking, so that every canonical
-generator comes with an explicit representative vector of the ambient
-module.
+computes them: each run of degrees is one ``linalg.subquotient`` elimination,
+which gives representatives and a projection.  Every representative is
+sign-pure, so the window module carries one involution sign per basis vector,
+not an involution matrix, and the action of the ring generator is induced
+through the projections.  The canonical form is then reconstructed by an
+interval ("barcode") decomposition of the action along each
+residue-class-and-sign chain of runs, with exact basis tracking, so that every
+canonical generator comes with an explicit representative vector of the
+ambient module.
 
-Window walks pay for what the modules hold, not for the window's width.  A
-module computes its basis in a degree once and keeps it as a tuple (modules
-are immutable, and every module is made by ``__init__`` or
-``GradedModule._canonical``, which start the cache).  The subquotient walk
-skips the degrees where there are no cycles, and a cokernel finds all
-canonical coordinates of a degree in one elimination; the canonical
-reconstruction skips chains that are zero on the whole window.
+Window walks pay per run of degrees, not per degree.  A run
+(``degree_runs``) is a stretch of one residue class on which the same
+summands of every module a walk reads are alive; its breaks come from the
+summands' shifts and torsion lengths, not from a scan of degrees.  Along a
+run every map matrix, subquotient and sign chain repeats, and the ring
+generator acts as the identity in subquotient coordinates, so a walk
+eliminates once per run, induces the action only from a run's bottom degree
+into the next run's top, and runs the barcode over runs.  Its work grows with
+the number of summands, not with the window's width.  A module computes its
+basis in a degree once and keeps it as a tuple (modules are immutable, and
+every module is made by ``__init__`` or ``GradedModule._canonical``, which
+start the cache); the subquotient walk skips the runs where there are no
+cycles, and the canonical reconstruction skips chains that are zero on the
+whole window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     InvariantError,
@@ -655,34 +663,71 @@ def barcode(dims: list[int], maps: list[QMatrix]) -> list[Bar]:
 # -- window modules and canonical reconstruction -----------------------------
 
 
-class WindowModule:
-    """Degreewise data of a graded module on a window, in a basis of
-    sign-pure vectors.
+def degree_runs(window, step, placed) -> dict[int, int]:
+    """The runs of degrees on which a window walk repeats itself.
 
-    signs: degree -> the involution sign of each basis vector (their number
-    is the dimension); acts: degree g -> matrix of the ring generator from g
-    to g - step, for g - step in the window (a missing one is zero).
+    placed lists (module, offset) pairs: a walk reads each module at the
+    degree g + offset.  A run is a stretch of one residue class mod step on
+    which every placed module keeps the same summands alive.  Runs break at
+    the window top of each class and where a summand comes alive or dies: a
+    free summand's shift, a torsion summand's shift and its shift minus
+    step * length, each minus the offset; Laurent summands never break a run.
+    Returns {top degree: number of degrees}, each class's runs from the top
+    down.
+    """
+    lo, hi = window
+    tops = set(range(max(lo, hi - step + 1), hi + 1))
+    for m, offset in placed:
+        for s in m.summands:
+            if s.kind != LAURENT:
+                tops.add(s.shift - offset)
+            if s.kind == TORSION:
+                tops.add(s.shift - step * s.length - offset)
+    runs = {}
+    for r in range(step):
+        cls = sorted((t for t in tops if lo <= t <= hi and t % step == r), reverse=True)
+        below = lo - 1 - (lo - 1 - r) % step  # the class's first degree under the window
+        for t, nxt in zip(cls, cls[1:] + [below]):
+            runs[t] = (t - nxt) // step
+    return runs
+
+
+class WindowModule:
+    """Data of a graded module on a window, one entry per run of degrees, in
+    a basis of sign-pure vectors.
+
+    runs: run top -> number of degrees (see ``degree_runs``).  Along a run the
+    basis repeats, each sign is the top's times flip per step down, and the
+    ring generator acts as the identity.  signs: run top -> the involution
+    sign of each basis vector at the top (their number is the dimension);
+    acts: run top t -> matrix of the ring generator from the run's bottom
+    degree into the next run's top, for that top in the window (a missing one
+    is zero).
     """
 
-    def __init__(self, ring: Ring, window, signs, acts):
+    def __init__(self, ring: Ring, window, runs, signs, acts):
         self.ring = ring
         self.window = window
+        self.runs = runs
         self.signs = signs
         self.acts = acts
 
-    def dim(self, g):
-        return len(self.signs.get(g, ()))
+    def dim(self, t):
+        return len(self.signs.get(t, ()))
 
 
 def window_of_module(m: GradedModule, window) -> WindowModule:
-    lo, hi = window
+    lo = window[0]
+    step = m.ring.step
+    runs = degree_runs(window, step, [(m, 0)])
     signs, acts = {}, {}
-    for g in range(lo, hi + 1):
-        if m.dim(g):
-            signs[g] = [m.basis_sign(i, a) for i, a in m.basis(g)]
-            if g - m.ring.step >= lo:
-                acts[g] = m.action_matrix(g)
-    return WindowModule(m.ring, window, signs, acts)
+    for t, n in runs.items():
+        if m.dim(t):
+            signs[t] = [m.basis_sign(i, a) for i, a in m.basis(t)]
+            bottom = t - (n - 1) * step
+            if bottom - step >= lo:
+                acts[t] = m.action_matrix(bottom)
+    return WindowModule(m.ring, window, runs, signs, acts)
 
 
 def sign_of(m: GradedModule, degree: int, vec) -> int | None:
@@ -705,56 +750,60 @@ class RealizedSummand:
 def canonical_from_window(wm: WindowModule) -> tuple[GradedModule, list[RealizedSummand]]:
     """Reconstruct the canonical form visible on a window.
 
-    Chains run down each residue class of degrees, refined by sign: the
-    chain of a sign takes the window coordinates of that sign, and over Q[c]
-    the action swaps signs along the chain, which is checked.  Bars reaching
+    Chains run down each residue class of degrees, one position per run,
+    refined by sign: the chain of a sign takes the window coordinates of that
+    sign, and over Q[c] the action swaps signs along the chain, which is
+    checked.  A bar spans whole runs: its length is the sum of their lengths,
+    and its sign is the chain's at its cumulative position.  Bars reaching
     the bottom of the window are free (Laurent over a Laurent ring);
     divisible torsion appears as a stage cut off at the window top, which is
     the intended window truncation.  Realized vectors are in the window
-    coordinates.
+    coordinates of the top of the run where they are born.
     """
     ring = wm.ring
     step = ring.step
     flip = -1 if ring.flip else 1
-    lo, hi = wm.window
-    for g, act in wm.acts.items():
-        src, dst = wm.signs[g], wm.signs.get(g - step, ())
-        if any(dst[r] != flip * src[c] for r, c, _ in act.entries()):
+    for t, act in wm.acts.items():
+        n = wm.runs[t]
+        src, dst = wm.signs[t], wm.signs.get(t - n * step, ())
+        if any(dst[r] != flip**n * src[c] for r, c, _ in act.entries()):
             raise InvariantError("action does not respect the involution chains")
     out: list[RealizedSummand] = []
     for res in range(step):
-        degs = [g for g in range(hi, lo - 1, -1) if g % step == res]
-        if not degs:
+        tops = sorted((t for t in wm.runs if t % step == res), reverse=True)
+        if not tops:
             continue
+        # the position of each run top along the chain of single degrees
+        pos = list(accumulate((wm.runs[t] for t in tops[:-1]), initial=0))
         for start_sign in (1, -1):
-            # the window coordinates of the chain's sign at each position
+            # the window coordinates of the chain's sign at each run
             idx = [
-                [j for j, sg in enumerate(wm.signs.get(g, ())) if sg == start_sign * flip**p]
-                for p, g in enumerate(degs)
+                [j for j, sg in enumerate(wm.signs.get(t, ())) if sg == start_sign * flip**p]
+                for t, p in zip(tops, pos)
             ]
             dims = [len(js) for js in idx]
             if not any(dims):
                 continue  # no bars: the chain is zero on the whole window
             cmaps = []
-            for p in range(len(degs) - 1):
-                act = wm.acts.get(degs[p])
-                if act is None or not (dims[p] and dims[p + 1]):
-                    cmaps.append(QMatrix(dims[p + 1], dims[p]))
+            for k in range(len(tops) - 1):
+                act = wm.acts.get(tops[k])
+                if act is None or not (dims[k] and dims[k + 1]):
+                    cmaps.append(QMatrix(dims[k + 1], dims[k]))
                 else:
-                    cmaps.append(act.submatrix(idx[p + 1], idx[p]))
+                    cmaps.append(act.submatrix(idx[k + 1], idx[k]))
             for bar in barcode(dims, cmaps):
-                g_top = degs[bar.birth]
-                sign_top = start_sign * flip**bar.birth
+                g_top = tops[bar.birth]
+                sign_top = start_sign * flip**pos[bar.birth]
                 vec = [Q(0)] * wm.dim(g_top)
                 for j, x in zip(idx[bar.birth], bar.vectors[0]):
                     vec[j] = x
-                length = (bar.death - bar.birth + 1) if bar.death is not None else None
-                if length is None:
+                if bar.death is None:
                     # a bar entering at the very top of the window and leaving
                     # at the bottom is upward-unbounded: a Laurent summand
                     laurent = ring.laurent or bar.birth == 0
                     s = Summand(LAURENT if laurent else FREE, g_top, sign_top)
                 else:
+                    length = sum(wm.runs[t] for t in tops[bar.birth : bar.death + 1])
                     s = Summand(TORSION, g_top, sign_top, length)
                 out.append(RealizedSummand(s, g_top, vec))
     module = GradedModule(ring, [r.summand for r in out])
@@ -769,72 +818,73 @@ def canonical_from_window(wm: WindowModule) -> tuple[GradedModule, list[Realized
 # -- subquotients on a window: kernels, cokernels, homology, spans ---------------
 
 
-def window_subquotient(m: GradedModule, window, cycles, boundaries):
+def window_subquotient(m: GradedModule, window, runs, cycles, boundaries):
     """The subquotient Z/B of a canonical module, reconstructed on a window.
 
-    cycles[g] and boundaries[g] are matrices whose columns are vectors of m
-    at degree g; a degree missing from cycles is zero, and one missing from
-    boundaries has no boundaries.  Each degree is one ``linalg.subquotient``.
-    Its representatives must be sign-pure, and each tags its window
-    coordinate with its sign; the action of the ring generator is induced
-    through the projection one step down, which checks that it stays in
-    Z + B.
+    runs is a partition of the window into runs (``degree_runs``) along
+    which m, Z and B repeat.  cycles[t] and boundaries[t] are matrices whose
+    columns are vectors of m at the run top t; a run missing from cycles is
+    zero, and one missing from boundaries has no boundaries.  Each run is one
+    ``linalg.subquotient``.  Its representatives must be sign-pure, and each
+    tags its window coordinate with its sign; the action of the ring
+    generator is induced from the run's bottom degree through the projection
+    at the next run's top, which checks that it stays in Z + B (inside a run
+    it is the identity).
 
     Returns (S, realized, project): realized[k] is summand k of S with its
-    generator as a vector of m, and project(g, X) sends a matrix whose
-    columns are cycles at a degree g where S is nonzero to their coordinates
-    in S.basis(g).
+    generator as a vector of m, and project(t, X) sends a matrix whose
+    columns are cycles at a run top t where S is nonzero to their
+    coordinates in S.basis(t), which hold for every degree of the run.
     """
-    lo, hi = window
+    lo = window[0]
     step = m.ring.step
     reps, projs, signs = {}, {}, {}
-    for g in range(lo, hi + 1):
-        Z = cycles.get(g)
-        if Z is None:
-            continue
-        reps[g], projs[g] = subquotient(Z, boundaries.get(g, QMatrix(Z.rows, 0)))
-        if reps[g].cols:
-            signs[g] = [sign_of(m, g, reps[g].col(j)) for j in range(reps[g].cols)]
-            if None in signs[g]:
+    for t, Z in cycles.items():
+        reps[t], projs[t] = subquotient(Z, boundaries.get(t, QMatrix(Z.rows, 0)))
+        if reps[t].cols:
+            signs[t] = [sign_of(m, t, reps[t].col(j)) for j in range(reps[t].cols)]
+            if None in signs[t]:
                 raise InvariantError("a representative is not sign-pure")
     acts = {}
-    for g in signs:
-        if g - step < lo:
+    for t in signs:
+        bottom = t - (runs[t] - 1) * step
+        if bottom - step < lo:
             continue
-        img = m.action_matrix(g) @ reps[g]
-        if g - step in projs:
-            acts[g] = projs[g - step](img)
+        img = m.action_matrix(bottom) @ reps[t]
+        if bottom - step in projs:
+            acts[t] = projs[bottom - step](img)
         elif not img.is_zero():
             raise InvariantError("the action leaves the subquotient")
-    wm = WindowModule(m.ring, window, signs, acts)
+    wm = WindowModule(m.ring, window, runs, signs, acts)
     S, realized = canonical_from_window(wm)
     ambient = [
         RealizedSummand(r.summand, r.degree, reps[r.degree].apply(r.vector)) for r in realized
     ]
 
-    def project(g: int, X: QMatrix) -> QMatrix:
-        return _window_coordinates(S, realized, wm, g, projs[g](X))
+    def project(t: int, X: QMatrix) -> QMatrix:
+        return _window_coordinates(S, realized, wm, t, projs[t](X))
 
     return S, ambient, project
 
 
-def _window_coordinates(C: GradedModule, realized, wm: WindowModule, g: int, vecs: QMatrix):
-    """Express the columns of vecs, window vectors at degree g, in canonical
-    coordinates: row r of the result belongs to C.basis(g)[r].
+def _window_coordinates(C: GradedModule, realized, wm: WindowModule, t: int, vecs: QMatrix):
+    """Express the columns of vecs, window vectors at the run top t, in
+    canonical coordinates: row r of the result belongs to C.basis(t)[r].
 
-    The basis of C at degree g consists of the realized generators pushed
-    down by the action to g (a Laurent generator is realized at the window
-    top, not at its normalized shift).  They are independent, so the
-    coordinates are unique, and one elimination gives them for every column.
+    The basis of C at t consists of the realized generators pushed down by
+    the action to t, one run at a time (a Laurent generator is realized at
+    the window top, not at its normalized shift).  They are independent, so
+    the coordinates are unique, and one elimination gives them for every
+    column.
     """
     cols = []
-    for k, _a in C.basis(g):
+    for k, _a in C.basis(t):
         v, deg = realized[k].vector, realized[k].degree
-        while deg > g:
+        while deg > t:
             v = wm.acts[deg].apply(v)
-            deg -= wm.ring.step
+            deg -= wm.runs[deg] * wm.ring.step
         cols.append(v)
-    sol = QMatrix.from_columns(wm.dim(g), cols).solve_matrix(vecs)
+    sol = QMatrix.from_columns(wm.dim(t), cols).solve_matrix(vecs)
     if sol is None:
         raise InvariantError("vector not expressible in canonical coordinates")
     return sol
@@ -843,17 +893,20 @@ def _window_coordinates(C: GradedModule, realized, wm: WindowModule, g: int, vec
 def kernel_of_map(phi: ModuleMap, window) -> tuple[GradedModule, ModuleMap]:
     """Kernel of a map with its inclusion, reconstructed on the window."""
     m = phi.domain
-    lo, hi = window
+    lo = window[0]
+    step = m.ring.step
+    runs = degree_runs(window, step, [(m, 0), (phi.codomain, phi.degree)])
     cycles = {}
-    for g in range(lo, hi + 1):
-        mat = phi.evaluate(g)
+    for t, n in runs.items():
+        mat = phi.evaluate(t)
         kerb = mat.kernel_basis() if mat.cols else None
         if kerb is None or not kerb.cols:
             continue
-        cycles[g] = kerb
-        if g - m.ring.step < lo and not (m.action_matrix(g) @ kerb).is_zero():
+        cycles[t] = kerb
+        bottom = t - (n - 1) * step
+        if bottom - step < lo and not (m.action_matrix(bottom) @ kerb).is_zero():
             raise InvariantError("kernel window too small")
-    K, realized, _ = window_subquotient(m, window, cycles, {})
+    K, realized, _ = window_subquotient(m, window, runs, cycles, {})
     ent = {}
     for k, r in enumerate(realized):
         for col, (i, _a) in enumerate(m.basis(r.degree)):
@@ -911,16 +964,23 @@ class WindowMap:
 
 def cokernel_of_map(phi: ModuleMap, window) -> tuple[GradedModule, WindowMap]:
     """Cokernel of a map with its projection, reconstructed on the window:
-    the subquotient of the whole codomain by the image."""
+    the subquotient of the whole codomain by the image.  All degrees of a run
+    share one projection matrix."""
     n = phi.codomain
-    lo, hi = window
+    step = n.ring.step
+    runs = degree_runs(window, step, [(n, 0), (phi.domain, -phi.degree)])
     cycles, image = {}, {}
-    for g in range(lo, hi + 1):
-        if n.dim(g):
-            cycles[g] = QMatrix.identity(n.dim(g))
-            image[g] = phi.evaluate(g - phi.degree)
-    C, _, project = window_subquotient(n, window, cycles, image)
-    mats = {g: project(g, ident) for g, ident in cycles.items() if C.dim(g)}
+    for t in runs:
+        if n.dim(t):
+            cycles[t] = QMatrix.identity(n.dim(t))
+            image[t] = phi.evaluate(t - phi.degree)
+    C, _, project = window_subquotient(n, window, runs, cycles, image)
+    mats = {}
+    for t, ident in cycles.items():
+        if C.dim(t):
+            mat = project(t, ident)
+            for k in range(runs[t]):
+                mats[t - k * step] = mat
     return C, WindowMap(n, C, 0, window, mats)
 
 
@@ -936,12 +996,13 @@ def homology_realized(m: GradedModule, d: ModuleMap, window=None):
         raise NotADifferential("d squared is not zero")
     if window is None:
         window = auto_window((0, 0), [m])
-    lo, hi = window
+    # homology at g reads m at g + 1, g and g - 1
+    runs = degree_runs(window, m.ring.step, [(m, 1), (m, 0), (m, -1)])
     cycles, boundaries = {}, {}
-    for g in range(lo, hi + 1):
-        if m.dim(g):
-            down = d.evaluate(g)
-            cycles[g] = QMatrix.identity(m.dim(g)) if down.is_zero() else down.kernel_basis()
-            boundaries[g] = d.evaluate(g + 1)
-    H, realized, _ = window_subquotient(m, window, cycles, boundaries)
+    for t in runs:
+        if m.dim(t):
+            down = d.evaluate(t)
+            cycles[t] = QMatrix.identity(m.dim(t)) if down.is_zero() else down.kernel_basis()
+            boundaries[t] = d.evaluate(t + 1)
+    H, realized, _ = window_subquotient(m, window, runs, cycles, boundaries)
     return H, realized

@@ -49,6 +49,7 @@ from .graded import (
     base_change_d_to_c,
     base_change_map,
     cokernel_of_map,
+    degree_runs,
     direct_sum,
     fixed_points_c_to_d,
     fixed_points_map,
@@ -1259,12 +1260,15 @@ class InjectiveResolution:
         return self.quot.get(key, self.quot[TAIL])
 
     def check_exact(self) -> bool:
-        """Degreewise exactness 0 -> x -> Y0 -> Y1 -> 0 on the window."""
-        lo, hi = self.window
+        """Degreewise exactness 0 -> x -> Y0 -> Y1 -> 0 on the window.
+
+        Both maps repeat along each run of degrees on which the summands of
+        the three slots stay alive, so one degree per run is ranked."""
         for key in self.x.keys():
             q = self.quot_of(key)
             inc = self.include.component(key)
-            for g in range(lo, hi + 1):
+            placed = [(inc.domain, 0), (inc.codomain, 0), (q.codomain, 0)]
+            for g in degree_runs(self.window, inc.domain.ring.step, placed):
                 a = inc.evaluate(g)
                 b = q.evaluate(g)
                 ra, rb = a.rank(), b.rank()
@@ -1365,8 +1369,15 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
 def ext_A(
     x: ToralObject, y: ToralObject, degrees, window=(-12, 12)
 ) -> dict[int, tuple[int, int]]:
-    """Degreewise hom and Ext of x against y via a length-one resolution."""
-    res = injective_resolution(y, window)
+    """Degreewise hom and Ext of x against y via a length-one resolution.
+
+    The resolution's window is widened to reach every generator of x and its
+    image in each degree, where the quotient maps are composed with Hom(x, Y0).
+    """
+    degrees = list(degrees)
+    shifts = [s.shift for m in x.all_modules() for s in m.summands]
+    reach = shifts + [g + t for g in shifts for t in degrees]
+    res = injective_resolution(y, (min([window[0], *reach]), max([window[1], *reach])))
     out = {}
     for t in degrees:
         h0 = HomSpace(x, res.Y0, t)
@@ -1510,7 +1521,8 @@ def _polynomial_span(L: GradedModule, gens, window):
     lo, hi = window
     step = L.ring.step
     spans = {}
-    for g in range(hi, lo - 1, -1):
+    degrees = range(hi, lo - 1, -1)
+    for g in degrees:
         vecs, labels = [], []
         for r, (dg, base) in enumerate(gens):
             diff = dg - g
@@ -1519,7 +1531,9 @@ def _polynomial_span(L: GradedModule, gens, window):
                 labels.append((r, diff // step))
         if vecs:
             spans[g] = (labels, QMatrix.from_columns(L.dim(g), vecs))
-    S, realized, _ = window_subquotient(L, window, {g: mat for g, (_, mat) in spans.items()}, {})
+    cycles = {g: mat for g, (_, mat) in spans.items()}
+    # the spanning powers change from degree to degree: one run per degree
+    S, realized, _ = window_subquotient(L, window, dict.fromkeys(degrees, 1), cycles, {})
     return S, realized, spans
 
 

@@ -27,6 +27,7 @@ from so3alg.graded import (
     base_change_map,
     canonical_from_window,
     cokernel_of_map,
+    degree_runs,
     direct_sum,
     fixed_points_c_to_d,
     fixed_points_map,
@@ -34,10 +35,13 @@ from so3alg.graded import (
     kernel_of_map,
     localize,
     localize_map,
+    sign_of,
     smith_canonical,
     window_of_module,
+    _normalize_summand,
+    _sort_key,
 )
-from so3alg.linalg import Q, QMatrix
+from so3alg.linalg import Q, QMatrix, subquotient
 
 
 def free_c(shift, sign=1):
@@ -516,14 +520,19 @@ def test_evaluate_matches_the_per_column_scan():
 
 
 def per_vector_coordinates(C, realized, wm, g, vecs):
-    """Canonical coordinates of each column of vecs by its own QMatrix.solve."""
+    """Canonical coordinates of each column of vecs by its own QMatrix.solve.
+
+    Generators are pushed down one degree per power: inside a run the action
+    is the identity, and leaving a run it is the run's action matrix."""
     basis = scan_basis(C, g)
     cols = []
     for k, a in basis:
-        v, deg = realized[k].vector, realized[k].degree
+        v, top = realized[k].vector, realized[k].degree
+        deg = top
         for _ in range(a):
-            v = wm.acts[deg].apply(v)
             deg -= wm.ring.step
+            if deg in wm.runs:
+                v, top = wm.acts[top].apply(v), deg
         cols.append(v)
     n = wm.dim(g)
     mat = QMatrix(n, len(cols), [[c[i] for c in cols] for i in range(n)])
@@ -550,7 +559,7 @@ def test_cokernel_projection_matches_the_per_vector_solve_oracle(monkeypatch):
     monkeypatch.setattr(graded, "_window_coordinates", spy)
     rng = random.Random(23)
     checked = 0
-    for _ in range(40):
+    for _ in range(60):
         ring = rng.choice([POLY_C, POLY_D])
         dom = rand_module(rng, ring, kinds=(FREE, TORSION))
         cod = rand_module(rng, ring, kinds=(FREE, TORSION))
@@ -559,7 +568,9 @@ def test_cokernel_projection_matches_the_per_vector_solve_oracle(monkeypatch):
         seen.clear()
         C, pr = cokernel_of_map(phi, w)
         for C_, realized, wm, g, vecs, out in seen:
-            assert pr.mats[g] is out
+            # every degree of the run shares the projection of its top
+            for k in range(wm.runs[g]):
+                assert pr.mats[g - k * ring.step] is out
             assert out == per_vector_coordinates(C_, realized, wm, g, vecs)
             checked += 1
         for g in range(w[0], w[1] + 1):
@@ -622,7 +633,8 @@ def parent_cokernel(phi, window):
             else:
                 act = proj[g - step] @ n.action_matrix(g) @ sec
                 acts[g] = below[0].inverse() @ act @ E
-    wm = WindowModule(n.ring, window, {g: e[1] for g, e in eigen.items()}, acts)
+    runs = dict.fromkeys(range(hi, lo - 1, -1), 1)  # one run per degree
+    wm = WindowModule(n.ring, window, runs, {g: e[1] for g, e in eigen.items()}, acts)
     return canonical_from_window(wm)[0]
 
 
@@ -647,3 +659,253 @@ def test_cokernel_matches_the_complement_section_oracle():
             assert f.rank() + p.rank() == cod.dim(g)
         laurent += any(s.kind == LAURENT for s in C.summands)
     assert laurent > 10
+
+
+# -- the per-degree window walk, kept as an oracle for the run walk ---------------
+
+
+def per_degree_canonical(wm):
+    """canonical_from_window with one chain position per degree of the
+    window; wm has a run of one degree at every degree."""
+    ring, step = wm.ring, wm.ring.step
+    flip = -1 if ring.flip else 1
+    lo, hi = wm.window
+    for g, act in wm.acts.items():
+        src, dst = wm.signs[g], wm.signs.get(g - step, ())
+        if any(dst[r] != flip * src[c] for r, c, _ in act.entries()):
+            raise InvariantError("action does not respect the involution chains")
+    out = []
+    for res in range(step):
+        degs = [g for g in range(hi, lo - 1, -1) if g % step == res]
+        if not degs:
+            continue
+        for start_sign in (1, -1):
+            idx = [
+                [j for j, sg in enumerate(wm.signs.get(g, ())) if sg == start_sign * flip**p]
+                for p, g in enumerate(degs)
+            ]
+            dims = [len(js) for js in idx]
+            if not any(dims):
+                continue
+            cmaps = []
+            for p in range(len(degs) - 1):
+                act = wm.acts.get(degs[p])
+                if act is None or not (dims[p] and dims[p + 1]):
+                    cmaps.append(QMatrix(dims[p + 1], dims[p]))
+                else:
+                    cmaps.append(act.submatrix(idx[p + 1], idx[p]))
+            for bar in barcode(dims, cmaps):
+                g_top = degs[bar.birth]
+                sign_top = start_sign * flip**bar.birth
+                vec = [Q(0)] * wm.dim(g_top)
+                for j, x in zip(idx[bar.birth], bar.vectors[0]):
+                    vec[j] = x
+                if bar.death is None:
+                    laurent = ring.laurent or bar.birth == 0
+                    s = Summand(LAURENT if laurent else FREE, g_top, sign_top)
+                else:
+                    s = Summand(TORSION, g_top, sign_top, bar.death - bar.birth + 1)
+                out.append((s, g_top, vec))
+    module = GradedModule(ring, [o[0] for o in out])
+    order = sorted(
+        range(len(out)), key=lambda k: (_sort_key(_normalize_summand(ring, out[k][0])), k)
+    )
+    return module, [out[k] for k in order]
+
+
+def per_degree_subquotient(m, window, cycles, boundaries):
+    """window_subquotient with one elimination per degree: returns the
+    canonical module, its generators as (summand, degree, vector of m) and
+    project(g, X) for every degree g where it is nonzero."""
+    lo, hi = window
+    step = m.ring.step
+    reps, projs, signs = {}, {}, {}
+    for g in range(lo, hi + 1):
+        Z = cycles.get(g)
+        if Z is None:
+            continue
+        reps[g], projs[g] = subquotient(Z, boundaries.get(g, QMatrix(Z.rows, 0)))
+        if reps[g].cols:
+            signs[g] = [sign_of(m, g, reps[g].col(j)) for j in range(reps[g].cols)]
+            if None in signs[g]:
+                raise InvariantError("a representative is not sign-pure")
+    acts = {}
+    for g in signs:
+        if g - step < lo:
+            continue
+        img = m.action_matrix(g) @ reps[g]
+        if g - step in projs:
+            acts[g] = projs[g - step](img)
+        elif not img.is_zero():
+            raise InvariantError("the action leaves the subquotient")
+    wm = WindowModule(m.ring, window, dict.fromkeys(range(hi, lo - 1, -1), 1), signs, acts)
+    S, realized = per_degree_canonical(wm)
+
+    def project(g, X):
+        cols = []
+        for k, _a in S.basis(g):
+            _s, deg, v = realized[k]
+            while deg > g:
+                v = wm.acts[deg].apply(v)
+                deg -= step
+            cols.append(v)
+        sol = QMatrix.from_columns(wm.dim(g), cols).solve_matrix(projs[g](X))
+        if sol is None:
+            raise InvariantError("vector not expressible in canonical coordinates")
+        return sol
+
+    ambient = [(s, g, reps[g].apply(v)) for s, g, v in realized]
+    return S, ambient, project
+
+
+def per_degree_kernel(phi, window):
+    m, (lo, hi) = phi.domain, window
+    cycles = {}
+    for g in range(lo, hi + 1):
+        mat = phi.evaluate(g)
+        kerb = mat.kernel_basis() if mat.cols else None
+        if kerb is None or not kerb.cols:
+            continue
+        cycles[g] = kerb
+        if g - m.ring.step < lo and not (m.action_matrix(g) @ kerb).is_zero():
+            raise InvariantError("kernel window too small")
+    return cycles, per_degree_subquotient(m, window, cycles, {})
+
+
+def per_degree_cokernel(phi, window):
+    n, (lo, hi) = phi.codomain, window
+    cycles, image = {}, {}
+    for g in range(lo, hi + 1):
+        if n.dim(g):
+            cycles[g] = QMatrix.identity(n.dim(g))
+            image[g] = phi.evaluate(g - phi.degree)
+    return cycles, per_degree_subquotient(n, window, cycles, image)
+
+
+def per_degree_homology(m, d, window):
+    lo, hi = window
+    cycles, boundaries = {}, {}
+    for g in range(lo, hi + 1):
+        if m.dim(g):
+            down = d.evaluate(g)
+            cycles[g] = QMatrix.identity(m.dim(g)) if down.is_zero() else down.kernel_basis()
+            boundaries[g] = d.evaluate(g + 1)
+    return cycles, per_degree_subquotient(m, window, cycles, boundaries)
+
+
+def brute_force_runs(window, step, placed):
+    """The runs of a window from the alive summands of every placed module at
+    every degree: a run starts at each class top and wherever they change."""
+    lo, hi = window
+    runs = {}
+    for r in range(step):
+        top = alive = None
+        for g in range(hi, lo - 1, -1):
+            if g % step != r:
+                continue
+            now = tuple(tuple(i for i, _a in scan_basis(m, g + o)) for m, o in placed)
+            if now != alive:
+                top, alive = g, now
+                runs[top] = 0
+            runs[top] += 1
+    return runs
+
+
+def test_degree_runs_partition_by_the_alive_summands():
+    rng = random.Random(43)
+    longest = 0
+    for _ in range(300):
+        ring = rng.choice([POLY_C, POLY_D])
+        placed = [(rand_module(rng, ring), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))]
+        lo = rng.randint(-14, 2)
+        window = (lo, lo + rng.randint(0, 18))
+        runs = degree_runs(window, ring.step, placed)
+        assert runs == brute_force_runs(window, ring.step, placed), (window, placed)
+        assert sum(runs.values()) == window[1] - window[0] + 1
+        longest = max(longest, *runs.values())
+    assert longest > 5
+
+
+def run_top(runs, step, g):
+    """The top of the run of degree g."""
+    return next(t for t, n in runs.items() if t >= g and (t - g) % step == 0 and t - g < n * step)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except InvariantError as e:
+        return repr(e)
+
+
+def rand_differential(rng, ring):
+    """A module P + Q with a random degree -1 map P -> Q as its differential."""
+    P, Q_ = rand_module(rng, ring), rand_module(rng, ring)
+    f = rand_map(rng, P, Q_, -1)
+    m, (ip, iq) = direct_sum([P, Q_])
+    return m, ModuleMap(m, m, -1, {(iq[i], ip[j]): v for (i, j), v in f.entries.items()})
+
+
+def test_run_walk_matches_the_per_degree_walk(monkeypatch):
+    import so3alg.graded as graded
+
+    walks = []
+    real = graded.window_subquotient
+
+    def spy(m, window, runs, cycles, boundaries):
+        S, ambient, project = real(m, window, runs, cycles, boundaries)
+        walks.append((runs, ambient, project))
+        return S, ambient, project
+
+    monkeypatch.setattr(graded, "window_subquotient", spy)
+    rng = random.Random(37)
+    tally = dict.fromkeys(("kernel", "cokernel", "homology", "raised", "laurent", "long"), 0)
+    for trial in range(240):
+        ring = rng.choice([POLY_C, POLY_D])
+        kind = ("kernel", "cokernel", "homology")[trial % 3]
+        if kind == "homology":
+            m, d = rand_differential(rng, ring)
+            mods = [m]
+        else:
+            # a kernel reaching the window bottom raises: mostly torsion domains
+            torsion_only = kind == "kernel" and rng.random() < 0.7
+            dom = rand_module(rng, ring, (TORSION,) if torsion_only else (FREE, TORSION, LAURENT))
+            cod = rand_module(rng, ring)
+            phi = rand_map(rng, dom, cod, rng.choice([0, 1, -1, 2, -2]))
+            mods = [dom, cod]
+        lo, hi = auto_window((0, 0), mods)
+        cut = (hi - lo) // 3
+        window = (lo + rng.randint(0, cut), hi - rng.randint(0, cut))  # may cut summands
+        walks.clear()
+        if kind == "kernel":
+            fast = outcome(kernel_of_map, phi, window)
+            slow = outcome(per_degree_kernel, phi, window)
+        elif kind == "cokernel":
+            fast = outcome(cokernel_of_map, phi, window)
+            slow = outcome(per_degree_cokernel, phi, window)
+        else:
+            fast = outcome(homology_realized, m, d, window)
+            slow = outcome(per_degree_homology, m, d, window)
+        if isinstance(slow, str):
+            assert fast == slow, (kind, window)
+            tally["raised"] += 1
+            continue
+        cycles, (S, ambient, project) = slow
+        ((runs, fast_ambient, fast_project),) = walks
+        assert fast[0] == S
+        assert [(r.summand, r.degree, r.vector) for r in fast_ambient] == ambient
+        if kind == "kernel":
+            ent = {}
+            for k, (_s, g, v) in enumerate(ambient):
+                ent.update({(i, k): x for (i, _a), x in zip(phi.domain.basis(g), v) if x})
+            assert fast[1] == ModuleMap(S, phi.domain, 0, ent)
+        for g, Z in cycles.items():
+            if S.dim(g):
+                top = run_top(runs, ring.step, g)
+                assert fast_project(top, Z) == project(g, Z), (kind, g)
+                tally["long"] += runs[top] > 1
+            if kind == "cokernel":
+                assert fast[1].evaluate(g) == (project(g, Z) if S.dim(g) else QMatrix(0, Z.rows))
+        tally[kind] += not S.is_zero()
+        tally["laurent"] += any(s.kind == LAURENT for s in S.summands)
+    assert min(tally.values()) >= 20, tally

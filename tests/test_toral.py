@@ -28,6 +28,11 @@ from so3alg.graded import (
     Summand,
     WindowMap,
     auto_window,
+    cokernel_of_map,
+    degree_runs,
+    direct_sum,
+    homology_realized,
+    kernel_of_map,
 )
 from so3alg.linalg import Q, QMatrix
 from so3alg.toral import (
@@ -424,6 +429,69 @@ def test_exactness_check_rejects_a_broken_resolution():
         assert not dataclasses.replace(res, quot=zero_quot).check_exact()
 
 
+def test_exactness_ranks_one_degree_per_run():
+    # check_exact ranks the run tops only: every degree of a run has the
+    # (inclusion, quotient) pair of its top
+    for x in fixture_objects() + generators():
+        res = injective_resolution(x)
+        for key in x.keys():
+            inc, q = res.include.component(key), res.quot_of(key)
+            step = inc.domain.ring.step
+            placed = [(inc.domain, 0), (inc.codomain, 0), (q.codomain, 0)]
+            runs = degree_runs(res.window, step, placed)
+            assert sum(runs.values()) == res.window[1] - res.window[0] + 1
+            for top, n in runs.items():
+                pair = (inc.evaluate(top), q.evaluate(top))
+                for k in range(1, n):
+                    assert (inc.evaluate(top - k * step), q.evaluate(top - k * step)) == pair
+
+
+def _cone(f):
+    """The module (Sigma A) + B of a degree-0 map f: A -> B, with f as its
+    degree -1 differential."""
+    m, (ia, ib) = direct_sum([f.domain.suspend(1), f.codomain])
+    return m, ModuleMap(m, m, -1, {(ib[i], ia[j]): v for (i, j), v in f.entries.items()})
+
+
+def test_walk_work_does_not_grow_with_the_window(monkeypatch):
+    import so3alg.graded as graded
+
+    calls = []
+    real = graded.subquotient
+
+    def counted(Z, B):
+        calls.append(Z.rows)
+        return real(Z, B)
+
+    monkeypatch.setattr(graded, "subquotient", counted)
+
+    def walks(b, include, window):
+        win = auto_window(window, [b.domain, b.codomain])
+        cone = _cone(kernel_of_map(b, win)[1])
+        include_win = auto_window(window, [include.domain, include.codomain])
+        counts = []
+        for walk, args in (
+            (kernel_of_map, (b, win)),
+            (cokernel_of_map, (b, win)),
+            (homology_realized, (*cone, win)),
+            (cokernel_of_map, (include, include_win)),
+        ):
+            calls.clear()
+            walk(*args)
+            counts.append(len(calls))
+        return counts
+
+    totals = [0, 0, 0, 0]
+    for x in fixture_objects():
+        res = injective_resolution(x)
+        for key in x.keys():
+            b, include = x.beta[key], res.include.component(key)
+            narrow = walks(b, include, (-12, 12))
+            assert narrow == walks(b, include, (-100, 100)), (x, key)
+            totals = [t + n for t, n in zip(totals, narrow)]
+    assert min(totals) >= 10 and sum(totals) >= 80, totals
+
+
 def test_resolve_checks_exactness_once(monkeypatch, tmp_path):
     calls = []
     real = InjectiveResolution.check_exact
@@ -438,6 +506,21 @@ def test_resolve_checks_exactness_once(monkeypatch, tmp_path):
     assert main(["resolve", str(fixture), "--out", str(out)]) == 0
     assert len(calls) == 1
     assert json.loads(out.read_text())["exact"] is True
+
+
+def test_ext_window_reaches_every_generator_of_the_source():
+    # a narrow window must still reach x's generators and their images,
+    # where the quotient maps of the resolution are composed
+    assert ext_A(suspend_object(sphere(), 7), sigma_one(), range(-2, 3), (-2, 2)) == ext_A(
+        suspend_object(sphere(), 7), sigma_one(), range(-2, 3), (-16, 16)
+    )
+    for x in generators():
+        for k in (-9, -7, -5, 5, 7, 9):
+            sx = suspend_object(x, k)
+            for y in generators():
+                if y.side == x.side:
+                    narrow = ext_A(sx, y, range(-2, 3), (-2, 2))
+                    assert narrow == ext_A(sx, y, range(-2, 3), (-16, 16)), (x, k, y)
 
 
 def test_injective_envelopes_have_no_higher_ext():
@@ -953,3 +1036,26 @@ def test_homology_of_seeded_v_complexes_matches_dense_ranks():
         h = homology_dA(with_differential(v, dv))
         assert h.V == dense_homology_space(v, dv), (v, dv.blocks)
         assert check_star(h, strict=True)
+
+
+# -- laws of Ext ---------------------------------------------------------------------
+
+
+def ext_law_pairs():
+    return same_side_pairs(fixture_objects() + generators())
+
+
+def test_ext_commutes_with_suspension():
+    nonzero = 0
+    for x, y in ext_law_pairs():
+        table = ext_A(x, y, LAW_DEGREES)
+        assert ext_A(suspend_object(x, 1), suspend_object(y, 1), LAW_DEGREES) == table, (x, y)
+        nonzero += any(h or e for h, e in table.values())
+    assert nonzero >= 100
+
+
+def test_ext_is_additive_in_each_variable():
+    for x, y in ext_law_pairs():
+        twice = {t: (2 * h, 2 * e) for t, (h, e) in ext_A(x, y, LAW_DEGREES).items()}
+        assert ext_A(direct_sum_objects(x, x), y, LAW_DEGREES) == twice, (x, y)
+        assert ext_A(x, direct_sum_objects(y, y), LAW_DEGREES) == twice, (x, y)
