@@ -6,6 +6,18 @@ group of order six obtained by brute force from cosets in the symmetric
 group on four letters.  Complexes carry explicit action matrices; the
 tensor product uses the diagonal action with Koszul signs and the internal
 hom carries the conjugation action.
+
+Equivariance is checked once, where data enters: ``GroupComplex.__init__``
+checks shapes, that the identity acts as the identity, that the action is a
+representation (each generator against every element) and that each
+differential commutes with each generator's action; ``GroupChainMap`` checks
+each component against the generators.  On a representation, commuting with
+the generators is commuting with every element.  Tensor, hom and homology
+build their results with ``GroupComplex._assembled``, without checks: a
+block-diagonal Kronecker product of representations is a representation,
+d⊗1, ±1⊗d, post-composition and signed pre-composition are equivariant when
+their factors are, and the induced action on the homology of an equivariant
+complex is a representation.
 """
 
 from __future__ import annotations
@@ -26,9 +38,14 @@ EXCEPTIONAL_CLASSES = ("SO3", "Sigma4", "A4", "A5", "D4")
 
 
 class FiniteGroupAlg:
-    """A finite group by its multiplication table; elements are 0..n-1."""
+    """A finite group by its multiplication table; elements are 0..n-1.
 
-    __slots__ = ("order", "table", "identity", "generators")
+    ``generators`` generate the group, and ``walk`` lists every other
+    element e once as (e, s, a) with e = s * a, s a generator and a the
+    identity or an element listed earlier: a generator s is (s, s, identity).
+    """
+
+    __slots__ = ("order", "table", "identity", "generators", "walk")
 
     def __init__(self, table, identity=0):
         self.order = len(table)
@@ -45,22 +62,26 @@ class FiniteGroupAlg:
                 for c in range(n):
                     if self.mult(self.mult(a, b), c) != self.mult(a, self.mult(b, c)):
                         raise InvariantError("associativity fails")
-        def closure_of(gens):
-            seen, frontier = {identity}, [identity]
-            while frontier:
-                x = frontier.pop()
-                for g in gens:
-                    y = self.mult(g, x)
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-            return seen
-
-        gens = []
-        while len(closure_of(gens)) < n:
-            covered = closure_of(gens)
-            gens.append(next(a for a in range(n) if a not in covered))
+        gens, walk = [], {}
+        while len(walk) < n - 1:
+            gens.append(next(a for a in range(n) if a != identity and a not in walk))
+            walk = self._walk(gens)
         self.generators = tuple(gens)
+        self.walk = tuple((e, s, a) for e, (s, a) in walk.items())
+
+    def _walk(self, gens) -> dict:
+        """Closure of the identity under left multiplication by gens: each
+        element reached, in the order reached, maps to (s, a) with e = s * a,
+        s in gens and a reached earlier (or the identity)."""
+        walk, frontier = {}, [self.identity]
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = self.mult(s, x)
+                if y != self.identity and y not in walk:
+                    walk[y] = (s, x)
+                    frontier.append(y)
+        return walk
 
     def mult(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -150,12 +171,18 @@ class GroupComplex:
     __slots__ = ("algebra", "modules", "diffs")
 
     def __init__(self, algebra: FiniteGroupAlg, modules: dict, diffs: dict | None = None):
-        self.algebra = algebra
-        self.modules = {}
+        # outside data: the action and the differentials are checked on
+        # the generators (see the module docstring)
+        checked = {}
         for g, (dim, action) in modules.items():
             if dim == 0:
                 continue
-            rho = tuple(action[e] for e in range(algebra.order))
+            rho = []
+            for e in range(algebra.order):
+                try:
+                    rho.append(action[e])
+                except (KeyError, IndexError):
+                    raise SchemaError(f"action at degree {g} lacks group element {e}") from None
             for mat in rho:
                 if (mat.rows, mat.cols) != (dim, dim):
                     raise SchemaError(f"action matrix at degree {g} has wrong shape")
@@ -167,20 +194,38 @@ class GroupComplex:
                 for b in range(algebra.order):
                     if rho[a] @ rho[b] != rho[algebra.mult(a, b)]:
                         raise InvariantError("action matrices are not a representation")
-            self.modules[g] = (dim, rho)
-        self.diffs = {}
-        for g, mat in (diffs or {}).items():
-            if mat.is_zero():
-                continue
-            want = (self.dim(g - 1), self.dim(g))
-            if (mat.rows, mat.cols) != want:
+            checked[g] = (dim, rho)
+        self._store(algebra, checked, diffs)
+        for g, mat in self.diffs.items():
+            if (mat.rows, mat.cols) != (self.dim(g - 1), self.dim(g)):
                 raise SchemaError(f"differential at degree {g} has wrong shape")
-            # a nonzero differential of the right shape has both ends in modules
+            # a nonzero differential of the right shape has both ends in
+            # modules; both are representations, so commuting with the
+            # generators is commuting with every element
             src, tgt = self.modules[g][1], self.modules[g - 1][1]
-            for e in range(algebra.order):
-                if tgt[e] @ mat != mat @ src[e]:
+            for s in algebra.generators:
+                if tgt[s] @ mat != mat @ src[s]:
                     raise InvariantError("differential is not equivariant")
-            self.diffs[g] = mat
+
+    @staticmethod
+    def _assembled(algebra: FiniteGroupAlg, modules: dict, diffs: dict | None = None):
+        """A complex built by this module from checked parts, not checked again.
+
+        modules: degree -> (dimension, action matrices in element order).
+        The caller vouches that the action is a representation and that the
+        differentials are equivariant; the result is normalised as by
+        ``__init__``, so it is equal to the checked complex on the same data.
+        """
+        x = GroupComplex.__new__(GroupComplex)
+        x._store(algebra, modules, diffs)
+        return x
+
+    def _store(self, algebra, modules, diffs):
+        """The one place the fields are set: modules of dimension 0 and zero
+        differentials are dropped, and each action is a tuple."""
+        self.algebra = algebra
+        self.modules = {g: (dim, tuple(rho)) for g, (dim, rho) in modules.items() if dim}
+        self.diffs = {g: mat for g, mat in (diffs or {}).items() if not mat.is_zero()}
 
     def dim(self, g: int) -> int:
         return self.modules.get(g, (0, ()))[0]
@@ -243,8 +288,9 @@ class GroupChainMap:
                 mat = QMatrix(y.dim(g), x.dim(g))
             if (mat.rows, mat.cols) != (y.dim(g), x.dim(g)):
                 raise SchemaError(f"component at degree {g} has wrong shape")
-            for e in range(x.algebra.order):
-                if y.action(g, e) @ mat != mat @ x.action(g, e):
+            # x and y act by representations, so the generators suffice
+            for s in x.algebra.generators:
+                if y.action(g, s) @ mat != mat @ x.action(g, s):
                     raise InvariantError("chain map is not equivariant")
             self.mats[g] = mat
 
@@ -283,10 +329,10 @@ def _total_complex(alg: FiniteGroupAlg, levels: dict, size, action, pieces) -> G
     sizes = {n: [size(n, b) for b in bl] for n, bl in levels.items()}
     modules = {}
     for n, bl in levels.items():
-        acts = {
-            e: block_matrix(sizes[n], sizes[n], {(i, i): action(n, b, e) for i, b in enumerate(bl)})
+        acts = [
+            block_matrix(sizes[n], sizes[n], {(i, i): action(n, b, e) for i, b in enumerate(bl)})
             for e in range(alg.order)
-        }
+        ]
         modules[n] = (sum(sizes[n]), acts)
     diffs = {}
     for n, bl in levels.items():
@@ -296,7 +342,9 @@ def _total_complex(alg: FiniteGroupAlg, levels: dict, size, action, pieces) -> G
                 blocks[(levels[n - 1].index(target), j)] = mat
         if blocks:
             diffs[n] = block_matrix(sizes[n - 1], sizes[n], blocks)
-    return GroupComplex(alg, modules, diffs)
+    # block-diagonal products of representations, and differentials made of
+    # equivariant pieces: equivariant by construction, so not checked again
+    return GroupComplex._assembled(alg, modules, diffs)
 
 
 def tensor_diagonal(x: GroupComplex, y: GroupComplex) -> GroupComplex:
@@ -375,19 +423,28 @@ def _homology_data(x: GroupComplex):
 
 
 def homology_W(x: GroupComplex) -> GroupComplex:
-    """Levelwise homology with the induced action and zero differentials."""
+    """Levelwise homology with the induced action and zero differentials.
+
+    Only the generators' actions are induced; every other element acts by
+    the product its walk entry names, which is the same exact matrix.  The
+    induced action of an equivariant complex is a representation, so the
+    result is not checked again.
+    """
     x.check_differential()
+    alg = x.algebra
     hdims, reps, projs = _homology_data(x)
     modules = {}
     for g, h in hdims.items():
         if not h:
             continue
-        acts = {
-            e: projs[g](x.action(g, e) @ reps[g])
-            for e in range(x.algebra.order)
-        }
-        modules[g] = (h, acts)
-    return GroupComplex(x.algebra, modules)
+        acts = {alg.identity: QMatrix.identity(h)}
+        for e, s, a in alg.walk:
+            if a == alg.identity:
+                acts[e] = projs[g](x.action(g, e) @ reps[g])
+            else:
+                acts[e] = acts[s] @ acts[a]
+        modules[g] = (h, [acts[e] for e in range(alg.order)])
+    return GroupComplex._assembled(alg, modules)
 
 
 def is_weq(f: GroupChainMap) -> bool:

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -7,6 +8,7 @@ from so3alg.errors import (
     BadClass,
     InvariantError,
     NotADifferential,
+    SchemaError,
     WrongAlgebraForClass,
 )
 from so3alg.exceptional import (
@@ -28,7 +30,7 @@ from so3alg.exceptional import (
     weyl_group_of,
     zero_complex,
 )
-from so3alg.linalg import Q, QMatrix
+from so3alg.linalg import Q, QMatrix, chain_homology
 
 
 def regular_rep(alg):
@@ -151,6 +153,60 @@ def test_bad_multiplication_tables_rejected():
         FiniteGroupAlg([[1, 0], [0, 1]], identity=0)  # identity fails
 
 
+def relabelled(table, identity, order):
+    """The same group with element i renamed order[i]."""
+    n = len(table)
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[order[a]][order[b]] = order[table[a][b]]
+    return out, order[identity]
+
+
+def hand_written_groups():
+    """C4, V4 and S3, relabelled so that the identity is not element 0."""
+    c4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    v4 = [[a ^ b for b in range(4)] for a in range(4)]
+    perms = list(permutations(range(3)))
+    s3 = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    return [
+        FiniteGroupAlg(*relabelled(c4, 0, [2, 0, 3, 1])),
+        FiniteGroupAlg(*relabelled(v4, 0, [3, 1, 0, 2])),
+        FiniteGroupAlg(*relabelled(s3, 0, [4, 0, 5, 2, 1, 3])),
+    ]
+
+
+def test_generators_and_walk_cover_each_group():
+    hand = hand_written_groups()
+    assert [(alg.order, alg.identity) for alg in hand] == [(4, 2), (4, 3), (6, 4)]
+    assert sorted(hand[2].element_order(a) for a in range(6)) == [1, 2, 2, 2, 3, 3]
+    groups = [weyl_group_of(c) for c in EXCEPTIONAL_CLASSES] + hand
+    for alg in groups:
+        # the generators' closure under left multiplication, found afresh
+        seen, frontier = {alg.identity}, [alg.identity]
+        while frontier:
+            x = frontier.pop(0)
+            for s in alg.generators:
+                if alg.mult(s, x) not in seen:
+                    seen.add(alg.mult(s, x))
+                    frontier.append(alg.mult(s, x))
+        assert seen == set(range(alg.order))
+        # the walk lists each other element once, as a generator times an
+        # element it reached earlier
+        order = [e for e, _s, _a in alg.walk]
+        assert sorted(order) == [e for e in range(alg.order) if e != alg.identity]
+        earlier = {alg.identity}
+        for e, s, a in alg.walk:
+            assert s in alg.generators
+            assert alg.mult(s, a) == e
+            assert a in earlier
+            earlier.add(e)
+        # a generator is reached from the identity
+        assert [(e, s) for e, s, a in alg.walk if a == alg.identity] == [
+            (s, s) for s in alg.generators
+        ]
+
+
 # -- complexes and validation ----------------------------------------------------
 
 
@@ -233,6 +289,34 @@ def test_d_squared_checked():
         x.check_differential()
     with pytest.raises(NotADifferential):
         homology_W(x)
+
+
+def test_an_action_lacking_a_group_element_is_a_schema_error():
+    alg = weyl_group_of("D4")
+    one = QMatrix.identity(1)
+    with pytest.raises(SchemaError, match="action at degree 0 lacks group element 2"):
+        GroupComplex(alg, {0: (1, {0: one, 1: one})})
+    with pytest.raises(SchemaError, match="action at degree 3 lacks group element 5"):
+        GroupComplex(alg, {3: (1, (one,) * 5)})
+    # a module of dimension zero carries no action to check
+    assert GroupComplex(alg, {0: (0, {})}) == zero_complex(alg)
+
+
+def test_each_generator_is_checked_against_differentials_and_chain_maps():
+    # the standard representation of the order-six group: a matrix that
+    # commutes with one generator's action but not with the other's
+    alg = weyl_group_of("D4")
+    assert len(alg.generators) == 2
+    rep = small_rep(alg)
+    mats = rep[1]
+    for s, t in (alg.generators, alg.generators[::-1]):
+        d = mats[s]
+        assert mats[s] @ d == d @ mats[s] and mats[t] @ d != d @ mats[t]
+        with pytest.raises(InvariantError, match="differential is not equivariant"):
+            GroupComplex(alg, {0: rep, 1: rep}, {1: d})
+        x = GroupComplex(alg, {0: rep})
+        with pytest.raises(InvariantError, match="chain map is not equivariant"):
+            GroupChainMap(x, x, {0: d})
 
 
 # -- tensor -----------------------------------------------------------------------
@@ -363,11 +447,109 @@ def test_homology_matches_oracle():
         x = two_step_complex(alg, rng)
         h = homology_W(x)
         assert {g: h.dim(g) for g in h.degrees()} == homology_dims_oracle(x)
-        # the induced action is still a representation (checked on build)
+        # the induced action is a representation: the full checks below test it
         hh = homology_W(norm_complex(alg))
         assert {g: hh.dim(g) for g in hh.degrees()} == homology_dims_oracle(
             norm_complex(alg)
         )
+
+
+# -- the full checks, as an oracle for the complexes built without them -------------
+
+
+def full_check(x):
+    """Every invariant on every element, not only the generators: shapes,
+    the identity, rho(a)rho(b) = rho(ab) for every ordered pair, every
+    element commuting with every differential, and d squared zero."""
+    alg = x.algebra
+    for g, (dim, rho) in x.modules.items():
+        assert dim and len(rho) == alg.order
+        assert all((m.rows, m.cols) == (dim, dim) for m in rho)
+        assert rho[alg.identity].is_identity()
+        for a in range(alg.order):
+            for b in range(alg.order):
+                assert rho[a] @ rho[b] == rho[alg.mult(a, b)], (g, a, b)
+    for g, d in x.diffs.items():
+        assert not d.is_zero() and (d.rows, d.cols) == (x.dim(g - 1), x.dim(g))
+        for e in range(alg.order):
+            assert x.action(g - 1, e) @ d == d @ x.action(g, e), (g, e)
+    x.check_differential()
+
+
+def all_element_homology(x):
+    """The homology's modules with every element's action induced through
+    the representing cycles and the projection, none from products."""
+    degs = set(x.modules)
+    degs |= {g - 1 for g in degs} | {g + 1 for g in degs}
+    hdims, reps, projs = chain_homology({g: x.dim(g) for g in degs}, x.diffs)
+    return {
+        g: (h, tuple(projs[g](x.action(g, e) @ reps[g]) for e in range(x.algebra.order)))
+        for g, h in hdims.items()
+        if h
+    }
+
+
+def shifted(x, k):
+    return GroupComplex(
+        x.algebra,
+        {g + k: m for g, m in x.modules.items()},
+        {g + k: d for g, d in x.diffs.items()},
+    )
+
+
+def seeded_complex(alg, rng, regular):
+    """A complex with a nonzero differential, shifted to start in -2..1 so
+    that odd degrees and Koszul signs occur.  Its modules are the regular
+    representation (if regular) or the smallest faithful one, the latter
+    possibly in two rational bases with a non-scalar intertwiner.  The norm
+    complex and the three-step one have homology."""
+    if regular:
+        x = norm_complex(alg) if rng.randrange(2) else two_step_complex(alg, rng)
+        while not x.diffs:
+            x = two_step_complex(alg, rng)
+    else:
+        kind = rng.randrange(3)
+        if kind == 0 and alg.order == 6:
+            rp, rr = conjugated(small_rep(alg), P), conjugated(small_rep(alg), R)
+            c = Q(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+            x = GroupComplex(alg, {0: rr, 1: rp}, {1: (R @ P.inverse()).scale(c)})
+        elif kind == 1:
+            x = small_three_step(alg)
+        else:
+            x = small_two_step(alg, rng)
+            while not x.diffs:
+                x = small_two_step(alg, rng)
+    return shifted(x, rng.randint(-2, 1))
+
+
+def test_built_complexes_pass_the_full_checks():
+    # tensor, hom and homology build their results without checks; each must
+    # pass every check on every element, equal the checked complex on the
+    # same data, and (for homology) carry the all-element induced action
+    rng = random.Random(11)
+    signed = levels = 0
+    for cls in EXCEPTIONAL_CLASSES:
+        alg = weyl_group_of(cls)
+        for trial in range(24 if alg.order == 6 else 8):
+            x = seeded_complex(alg, rng, regular=trial % 2 == 0)
+            y = seeded_complex(alg, rng, regular=False)
+            for a, b in ((x, y), (y, x)):
+                # a Koszul sign on a nonzero piece: a tensor d(b) at odd p,
+                # and pre-composition with d(a) in odd degree of the hom
+                signed += any(p % 2 for p in a.modules) and bool(b.diffs)
+                signed += any((q - k + 1) % 2 for k in a.diffs for q in b.modules)
+                for c in (tensor_diagonal(a, b), internal_hom_conj(a, b)):
+                    assert c.diffs
+                    full_check(c)
+                    assert c == GroupComplex(alg, c.modules, c.diffs)
+                    h = homology_W(c)
+                    full_check(h)
+                    assert h == GroupComplex(alg, h.modules)
+                    assert h.modules == all_element_homology(c)
+                    if alg.order == 6:
+                        levels += len(h.modules)
+    assert signed >= 200
+    assert levels >= 20
 
 
 def test_homology_of_zero_differential_is_the_complex():

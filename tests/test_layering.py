@@ -7,7 +7,9 @@ homology helper from another module.  How a rational matrix is stored (ints
 over one denominator) is decided in ``linalg`` alone: no other module touches
 a matrix's storage or reads a denominator, except the CLI's rational codec.
 Every ``GradedModule`` carries its basis cache: outside ``__init__``, modules
-are made only by ``GradedModule._canonical``.  Every name imported into a module
+are made only by ``GradedModule._canonical``.  A ``GroupComplex`` skips the
+checks of ``__init__`` only through ``GroupComplex._assembled``, which only
+the total complex of tensor and hom and ``homology_W`` call.  Every name imported into a module
 is read there, and every local a function assigns is read in that function.  Block matrices are assembled by ``linalg.block_matrix`` and
 ``QMatrix.kron``: no other module allocates a rational zero grid
 ``[[Q(0)] * n for ...]`` to place entries in by hand.
@@ -89,10 +91,9 @@ def test_only_linalg_takes_rationals_apart():
     assert reads <= DENOMINATOR_READERS, reads - DENOMINATOR_READERS
 
 
-def _new_calls(module: str, cls: str):
-    """The enclosing function of every ``X.__new__(...)`` call in the source
-    of ``module`` whose receiver or first argument names ``cls``."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+def _new_calls(tree, cls: str):
+    """The enclosing function of every ``X.__new__(...)`` call in a module's
+    tree whose receiver or first argument names ``cls``."""
     out = []
 
     def names(node):
@@ -121,9 +122,41 @@ def test_graded_modules_bypass_init_only_through_the_one_constructor():
     calls = {
         (path.stem, func)
         for path in sorted(PACKAGE.glob("*.py"))
-        for func in _new_calls(path.stem, "GradedModule")
+        for func in _new_calls(_tree(path.stem), "GradedModule")
     }
     assert calls == {("graded", "_canonical")}
+
+
+def _trusted_complex_uses(tree):
+    """(GroupComplex.__new__ calls, uses of the trusted constructor): the
+    enclosing function of each."""
+    return (
+        sorted(_new_calls(tree, "GroupComplex")),
+        sorted(func for func, _ in _attribute_reads(tree, {"_assembled"})),
+    )
+
+
+def test_only_tensor_hom_and_homology_skip_the_complex_checks():
+    # GroupComplex.__init__ checks data from outside; GroupComplex._assembled
+    # takes complexes this package builds from checked parts, unchecked, and
+    # only the total complex and homology may use it
+    uses = {module: _trusted_complex_uses(_tree(module)) for module in _modules()}
+    assert {m: u for m, u in uses.items() if u != ([], [])} == {
+        "exceptional": (["_assembled"], ["_total_complex", "homology_W"]),
+    }
+
+
+def test_trusted_complex_scan_sees_a_planted_bypass():
+    source = (
+        "class GroupComplex:\n"
+        "    @staticmethod\n"
+        "    def _assembled(algebra, modules):\n"
+        "        return GroupComplex.__new__(GroupComplex)\n"
+        "def sneak(algebra):\n"
+        "    x = object.__new__(GroupComplex)\n"
+        "    return x, GroupComplex._assembled(algebra, {})\n"
+    )
+    assert _trusted_complex_uses(ast.parse(source)) == (["_assembled", "sneak"], ["sneak"])
 
 
 def _tree(module: str):
