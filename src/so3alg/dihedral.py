@@ -8,6 +8,17 @@ germ, that is, at the tail template.  The module provides the three
 adjoint pairs around the slot projections and the constant functor,
 levelwise homology, and the weak-equivalence and fibration predicates
 of the projective structure.
+
+Each law is checked once, where data enters: ``DihedralObject.__init__``
+checks the types, the trivial action at infinity, d² = 0 at infinity and at
+every slot and the germ as a chain map at the tail; ``QWComplex.__init__``
+checks d² = 0.  The constructions here build their results with
+``_assembled``, unchecked, as they are objects when their parts are: levels,
+fixed parts, normal forms, sums and suspensions of complexes are complexes,
+the slot and constant functors add a zero or identity germ, homology has
+zero differentials, and the cone of a degree-0 chain map that commutes with
+the germs (``cone`` tests its argument: morphisms are not checked on entry)
+is one.  So ``homology_Ch`` and ``is_weak_equivalence`` trust their input.
 """
 
 from __future__ import annotations
@@ -18,8 +29,8 @@ from .errors import (
     NotADifferential,
     SchemaError,
 )
-from .linalg import Q, QMatrix, block_matrix, chain_homology
-from .toral import QWSpace, VMap, qw_sum, vmap_sum
+from .linalg import Q, QMatrix, block_matrix
+from .toral import QWSpace, VMap, qw_homology, qw_sum, vmap_sum
 
 TAIL = "tail"
 
@@ -33,16 +44,21 @@ class QWComplex:
     __slots__ = ("space", "d")
 
     def __init__(self, space: QWSpace, d: VMap | None = None):
-        if d is None:
-            d = VMap.zero(space, space, -1)
-        if d.domain != space or d.codomain != space or d.degree != -1:
+        self._store(space, d)
+        if self.d.domain != space or self.d.codomain != space or self.d.degree != -1:
             raise SchemaError("differential has the wrong type")
-        self.space = space
-        self.d = d
+        self.check_differential()
 
     @staticmethod
-    def zero() -> "QWComplex":
-        return QWComplex(QWSpace.zero())
+    def _assembled(space: QWSpace, d: VMap) -> "QWComplex":
+        """A complex made of levels of checked objects, not checked again."""
+        c = QWComplex.__new__(QWComplex)
+        c._store(space, d)
+        return c
+
+    def _store(self, space, d):
+        self.space = space
+        self.d = VMap.zero(space, space, -1) if d is None else d
 
     def is_zero(self) -> bool:
         return self.space.is_zero()
@@ -62,26 +78,7 @@ class QWComplex:
         )
 
     def homology(self) -> "QWComplex":
-        self.check_differential()
-        dims = _homology_tools(self.space, self.d)[0]
-        return QWComplex(QWSpace(dims))
-
-
-def _homology_tools(space: QWSpace, d: VMap):
-    """Levelwise homology data per sign: dims plus (reps, to_h) tools."""
-    degs = set(space.dims)
-    degs |= {g - 1 for g in degs} | {g + 1 for g in degs}
-    out_dims, tools = {}, {}
-    for s in (1, -1):
-        dims = {g: space.dim(g, s) for g in degs}
-        mats = {g: mat for (g, t), mat in d.blocks.items() if t == s}
-        hdims, reps, projs = chain_homology(dims, mats)
-        for g, h in hdims.items():
-            if h:
-                p, m = out_dims.get(g, (0, 0))
-                out_dims[g] = (p + h, m) if s == 1 else (p, m + h)
-        tools[s] = (hdims, reps, projs)
-    return out_dims, tools
+        return QWComplex(qw_homology(self.space, self.d)[0])
 
 
 def _induced_block(f: VMap, hx_tools, hy_tools, g, s) -> QMatrix:
@@ -105,14 +102,12 @@ class GermSequence:
 
     def __init__(self, explicit: dict, tail: QWSpace):
         for k in explicit:
-            if not (isinstance(k, int) and k > 2):
-                raise BadIndex(f"slot index {k!r}: indices start at 3")
+            _check_index(k)
         self.explicit = dict(explicit)
         self.tail = tail
 
     def slot(self, key) -> QWSpace:
-        if key == TAIL:
-            return self.tail
+        # TAIL is not an index, so it reads the tail
         return self.explicit.get(key, self.tail)
 
     def keys(self):
@@ -135,31 +130,39 @@ class DihedralObject:
                  d_inf: VMap | None = None, d_slots: dict | None = None):
         if any(m for _p, m in m_inf.dims.values()):
             raise InvariantError("the action at infinity must be trivial")
-        self.m_inf = m_inf
-        self.slots = slots
-        self.germ = {}
-        for key in slots.keys():
-            s = germ.get(key)
-            if s is None:
-                s = VMap.zero(m_inf, slots.slot(key), 0)
+        self._store(m_inf, slots, germ, d_inf, d_slots)
+        for key, s in self.germ.items():
             if s.domain != m_inf or s.codomain != slots.slot(key) or s.degree != 0:
                 raise SchemaError(f"germ map at slot {key!r} has wrong type")
-            self.germ[key] = s
-        if d_inf is None:
-            d_inf = VMap.zero(m_inf, m_inf, -1)
-        if d_inf.domain != m_inf or d_inf.degree != -1:
+        if self.d_inf.domain != m_inf or self.d_inf.degree != -1:
             raise SchemaError("differential at infinity has wrong type")
-        self.d_inf = d_inf
-        self.d_slots = {}
-        d_slots = d_slots or {}
-        for key in slots.keys():
-            d = d_slots.get(key)
+        for key, d in self.d_slots.items():
             m = slots.slot(key)
-            if d is None:
-                d = VMap.zero(m, m, -1)
             if d.domain != m or d.codomain != m or d.degree != -1:
                 raise SchemaError(f"differential at slot {key!r} has wrong type")
-            self.d_slots[key] = d
+        self.check_differential()
+
+    @staticmethod
+    def _assembled(m_inf: QWSpace, slots: GermSequence, germ: dict,
+                   d_inf: VMap | None = None, d_slots: dict | None = None):
+        """An object built here from checked parts, not checked again; it is
+        stored as by ``__init__``, so it equals the checked one on its data."""
+        x = DihedralObject.__new__(DihedralObject)
+        x._store(m_inf, slots, germ, d_inf, d_slots)
+        return x
+
+    def _store(self, m_inf, slots, germ, d_inf, d_slots):
+        """A missing germ map or differential is zero; other keys are dropped."""
+        self.m_inf = m_inf
+        self.slots = slots
+        self.d_inf = VMap.zero(m_inf, m_inf, -1) if d_inf is None else d_inf
+        self.germ, self.d_slots = {}, {}
+        d_slots = d_slots or {}
+        for key in slots.keys():
+            m = slots.slot(key)
+            s, d = germ.get(key), d_slots.get(key)
+            self.germ[key] = VMap.zero(m_inf, m, 0) if s is None else s
+            self.d_slots[key] = VMap.zero(m, m, -1) if d is None else d
 
     def keys(self):
         return self.slots.keys()
@@ -174,10 +177,10 @@ class DihedralObject:
         return self.d_slots.get(key, self.d_slots[TAIL])
 
     def level(self, key) -> QWComplex:
-        return QWComplex(self.slot(key), self.d_slot(key))
+        return QWComplex._assembled(self.slot(key), self.d_slot(key))
 
     def level_inf(self) -> QWComplex:
-        return QWComplex(self.m_inf, self.d_inf)
+        return QWComplex._assembled(self.m_inf, self.d_inf)
 
     def is_zero(self) -> bool:
         return (
@@ -200,7 +203,7 @@ class DihedralObject:
                 del explicit[k]
                 del germ[k]
                 del d_slots[k]
-        return DihedralObject(
+        return DihedralObject._assembled(
             self.m_inf, GermSequence(explicit, self.slots.tail), germ,
             self.d_inf, d_slots,
         )
@@ -235,7 +238,7 @@ class DihedralObject:
 
 
 def zero_dihedral() -> DihedralObject:
-    return DihedralObject(QWSpace.zero(), GermSequence({}, QWSpace.zero()), {})
+    return DihedralObject._assembled(QWSpace.zero(), GermSequence({}, QWSpace.zero()), {})
 
 
 # -- morphisms --------------------------------------------------------------------
@@ -324,7 +327,7 @@ def _check_index(k: int):
 def functor_i_k(x: QWComplex, k: int) -> DihedralObject:
     """Inclusion at one slot: zero at infinity and everywhere else."""
     _check_index(k)
-    return DihedralObject(
+    return DihedralObject._assembled(
         QWSpace.zero(),
         GermSequence({k: x.space}, QWSpace.zero()),
         {},
@@ -343,7 +346,7 @@ def functor_const(a: QWComplex) -> DihedralObject:
     """The constant object: the same complex at infinity and at every slot."""
     if not a.is_trivial_action():
         raise SchemaError("the constant functor consumes trivial-action complexes")
-    return DihedralObject(
+    return DihedralObject._assembled(
         a.space,
         GermSequence({}, a.space),
         {TAIL: VMap.identity(a.space)},
@@ -371,7 +374,7 @@ def germ_fixed_points(m: DihedralObject) -> QWComplex:
         blocks = {(g, 1): mat for (g, s), mat in d.blocks.items() if s == 1}
         diffs.append(VMap(fixed, fixed, -1, blocks))
         total = qw_sum(total, fixed)
-    return QWComplex(total, vmap_sum(total, total, diffs))
+    return QWComplex._assembled(total, vmap_sum(total, total, diffs))
 
 
 def map_germ_fixed_points(f: DihedralMorphism) -> VMap:
@@ -490,41 +493,41 @@ def counit_const(m: DihedralObject) -> DihedralMorphism:
 
 def homology_Ch(m: DihedralObject) -> DihedralObject:
     """Levelwise homology, with the induced germ map."""
-    m.check_differential()
-    hinf_dims, hinf_tools = _homology_tools(m.m_inf, m.d_inf)
-    h_inf = QWSpace(hinf_dims)
+    h_inf, hinf_tools = qw_homology(m.m_inf, m.d_inf)
     slots, germ = {}, {}
     for key in m.keys():
-        dims, tools = _homology_tools(m.slot(key), m.d_slot(key))
-        slots[key] = QWSpace(dims)
+        slots[key], tools = qw_homology(m.slot(key), m.d_slot(key))
         blocks = {
             (g, 1): _induced_block(m.germ_of(key), hinf_tools, tools, g, 1)
             for g in h_inf.dims if h_inf.dim(g, 1)
         }
         germ[key] = VMap(h_inf, slots[key], 0, blocks)
     tail = slots.pop(TAIL)
-    return DihedralObject(h_inf, GermSequence(slots, tail), germ)
+    return DihedralObject._assembled(h_inf, GermSequence(slots, tail), germ)
+
+
+def _levels(f: DihedralMorphism):
+    """((space, d) of the source, (space, d) of the target, component) at
+    infinity, at each explicit slot and at the tail, in a fixed order: the
+    predicates stop at the first failing level."""
+    x, y = f.x, f.y
+    keys = sorted(set(x.slots.explicit) | set(y.slots.explicit)) + [TAIL]
+    return [((x.m_inf, x.d_inf), (y.m_inf, y.d_inf), f.f_inf)] + [
+        ((x.slot(k), x.d_slot(k)), (y.slot(k), y.d_slot(k)), f.component(k)) for k in keys
+    ]
 
 
 def is_weak_equivalence(f: DihedralMorphism) -> bool:
     """Homology isomorphism at infinity, at every explicit slot, and at the tail."""
-    f.x.check_differential()
-    f.y.check_differential()
     if not f.is_chain_map():
         return False
-    pairs = [(f.x.level_inf(), f.y.level_inf(), f.f_inf)]
-    # a fixed order: the loop stops at the first failing slot
-    keys = sorted(set(f.x.slots.explicit) | set(f.y.slots.explicit)) + [TAIL]
-    for key in keys:
-        pairs.append((f.x.level(key), f.y.level(key), f.component(key)))
-    for cx, cy, comp in pairs:
-        hx_dims, tx = _homology_tools(cx.space, cx.d)
-        hy_dims, ty = _homology_tools(cy.space, cy.d)
-        degs = set(hx_dims) | set(hy_dims)
-        for g in degs:
+    for lx, ly, comp in _levels(f):
+        hx, tx = qw_homology(*lx)
+        hy, ty = qw_homology(*ly)
+        for g in set(hx.dims) | set(hy.dims):
             for s in (1, -1):
-                dx = QWSpace(hx_dims).dim(g, s)
-                dy = QWSpace(hy_dims).dim(g + f.degree, s)
+                dx = hx.dim(g, s)
+                dy = hy.dim(g + f.degree, s)
                 if dx != dy:
                     return False
                 if dx == 0:
@@ -536,12 +539,7 @@ def is_weak_equivalence(f: DihedralMorphism) -> bool:
 
 def is_fibration(f: DihedralMorphism) -> bool:
     """Levelwise surjective at infinity, every explicit slot, and the tail."""
-    checks = [(f.x.m_inf, f.y.m_inf, f.f_inf)]
-    # a fixed order: the loop stops at the first failing slot
-    keys = sorted(set(f.x.slots.explicit) | set(f.y.slots.explicit)) + [TAIL]
-    for key in keys:
-        checks.append((f.x.slot(key), f.y.slot(key), f.component(key)))
-    for _sx, sy, comp in checks:
+    for _lx, (sy, _dy), comp in _levels(f):
         for g, (p, mi) in sy.dims.items():
             for s, want in ((1, p), (-1, mi)):
                 if want and comp.block(g - f.degree, s).rank() != want:
@@ -561,34 +559,24 @@ def make_generator_dihedral(tag) -> DihedralObject:
 
 
 def direct_sum_dihedral(a: DihedralObject, b: DihedralObject) -> DihedralObject:
-    keys = (set(a.slots.explicit) | set(b.slots.explicit) | {TAIL}) - {TAIL}
     m_inf = qw_sum(a.m_inf, b.m_inf)
-    explicit, germ, d_slots = {}, {}, {}
-    d_inf = vmap_sum(m_inf, m_inf, [a.d_inf, b.d_inf])
-    for key in sorted(keys) + [TAIL]:
-        space = qw_sum(a.slot(key), b.slot(key))
+    slots, germ, d_slots = {}, {}, {}
+    for key in sorted(set(a.slots.explicit) | set(b.slots.explicit)) + [TAIL]:
+        slots[key] = space = qw_sum(a.slot(key), b.slot(key))
         germ[key] = vmap_sum(m_inf, space, [a.germ_of(key), b.germ_of(key)])
         d_slots[key] = vmap_sum(space, space, [a.d_slot(key), b.d_slot(key)])
-        if key != TAIL:
-            explicit[key] = space
-        else:
-            tail = space
-    return DihedralObject(
-        m_inf, GermSequence(explicit, tail), germ, d_inf, d_slots
-    )
+    tail = slots.pop(TAIL)
+    d_inf = vmap_sum(m_inf, m_inf, [a.d_inf, b.d_inf])
+    return DihedralObject._assembled(m_inf, GermSequence(slots, tail), germ, d_inf, d_slots)
 
 
 def suspend_dihedral(m: DihedralObject, k: int) -> DihedralObject:
-    germ, d_slots, explicit = {}, {}, {}
-    for key in m.keys():
-        germ[key] = m.germ_of(key).suspend(k)
-        d_slots[key] = m.d_slot(key).suspend(k)
-        if key != TAIL:
-            explicit[key] = m.slot(key).suspend(k)
-    return DihedralObject(
-        m.m_inf.suspend(k),
-        GermSequence(explicit, m.slots.tail.suspend(k)),
-        germ, m.d_inf.suspend(k), d_slots,
+    slots = {key: m.slot(key).suspend(k) for key in m.keys()}
+    tail = slots.pop(TAIL)
+    return DihedralObject._assembled(
+        m.m_inf.suspend(k), GermSequence(slots, tail),
+        {key: m.germ_of(key).suspend(k) for key in m.keys()},
+        m.d_inf.suspend(k), {key: m.d_slot(key).suspend(k) for key in m.keys()},
     )
 
 
@@ -598,15 +586,12 @@ def cone(f: DihedralMorphism) -> DihedralObject:
         raise SchemaError("cones need degree-0 chain maps")
     sx = suspend_dihedral(f.x, 1)
     total = direct_sum_dihedral(sx, f.y)
-    m_inf = total.m_inf
     d_inf = _cone_diff(sx.m_inf, f.y.m_inf, sx.d_inf, f.y.d_inf, f.f_inf)
-    d_slots = {}
-    for key in total.keys():
-        d_slots[key] = _cone_diff(
-            sx.slot(key), f.y.slot(key), sx.d_slot(key), f.y.d_slot(key),
-            f.component(key),
-        )
-    return DihedralObject(m_inf, total.slots, total.germ, d_inf, d_slots)
+    d_slots = {
+        key: _cone_diff(sx.slot(key), f.y.slot(key), sx.d_slot(key), f.y.d_slot(key), f.component(key))
+        for key in total.keys()
+    }
+    return DihedralObject._assembled(total.m_inf, total.slots, total.germ, d_inf, d_slots)
 
 
 def _cone_diff(sa: QWSpace, sb: QWSpace, da: VMap, db: VMap, comp: VMap) -> VMap:

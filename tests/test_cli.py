@@ -42,7 +42,8 @@ from so3alg.toral import (
     sphere,
     suspend_object,
 )
-from so3alg import burnside
+import so3alg
+from so3alg import burnside, toral
 
 
 def write_object(tmp_path, name, obj):
@@ -270,6 +271,37 @@ def test_cover_verb(tmp_path):
     assert main(["cover", path, "--slot", "tail", "--degree", "0", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["results"] and all(r["valid"] for r in report["results"])
+
+
+def test_cover_reports_validity_checked_once_per_cover(tmp_path, monkeypatch, capsys):
+    # wide_sphere_cover raises unless its morphism is valid, so the verb
+    # reports validity without checking again: on every fixture, slot and
+    # degree -4..4 each cover runs is_valid once, and each valid one is
+    # reported valid
+    checks = []
+    is_valid = toral.ToralMorphism.is_valid
+
+    def counted(self):
+        checks.append(is_valid(self))
+        return checks[-1]
+
+    monkeypatch.setattr(toral.ToralMorphism, "is_valid", counted)
+    data = Path(so3alg.__file__).resolve().parent / "data"
+    out, runs, covers = tmp_path / "covers.json", 0, 0
+    for path in sorted(data.glob("*.json")):
+        x = toral_from_json(json.loads(path.read_text()))
+        for key in x.keys():
+            for g in range(-4, 5):
+                before = len(checks)
+                argv = ["cover", str(path), "--slot", str(key), "--degree", str(g)]
+                assert main(argv + ["--out", str(out)]) == 0
+                runs += 1
+                results = json.loads(out.read_text())["results"]
+                covers += len(results)
+                assert checks[before:] == [True] * len(results)
+                assert all(r["valid"] is True for r in results)
+    capsys.readouterr()
+    assert runs == 252 and covers
 
 
 def test_bracket_and_ext_verbs(tmp_path):

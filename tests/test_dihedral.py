@@ -37,8 +37,9 @@ from so3alg.dihedral import (
     unit_p_i,
     zero_dihedral,
 )
+from so3alg.cli import dihedral_from_json, dihedral_to_json, vmap_to_json
 from so3alg.errors import BadIndex, NotADifferential, SchemaError
-from so3alg.linalg import Q, QMatrix
+from so3alg.linalg import Q, QMatrix, block_matrix
 from so3alg.toral import QWSpace, VMap
 
 
@@ -302,21 +303,20 @@ def test_homology_commutes_with_slot_projections():
 
 
 def test_homology_rejects_a_non_differential():
+    # a non-differential never becomes an object: the constructor refuses it
     v = QWSpace({0: (1, 0), 1: (1, 0), 2: (1, 0)})
     d = VMap(v, v, -1, {
         (1, 1): QMatrix(1, 1, [[F(1)]]),
         (2, 1): QMatrix(1, 1, [[F(1)]]),
     })
     bad = functor_const(QWComplex(v))
-    bad = DihedralObject(bad.m_inf, bad.slots, bad.germ, d, {TAIL: d})
     with pytest.raises(NotADifferential):
-        homology_Ch(bad)
+        DihedralObject(bad.m_inf, bad.slots, bad.germ, d, {TAIL: d})
     # a germ map that is not a chain map
     worse = functor_const(QWComplex(QWSpace({0: (1, 0), 1: (1, 0)})))
     dv = VMap(worse.m_inf, worse.m_inf, -1, {(1, 1): QMatrix(1, 1, [[F(1)]])})
-    worse = DihedralObject(worse.m_inf, worse.slots, worse.germ, dv, None)
     with pytest.raises(NotADifferential):
-        homology_Ch(worse)
+        DihedralObject(worse.m_inf, worse.slots, worse.germ, dv, None)
 
 
 # -- the projective structure -------------------------------------------------------
@@ -427,3 +427,134 @@ def test_weak_equivalence_work_does_not_follow_the_hash_seed():
         outs.append(json.loads(done.stdout))
     assert outs[0] == outs[1]
     assert [result for result, _calls in outs[0]] == [False, False]
+
+
+# -- objects built from checked parts ------------------------------------------------
+
+
+def is_square_zero(space: QWSpace, d: VMap) -> bool:
+    """Dense test of d squared, block by block."""
+    return all(
+        (d.block(g - 1, s) @ d.block(g, s)).is_zero()
+        for g in space.dims for s in (1, -1)
+    )
+
+
+def full_check(m: DihedralObject) -> bool:
+    """Test-only check of every law, on dense blocks: d squared vanishes at
+    infinity and at every level, and the germ is a chain map at the tail."""
+    levels = [(m.m_inf, m.d_inf)] + [(m.slot(k), m.d_slot(k)) for k in m.keys()]
+    if not all(is_square_zero(space, d) for space, d in levels):
+        return False
+    germ, d = m.germ[TAIL], m.d_slots[TAIL]
+    return all(
+        d.block(g, s) @ germ.block(g, s) == germ.block(g - 1, s) @ m.d_inf.block(g, s)
+        for g in m.m_inf.dims for s in (1, -1)
+    )
+
+
+def summand_map(x, y, part, c, project=False):
+    """c times the inclusion of x (part 0) or y (part 1) into their sum, or
+    c times the projection onto it: a degree-0 chain map."""
+    z = direct_sum_dihedral(x, y)
+    a = (x, y)[part]
+
+    def component(sa, sx, sy, sz):
+        blocks = {}
+        for g in sa.dims:
+            for s in (1, -1):
+                n = sa.dim(g, s)
+                if n:
+                    inc = block_matrix(
+                        [sx.dim(g, s), sy.dim(g, s)], [n],
+                        {(part, 0): QMatrix.identity(n).scale(Q(c))},
+                    )
+                    blocks[(g, s)] = inc.transpose() if project else inc
+        return VMap(sz, sa, 0, blocks) if project else VMap(sa, sz, 0, blocks)
+
+    f_inf = component(a.m_inf, x.m_inf, y.m_inf, z.m_inf)
+    f_slots = {
+        k: component(a.slot(k), x.slot(k), y.slot(k), z.slot(k)) for k in z.keys()
+    }
+    if project:
+        return DihedralMorphism(z, a, 0, f_inf, f_slots)
+    return DihedralMorphism(a, z, 0, f_inf, f_slots)
+
+
+def padded(m: DihedralObject) -> DihedralObject:
+    """m with an extra explicit slot that copies the tail."""
+    free = max({3, 4, 5, 6, 7} - set(m.slots.explicit))
+    explicit = dict(m.slots.explicit)
+    explicit[free] = m.slots.tail
+    germ, d_slots = dict(m.germ), dict(m.d_slots)
+    germ[free], d_slots[free] = m.germ[TAIL], m.d_slots[TAIL]
+    return DihedralObject(m.m_inf, GermSequence(explicit, m.slots.tail), germ, m.d_inf, d_slots)
+
+
+def plus_part(c: QWComplex) -> QWComplex:
+    """The sign-+ part of a complex: a trivial-action complex."""
+    space = QWSpace({g: (p, 0) for g, (p, _m) in c.space.dims.items()})
+    blocks = {(g, s): mat for (g, s), mat in c.d.blocks.items() if s == 1}
+    return QWComplex(space, VMap(space, space, -1, blocks))
+
+
+def test_constructions_from_checked_parts_are_objects():
+    rng = random.Random(81)
+    for trial in range(12):
+        # a constant part with a differential, so the germ meets it
+        x = direct_sum_dihedral(rand_chain_object(rng), functor_const(plus_part(rand_complex(rng))))
+        y = rand_chain_object(rng)
+        c = rng.choice((1, -1, 2, Q(1, 2)))
+        built = [
+            direct_sum_dihedral(x, y),
+            suspend_dihedral(x, rng.choice((1, -2, 3))),
+            cone(DihedralMorphism.identity(x)),
+            cone(summand_map(x, y, trial % 2, c)),
+            cone(summand_map(x, y, trial % 2, c, project=True)),
+            cone(counit_const(x)),
+            homology_Ch(x),
+            padded(x).normalized(),
+            zero_dihedral(),
+            make_generator_dihedral(3),
+            make_generator_dihedral("const"),
+        ]
+        for m in built:
+            assert full_check(m)
+            checked = DihedralObject(m.m_inf, m.slots, m.germ, m.d_inf, m.d_slots)
+            assert checked == m
+            assert (checked.m_inf, checked.slots, checked.germ, checked.d_inf, checked.d_slots) == (
+                m.m_inf, m.slots, m.germ, m.d_inf, m.d_slots,
+            )
+            for level in [m.level_inf(), germ_fixed_points(m)] + [m.level(k) for k in m.keys()]:
+                assert is_square_zero(level.space, level.d)
+                assert QWComplex(level.space, level.d) == level
+
+
+def test_the_full_check_sees_a_bad_germ_and_a_bad_differential():
+    x = functor_const(QWComplex(QWSpace({0: (1, 0), 1: (1, 0)})))
+    d = VMap(x.m_inf, x.m_inf, -1, {(1, 1): QMatrix.identity(1)})
+    # trusted on purpose: the constructor would refuse both
+    assert not full_check(DihedralObject._assembled(x.m_inf, x.slots, x.germ, d, None))
+    v = QWSpace({0: (1, 0), 1: (1, 0), 2: (1, 0)})
+    dd = VMap(v, v, -1, {(1, 1): QMatrix.identity(1), (2, 1): QMatrix.identity(1)})
+    slot = GermSequence({4: v}, QWSpace.zero())
+    assert not full_check(DihedralObject._assembled(QWSpace.zero(), slot, {}, None, {4: dd}))
+
+
+def test_the_decoder_refuses_a_non_differential_and_a_non_chain_germ():
+    v = QWSpace({0: (1, 0), 1: (1, 0), 2: (1, 0)})
+    d = VMap(v, v, -1, {(1, 1): QMatrix.identity(1), (2, 1): QMatrix.identity(1)})
+    doc = dihedral_to_json(functor_const(QWComplex(v)))
+    doc["diff"] = {"inf": vmap_to_json(d), "slots": {"tail": vmap_to_json(d)}}
+    with pytest.raises(NotADifferential, match="d squared"):
+        dihedral_from_json(json.loads(json.dumps(doc)))
+    w = QWSpace({0: (1, 0), 1: (1, 0)})
+    dw = VMap(w, w, -1, {(1, 1): QMatrix.identity(1)})
+    doc = dihedral_to_json(functor_const(QWComplex(w)))
+    # the differential at infinity only: the identity germ is not a chain map
+    doc["diff"] = {"inf": vmap_to_json(dw), "slots": {}}
+    with pytest.raises(NotADifferential, match="germ map is not a chain map"):
+        dihedral_from_json(json.loads(json.dumps(doc)))
+    # with the same differential at the tail it is an object
+    doc["diff"]["slots"] = {"tail": vmap_to_json(dw)}
+    assert dihedral_from_json(json.loads(json.dumps(doc))) == functor_const(QWComplex(w, dw))

@@ -9,7 +9,11 @@ a matrix's storage or reads a denominator, except the CLI's rational codec.
 Every ``GradedModule`` carries its basis cache: outside ``__init__``, modules
 are made only by ``GradedModule._canonical``.  A ``GroupComplex`` skips the
 checks of ``__init__`` only through ``GroupComplex._assembled``, which only
-the total complex of tensor and hom and ``homology_W`` call.  Every name imported into a module
+the total complex of tensor and hom and ``homology_W`` call; a
+``DihedralObject`` or ``QWComplex`` only through its ``_assembled``, which only
+the listed constructions from checked parts call.  In ``dihedral`` and
+``exceptional`` only an ``__init__`` calls ``check_differential``, so use
+sites do not re-check what entered checked.  Every name imported into a module
 is read there, and every local a function assigns is read in that function.  Block matrices are assembled by ``linalg.block_matrix`` and
 ``QMatrix.kron``: no other module allocates a rational zero grid
 ``[[Q(0)] * n for ...]`` to place entries in by hand.
@@ -127,22 +131,61 @@ def test_graded_modules_bypass_init_only_through_the_one_constructor():
     assert calls == {("graded", "_canonical")}
 
 
-def _trusted_complex_uses(tree):
-    """(GroupComplex.__new__ calls, uses of the trusted constructor): the
-    enclosing function of each."""
-    return (
-        sorted(_new_calls(tree, "GroupComplex")),
-        sorted(func for func, _ in _attribute_reads(tree, {"_assembled"})),
-    )
+# the classes with a trusted constructor ``_assembled``
+TRUSTED_CLASSES = {"GroupComplex", "DihedralObject", "QWComplex"}
+
+
+def _trusted_uses(tree, cls: str):
+    """(``cls.__new__`` calls, uses of ``cls._assembled``): the enclosing
+    function of each.  An ``_assembled`` read through anything but the name
+    of another trusted class (an instance, ``type(x)``) counts for every
+    class."""
+    out = []
+    others = TRUSTED_CLASSES - {cls}
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "_assembled":
+            receiver = node.value
+            if not (isinstance(receiver, ast.Name) and receiver.id in others):
+                out.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sorted(_new_calls(tree, cls)), sorted(out)
+
+
+def _trusted_uses_by_module(cls: str):
+    uses = {module: _trusted_uses(_tree(module), cls) for module in _modules()}
+    return {m: u for m, u in uses.items() if u != ([], [])}
 
 
 def test_only_tensor_hom_and_homology_skip_the_complex_checks():
     # GroupComplex.__init__ checks data from outside; GroupComplex._assembled
     # takes complexes this package builds from checked parts, unchecked, and
     # only the total complex and homology may use it
-    uses = {module: _trusted_complex_uses(_tree(module)) for module in _modules()}
-    assert {m: u for m, u in uses.items() if u != ([], [])} == {
+    assert _trusted_uses_by_module("GroupComplex") == {
         "exceptional": (["_assembled"], ["_total_complex", "homology_W"]),
+    }
+
+
+# the constructions that build a dihedral object or a Q[W]-complex from
+# checked parts, and so may skip the checks of ``__init__``
+TRUSTED_DIHEDRAL = [
+    "cone", "direct_sum_dihedral", "functor_const", "functor_i_k",
+    "homology_Ch", "normalized", "suspend_dihedral", "zero_dihedral",
+]
+TRUSTED_QW_COMPLEX = ["germ_fixed_points", "level", "level_inf"]
+
+
+def test_only_derived_constructions_skip_the_dihedral_checks():
+    assert _trusted_uses_by_module("DihedralObject") == {
+        "dihedral": (["_assembled"], TRUSTED_DIHEDRAL),
+    }
+    assert _trusted_uses_by_module("QWComplex") == {
+        "dihedral": (["_assembled"], TRUSTED_QW_COMPLEX),
     }
 
 
@@ -155,8 +198,57 @@ def test_trusted_complex_scan_sees_a_planted_bypass():
         "def sneak(algebra):\n"
         "    x = object.__new__(GroupComplex)\n"
         "    return x, GroupComplex._assembled(algebra, {})\n"
+        "def other(m, P):\n"
+        "    return DihedralObject._assembled(m), type(m)._assembled(m), P._assembled(m)\n"
     )
-    assert _trusted_complex_uses(ast.parse(source)) == (["_assembled", "sneak"], ["sneak"])
+    tree = ast.parse(source)
+    assert _trusted_uses(tree, "GroupComplex") == (
+        ["_assembled", "sneak"], ["other", "other", "sneak"],
+    )
+    assert _trusted_uses(tree, "DihedralObject") == ([], ["other", "other", "other"])
+
+
+def _check_differential_calls(tree):
+    """The enclosing function of every call of a ``check_differential``
+    method in a module's tree."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "check_differential"
+        ):
+            out.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_complexes_are_checked_only_by_their_constructors():
+    # d squared and the germ are checked where data enters, so no derived
+    # construction or predicate checks them again
+    calls = {
+        module: sorted(set(_check_differential_calls(_tree(module))))
+        for module in ("dihedral", "exceptional")
+    }
+    assert calls == {"dihedral": ["__init__"], "exceptional": ["__init__"]}
+
+
+def test_check_differential_scan_sees_a_planted_recheck():
+    source = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.check_differential()\n"
+        "def homology(x):\n"
+        "    x.check_differential()\n"
+        "    return [y.check_differential() for y in x.parts]\n"
+    )
+    assert _check_differential_calls(ast.parse(source)) == ["__init__", "homology", "homology"]
 
 
 def _tree(module: str):

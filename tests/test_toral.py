@@ -395,13 +395,35 @@ def resolution_batch():
     return batch
 
 
+def fixture_objects():
+    data = Path(so3alg.__file__).resolve().parent / "data"
+    return [load_toral(str(path)) for path in sorted(data.glob("*.json"))]
+
+
 def test_injective_resolutions_are_exact():
-    for x in resolution_batch():
+    fixtures = fixture_objects()
+    assert len(fixtures) == 14
+    for x in resolution_batch() + fixtures:
         res = injective_resolution(x)
+        # the inclusion is a morphism by construction, and unchecked there
         assert res.include.is_valid()
         assert check_star(res.Y0, strict=True)
         assert check_star(res.Y1, strict=True)
         assert res.check_exact()
+
+
+def test_injective_resolution_does_not_recheck_its_inclusion(monkeypatch):
+    calls = []
+    is_valid = ToralMorphism.is_valid
+
+    def counted(self):
+        calls.append(self)
+        return is_valid(self)
+
+    monkeypatch.setattr(ToralMorphism, "is_valid", counted)
+    for x in resolution_batch() + fixture_objects():
+        injective_resolution(x)
+    assert calls == []
 
 
 class _ZeroComponents:
