@@ -461,13 +461,13 @@ def _burnside_atom(name: str, group: str) -> burnside.BurnsideElement:
 def evaluate_burnside(expr: str, group: str) -> burnside.BurnsideElement:
     """Evaluate +, - and * over named idempotents, left to right with the
     usual precedence."""
-    tokens = expr.replace("+", " + ").replace("*", " * ").split()
-    # reattach unary minus-free subtraction: split terms on standalone +/-
+    tokens = expr.replace("+", " + ").replace("-", " - ").replace("*", " * ").split()
+    # split terms on standalone + and -; a sign applies to the term after it
     terms, current, sign = [], [], 1
     for tok in tokens:
-        if tok == "+":
+        if tok in ("+", "-"):
             terms.append((sign, current))
-            current, sign = [], 1
+            current, sign = [], 1 if tok == "+" else -1
         elif tok == "*":
             continue
         else:

@@ -499,7 +499,7 @@ def homology_Ch(m: DihedralObject) -> DihedralObject:
         slots[key], tools = qw_homology(m.slot(key), m.d_slot(key))
         blocks = {
             (g, 1): _induced_block(m.germ_of(key), hinf_tools, tools, g, 1)
-            for g in h_inf.dims if h_inf.dim(g, 1)
+            for g in h_inf.dims if h_inf.dim(g, 1) and slots[key].dim(g, 1)
         }
         germ[key] = VMap(h_inf, slots[key], 0, blocks)
     tail = slots.pop(TAIL)

@@ -17,9 +17,11 @@ This module implements the adjunction between the two sides (base change
 against fixed points), twisted variants, the basic objects e(V) and f(N),
 the standard generators, degreewise hom and Ext via injective resolutions of
 length one, homology of differentials, smashing with torsion families, and
-wide-sphere covers.  The hom spaces and the injective extensions of a
-resolution are linear systems with one equation per entry of a composed
-map, not per basis element on a window of degrees.
+wide-sphere covers.  The hom spaces are linear systems with one equation
+per entry of a composed map, not per basis element on a window of degrees.
+A resolution's first stage solves nothing: the kernel of the structure map
+is the torsion summands of a slot, and their extension into f(I) is the
+coordinate embedding into padded copies.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .graded import (
     fixed_points_c_to_d,
     fixed_points_map,
     homology_realized,
-    kernel_of_map,
     localize_map,
     sign_of,
     window_subquotient,
@@ -1118,24 +1119,20 @@ def _entry_allowed(dom: GradedModule, cod: GradedModule, degree: int, i: int, j:
     return unit if unit.entries else None
 
 
-def _entry_rows(n: int, terms, target=None):
-    """The system sum_u v_u * term_u == target, one row per map entry.
+def _entry_rows(n: int, terms):
+    """The rows of sum_u v_u * term_u == 0 over the n unknowns, one per map
+    entry.
 
     terms are (unknown index, map) pairs of maps with one domain and
-    codomain; target is such a map or None (zero).  Every ModuleMap entry is
-    a monomial and ModuleMap drops the entries past a torsion cut-off, so a
-    map into a Laurent or torsion module is zero exactly when each entry is.
-    Returns (rows over the n unknowns, right-hand side).
+    codomain.  Every ModuleMap entry is a monomial and ModuleMap drops the
+    entries past a torsion cut-off, so a map into a Laurent or torsion
+    module is zero exactly when each entry is.
     """
     eqs = {}
     for u, term in terms:
         for e, coef in term.entries.items():
             eqs.setdefault(e, {})[u] = coef
-    want = target.entries if target is not None else {}
-    for e in want:
-        eqs.setdefault(e, {})
-    rows = [[eq.get(u, Q(0)) for u in range(n)] for eq in eqs.values()]
-    return rows, [want.get(e, Q(0)) for e in eqs]
+    return [[eq.get(u, Q(0)) for u in range(n)] for eq in eqs.values()]
 
 
 class HomSpace:
@@ -1199,7 +1196,7 @@ class HomSpace:
                     entry = (ly_pos[(g + t, s, iy)], lx_pos[(g, s, ix)])
                     l_unit = ModuleMap(bx.codomain, by.codomain, t, {entry: Q(-1)})
                     terms.append((u, l_unit.compose(bx)))
-            rows += _entry_rows(n, terms)[0]
+            rows += _entry_rows(n, terms)
         return rows
 
     @property
@@ -1301,62 +1298,37 @@ class InjectiveResolution:
         return True
 
 
-def _solve_extension(m: GradedModule, incl: ModuleMap, emb: ModuleMap):
-    """Find psi: m -> emb.codomain with psi o incl == emb, if one exists."""
-    cod = emb.codomain
-    unknowns, terms = [], []
-    for i in range(len(cod.summands)):
-        for j in range(len(m.summands)):
-            unit = _entry_allowed(m, cod, 0, i, j)
-            if unit is not None:
-                terms.append((len(unknowns), unit.compose(incl)))
-                unknowns.append((i, j))
-    rows, rhs = _entry_rows(len(unknowns), terms, emb)
-    sol = QMatrix(len(rows), len(unknowns), rows).solve(rhs)
-    if sol is None:
-        return None
-    return ModuleMap(m, cod, 0, dict(zip(unknowns, sol)))
-
-
 def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolution:
     """A length-one resolution 0 -> x -> e(V) + f(I) -> f(J) -> 0.
 
-    The inclusion (x's structure map into e(V), an extension into f(I), the
-    identity on V) is a morphism by construction and not checked: e(V) has
-    the identity structure map (``make_eV``) and f(I) has V = 0.  Exactness
-    is checked on the window.
+    beta kills the torsion summands of a slot (no monomial map leads from a
+    torsion summand into a Laurent one), and by the strict star check it is
+    injective on the rest, so ker beta is the torsion summands, a direct
+    summand of the slot.  I lengthens each of them upward by
+    pad = 2 * max_torsion + 1 steps, keeping its bottom class, and the
+    extension psi into f(I) is their coordinate embedding: entry 1 (the
+    power c^pad) from each torsion summand to its copy, zero elsewhere.  The
+    inclusion (beta into e(V), psi into f(I), the identity on V) is a
+    morphism by construction and not checked: e(V) has the identity
+    structure map (``make_eV``) and f(I) has V = 0.  Exactness is checked
+    on the window.
     """
     check_star(x, strict=True)
     side = x.side
     I_slots, psi = {}, {}
     for key in x.keys():
         m = x.M.slot(key)
-        b = x.beta[key]
-        win = auto_window(window, [m, b.codomain])
-        TM, incl = kernel_of_map(b, win)
-        if not TM.is_torsion():
-            raise StarConditionError("kernel of the structure map is not torsion")
         ring = m.ring
-        solved = None
-        pad = m.max_torsion() + TM.max_torsion() + 1
-        while solved is None and pad <= m.max_torsion() + TM.max_torsion() + 6:
-            tagged = []
-            for k, s in enumerate(TM.summands):
-                sign = s.sign * (-1) ** pad if ring.flip else s.sign
-                tagged.append(
-                    (Summand(TORSION, s.shift + ring.step * pad, sign, s.length + pad), k)
-                )
-            imod, _, pos = _module_with_index(ring, tagged)
-            emb = ModuleMap(
-                TM, imod, 0, {(pos[k], k): Q(1) for k in range(len(TM.summands))}
-            )
-            solved = _solve_extension(m, incl, emb)
-            if solved is None:
-                pad += 1
-        if solved is None:
-            raise InvariantError("no injective extension found")
+        pad = 2 * m.max_torsion() + 1
+        sign = (-1) ** pad if ring.flip else 1
+        tagged = [
+            (Summand(TORSION, s.shift + ring.step * pad, s.sign * sign, s.length + pad), j)
+            for j, s in enumerate(m.summands)
+            if s.kind == TORSION
+        ]
+        imod, tags, _ = _module_with_index(ring, tagged)
         I_slots[key] = imod
-        psi[key] = solved
+        psi[key] = ModuleMap(m, imod, 0, {(i, j): Q(1) for i, j in enumerate(tags)})
     f_part = make_fN(
         SlotFamily(side, {k: v for k, v in I_slots.items() if k != TAIL}, I_slots[TAIL])
     )
@@ -1564,7 +1536,7 @@ def wide_sphere_cover(x: ToralObject, key, degree: int, vector):
     w = x.beta[key].evaluate(degree).apply(vector)
     if all(c == 0 for c in w):
         return _rank_one_cover(x, key, degree, vector, s_n)
-    return _proof_cover(x, key, degree, vector, s_n, w)
+    return _proof_cover(x, key, degree, vector, w)
 
 
 def _rank_one_cover(x, key, degree, vector, s_n):
@@ -1591,11 +1563,11 @@ def _rank_one_cover(x, key, degree, vector, s_n):
             ent[(i, 0)] = vector[col]
     alpha = {key: ModuleMap(dom, x.M.slot(key), 0, ent)}
     m = ToralMorphism(P, x, 0, alpha, VMap.zero(T, x.V, 0))
-    _verify_cover(P, m, x, key, degree, vector, hit_vec=None)
+    _verify_cover(P, m, key, degree, vector, hit_vec=None)
     return P, m
 
 
-def _proof_cover(x, key, degree, vector, s_n, w):
+def _proof_cover(x, key, degree, vector, w):
     side = x.side
     m_slot = x.M.slot(key)
     L, ltags, _ = laurent_model(x.V, x.slot_is_torus(key))
@@ -1720,11 +1692,11 @@ def _proof_cover(x, key, degree, vector, s_n, w):
     lam = span_mat.solve(list(w))
     if lam is not None:
         hit_vec = img_mat.apply(lam)
-    _verify_cover(P, m, x, key, degree, vector, hit_vec)
+    _verify_cover(P, m, key, degree, vector, hit_vec)
     return P, m
 
 
-def _verify_cover(P, m, x, key, degree, vector, hit_vec):
+def _verify_cover(P, m, key, degree, vector, hit_vec):
     if not m.is_valid():
         raise InvariantError("cover is not a morphism")
     check_star(P, strict=True)

@@ -193,6 +193,19 @@ def test_burnside_partition_of_unity():
     assert evaluate_burnside("e_T * e_D", "SO3") == burnside.zero("SO3")
 
 
+def test_burnside_subtraction(capsys):
+    zero = burnside.zero("SO3")
+    assert evaluate_burnside("e_T - e_T", "SO3") == zero
+    assert evaluate_burnside("1 - e_T - e_D - e_E", "SO3") == zero
+    assert evaluate_burnside("e_T-e_D*e_D", "SO3") == evaluate_burnside("e_T", "SO3") + (
+        burnside.idempotent("SO3", "D").scale(-1)
+    )
+    assert main(["burnside", "e_T", "-", "e_T"]) == 0
+    assert json.loads(capsys.readouterr().out) == burnside.to_json(zero)
+    assert main(["burnside", "e_T", "-"]) == 2
+    assert main(["burnside", "-", "e_T"]) == 2
+
+
 def test_burnside_unknown_name():
     with pytest.raises(ParseError):
         evaluate_burnside("e_T + bogus", "SO3")

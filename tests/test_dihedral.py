@@ -294,6 +294,17 @@ def test_levelwise_homology_matches_dense_oracle():
         assert h.m_inf.dims == homology_dims_oracle(m.level_inf())
 
 
+def test_homology_where_infinity_and_a_slot_share_no_degree():
+    # H at infinity lives in degree 0, where the slot has no space and no
+    # neighbouring degree: the germ's homology block there is empty
+    m = DihedralObject(QWSpace({0: (1, 0)}), GermSequence({}, QWSpace({5: (1, 0)})), {})
+    h = homology_Ch(m)
+    for key in m.keys():
+        assert h.slot(key).dims == homology_dims_oracle(m.level(key))
+    assert h.m_inf.dims == homology_dims_oracle(m.level_inf())
+    assert h.germ_of(TAIL).is_zero()
+
+
 def test_homology_commutes_with_slot_projections():
     rng = random.Random(43)
     for _ in range(10):

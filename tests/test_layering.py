@@ -14,7 +14,8 @@ the total complex of tensor and hom and ``homology_W`` call; a
 the listed constructions from checked parts call.  In ``dihedral`` and
 ``exceptional`` only an ``__init__`` calls ``check_differential``, so use
 sites do not re-check what entered checked.  Every name imported into a module
-is read there, and every local a function assigns is read in that function.  Block matrices are assembled by ``linalg.block_matrix`` and
+is read there, every local a function assigns is read in that function, and
+every parameter of a module-level private function is read in it.  Block matrices are assembled by ``linalg.block_matrix`` and
 ``QMatrix.kron``: no other module allocates a rational zero grid
 ``[[Q(0)] * n for ...]`` to place entries in by hand.
 """
@@ -354,6 +355,47 @@ def test_unread_local_scan_sees_an_unread_local():
     )
     assert sorted(_unread_locals(ast.parse(source))) == [("f", "e"), ("f", "i"), ("g", "y")]
     assert _unread_locals(ast.parse("def f():\n    global n\n    n = 1\n")) == []
+
+
+def _unread_parameters(tree):
+    """(function, parameter) for every parameter of a module-level private
+    function (``_name``, not a dunder) that the function never reads, nested
+    functions included.  Parameters starting with ``_`` are exempt."""
+    out = []
+    for func in tree.body:
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not func.name.startswith("_") or func.name.startswith("__"):
+            continue
+        a = func.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = {
+            node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        out += [(func.name, p) for p in params if p not in read and not p.startswith("_")]
+    return out
+
+
+def test_every_private_function_reads_its_parameters():
+    unread = {module: _unread_parameters(_tree(module)) for module in _modules()}
+    assert {m: names for m, names in unread.items() if names} == {}
+
+
+def test_unread_parameter_scan_sees_an_unread_parameter():
+    source = (
+        "def _f(a, b, *rest, c=1, _d=2, **kw):\n"
+        "    def g():\n"
+        "        return a\n"
+        "    return g, kw\n"
+        "def public(x):\n"
+        "    return 0\n"
+        "class C:\n"
+        "    def _m(self, y):\n"
+        "        return self\n"
+    )
+    assert _unread_parameters(ast.parse(source)) == [("_f", "b"), ("_f", "c"), ("_f", "rest")]
 
 
 def _is_rational_zero(node) -> bool:

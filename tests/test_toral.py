@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -77,6 +78,10 @@ from so3alg.toral import (
     wide_sphere_cover,
     zero_object,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402  (the benchmark's input generators)
 
 
 def generators():
@@ -754,10 +759,11 @@ def test_covers_need_a_sign_pure_element():
 
 # -- the windowed hom and extension systems, kept as oracles --------------------
 #
-# HomSpace and _solve_extension read one equation per entry of a composed
-# map.  The oracles below walk a padded window of degrees instead and write
-# one equation per basis element there; both must give the same kernel and
-# the same solution.
+# HomSpace reads one equation per entry of a composed map, and the first
+# stage of injective_resolution reads ker beta and its extension off the
+# canonical form.  The oracles below walk a padded window of degrees instead
+# and write one equation per basis element there; both must give the same
+# hom spaces and the same resolutions.
 
 
 def windowed_hom_equations(h):
@@ -914,35 +920,9 @@ def test_hom_spaces_match_the_windowed_oracle():
     assert nonzero >= 100
 
 
-def test_injective_extensions_match_the_windowed_oracle(monkeypatch):
-    calls = []
-    real = toral._solve_extension
-
-    def spy(m, incl, emb):
-        psi = real(m, incl, emb)
-        calls.append((m, incl, emb, psi))
-        return psi
-
-    monkeypatch.setattr(toral, "_solve_extension", spy)
-    for x in law_objects():
-        injective_resolution(x)
-    assert sum(psi is not None and not psi.is_zero() for *_, psi in calls) >= 10
-    for m, incl, emb, psi in calls:
-        window = auto_window((-12, 12), [m, incl.domain, emb.codomain])
-        assert psi == windowed_solve_extension(m, incl, emb, window), (m, incl, emb)
-
-
-def _random_torsion_module(rng, ring):
-    return GradedModule(ring, [
-        Summand(TORSION, ring.step * rng.randint(-2, 2) + rng.randint(0, 1),
-                rng.choice((1, -1)) if ring.flip else 1, rng.randint(1, 3))
-        for _ in range(rng.randint(1, 3))
-    ])
-
-
 def _padded(ring, summands, pad):
-    """The summands moved up pad steps and lengthened by pad, as in
-    injective_resolution: (module, tags, pos) with summand k tagged k."""
+    """The summands lengthened upward by pad steps: (module, tags, pos) with
+    summand k tagged k."""
     return _module_with_index(ring, [
         (Summand(TORSION, s.shift + ring.step * pad,
                  s.sign * (-1) ** pad if ring.flip else s.sign, s.length + pad), k)
@@ -950,42 +930,84 @@ def _padded(ring, summands, pad):
     ])
 
 
-def test_padded_extensions_match_the_windowed_oracle():
-    # extension problems shaped like those of injective_resolution: tm is
-    # c^r times some summands of m, incl its inclusion plus random entries,
-    # and pads start at 0, so that small pads have no solution
-    rng = random.Random(41)
-    solved = unsolvable = 0
-    for _ in range(150):
-        ring = rng.choice((POLY_C, POLY_D))
-        m = _random_torsion_module(rng, ring)
-        subs = []
-        for j, s in enumerate(m.summands):
-            if rng.random() < 0.7:
-                r = rng.randint(0, s.length - 1)
-                sign = s.sign * (-1) ** r if ring.flip else s.sign
-                subs.append((Summand(TORSION, s.shift - ring.step * r, sign, s.length - r), (j, r)))
-        if not subs:
-            continue
-        tm, tags, _ = _module_with_index(ring, subs)
-        ent = {}
-        for i in range(len(m.summands)):
-            for k in range(len(tm.summands)):
-                if _entry_allowed(tm, m, 0, i, k) is not None and rng.random() < 0.3:
-                    ent[(i, k)] = Q(rng.randint(-2, 2))
-        ent.update({(j, k): Q(1) for k, (j, _r) in enumerate(tags)})
-        incl = ModuleMap(tm, m, 0, ent)
-        imod, _, pos = _padded(ring, tm.summands, rng.randint(0, 3))
-        emb = ModuleMap(tm, imod, 0, {(pos[k], k): Q(1) for k in range(len(tm.summands))})
-        window = auto_window((-12, 12), [m, tm, imod])
-        psi = toral._solve_extension(m, incl, emb)
-        assert psi == windowed_solve_extension(m, incl, emb, window), (m, incl, emb)
-        if psi is None:
-            unsolvable += 1
+def windowed_first_stage(x, window):
+    """(I, psi) per slot, solved the long way: ker beta by a window walk,
+    then the extension of its inclusion into padded copies by a windowed
+    linear system, raising the pad until one solves."""
+    I_slots, psi = {}, {}
+    for key in x.keys():
+        m, b = x.M.slot(key), x.beta[key]
+        TM, incl = kernel_of_map(b, auto_window(window, [m, b.codomain]))
+        assert TM.is_torsion(), (x, key)
+        first = m.max_torsion() + TM.max_torsion() + 1
+        for pad in range(first, first + 6):
+            imod, _, pos = _padded(m.ring, TM.summands, pad)
+            emb = ModuleMap(TM, imod, 0, {(pos[k], k): Q(1) for k in range(len(TM.summands))})
+            solved = windowed_solve_extension(m, incl, emb, auto_window(window, [m, TM, imod]))
+            if solved is not None:
+                break
         else:
-            assert psi.compose(incl) == emb
-            solved += 1
-    assert solved >= 50 and unsolvable >= 15, (solved, unsolvable)
+            raise AssertionError(f"no injective extension at slot {key!r} of {x!r}")
+        I_slots[key], psi[key] = imod, solved
+    return I_slots, psi
+
+
+def windowed_resolution(x, window):
+    """(include, Y0, Y1) of the resolution built on ``windowed_first_stage``."""
+    I_slots, psi = windowed_first_stage(x, window)
+    explicit = {k: v for k, v in I_slots.items() if k != TAIL}
+    e_part = make_eV(x.V, x.side)
+    Y0 = direct_sum_objects(e_part, make_fN(SlotFamily(x.side, explicit, I_slots[TAIL])))
+    alpha, J_slots = {}, {}
+    for key in x.keys():
+        _, (ie, ii) = direct_sum([e_part.M.slot(key), I_slots[key]])
+        ent = {(ie[i], j): c for (i, j), c in x.beta[key].entries.items()}
+        ent.update({(ii[i], j): c for (i, j), c in psi[key].entries.items()})
+        alpha[key] = ModuleMap(x.M.slot(key), Y0.M.slot(key), 0, ent)
+        win = auto_window(window, [x.M.slot(key), Y0.M.slot(key)])
+        J_slots[key] = cokernel_of_map(alpha[key], win)[0]
+    include = ToralMorphism(x, Y0, 0, alpha, VMap.identity(x.V))
+    explicit = {k: v for k, v in J_slots.items() if k != TAIL}
+    return include, Y0, make_fN(SlotFamily(x.side, explicit, J_slots[TAIL]))
+
+
+def toral_ext_inputs(seed=13, count=120):
+    """Star objects drawn like the benchmark's toral-ext inputs, one shape
+    after another."""
+    rng = random.Random(seed)
+    shapes = workloads.TORAL_SHAPES
+    return [workloads.toral_object(rng, shapes[k % len(shapes)]) for k in range(count)]
+
+
+@pytest.mark.parametrize("window", [(-12, 12), (-2, 2), (-8, 8)], ids=["12", "2", "8"])
+def test_first_stage_matches_the_windowed_oracle(window):
+    torsion = 0
+    for x in law_objects() + toral_ext_inputs():
+        res = injective_resolution(x, window)
+        include, Y0, Y1 = windowed_resolution(x, window)
+        assert (res.include, res.Y0, res.Y1) == (include, Y0, Y1), x
+        torsion += any(m.max_torsion() for m in x.all_modules())
+    assert torsion >= 50, torsion
+
+
+def test_injective_resolution_walks_no_kernel(monkeypatch):
+    import so3alg.graded as graded
+
+    calls = []
+    real = graded.kernel_of_map
+
+    def counted(phi, window):
+        calls.append(phi)
+        return real(phi, window)
+
+    monkeypatch.setattr(graded, "kernel_of_map", counted)
+    for x in law_objects():
+        injective_resolution(x)
+    assert calls == []
+    # the spy sees a walk
+    b = sphere().beta[TAIL]
+    graded.kernel_of_map(b, auto_window((0, 0), [b.domain, b.codomain]))
+    assert len(calls) == 1
 
 
 # -- laws of the hom spaces ------------------------------------------------------
