@@ -453,35 +453,36 @@ def _burnside_atom(name: str, group: str) -> burnside.BurnsideElement:
             total = total + burnside.idempotent(group, cls)
         return total
     if which.startswith("D2n"):
-        n = int(which[3:] or 0)
-        return burnside.idempotent(group, "D2n", n)
+        index = which[3:]
+        if not index:
+            raise ParseError(f"{name!r} lacks the dihedral index n, as in e_D2n3")
+        if not index.isdecimal():
+            raise ParseError(f"bad dihedral index {index!r} in {name!r}")
+        return burnside.idempotent(group, "D2n", int(index))
     return burnside.idempotent(group, which)
 
 
 def evaluate_burnside(expr: str, group: str) -> burnside.BurnsideElement:
     """Evaluate +, - and * over named idempotents, left to right with the
-    usual precedence."""
+    usual precedence.  Names and operators alternate, starting and ending
+    with a name."""
     tokens = expr.replace("+", " + ").replace("-", " - ").replace("*", " * ").split()
-    # split terms on standalone + and -; a sign applies to the term after it
-    terms, current, sign = [], [], 1
-    for tok in tokens:
-        if tok in ("+", "-"):
-            terms.append((sign, current))
-            current, sign = [], 1 if tok == "+" else -1
-        elif tok == "*":
-            continue
-        else:
-            current.append(tok)
-    terms.append((sign, current))
+    for k, tok in enumerate(tokens):
+        if (tok in ("+", "-", "*")) != (k % 2 == 1):
+            what = "an operator" if k % 2 else "an element name"
+            raise ParseError(f"expected {what} at {tok!r} in {expr!r}")
+    if len(tokens) % 2 == 0:
+        raise ParseError(f"expected an element name at the end of {expr!r}")
     total = burnside.zero(group)
-    for sgn, factors in terms:
-        if not factors:
-            raise ParseError(f"empty term in {expr!r}")
-        acc = _burnside_atom(factors[0], group)
-        for f in factors[1:]:
-            acc = acc * _burnside_atom(f, group)
-        total = total + (acc if sgn == 1 else acc.scale(-1))
-    return total
+    sign, acc = 1, _burnside_atom(tokens[0], group)
+    for op, name in zip(tokens[1::2], tokens[2::2]):
+        atom = _burnside_atom(name, group)
+        if op == "*":
+            acc = acc * atom
+        else:
+            total = total + (acc if sign == 1 else acc.scale(-1))
+            sign, acc = (1 if op == "+" else -1), atom
+    return total + (acc if sign == 1 else acc.scale(-1))
 
 
 # -- verbs ---------------------------------------------------------------------------
@@ -686,7 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (_fn, nargs, help_text) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text)
-        p.add_argument("--window", help="degree window lo:hi")
+        if verb in ("homology", "hom", "ext", "bracket", "resolve"):
+            p.add_argument("--window", help="degree window lo:hi")
         p.add_argument("--out", help="write the machine report to this path")
         if verb == "cover":
             p.add_argument("--slot", required=True, help="slot key (an integer or 'tail')")

@@ -558,16 +558,26 @@ def make_generator_dihedral(tag) -> DihedralObject:
     return functor_i_k(QWComplex(QWSpace({0: (1, 1)})), tag)
 
 
-def direct_sum_dihedral(a: DihedralObject, b: DihedralObject) -> DihedralObject:
+def _summed_levels(a: DihedralObject, b: DihedralObject):
+    """The parts of a + b but its differentials: the space at infinity, the
+    slot spaces and the germ maps, each the sum of a's and b's."""
     m_inf = qw_sum(a.m_inf, b.m_inf)
-    slots, germ, d_slots = {}, {}, {}
+    slots, germ = {}, {}
     for key in sorted(set(a.slots.explicit) | set(b.slots.explicit)) + [TAIL]:
         slots[key] = space = qw_sum(a.slot(key), b.slot(key))
         germ[key] = vmap_sum(m_inf, space, [a.germ_of(key), b.germ_of(key)])
-        d_slots[key] = vmap_sum(space, space, [a.d_slot(key), b.d_slot(key)])
     tail = slots.pop(TAIL)
+    return m_inf, GermSequence(slots, tail), germ
+
+
+def direct_sum_dihedral(a: DihedralObject, b: DihedralObject) -> DihedralObject:
+    m_inf, slots, germ = _summed_levels(a, b)
+    d_slots = {
+        key: vmap_sum(slots.slot(key), slots.slot(key), [a.d_slot(key), b.d_slot(key)])
+        for key in slots.keys()
+    }
     d_inf = vmap_sum(m_inf, m_inf, [a.d_inf, b.d_inf])
-    return DihedralObject._assembled(m_inf, GermSequence(slots, tail), germ, d_inf, d_slots)
+    return DihedralObject._assembled(m_inf, slots, germ, d_inf, d_slots)
 
 
 def suspend_dihedral(m: DihedralObject, k: int) -> DihedralObject:
@@ -585,13 +595,13 @@ def cone(f: DihedralMorphism) -> DihedralObject:
     if f.degree != 0 or not (f.is_valid() and f.is_chain_map()):
         raise SchemaError("cones need degree-0 chain maps")
     sx = suspend_dihedral(f.x, 1)
-    total = direct_sum_dihedral(sx, f.y)
+    m_inf, slots, germ = _summed_levels(sx, f.y)
     d_inf = _cone_diff(sx.m_inf, f.y.m_inf, sx.d_inf, f.y.d_inf, f.f_inf)
     d_slots = {
         key: _cone_diff(sx.slot(key), f.y.slot(key), sx.d_slot(key), f.y.d_slot(key), f.component(key))
-        for key in total.keys()
+        for key in slots.keys()
     }
-    return DihedralObject._assembled(total.m_inf, total.slots, total.germ, d_inf, d_slots)
+    return DihedralObject._assembled(m_inf, slots, germ, d_inf, d_slots)
 
 
 def _cone_diff(sa: QWSpace, sb: QWSpace, da: VMap, db: VMap, comp: VMap) -> VMap:

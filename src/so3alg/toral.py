@@ -22,6 +22,11 @@ per entry of a composed map, not per basis element on a window of degrees.
 A resolution's first stage solves nothing: the kernel of the structure map
 is the torsion summands of a slot, and their extension into f(I) is the
 coordinate embedding into padded copies.
+
+Suspension, the sign twist, the parity split and the direct sum share one
+re-indexing routine, ``_transport``; only the functors that change a slot's
+ring move beta between models of V by hand.  A slot that is not explicit
+reads the tail (``ToralObject.beta_at`` and ``ToralObject.differential``).
 """
 
 from __future__ import annotations
@@ -388,6 +393,14 @@ class SlotFamily:
         return self.tail.is_zero() and all(m.is_zero() for m in self.explicit.values())
 
 
+def _slot_family(side: str, slots: dict) -> SlotFamily:
+    """The slot family of a dict that holds one module per explicit slot and
+    the tail template under TAIL."""
+    explicit = dict(slots)
+    tail = explicit.pop(TAIL)
+    return SlotFamily(side, explicit, tail)
+
+
 class ToralObject:
     """An object (beta: M -> Laurent x V) of the toral model."""
 
@@ -408,15 +421,16 @@ class ToralObject:
             if b.domain != M.slot(key) or b.codomain != cod or b.degree != 0:
                 raise SchemaError(f"structure map at slot {key!r} has wrong type")
             self.beta[key] = b
-        self.dM = dM
-        self.dV = dV
         if (dM is None) != (dV is None):
             raise SchemaError("differential must cover both M and V")
+        self.dM = None if dM is None else {}
+        self.dV = dV
         if dM is not None:
             for key in M.keys():
                 d = dM.get(key)
                 if d is None or d.domain != M.slot(key) or d.codomain != M.slot(key) or d.degree != -1:
                     raise SchemaError(f"differential at slot {key!r} has wrong type")
+                self.dM[key] = d
             if dV.domain != V or dV.codomain != V or dV.degree != -1:
                 raise SchemaError("V differential has wrong type")
 
@@ -432,9 +446,14 @@ class ToralObject:
     def has_differential(self):
         return self.dM is not None
 
+    def beta_at(self, key):
+        """beta at a slot; a slot that is not explicit reads the tail."""
+        return self.beta.get(key, self.beta[TAIL])
+
     def differential(self, key):
+        """The slot differential, read like ``beta_at``; zero without one."""
         if self.dM is not None:
-            return self.dM[key]
+            return self.dM.get(key, self.dM[TAIL])
         m = self.M.slot(key)
         return ModuleMap.zero(m, m, -1)
 
@@ -453,7 +472,7 @@ class ToralObject:
         fam = SlotFamily(self.side, explicit, self.M.tail)
         dM = None
         if self.dM is not None:
-            dM = {k: self.dM[k] if k in self.dM else self.dM[TAIL] for k in fam.keys()}
+            dM = {k: self.differential(k) for k in fam.keys()}
         return ToralObject(self.side, fam, self.V, beta, dM, self.dV)
 
     def __eq__(self, other):
@@ -557,10 +576,7 @@ class ToralMorphism:
         x, y = self.x, self.y
         for key in self._keys():
             l_phi = laurent_model_map(self.phi, x.slot_is_torus(key))
-            lhs = y.beta[key] if key in y.beta else y.beta[TAIL]
-            lhs = lhs.compose(self.component(key))
-            rhs = l_phi.compose(x.beta[key] if key in x.beta else x.beta[TAIL])
-            if lhs != rhs:
+            if y.beta_at(key).compose(self.component(key)) != l_phi.compose(x.beta_at(key)):
                 return False
         return True
 
@@ -700,77 +716,78 @@ def _vector_entries(m: GradedModule, degree: int, vec) -> dict[int, Fraction]:
 # -- object constructions -----------------------------------------------------
 
 
+def _unchanged(z):
+    return z
+
+
+def _transport(side: str, v: QWSpace, parts, dV=None) -> ToralObject:
+    """The object over v rebuilt slot by slot from parts.
+
+    Each part is (object, change, retag): change(s) is the new summand for a
+    summand s of one of the object's slots, or None to drop it, and retag
+    maps a basis tag of the object's V to its tag in v.  Every slot is built
+    by ``_module_with_index``, so its summands sort stably across the parts,
+    and beta is re-indexed to follow them; so are the slot differentials
+    when dV, the differential of v, is given.
+    """
+    keys = sorted(set().union(*(x.M.explicit for x, _, _ in parts))) + [TAIL]
+    slots, beta = {}, {}
+    dM = None if dV is None else {}
+    for key in keys:
+        rings = {x.M.slot(key).ring for x, _, _ in parts}
+        if len(rings) != 1:
+            raise SchemaError("direct sum over mixed rings")
+        tagged = [
+            (change(s), (p, j))
+            for p, (x, change, _) in enumerate(parts)
+            for j, s in enumerate(x.M.slot(key).summands)
+        ]
+        m, _, pos = _module_with_index(rings.pop(), [(s, t) for s, t in tagged if s is not None])
+        torus = parts[0][0].slot_is_torus(key)
+        cod, _, vpos = laurent_model(v, torus)
+        ent, dent = {}, {}
+        for p, (x, _, retag) in enumerate(parts):
+            cols = {j: i for (q, j), i in pos.items() if q == p}
+            vtags = [retag(t) for t in laurent_model(x.V, torus)[1]]
+            ent.update(_reindex_entries(x.beta_at(key).entries, vtags, vpos, cols))
+            if dM is not None:
+                mtags = [(p, i) for i in range(len(x.M.slot(key).summands))]
+                dent.update(_reindex_entries(x.differential(key).entries, mtags, pos, cols))
+        slots[key] = m
+        beta[key] = ModuleMap(m, cod, 0, ent)
+        if dM is not None:
+            dM[key] = ModuleMap(m, m, -1, dent)
+    return ToralObject(side, _slot_family(side, slots), v, beta, dM, dV)
+
+
 def suspend_object(x: ToralObject, k: int) -> ToralObject:
     """The k-fold suspension.
 
     Suspending a slot module normalizes its Laurent shifts, which may
     re-order its summands; beta and the differential follow them.
     """
-    v = x.V.suspend(k)
-    slots, beta = {}, {}
-    dM = None if x.dM is None else {}
-    for key in x.keys():
-        m, idx = _with_index(
-            x.M.slot(key), lambda s: Summand(s.kind, s.shift + k, s.sign, s.length)
-        )
-        torus = x.slot_is_torus(key)
-        cod, _, pos = laurent_model(v, torus)
-        tags = [(g + k, s, i) for g, s, i in laurent_model(x.V, torus)[1]]
-        slots[key] = m
-        beta[key] = ModuleMap(m, cod, 0, _reindex_entries(x.beta[key].entries, tags, pos, idx))
-        if dM is not None:
-            dM[key] = _reindex_map(x.dM[key], m, m, idx, idx)
-    tail = slots.pop(TAIL)
-    dV = None if dM is None else x.dV.suspend(k)
-    return ToralObject(x.side, SlotFamily(x.side, slots, tail), v, beta, dM, dV)
+    return _transport(
+        x.side, x.V.suspend(k),
+        [(x, lambda s: Summand(s.kind, s.shift + k, s.sign, s.length),
+          lambda t: (t[0] + k, t[1], t[2]))],
+        None if x.dV is None else x.dV.suspend(k),
+    )
 
 
 def direct_sum_objects(a: ToralObject, b: ToralObject) -> ToralObject:
+    """a + b; b's vectors follow a's in each (degree, sign) block of V."""
     if a.side != b.side:
         raise SchemaError("direct sum across sides")
-    side = a.side
     v = qw_sum(a.V, b.V)
-    keys = sorted(set(a.M.explicit) | set(b.M.explicit))
-    explicit = {}
-    beta = {}
-
-    def build(key):
-        msum, maps = direct_sum([a.M.slot(key), b.M.slot(key)])
-        torus = a.slot_is_torus(key)
-        cod, _, pos = laurent_model(v, torus)
-        ent = {}
-        for part, obj in enumerate((a, b)):
-            # b's vectors follow a's in each (degree, sign) block of the sum
-            tags = [
-                (g, s, part * a.V.dim(g, s) + i) for g, s, i in laurent_model(obj.V, torus)[1]
-            ]
-            bmap = obj.beta[key] if key in obj.beta else obj.beta[TAIL]
-            ent.update(_reindex_entries(bmap.entries, tags, pos, dict(enumerate(maps[part]))))
-        return msum, ModuleMap(msum, cod, 0, ent), maps
-
-    for key in keys:
-        msum, bmap, _ = build(key)
-        explicit[key] = msum
-        beta[key] = bmap
-    tail, tail_b, _ = build(TAIL)
-    fam = SlotFamily(side, explicit, tail)
-    beta[TAIL] = tail_b
-    dM = None
     dV = None
-    if a.dM is not None or b.dM is not None:
-        dM = {}
-        for key in fam.keys():
-            msum, _, maps = build(key)
-            ent = {}
-            for part, obj in enumerate((a, b)):
-                d = obj.differential(key)
-                for (i, j), coef in d.entries.items():
-                    ent[(maps[part][i], maps[part][j])] = coef
-            dM[key] = ModuleMap(msum, msum, -1, ent)
+    if a.has_differential() or b.has_differential():
         dV = vmap_sum(v, v, [
             obj.dV if obj.dV is not None else VMap.zero(obj.V, obj.V, -1) for obj in (a, b)
         ])
-    return ToralObject(side, fam, v, beta, dM, dV)
+    return _transport(a.side, v, [
+        (a, _unchanged, _unchanged),
+        (b, _unchanged, lambda t: (t[0], t[1], a.V.dim(t[0], t[1]) + t[2])),
+    ], dV)
 
 
 def make_eV(V: QWSpace, side: str = "SO3") -> ToralObject:
@@ -816,7 +833,7 @@ def functor_R(y: ToralObject) -> ToralObject:
     fixed, _ = fixed_points_c_to_d(y.M.slot(1))
     ltags = laurent_model(y.V, False)[1]
     fmod, _, fpos = laurent_model(y.V, True)
-    b1 = y.beta[1] if 1 in y.beta else y.beta[TAIL]
+    b1 = y.beta_at(1)
     # re-index the codomain from fixed(Laurent V) to the fixed-point model
     _, creal = fixed_points_c_to_d(b1.codomain)
     tags = [ltags[orig] for orig, _e in creal]
@@ -840,10 +857,6 @@ def unit_of_adjunction(x: ToralObject) -> ToralMorphism:
         ent[(target_of[src.index(j)], j)] = Q(1)
     alpha = {key: ModuleMap.identity(x.M.slot(key)) for key in x.keys() if key != 1}
     alpha[1] = ModuleMap(m1, rfx.M.slot(1), 0, ent)
-    keys = set(rfx.M.explicit) | set(x.M.explicit)
-    for key in keys:
-        if key != 1 and key not in alpha:
-            alpha[key] = ModuleMap.identity(x.M.slot(key))
     return ToralMorphism(x, rfx, 0, alpha, VMap.identity(x.V))
 
 
@@ -858,10 +871,6 @@ def counit_of_adjunction(y: ToralObject) -> ToralMorphism:
         ent[(orig, src.index(k))] = Q(1)
     alpha = {key: ModuleMap.identity(y.M.slot(key)) for key in y.keys() if key != 1}
     alpha[1] = ModuleMap(fry.M.slot(1), m1, 0, ent)
-    keys = set(fry.M.explicit) | set(y.M.explicit)
-    for key in keys:
-        if key != 1 and key not in alpha:
-            alpha[key] = ModuleMap.identity(y.M.slot(key))
     return ToralMorphism(fry, y, 0, alpha, VMap.identity(y.V))
 
 
@@ -875,60 +884,38 @@ def map_F(m: ToralMorphism) -> ToralMorphism:
 def map_R(m: ToralMorphism) -> ToralMorphism:
     rx, ry = functor_R(m.x), functor_R(m.y)
     alpha = {key: a for key, a in m.alpha.items() if key != 1}
-    alpha[1] = fixed_points_map(m.component(1) if 1 in m.alpha else m.component(TAIL))
+    alpha[1] = fixed_points_map(m.component(1))
     return ToralMorphism(rx, ry, m.degree, alpha, m.phi)
 
 
-def _with_index(m: GradedModule, change):
-    """The module whose summands are change(s) for the summands s of m, with
-    the induced re-indexing: summand j of m becomes summand pos[j]."""
-    new, _tags, pos = _module_with_index(m.ring, [(change(s), j) for j, s in enumerate(m.summands)])
-    return new, pos
-
-
-def _twist_with_index(m: GradedModule):
-    """The sign-twist of a module, with the induced summand re-indexing."""
-    return _with_index(m, lambda s: Summand(s.kind, s.shift, -s.sign, s.length))
-
-
-def _reindex_map(f: ModuleMap, dom: GradedModule, cod: GradedModule, idx_d, idx_c) -> ModuleMap:
-    """f between the re-indexed modules: entry (i, j) moves to (idx_c[i], idx_d[j])."""
-    return ModuleMap(dom, cod, f.degree, {(idx_c[i], idx_d[j]): c for (i, j), c in f.entries.items()})
+def _twisted(s: Summand) -> Summand:
+    return Summand(s.kind, s.shift, -s.sign, s.length)
 
 
 def twist_object(y: ToralObject) -> ToralObject:
     """Tensoring with the sign representation; defined on the O2 side."""
     if y.side != "O2":
         raise SchemaError("the twist lives on the O2 side")
-    v = y.V.twist()
-    explicit, beta, dm = {}, {}, {}
-    for key in y.keys():
-        m, idx = _twist_with_index(y.M.slot(key))
-        torus = y.slot_is_torus(key)
-        cod, _, pos = laurent_model(v, torus)
-        tags = [(g, -s, i) for g, s, i in laurent_model(y.V, torus)[1]]
-        bmap = ModuleMap(m, cod, 0, _reindex_entries(y.beta[key].entries, tags, pos, idx))
-        if y.has_differential():
-            dm[key] = _reindex_map(y.dM[key], m, m, idx, idx)
-        if key == TAIL:
-            tail, tail_beta = m, bmap
-        else:
-            explicit[key], beta[key] = m, bmap
-    beta[TAIL] = tail_beta
-    dv = y.dV.twist() if y.has_differential() else None
-    return ToralObject(
-        "O2", SlotFamily("O2", explicit, tail), v, beta,
-        dm if y.has_differential() else None, dv,
+    return _transport(
+        "O2", y.V.twist(), [(y, _twisted, lambda t: (t[0], -t[1], t[2]))],
+        y.dV.twist() if y.has_differential() else None,
     )
 
 
 def twist_morphism(m: ToralMorphism) -> ToralMorphism:
     tx, ty = twist_object(m.x), twist_object(m.y)
+
+    def index(mod):
+        # where the twisted slot of tx or ty puts each summand of mod
+        return _module_with_index(mod.ring, [(_twisted(s), j) for j, s in enumerate(mod.summands)])[2]
+
     alpha = {}
-    for key in set(m.alpha):
-        _, idx_x = _twist_with_index(m.x.M.slot(key))
-        _, idx_y = _twist_with_index(m.y.M.slot(key))
-        alpha[key] = _reindex_map(m.component(key), tx.M.slot(key), ty.M.slot(key), idx_x, idx_y)
+    for key in m.alpha:
+        ix, iy = index(m.x.M.slot(key)), index(m.y.M.slot(key))
+        alpha[key] = ModuleMap(
+            tx.M.slot(key), ty.M.slot(key), m.degree,
+            {(iy[i], ix[j]): c for (i, j), c in m.component(key).entries.items()},
+        )
     return ToralMorphism(tx, ty, m.degree, alpha, m.phi.twist())
 
 
@@ -1078,32 +1065,13 @@ def smash_with_torsion(x: ToralObject, fam: SlotFamily) -> ToralObject:
 
 def parity_split(x: ToralObject) -> tuple[ToralObject, ToralObject]:
     """Split an object into its even and odd parts; degree-0 maps preserve them."""
-    parts = []
-    for parity in (0, 1):
-        explicit = {}
-        beta = {}
-        v = x.V.parity_part(parity)
-        for key in x.keys():
-            m = x.M.slot(key)
-            keep = [i for i, s in enumerate(m.summands) if s.shift % 2 == parity]
-            sub, maps = direct_sum(
-                [GradedModule(m.ring, [m.summands[i]]) for i in keep]
-            ) if keep else (GradedModule.zero(m.ring), [])
-            reindex = {keep[k]: maps[k][0] for k in range(len(keep))}
-            torus = x.slot_is_torus(key)
-            cod, _, pos = laurent_model(v, torus)
-            tags = laurent_model(x.V, torus)[1]
-            bmap = ModuleMap(sub, cod, 0, _reindex_entries(x.beta[key].entries, tags, pos, reindex))
-            if key == TAIL:
-                tail = sub
-                tail_beta = bmap
-            else:
-                explicit[key] = sub
-                beta[key] = bmap
-        fam = SlotFamily(x.side, explicit, tail)
-        beta[TAIL] = tail_beta
-        parts.append(ToralObject(x.side, fam, v, beta))
-    return parts[0], parts[1]
+    even, odd = (
+        _transport(x.side, x.V.parity_part(parity), [
+            (x, lambda s, parity=parity: s if s.shift % 2 == parity else None, _unchanged),
+        ])
+        for parity in (0, 1)
+    )
+    return even, odd
 
 
 # -- the graded hom space as an exact linear system ----------------------------
@@ -1172,9 +1140,6 @@ class HomSpace:
         self.index[u] = len(self.unknowns)
         self.unknowns.append(u)
 
-    def _slot_beta(self, obj, key):
-        return obj.beta[key] if key in obj.beta else obj.beta[TAIL]
-
     def _equations(self, units):
         """Rows of by o a == l o bx at every slot, one per entry of the
         composed maps: a slot unknown contributes by o unit, a V unknown
@@ -1183,7 +1148,7 @@ class HomSpace:
         n = len(self.unknowns)
         rows = []
         for key in self.keys:
-            bx, by = self._slot_beta(x, key), self._slot_beta(y, key)
+            bx, by = x.beta_at(key), y.beta_at(key)
             torus = x.slot_is_torus(key)
             lx_pos, ly_pos = laurent_model(x.V, torus)[2], laurent_model(y.V, torus)[2]
             terms = []
@@ -1329,9 +1294,7 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
         imod, tags, _ = _module_with_index(ring, tagged)
         I_slots[key] = imod
         psi[key] = ModuleMap(m, imod, 0, {(i, j): Q(1) for i, j in enumerate(tags)})
-    f_part = make_fN(
-        SlotFamily(side, {k: v for k, v in I_slots.items() if k != TAIL}, I_slots[TAIL])
-    )
+    f_part = make_fN(_slot_family(side, I_slots))
     e_part = make_eV(x.V, side)
     Y0 = direct_sum_objects(e_part, f_part)
     alpha = {}
@@ -1351,9 +1314,7 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
         J, pr = cokernel_of_map(include.component(key), win)
         J_slots[key] = J
         quot[key] = pr
-    Y1 = make_fN(
-        SlotFamily(side, {k: v for k, v in J_slots.items() if k != TAIL}, J_slots[TAIL])
-    )
+    Y1 = make_fN(_slot_family(side, J_slots))
     res = InjectiveResolution(x, Y0, include, Y1, quot, window)
     if not res.check_exact():
         raise InvariantError("resolution is not exact on the window")
@@ -1407,7 +1368,7 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
         if x.beta[key].compose(x.dM[key]) != ld.compose(x.beta[key]):
             raise NotADifferential("structure map is not a chain map")
     hv, hv_data = qw_homology(x.V, x.dV)
-    explicit, beta = {}, {}
+    slots, beta = {}, {}
     for key in x.keys():
         m = x.M.slot(key)
         win = auto_window(window or (0, 0), [m, x.beta[key].codomain])
@@ -1434,14 +1395,9 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
             for col, (i, _a) in enumerate(hmod.basis(g)):
                 if out_vec[col] != 0:
                     ent[(i, k)] = ent.get((i, k), Q(0)) + out_vec[col]
-        bmap = ModuleMap(H, hmod, 0, ent)
-        if key == TAIL:
-            tail, tail_beta = H, bmap
-        else:
-            explicit[key] = H
-            beta[key] = bmap
-    beta[TAIL] = tail_beta
-    return ToralObject(x.side, SlotFamily(x.side, explicit, tail), hv, beta)
+        slots[key] = H
+        beta[key] = ModuleMap(H, hmod, 0, ent)
+    return ToralObject(x.side, _slot_family(x.side, slots), hv, beta)
 
 
 def adams_bracket(x: ToralObject, y: ToralObject, degrees, window=(-12, 12)):
@@ -1643,34 +1599,21 @@ def _proof_cover(x, key, degree, vector, w):
     free_beta = ModuleMap(
         S_other, lmod_c, 0, {(lpos_c[tag], spos[tag]): Q(1) for tag in tags}
     )
-    explicit, beta = {}, {}
+    # P is free on the Euler generators at every slot but the covered one;
+    # when that is the tail, x's explicit slots are listed to stay free
+    pinned = x.M.explicit if key == TAIL else {}
+    slots = dict.fromkeys([*pinned, TAIL], S_other)
+    beta = dict.fromkeys(slots, free_beta)
+    spos_d = spos
     if side == "SO3":
-        tagged_d = [
-            (Summand(FREE, tag[0] - 2 * A[tag], 1), tag) for tag in tags
-        ]
-        S_one, _, spos_d = _module_with_index(POLY_D, tagged_d)
+        S_one, _, spos_d = _module_with_index(POLY_D, tagged)
         fmod, _, fpos = laurent_model(x.V, True)
-        explicit[1] = S_one
+        slots[1] = S_one
         beta[1] = ModuleMap(
             S_one, fmod, 0, {(fpos[tag], spos_d[tag]): Q(1) for tag in tags}
         )
-    else:
-        spos_d = spos
-    span_beta = ModuleMap(S_slot, L, 0, beta_ent)
-    if key == TAIL:
-        tail_mod = S_slot
-        beta[TAIL] = span_beta
-        for k2 in x.M.explicit:
-            if x.slot_is_torus(k2):
-                continue
-            explicit[k2] = S_other
-            beta[k2] = free_beta
-    else:
-        tail_mod = S_other
-        beta[TAIL] = free_beta
-        explicit[key] = S_slot
-        beta[key] = span_beta
-    P = ToralObject(side, SlotFamily(side, explicit, tail_mod), x.V, beta)
+    slots[key], beta[key] = S_slot, ModuleMap(S_slot, L, 0, beta_ent)
+    P = ToralObject(side, _slot_family(side, slots), x.V, beta)
     alpha = {key: ModuleMap(S_slot, m_slot, 0, alpha_ent)}
     for key2 in set(x.M.explicit) | set(P.M.explicit) | {TAIL}:
         if key2 == key:
@@ -1681,7 +1624,7 @@ def _proof_cover(x, key, degree, vector, w):
         ent = {}
         for tag in tags:
             img = _mult_euler(
-                m2, tag[0] - 2 * E[tag], A[tag] - E[tag], pre[tag][key2 if key2 in pre[tag] else TAIL]
+                m2, tag[0] - 2 * E[tag], A[tag] - E[tag], pre[tag][key2]
             )
             for i, coef in _vector_entries(m2, tag[0] - 2 * A[tag], img).items():
                 ent[(i, pos2[tag])] = coef

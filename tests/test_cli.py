@@ -211,6 +211,80 @@ def test_burnside_unknown_name():
         evaluate_burnside("e_T + bogus", "SO3")
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("e_D2nx", "bad dihedral index 'x' in 'e_D2nx'"),
+    ("e_D2n", "'e_D2n' lacks the dihedral index n"),
+    ("e_D2n-1", "'e_D2n' lacks the dihedral index n"),
+    ("e_T e_D", "expected an operator at 'e_D'"),
+    ("e_T * * e_D", "expected an element name at '*'"),
+    ("* e_T", "expected an element name at '*'"),
+    ("e_T *", "expected an element name at the end"),
+    ("e_T + - e_D", "expected an element name at '-'"),
+    ("", "expected an element name at the end"),
+])
+def test_malformed_burnside_expressions_exit_2(expr, message, capsys):
+    # e_D2nx used to end in a traceback, and juxtaposed names and stray
+    # operators used to be read as products
+    assert main(["burnside", expr]) == 2
+    assert message in capsys.readouterr().err
+    if expr:
+        assert main(["burnside", *expr.split()]) == 2
+
+
+def _oracle_burnside_atom(name, group):
+    if name == "0":
+        return burnside.zero(group)
+    if name == "1":
+        return burnside.unit(group)
+    which = name[2:]
+    if which == "E":
+        total = burnside.zero(group)
+        for cls in burnside.EXCEPTIONAL_SO3:
+            total = total + burnside.idempotent(group, cls)
+        return total
+    if which.startswith("D2n"):
+        return burnside.idempotent(group, "D2n", int(which[3:]))
+    return burnside.idempotent(group, which)
+
+
+def oracle_evaluate_burnside(expr, group):
+    """The evaluator before names and operators had to alternate: terms
+    split at + and -, every other token but * a factor."""
+    tokens = expr.replace("+", " + ").replace("-", " - ").replace("*", " * ").split()
+    terms, current, sign = [], [], 1
+    for tok in tokens:
+        if tok in ("+", "-"):
+            terms.append((sign, current))
+            current, sign = [], 1 if tok == "+" else -1
+        elif tok != "*":
+            current.append(tok)
+    terms.append((sign, current))
+    total = burnside.zero(group)
+    for sgn, factors in terms:
+        acc = _oracle_burnside_atom(factors[0], group)
+        for f in factors[1:]:
+            acc = acc * _oracle_burnside_atom(f, group)
+        total = total + (acc if sgn == 1 else acc.scale(-1))
+    return total
+
+
+def test_burnside_sums_of_products_match_the_old_evaluator(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    for group, names in workloads.BURNSIDE_NAMES.items():
+        for a in names:
+            for b in names:
+                for c in names:
+                    for expr in (f"{a} * {b} + {c}", f"{a}*{b}-{c}"):
+                        want = oracle_evaluate_burnside(expr, group)
+                        assert evaluate_burnside(expr, group) == want, expr
+        rng = random.Random(f"burnside/{group}")
+        for _ in range(300):
+            expr = workloads.burnside_expression(rng, group)
+            assert evaluate_burnside(expr, group) == oracle_evaluate_burnside(expr, group), expr
+
+
 # -- fixtures --------------------------------------------------------------------
 
 
@@ -344,6 +418,40 @@ def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["star-check", str(bad)]) == 2
+
+
+# a sample command line per verb, without --window
+VERB_ARGS = {
+    "star-check": ["x.json"], "homology": ["x.json"], "hom": ["x.json", "y.json"],
+    "ext": ["x.json", "y.json"], "bracket": ["x.json", "y.json"], "resolve": ["x.json"],
+    "cover": ["x.json", "--slot", "1", "--degree", "0"], "split": ["x.json"],
+    "burnside": ["e_T"], "restrict": ["e.json"], "fixtures": [], "selftest": [],
+}
+
+
+def test_window_is_an_option_only_of_the_verbs_that_read_it(capsys):
+    from so3alg.cli import _VERBS, build_parser
+
+    assert set(VERB_ARGS) == set(_VERBS)
+    windowed = []
+    for verb, rest in VERB_ARGS.items():
+        try:
+            args = build_parser().parse_args([verb, *rest, "--window=0:1"])
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert "unrecognized arguments: --window=0:1" in capsys.readouterr().err
+        else:
+            assert args.window == "0:1"
+            windowed.append(verb)
+    assert sorted(windowed) == ["bracket", "ext", "hom", "homology", "resolve"]
+
+
+def test_resolve_and_homology_take_a_window(tmp_path):
+    path = write_object(tmp_path, "sphere", sphere())
+    assert main(["resolve", "--window=-3:3", path]) == 0
+    assert main(["homology", "--window=-3:3", path]) == 0
+    with pytest.raises(SystemExit):
+        main(["split", "--window=-3:3", path])
 
 
 def test_bad_window_exits_2(tmp_path):

@@ -284,6 +284,24 @@ def test_cone_of_identity_is_acyclic():
         assert homology_Ch(cone(DihedralMorphism.identity(g))).is_zero()
 
 
+def test_a_cone_assembles_each_differential_once(monkeypatch):
+    # the sum of levels adds the germ maps only; the differentials of the
+    # cone are [[-dx, 0], [f, dy]], built once per level by _cone_diff
+    import so3alg.dihedral as dihedral
+
+    sums, diffs = [], []
+    real_sum, real_diff = dihedral.vmap_sum, dihedral._cone_diff
+    monkeypatch.setattr(dihedral, "vmap_sum", lambda *a: sums.append(a) or real_sum(*a))
+    monkeypatch.setattr(dihedral, "_cone_diff", lambda *a: diffs.append(a) or real_diff(*a))
+    rng = random.Random(91)
+    for _ in range(6):
+        x = rand_chain_object(rng)
+        sums.clear(), diffs.clear()
+        c = cone(DihedralMorphism.identity(x))
+        assert len(sums) == len(c.keys())
+        assert len(diffs) == len(c.keys()) + 1
+
+
 def test_levelwise_homology_matches_dense_oracle():
     rng = random.Random(41)
     for _ in range(30):

@@ -17,7 +17,10 @@ sites do not re-check what entered checked.  Every name imported into a module
 is read there, every local a function assigns is read in that function, and
 every parameter of a module-level private function is read in it.  Block matrices are assembled by ``linalg.block_matrix`` and
 ``QMatrix.kron``: no other module allocates a rational zero grid
-``[[Q(0)] * n for ...]`` to place entries in by hand.
+``[[Q(0)] * n for ...]`` to place entries in by hand.  In ``toral`` only
+``_transport`` and the constructions that change a slot's ring re-index beta
+(``_reindex_entries``), and a dict of slots is split at ``TAIL`` into a
+``SlotFamily`` by ``_slot_family`` alone.
 """
 
 import ast
@@ -462,3 +465,109 @@ def test_storage_scan_sees_a_planted_write_and_read():
         ("f", "data"), ("f", "den"), ("f", "ints"),
     ]
     assert _attribute_reads(_tree("linalg"), MATRIX_STORAGE)
+
+
+def _callers(tree, name: str):
+    """The enclosing function of every call of the bare name ``name``."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+            out.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sorted(set(out))
+
+
+# the constructions that change the ring of a slot, and so move beta between
+# models of V by hand; every other rebuild goes through ``_transport``
+REINDEXERS = ["_localized_beta", "_transport", "functor_F", "functor_R"]
+
+
+def test_only_transport_and_the_ring_changes_reindex_beta():
+    assert _callers(_tree("toral"), "_reindex_entries") == REINDEXERS
+
+
+def test_reindex_scan_sees_a_planted_call():
+    source = (
+        "def suspend_object(x, k):\n"
+        "    def build(key):\n"
+        "        return _reindex_entries(x.beta[key].entries, tags, pos)\n"
+        "    return build\n"
+        "def _transport(side, v, parts):\n"
+        "    return toral._reindex_entries({}, [], {})\n"
+    )
+    assert _callers(ast.parse(source), "_reindex_entries") == ["build"]
+
+
+def _is_tail(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "TAIL"
+
+
+def _hand_split_tails(tree):
+    """Every function but ``_slot_family`` that calls ``SlotFamily(...)`` and
+    splits slots at the tail on its own: compares a key with TAIL, pops
+    TAIL, or hands SlotFamily an argument that reads ``[TAIL]``."""
+    out = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "_slot_family":
+            continue
+        families = [
+            node for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "SlotFamily"
+        ]
+        if not families:
+            continue
+        splits = any(
+            isinstance(node, ast.Compare) and any(map(_is_tail, [node.left, *node.comparators]))
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop" and any(map(_is_tail, node.args))
+            for node in ast.walk(func)
+        ) or any(
+            isinstance(node, ast.Subscript) and _is_tail(node.slice)
+            for call in families for arg in call.args for node in ast.walk(arg)
+        )
+        if splits:
+            out.append(func.name)
+    return sorted(out)
+
+
+def test_slot_families_are_split_at_the_tail_in_one_place():
+    # a dict of slots with the tail under TAIL becomes a SlotFamily through
+    # ``toral._slot_family`` alone
+    assert _hand_split_tails(_tree("toral")) == []
+    assert _callers(_tree("toral"), "_slot_family") == [
+        "_proof_cover", "_transport", "homology_dA", "injective_resolution",
+    ]
+
+
+def test_hand_split_scan_sees_a_planted_split():
+    source = (
+        "def resolve(side, I):\n"
+        "    return SlotFamily(side, {k: v for k, v in I.items() if k != TAIL}, I[TAIL])\n"
+        "def suspend(side, slots):\n"
+        "    tail = slots.pop(TAIL)\n"
+        "    return SlotFamily(side, slots, tail)\n"
+        "def homology(side, x):\n"
+        "    explicit = {}\n"
+        "    for key in x.keys():\n"
+        "        if key == TAIL:\n"
+        "            tail = x.M.tail\n"
+        "        else:\n"
+        "            explicit[key] = x.M.slot(key)\n"
+        "    return SlotFamily(side, explicit, tail)\n"
+        "def passed(side, slots):\n"
+        "    return SlotFamily(side, slots, slots_tail[TAIL])\n"
+        "def fine(side, tail):\n"
+        "    return SlotFamily(side, {}, tail), {TAIL: tail}, beta[TAIL]\n"
+        "def _slot_family(side, slots):\n"
+        "    explicit = dict(slots)\n"
+        "    tail = explicit.pop(TAIL)\n"
+        "    return SlotFamily(side, explicit, tail)\n"
+    )
+    assert _hand_split_tails(ast.parse(source)) == ["homology", "passed", "resolve", "suspend"]

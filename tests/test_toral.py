@@ -757,6 +757,30 @@ def test_covers_need_a_sign_pure_element():
         wide_sphere_cover(x, TAIL, 0, [1, 1, 0, 0][: x.M.tail.dim(0)])
 
 
+def test_a_tail_cover_keeps_the_explicit_slots_free():
+    # covering the tail makes the span the sphere's tail, so x's explicit
+    # slots are listed to stay free on the Euler generators
+    pinned = 0
+    for x in law_objects():
+        if not check_star(x) or all(x.slot_is_torus(k) for k in x.M.explicit):
+            continue
+        rank = sum(p + m for p, m in x.V.dims.values())
+        tail = x.M.tail
+        for g in range(-3, 4):
+            for pos in range(tail.dim(g)):
+                vec = [F(0)] * tail.dim(g)
+                vec[pos] = F(1)
+                try:
+                    P = wide_sphere_cover(x, TAIL, g, vec)[0]
+                except SchemaError:
+                    continue  # not sign-pure
+                for k in x.M.explicit:
+                    if not x.slot_is_torus(k):
+                        assert [s.kind for s in P.M.explicit[k].summands] == [FREE] * rank, (x, g, k)
+                        pinned += P.M.explicit[k] != P.M.tail
+    assert pinned >= 5, pinned
+
+
 # -- the windowed hom and extension systems, kept as oracles --------------------
 #
 # HomSpace reads one equation per entry of a composed map, and the first
@@ -772,7 +796,7 @@ def windowed_hom_equations(h):
     rows = []
     for key in h.keys:
         dom, cod = x.M.slot(key), y.M.slot(key)
-        bx, by = h._slot_beta(x, key), h._slot_beta(y, key)
+        bx, by = x.beta_at(key), y.beta_at(key)
         torus = x.slot_is_torus(key)
         lx_pos, ly_pos = laurent_model(x.V, torus)[2], laurent_model(y.V, torus)[2]
         lx_mod, ly_mod = bx.codomain, by.codomain
@@ -1103,3 +1127,291 @@ def test_ext_is_additive_in_each_variable():
         twice = {t: (2 * h, 2 * e) for t, (h, e) in ext_A(x, y, LAW_DEGREES).items()}
         assert ext_A(direct_sum_objects(x, x), y, LAW_DEGREES) == twice, (x, y)
         assert ext_A(x, direct_sum_objects(y, y), LAW_DEGREES) == twice, (x, y)
+
+
+# -- one slot-by-slot rebuild ------------------------------------------------------
+#
+# Suspension, twist, parity split and direct sum are each one call of
+# ``toral._transport``.  Below are the four constructions as they were written
+# out by hand before, kept as test-only oracles: each must give the very same
+# representation (slots, summand order, beta and differential entries), not
+# only an equal object.
+
+
+def _oracle_with_index(m, change):
+    new, _tags, pos = _module_with_index(m.ring, [(change(s), j) for j, s in enumerate(m.summands)])
+    return new, pos
+
+
+def _oracle_reindex_map(f, dom, cod, idx_d, idx_c):
+    return ModuleMap(dom, cod, f.degree, {(idx_c[i], idx_d[j]): c for (i, j), c in f.entries.items()})
+
+
+def _oracle_twisted(s):
+    return Summand(s.kind, s.shift, -s.sign, s.length)
+
+
+def oracle_suspend_object(x, k):
+    v = x.V.suspend(k)
+    slots, beta = {}, {}
+    dM = None if x.dM is None else {}
+    for key in x.keys():
+        m, idx = _oracle_with_index(
+            x.M.slot(key), lambda s: Summand(s.kind, s.shift + k, s.sign, s.length)
+        )
+        torus = x.slot_is_torus(key)
+        cod, _, pos = laurent_model(v, torus)
+        tags = [(g + k, s, i) for g, s, i in laurent_model(x.V, torus)[1]]
+        slots[key] = m
+        beta[key] = ModuleMap(m, cod, 0, _reindex_entries(x.beta[key].entries, tags, pos, idx))
+        if dM is not None:
+            dM[key] = _oracle_reindex_map(x.dM[key], m, m, idx, idx)
+    tail = slots.pop(TAIL)
+    dV = None if dM is None else x.dV.suspend(k)
+    return ToralObject(x.side, SlotFamily(x.side, slots, tail), v, beta, dM, dV)
+
+
+def oracle_direct_sum_objects(a, b):
+    side = a.side
+    v = QWSpace({
+        g: (a.V.dim(g, 1) + b.V.dim(g, 1), a.V.dim(g, -1) + b.V.dim(g, -1))
+        for g in set(a.V.dims) | set(b.V.dims)
+    })
+    keys = sorted(set(a.M.explicit) | set(b.M.explicit))
+    explicit, beta = {}, {}
+
+    def build(key):
+        msum, maps = direct_sum([a.M.slot(key), b.M.slot(key)])
+        torus = a.slot_is_torus(key)
+        cod, _, pos = laurent_model(v, torus)
+        ent = {}
+        for part, obj in enumerate((a, b)):
+            tags = [
+                (g, s, part * a.V.dim(g, s) + i) for g, s, i in laurent_model(obj.V, torus)[1]
+            ]
+            bmap = obj.beta[key] if key in obj.beta else obj.beta[TAIL]
+            ent.update(_reindex_entries(bmap.entries, tags, pos, dict(enumerate(maps[part]))))
+        return msum, ModuleMap(msum, cod, 0, ent), maps
+
+    for key in keys:
+        explicit[key], beta[key], _ = build(key)
+    tail, beta[TAIL], _ = build(TAIL)
+    fam = SlotFamily(side, explicit, tail)
+    dM = dV = None
+    if a.dM is not None or b.dM is not None:
+        dM = {}
+        for key in fam.keys():
+            msum, _, maps = build(key)
+            ent = {}
+            for part, obj in enumerate((a, b)):
+                for (i, j), coef in obj.differential(key).entries.items():
+                    ent[(maps[part][i], maps[part][j])] = coef
+            dM[key] = ModuleMap(msum, msum, -1, ent)
+        dV = toral.vmap_sum(v, v, [
+            obj.dV if obj.dV is not None else VMap.zero(obj.V, obj.V, -1) for obj in (a, b)
+        ])
+    return ToralObject(side, fam, v, beta, dM, dV)
+
+
+def oracle_twist_object(y):
+    v = y.V.twist()
+    explicit, beta, dm = {}, {}, {}
+    for key in y.keys():
+        m, idx = _oracle_with_index(y.M.slot(key), _oracle_twisted)
+        torus = y.slot_is_torus(key)
+        cod, _, pos = laurent_model(v, torus)
+        tags = [(g, -s, i) for g, s, i in laurent_model(y.V, torus)[1]]
+        bmap = ModuleMap(m, cod, 0, _reindex_entries(y.beta[key].entries, tags, pos, idx))
+        if y.has_differential():
+            dm[key] = _oracle_reindex_map(y.dM[key], m, m, idx, idx)
+        if key == TAIL:
+            tail, tail_beta = m, bmap
+        else:
+            explicit[key], beta[key] = m, bmap
+    beta[TAIL] = tail_beta
+    dv = y.dV.twist() if y.has_differential() else None
+    return ToralObject(
+        "O2", SlotFamily("O2", explicit, tail), v, beta,
+        dm if y.has_differential() else None, dv,
+    )
+
+
+def oracle_twist_morphism(m):
+    tx, ty = oracle_twist_object(m.x), oracle_twist_object(m.y)
+    alpha = {}
+    for key in set(m.alpha):
+        _, idx_x = _oracle_with_index(m.x.M.slot(key), _oracle_twisted)
+        _, idx_y = _oracle_with_index(m.y.M.slot(key), _oracle_twisted)
+        alpha[key] = _oracle_reindex_map(
+            m.component(key), tx.M.slot(key), ty.M.slot(key), idx_x, idx_y
+        )
+    return ToralMorphism(tx, ty, m.degree, alpha, m.phi.twist())
+
+
+def oracle_parity_split(x):
+    parts = []
+    for parity in (0, 1):
+        explicit, beta = {}, {}
+        v = x.V.parity_part(parity)
+        for key in x.keys():
+            m = x.M.slot(key)
+            keep = [i for i, s in enumerate(m.summands) if s.shift % 2 == parity]
+            sub, maps = direct_sum(
+                [GradedModule(m.ring, [m.summands[i]]) for i in keep]
+            ) if keep else (GradedModule.zero(m.ring), [])
+            reindex = {keep[k]: maps[k][0] for k in range(len(keep))}
+            torus = x.slot_is_torus(key)
+            cod, _, pos = laurent_model(v, torus)
+            tags = laurent_model(x.V, torus)[1]
+            bmap = ModuleMap(sub, cod, 0, _reindex_entries(x.beta[key].entries, tags, pos, reindex))
+            if key == TAIL:
+                tail, tail_beta = sub, bmap
+            else:
+                explicit[key], beta[key] = sub, bmap
+        beta[TAIL] = tail_beta
+        parts.append(ToralObject(x.side, SlotFamily(x.side, explicit, tail), v, beta))
+    return parts[0], parts[1]
+
+
+def representation(x):
+    """Everything an object stores, explicit slots and summand order included."""
+    return (x.side, x.M.explicit, x.M.tail, x.V, x.beta, x.dM, x.dV)
+
+
+def outcome(build, *args):
+    """The representation build(*args) returns, or the type of error it raises."""
+    try:
+        out = build(*args)
+    except InvariantError as exc:
+        return type(exc)
+    if isinstance(out, tuple):
+        return tuple(representation(o) for o in out)
+    return representation(out)
+
+
+def _seeded_torsion_object(rng, side):
+    explicit = {}
+    for n in rng.sample(range(2, 7), rng.randint(0, 2)):
+        explicit[n] = GradedModule(POLY_C, [
+            Summand(TORSION, rng.randint(-4, 4), rng.choice((1, -1)), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))
+        ])
+    if side == "SO3" and rng.random() < 0.5:
+        explicit[1] = GradedModule(POLY_D, [Summand(TORSION, rng.randint(-4, 4), 1, 2)])
+    tail = GradedModule(POLY_C, [
+        Summand(TORSION, rng.randint(-3, 3), rng.choice((1, -1)), 1)
+        for _ in range(rng.randint(0, 2))
+    ])
+    return make_fN(SlotFamily(side, explicit, tail))
+
+
+def seeded_transport_objects(seed=41, count=120):
+    """Objects on both sides: e(V) of random spaces (Laurent slot summands,
+    which suspension re-sorts), e(V) with a differential, torsion families
+    with a tail, and sums of suspended generators."""
+    rng = random.Random(seed)
+    complexes = list(seeded_v_complexes(seed, count))
+    gens = generators()
+    out = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            x = make_eV(next(_random_spaces(rng.random(), 1)))
+        elif kind == 1:
+            x = _e_v_with_differential(*complexes[k])
+        elif kind == 2:
+            x = _seeded_torsion_object(rng, rng.choice(("SO3", "O2")))
+        else:
+            x = direct_sum_objects(
+                suspend_object(rng.choice(gens), rng.randint(-3, 3)),
+                suspend_object(rng.choice(gens), rng.randint(-3, 3)),
+            )
+        if x.side == "SO3" and rng.random() < 0.4:
+            x = functor_F(x) if not x.has_differential() else x
+        out.append(x)
+    return out
+
+
+def transport_objects():
+    return law_objects() + seeded_transport_objects()
+
+
+def test_transport_objects_cover_the_hard_cases():
+    objects = seeded_transport_objects()
+    assert len(objects) >= 100
+    assert sum(x.has_differential() for x in objects) >= 25
+    assert sum(x.side == "O2" for x in objects) >= 20
+    resorted = 0
+    for x in objects:
+        for key in x.keys():
+            m = x.M.slot(key)
+            _, idx = _oracle_with_index(m, lambda s: Summand(s.kind, s.shift + 1, s.sign, s.length))
+            resorted += idx != {j: j for j in range(len(m.summands))}
+    assert resorted >= 25, resorted
+
+
+def test_suspension_matches_the_hand_written_oracle():
+    for x in transport_objects():
+        for k in (1, -1, 2, 3):
+            assert outcome(suspend_object, x, k) == outcome(oracle_suspend_object, x, k), (x, k)
+
+
+def test_twist_matches_the_hand_written_oracle():
+    twisted = 0
+    for x in transport_objects():
+        y = x if x.side == "O2" else functor_F(x) if not x.has_differential() else None
+        if y is None:
+            continue
+        assert outcome(toral.twist_object, y) == outcome(oracle_twist_object, y), y
+        eps = counit_of_adjunction(y)
+        new, old = toral.twist_morphism(eps), oracle_twist_morphism(eps)
+        assert (new.alpha, new.phi) == (old.alpha, old.phi), y
+        twisted += 1
+    assert twisted >= 60, twisted
+
+
+def test_parity_split_matches_the_hand_written_oracle():
+    for x in transport_objects():
+        assert outcome(parity_split, x) == outcome(oracle_parity_split, x), x
+
+
+def test_direct_sum_matches_the_hand_written_oracle():
+    objects = transport_objects()
+    rng = random.Random(7)
+    pairs = list(zip(objects, objects[1:])) + [
+        (rng.choice(objects), rng.choice(objects)) for _ in range(300)
+    ]
+    summed = with_d = 0
+    for a, b in pairs:
+        if a.side != b.side:
+            continue
+        assert outcome(direct_sum_objects, a, b) == outcome(oracle_direct_sum_objects, a, b), (a, b)
+        summed += 1
+        with_d += a.has_differential() != b.has_differential()
+    assert summed >= 150 and with_d >= 30, (summed, with_d)
+
+
+def _sphere_with_zero_differential():
+    x = sphere()
+    dM = {key: ModuleMap.zero(x.M.slot(key), x.M.slot(key), -1) for key in x.keys()}
+    return ToralObject(x.side, x.M, x.V, x.beta, dM, VMap.zero(x.V, x.V, -1))
+
+
+def test_a_slot_that_is_not_explicit_reads_the_tail_differential():
+    # x has a differential but no slot 5, sigma_H(5) has slot 5 but no
+    # differential: the sum and a chain-map check read x at slot 5 from its
+    # tail (both raised KeyError: 5)
+    x = _sphere_with_zero_differential()
+    assert x.differential(5) is x.dM[TAIL]
+    total = direct_sum_objects(x, sigma_H(5))
+    assert total.has_differential() and total.differential(5).entries == {}
+    f = ToralMorphism(x, sigma_H(5), 0, {}, VMap.zero(x.V, QWSpace.zero(), 0))
+    assert f.is_chain_map()
+    assert ToralMorphism.identity(total).is_chain_map()
+
+
+def test_homology_of_a_sum_with_a_zero_differential_is_the_plain_sum():
+    total = direct_sum_objects(_sphere_with_zero_differential(), sigma_H(5))
+    h = homology_dA(total)
+    assert h == direct_sum_objects(sphere(), sigma_H(5))
+    assert not h.has_differential()
