@@ -38,6 +38,7 @@ from .toral import (
     TAIL,
     QWSpace,
     SlotFamily,
+    Slots,
     ToralMorphism,
     ToralObject,
     VMap,
@@ -57,7 +58,7 @@ from .toral import (
     unit_of_twisted_adjunction,
     wide_sphere_cover,
 )
-from .dihedral import DihedralObject, GermSequence
+from .dihedral import DihedralObject
 
 # -- rationals and matrices ----------------------------------------------------
 
@@ -250,6 +251,18 @@ def _slot_key(raw: str):
         raise ParseError(f"bad slot key {raw!r}")
 
 
+def _listed(doc: dict, slots: Slots, what: str) -> list:
+    """(slot key, entry) for every entry of doc; a key that slots does not
+    list is refused, as its entry would otherwise be dropped."""
+    out = []
+    for raw, entry in doc.items():
+        key = _slot_key(raw)
+        if key not in slots.keys():
+            raise ParseError(f"{what} names slot {raw!r}, which the object does not list")
+        out.append((key, entry))
+    return out
+
+
 def toral_from_json(doc: dict) -> ToralObject:
     try:
         side = doc["side"]
@@ -269,17 +282,12 @@ def toral_from_json(doc: dict) -> ToralObject:
     fam = SlotFamily(side, explicit, tail)
     probe = ToralObject(side, fam, vspace, {})
     beta = {
-        _slot_key(k): map_from_json(b, fam.slot(_slot_key(k)), probe.beta_codomain(_slot_key(k)))
-        for k, b in beta_doc.items()
+        k: map_from_json(b, fam[k], probe.beta_codomain(k))
+        for k, b in _listed(beta_doc, fam, "beta")
     }
     dM = dV = None
     if diff_doc is not None:
-        dM = {
-            _slot_key(k): map_from_json(d, fam.slot(_slot_key(k)), fam.slot(_slot_key(k)))
-            for k, d in dm_doc.items()
-        }
-        for k in fam.keys():
-            dM.setdefault(k, ModuleMap.zero(fam.slot(k), fam.slot(k), -1))
+        dM = {k: map_from_json(d, fam[k], fam[k]) for k, d in _listed(dm_doc, fam, "diff.M")}
         dV = vmap_from_json(diff_doc.get("V", {"degree": -1}), vspace, vspace)
     return ToralObject(side, fam, vspace, beta, dM, dV)
 
@@ -319,17 +327,14 @@ def dihedral_from_json(doc: dict) -> DihedralObject:
             ds_doc = _object(diff_doc.get("slots", {}), "diff.slots")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad germ-object document: {exc}")
-    slots = GermSequence(explicit, tail)
-    germ = {
-        _slot_key(k): vmap_from_json(g, m_inf, slots.slot(_slot_key(k)))
-        for k, g in germ_doc.items()
-    }
+    slots = Slots(explicit, tail)
+    germ = {k: vmap_from_json(g, m_inf, slots[k]) for k, g in _listed(germ_doc, slots, "germ")}
     d_inf = d_slots = None
     if diff_doc is not None:
         d_inf = vmap_from_json(diff_doc.get("inf", {"degree": -1}), m_inf, m_inf)
         d_slots = {
-            _slot_key(k): vmap_from_json(d, slots.slot(_slot_key(k)), slots.slot(_slot_key(k)))
-            for k, d in ds_doc.items()
+            k: vmap_from_json(d, slots[k], slots[k])
+            for k, d in _listed(ds_doc, slots, "diff.slots")
         }
     return DihedralObject(m_inf, slots, germ, d_inf, d_slots)
 
@@ -397,10 +402,10 @@ IMAGE_FIXTURES = (
 
 
 def _first_degree_difference(a: ToralObject, b: ToralObject, window=(-12, 12)):
-    keys = sorted(set(a.M.explicit) | set(b.M.explicit)) + [TAIL]
+    keys = Slots.keys_of([a.M, b.M])
     for g in range(window[0], window[1] + 1):
         for key in keys:
-            if a.M.slot(key).dim(g) != b.M.slot(key).dim(g):
+            if a.M[key].dim(g) != b.M[key].dim(g):
                 return g
         if a.V.dim(g) != b.V.dim(g):
             return g
@@ -413,8 +418,8 @@ def fixture_verify() -> dict:
     results = []
     for name, recipe in CELL_FIXTURES:
         expected = toral_from_json(_fixture_doc(name))
-        got = recipe().normalized()
-        if got != expected.normalized():
+        got = recipe()
+        if got != expected:
             g = _first_degree_difference(got, expected)
             raise FixtureMismatch(f"{name} diverges first at degree {g}")
         results.append({"fixture": name, "status": "PASS"})
@@ -505,7 +510,7 @@ def _window(opt: str | None, default=(-12, 12)):
 
 def _describe(x: ToralObject) -> str:
     slots = ", ".join(
-        f"slot {k}: {len(x.M.slot(k).summands)} summands" for k in sorted(x.M.explicit)
+        f"slot {k}: {len(x.M[k].summands)} summands" for k in sorted(x.M.explicit)
     )
     tail = f"tail: {len(x.M.tail.summands)} summands"
     v = f"V: {sum(p + m for p, m in x.V.dims.values())} generators"
@@ -578,10 +583,12 @@ def cmd_resolve(args) -> tuple[dict, int]:
 
 
 def cmd_cover(args) -> tuple[dict, int]:
-    x = load_toral(args.files[0])
     key = _slot_key(args.slot)
+    # listing the slot refuses an index below 1 and copies the tail to an
+    # index the object does not list
+    x = load_toral(args.files[0]).listing(key)
     g = args.degree
-    m = x.M.slot(key)
+    m = x.M[key]
     results = []
     for pos, (i, b) in enumerate(m.basis(g)):
         vector = [Q(0)] * m.dim(g)

@@ -3,6 +3,9 @@
 An object holds a plain graded Q-space at infinity, one graded Q[W]-space
 per index k > 2 (finitely many explicit, the rest following one tail
 template), and a germ map from infinity into the tail of the sequence.
+The spaces, germ maps, slot differentials and morphism components are each
+held by ``toral.Slots``, the one container that reads an unlisted slot's
+tail; this module adds only its index rule, k > 2 (``_check_index``).
 Morphisms carry one map per slot and are constrained only through the
 germ, that is, at the tail template.  The module provides the three
 adjoint pairs around the slot projections and the constant functor,
@@ -30,9 +33,7 @@ from .errors import (
     SchemaError,
 )
 from .linalg import Q, QMatrix, block_matrix
-from .toral import QWSpace, VMap, qw_homology, qw_sum, vmap_sum
-
-TAIL = "tail"
+from .toral import TAIL, QWSpace, Slots, VMap, qw_homology, qw_sum, vmap_sum
 
 
 # -- chain complexes of Q[W]-spaces -------------------------------------------
@@ -95,86 +96,55 @@ def _induced_block(f: VMap, hx_tools, hy_tools, g, s) -> QMatrix:
 # -- objects ---------------------------------------------------------------------
 
 
-class GermSequence:
-    """Finitely many explicit Q[W]-spaces indexed by k > 2, plus one tail."""
-
-    __slots__ = ("explicit", "tail")
-
-    def __init__(self, explicit: dict, tail: QWSpace):
-        for k in explicit:
-            _check_index(k)
-        self.explicit = dict(explicit)
-        self.tail = tail
-
-    def slot(self, key) -> QWSpace:
-        # TAIL is not an index, so it reads the tail
-        return self.explicit.get(key, self.tail)
-
-    def keys(self):
-        return sorted(self.explicit) + [TAIL]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GermSequence)
-            and self.explicit == other.explicit
-            and self.tail == other.tail
-        )
-
-
 class DihedralObject:
     """A germ-module object, levelwise a chain complex."""
 
     __slots__ = ("m_inf", "slots", "germ", "d_inf", "d_slots")
 
-    def __init__(self, m_inf: QWSpace, slots: GermSequence, germ: dict,
-                 d_inf: VMap | None = None, d_slots: dict | None = None):
+    def __init__(self, m_inf: QWSpace, slots: Slots, germ,
+                 d_inf: VMap | None = None, d_slots=None):
+        for k in slots.explicit:
+            _check_index(k)
         if any(m for _p, m in m_inf.dims.values()):
             raise InvariantError("the action at infinity must be trivial")
-        self._store(m_inf, slots, germ, d_inf, d_slots)
-        for key, s in self.germ.items():
-            if s.domain != m_inf or s.codomain != slots.slot(key) or s.degree != 0:
-                raise SchemaError(f"germ map at slot {key!r} has wrong type")
+        self._store(m_inf, slots, germ, d_inf, d_slots, checked=True)
         if self.d_inf.domain != m_inf or self.d_inf.degree != -1:
             raise SchemaError("differential at infinity has wrong type")
-        for key, d in self.d_slots.items():
-            m = slots.slot(key)
-            if d.domain != m or d.codomain != m or d.degree != -1:
-                raise SchemaError(f"differential at slot {key!r} has wrong type")
         self.check_differential()
 
     @staticmethod
-    def _assembled(m_inf: QWSpace, slots: GermSequence, germ: dict,
-                   d_inf: VMap | None = None, d_slots: dict | None = None):
+    def _assembled(m_inf: QWSpace, slots: Slots, germ,
+                   d_inf: VMap | None = None, d_slots=None):
         """An object built here from checked parts, not checked again; it is
         stored as by ``__init__``, so it equals the checked one on its data."""
         x = DihedralObject.__new__(DihedralObject)
-        x._store(m_inf, slots, germ, d_inf, d_slots)
+        x._store(m_inf, slots, germ, d_inf, d_slots, checked=False)
         return x
 
-    def _store(self, m_inf, slots, germ, d_inf, d_slots):
-        """A missing germ map or differential is zero; other keys are dropped."""
+    def _store(self, m_inf, slots, germ, d_inf, d_slots, checked):
+        """A missing germ map or differential is zero; other keys are dropped.
+        Unless checked, containers are taken as built: over the keys of slots."""
         self.m_inf = m_inf
         self.slots = slots
         self.d_inf = VMap.zero(m_inf, m_inf, -1) if d_inf is None else d_inf
-        self.germ, self.d_slots = {}, {}
-        d_slots = d_slots or {}
-        for key in slots.keys():
-            m = slots.slot(key)
-            s, d = germ.get(key), d_slots.get(key)
-            self.germ[key] = VMap.zero(m_inf, m, 0) if s is None else s
-            self.d_slots[key] = VMap.zero(m, m, -1) if d is None else d
+        self.germ = Slots.fill(
+            [slots], germ, lambda key: (m_inf, slots[key], 0), VMap.zero,
+            "germ map" if checked else None,
+        )
+        self.d_slots = Slots.fill(
+            [slots], {} if d_slots is None else d_slots,
+            lambda key: (slots[key], slots[key], -1), VMap.zero,
+            "differential" if checked else None,
+        )
 
     def keys(self):
         return self.slots.keys()
 
     def slot(self, key) -> QWSpace:
-        return self.slots.slot(key)
-
-    def germ_of(self, key) -> VMap:
-        return self.germ.get(key, self.germ[TAIL])
+        return self.slots[key]
 
     def d_slot(self, key) -> VMap:
-        return self.d_slots.get(key, self.d_slots[TAIL])
+        return self.d_slots[key]
 
     def level(self, key) -> QWComplex:
         return QWComplex._assembled(self.slot(key), self.d_slot(key))
@@ -183,42 +153,17 @@ class DihedralObject:
         return QWComplex._assembled(self.m_inf, self.d_inf)
 
     def is_zero(self) -> bool:
-        return (
-            self.m_inf.is_zero()
-            and self.slots.tail.is_zero()
-            and all(m.is_zero() for m in self.slots.explicit.values())
-        )
+        return self.m_inf.is_zero() and all(m.is_zero() for m in self.slots.values())
 
     def normalized(self) -> "DihedralObject":
         """Drop explicit slots that duplicate the tail template."""
-        explicit = dict(self.slots.explicit)
-        germ = dict(self.germ)
-        d_slots = dict(self.d_slots)
-        for k in list(explicit):
-            if (
-                explicit[k] == self.slots.tail
-                and germ[k] == germ[TAIL]
-                and d_slots[k] == d_slots[TAIL]
-            ):
-                del explicit[k]
-                del germ[k]
-                del d_slots[k]
-        return DihedralObject._assembled(
-            self.m_inf, GermSequence(explicit, self.slots.tail), germ,
-            self.d_inf, d_slots,
-        )
+        slots, germ, d_slots = Slots.normal_forms(self.slots, self.germ, self.d_slots)
+        return DihedralObject._assembled(self.m_inf, slots, germ, self.d_inf, d_slots)
 
     def __eq__(self, other):
-        if not isinstance(other, DihedralObject):
-            return False
-        a, b = self.normalized(), other.normalized()
-        return (
-            a.m_inf == b.m_inf
-            and a.slots == b.slots
-            and a.germ == b.germ
-            and a.d_inf == b.d_inf
-            and a.d_slots == b.d_slots
-        )
+        return isinstance(other, DihedralObject) and (
+            self.m_inf, self.slots, self.germ, self.d_inf, self.d_slots
+        ) == (other.m_inf, other.slots, other.germ, other.d_inf, other.d_slots)
 
     def check_differential(self):
         """d squared vanishes levelwise; the germ map is a chain map.
@@ -238,7 +183,7 @@ class DihedralObject:
 
 
 def zero_dihedral() -> DihedralObject:
-    return DihedralObject._assembled(QWSpace.zero(), GermSequence({}, QWSpace.zero()), {})
+    return DihedralObject._assembled(QWSpace.zero(), Slots({}, QWSpace.zero()), {})
 
 
 # -- morphisms --------------------------------------------------------------------
@@ -255,49 +200,34 @@ class DihedralMorphism:
         if f_inf.domain != x.m_inf or f_inf.codomain != y.m_inf or f_inf.degree != degree:
             raise SchemaError("component at infinity has wrong type")
         self.f_inf = f_inf
-        keys = set(x.slots.explicit) | set(y.slots.explicit) | {TAIL}
-        self.f_slots = {}
-        for key in keys:
-            f = f_slots.get(key)
-            if f is None:
-                f = VMap.zero(x.slot(key), y.slot(key), degree)
-            if f.domain != x.slot(key) or f.codomain != y.slot(key) or f.degree != degree:
-                raise SchemaError(f"component at slot {key!r} has wrong type")
-            self.f_slots[key] = f
-
-    def component(self, key) -> VMap:
-        f = self.f_slots.get(key)
-        if f is not None:
-            return f
-        return self.f_slots[TAIL]
+        self.f_slots = Slots.fill(
+            [x.slots, y.slots], f_slots, lambda key: (x.slot(key), y.slot(key), degree),
+            VMap.zero, "component",
+        )
 
     @staticmethod
     def identity(x: DihedralObject) -> "DihedralMorphism":
         return DihedralMorphism(
-            x, x, 0, VMap.identity(x.m_inf),
-            {key: VMap.identity(x.slot(key)) for key in x.keys()},
+            x, x, 0, VMap.identity(x.m_inf), x.slots.map(VMap.identity),
         )
 
     def compose(self, other: "DihedralMorphism") -> "DihedralMorphism":
         """self after other."""
         if other.y != self.x:
             raise SchemaError("composition mismatch")
-        keys = set(other.x.slots.explicit) | set(self.y.slots.explicit) | set(self.x.slots.explicit) | {TAIL}
         return DihedralMorphism(
             other.x, self.y, self.degree + other.degree,
             self.f_inf.compose(other.f_inf),
-            {k: self.component(k).compose(other.component(k)) for k in keys},
+            Slots.over(
+                [other.x.slots, self.y.slots],
+                lambda k: self.f_slots[k].compose(other.f_slots[k]),
+            ),
         )
 
     def __eq__(self, other):
-        if not isinstance(other, DihedralMorphism):
-            return False
-        if (self.x, self.y, self.degree) != (other.x, other.y, other.degree):
-            return False
-        keys = set(self.f_slots) | set(other.f_slots)
-        return self.f_inf == other.f_inf and all(
-            self.component(k) == other.component(k) for k in keys
-        )
+        return isinstance(other, DihedralMorphism) and (
+            self.x, self.y, self.degree, self.f_inf, self.f_slots
+        ) == (other.x, other.y, other.degree, other.f_inf, other.f_slots)
 
     def is_valid(self) -> bool:
         """The defining square commutes at the tail template."""
@@ -308,12 +238,10 @@ class DihedralMorphism:
     def is_chain_map(self) -> bool:
         if self.y.d_inf.compose(self.f_inf) != self.f_inf.compose(self.x.d_inf):
             return False
-        for key in set(self.f_slots):
-            if self.y.d_slot(key).compose(self.component(key)) != self.component(
-                key
-            ).compose(self.x.d_slot(key)):
-                return False
-        return True
+        return all(
+            self.y.d_slot(key).compose(f) == f.compose(self.x.d_slot(key))
+            for key, f in self.f_slots.items()
+        )
 
 
 # -- the functors -----------------------------------------------------------------
@@ -329,7 +257,7 @@ def functor_i_k(x: QWComplex, k: int) -> DihedralObject:
     _check_index(k)
     return DihedralObject._assembled(
         QWSpace.zero(),
-        GermSequence({k: x.space}, QWSpace.zero()),
+        Slots({k: x.space}, QWSpace.zero()),
         {},
         None,
         {k: x.d},
@@ -348,7 +276,7 @@ def functor_const(a: QWComplex) -> DihedralObject:
         raise SchemaError("the constant functor consumes trivial-action complexes")
     return DihedralObject._assembled(
         a.space,
-        GermSequence({}, a.space),
+        Slots({}, a.space),
         {TAIL: VMap.identity(a.space)},
         a.d,
         {TAIL: a.d},
@@ -391,7 +319,7 @@ def map_germ_fixed_points(f: DihedralMorphism) -> VMap:
     # the deviation of f at each explicit target slot, applied to the
     # template value of the source coordinates at infinity
     devs = [
-        f.component(k).compose(nx.germ_of(k)) + f.y.germ_of(k).compose(f.f_inf).scale(-1)
+        f.f_slots[k].compose(nx.germ[k]) + f.y.germ[k].compose(f.f_inf).scale(-1)
         for k in y_keys
     ]
     blocks = {}
@@ -407,7 +335,7 @@ def map_germ_fixed_points(f: DihedralMorphism) -> VMap:
                 parts[(i, 0)] = b
         # the correction coordinates
         for j, k in enumerate(x_keys, 1):
-            b = f.component(k).blocks.get((g, 1))
+            b = f.f_slots[k].blocks.get((g, 1))
             if b is None:
                 continue
             if k not in y_index:
@@ -475,7 +403,7 @@ def counit_const(m: DihedralObject) -> DihedralMorphism:
     f_slots = {TAIL: n.germ[TAIL].compose(proj)}
     for i, k in enumerate(keys, 1):
         # the germ on the infinity coordinates plus the slot's own correction
-        germ = n.germ_of(k)
+        germ = n.germ[k]
         blocks = {}
         for g, c in cols.items():
             parts = {(0, i): QMatrix.identity(c[i])} if c[i] else {}
@@ -494,16 +422,18 @@ def counit_const(m: DihedralObject) -> DihedralMorphism:
 def homology_Ch(m: DihedralObject) -> DihedralObject:
     """Levelwise homology, with the induced germ map."""
     h_inf, hinf_tools = qw_homology(m.m_inf, m.d_inf)
-    slots, germ = {}, {}
-    for key in m.keys():
-        slots[key], tools = qw_homology(m.slot(key), m.d_slot(key))
+
+    def level(key):
+        # (the homology at the slot, the induced germ map)
+        space, tools = qw_homology(m.slot(key), m.d_slot(key))
         blocks = {
-            (g, 1): _induced_block(m.germ_of(key), hinf_tools, tools, g, 1)
-            for g in h_inf.dims if h_inf.dim(g, 1) and slots[key].dim(g, 1)
+            (g, 1): _induced_block(m.germ[key], hinf_tools, tools, g, 1)
+            for g in h_inf.dims if h_inf.dim(g, 1) and space.dim(g, 1)
         }
-        germ[key] = VMap(h_inf, slots[key], 0, blocks)
-    tail = slots.pop(TAIL)
-    return DihedralObject._assembled(h_inf, GermSequence(slots, tail), germ)
+        return space, VMap(h_inf, space, 0, blocks)
+
+    slots, germ = Slots.over([m.slots], level).unzip()
+    return DihedralObject._assembled(h_inf, slots, germ)
 
 
 def _levels(f: DihedralMorphism):
@@ -511,9 +441,9 @@ def _levels(f: DihedralMorphism):
     infinity, at each explicit slot and at the tail, in a fixed order: the
     predicates stop at the first failing level."""
     x, y = f.x, f.y
-    keys = sorted(set(x.slots.explicit) | set(y.slots.explicit)) + [TAIL]
     return [((x.m_inf, x.d_inf), (y.m_inf, y.d_inf), f.f_inf)] + [
-        ((x.slot(k), x.d_slot(k)), (y.slot(k), y.d_slot(k)), f.component(k)) for k in keys
+        ((x.slot(k), x.d_slot(k)), (y.slot(k), y.d_slot(k)), comp)
+        for k, comp in f.f_slots.items()
     ]
 
 
@@ -558,35 +488,32 @@ def make_generator_dihedral(tag) -> DihedralObject:
     return functor_i_k(QWComplex(QWSpace({0: (1, 1)})), tag)
 
 
-def _summed_levels(a: DihedralObject, b: DihedralObject):
-    """The parts of a + b but its differentials: the space at infinity, the
-    slot spaces and the germ maps, each the sum of a's and b's."""
+def _summed_levels(a: DihedralObject, b: DihedralObject, diff):
+    """The space at infinity of a + b, and its slot spaces, germ maps and
+    slot differentials: the spaces and germ maps are the sums of a's and
+    b's, and diff(key, space) is the differential on the slot's space."""
     m_inf = qw_sum(a.m_inf, b.m_inf)
-    slots, germ = {}, {}
-    for key in sorted(set(a.slots.explicit) | set(b.slots.explicit)) + [TAIL]:
-        slots[key] = space = qw_sum(a.slot(key), b.slot(key))
-        germ[key] = vmap_sum(m_inf, space, [a.germ_of(key), b.germ_of(key)])
-    tail = slots.pop(TAIL)
-    return m_inf, GermSequence(slots, tail), germ
+
+    def level(key):
+        space = qw_sum(a.slot(key), b.slot(key))
+        return space, vmap_sum(m_inf, space, [a.germ[key], b.germ[key]]), diff(key, space)
+
+    return (m_inf, *Slots.over([a.slots, b.slots], level).unzip())
 
 
 def direct_sum_dihedral(a: DihedralObject, b: DihedralObject) -> DihedralObject:
-    m_inf, slots, germ = _summed_levels(a, b)
-    d_slots = {
-        key: vmap_sum(slots.slot(key), slots.slot(key), [a.d_slot(key), b.d_slot(key)])
-        for key in slots.keys()
-    }
+    m_inf, slots, germ, d_slots = _summed_levels(
+        a, b, lambda key, space: vmap_sum(space, space, [a.d_slot(key), b.d_slot(key)])
+    )
     d_inf = vmap_sum(m_inf, m_inf, [a.d_inf, b.d_inf])
     return DihedralObject._assembled(m_inf, slots, germ, d_inf, d_slots)
 
 
 def suspend_dihedral(m: DihedralObject, k: int) -> DihedralObject:
-    slots = {key: m.slot(key).suspend(k) for key in m.keys()}
-    tail = slots.pop(TAIL)
     return DihedralObject._assembled(
-        m.m_inf.suspend(k), GermSequence(slots, tail),
-        {key: m.germ_of(key).suspend(k) for key in m.keys()},
-        m.d_inf.suspend(k), {key: m.d_slot(key).suspend(k) for key in m.keys()},
+        m.m_inf.suspend(k), m.slots.map(lambda s: s.suspend(k)),
+        m.germ.map(lambda g: g.suspend(k)),
+        m.d_inf.suspend(k), m.d_slots.map(lambda d: d.suspend(k)),
     )
 
 
@@ -595,12 +522,10 @@ def cone(f: DihedralMorphism) -> DihedralObject:
     if f.degree != 0 or not (f.is_valid() and f.is_chain_map()):
         raise SchemaError("cones need degree-0 chain maps")
     sx = suspend_dihedral(f.x, 1)
-    m_inf, slots, germ = _summed_levels(sx, f.y)
+    m_inf, slots, germ, d_slots = _summed_levels(sx, f.y, lambda key, _space: _cone_diff(
+        sx.slot(key), f.y.slot(key), sx.d_slot(key), f.y.d_slot(key), f.f_slots[key]
+    ))
     d_inf = _cone_diff(sx.m_inf, f.y.m_inf, sx.d_inf, f.y.d_inf, f.f_inf)
-    d_slots = {
-        key: _cone_diff(sx.slot(key), f.y.slot(key), sx.d_slot(key), f.y.d_slot(key), f.component(key))
-        for key in slots.keys()
-    }
     return DihedralObject._assembled(m_inf, slots, germ, d_inf, d_slots)
 
 
@@ -635,7 +560,7 @@ def hom_dihedral(x: DihedralObject, y: DihedralObject, degrees) -> dict[int, int
     """
     x, y = x.normalized(), y.normalized()
     out = {}
-    keys = sorted(set(x.slots.explicit) | set(y.slots.explicit)) + [TAIL]
+    keys = Slots.keys_of([x.slots, y.slots])
     for t in degrees:
         unknowns = []
         index = {}

@@ -511,16 +511,27 @@ def localize(m: GradedModule) -> tuple[GradedModule, list[int]]:
     return out, [t[1] for t in tagged]
 
 
-def localize_map(phi: ModuleMap) -> ModuleMap:
-    dom, src_d = localize(phi.domain)
-    cod, src_c = localize(phi.codomain)
+def _rebuilt_map(phi: ModuleMap, rebuild) -> ModuleMap:
+    """phi between rebuilt domain and codomain.
+
+    rebuild(m) is (new module, sources), sources[k] the summand of m that
+    summand k of the new module comes from; an entry at a summand that has
+    no copy is dropped.
+    """
+    dom, src_d = rebuild(phi.domain)
+    cod, src_c = rebuild(phi.codomain)
     back_d = {orig: k for k, orig in enumerate(src_d)}
     back_c = {orig: k for k, orig in enumerate(src_c)}
-    ent = {}
-    for (i, j), v in phi.entries.items():
-        if i in back_c and j in back_d:
-            ent[(back_c[i], back_d[j])] = v
+    ent = {
+        (back_c[i], back_d[j]): v
+        for (i, j), v in phi.entries.items()
+        if i in back_c and j in back_d
+    }
     return ModuleMap(dom, cod, phi.degree, ent)
+
+
+def localize_map(phi: ModuleMap) -> ModuleMap:
+    return _rebuilt_map(phi, localize)
 
 
 def fixed_points_c_to_d(m: GradedModule) -> tuple[GradedModule, list[tuple[int, int]]]:
@@ -552,15 +563,12 @@ def fixed_points_c_to_d(m: GradedModule) -> tuple[GradedModule, list[tuple[int, 
 
 def fixed_points_map(phi: ModuleMap) -> ModuleMap:
     """The restriction of an equivariant Q[c]-map to W-fixed points."""
-    dom, real_d = fixed_points_c_to_d(phi.domain)
-    cod, real_c = fixed_points_c_to_d(phi.codomain)
-    back_c = {orig: k for k, (orig, _) in enumerate(real_c)}
-    back_d = {orig: k for k, (orig, _) in enumerate(real_d)}
-    ent = {}
-    for (i, j), v in phi.entries.items():
-        if i in back_c and j in back_d:
-            ent[(back_c[i], back_d[j])] = v
-    return ModuleMap(dom, cod, phi.degree, ent)
+
+    def rebuild(m):
+        fixed, real = fixed_points_c_to_d(m)
+        return fixed, [orig for orig, _e in real]
+
+    return _rebuilt_map(phi, rebuild)
 
 
 def base_change_d_to_c(m: GradedModule) -> tuple[GradedModule, list[int]]:
@@ -587,16 +595,7 @@ def base_change_d_to_c(m: GradedModule) -> tuple[GradedModule, list[int]]:
 
 
 def base_change_map(phi: ModuleMap) -> ModuleMap:
-    dom, src_d = base_change_d_to_c(phi.domain)
-    cod, src_c = base_change_d_to_c(phi.codomain)
-    back_c = {orig: k for k, orig in enumerate(src_c)}
-    back_d = {orig: k for k, orig in enumerate(src_d)}
-    ent = {
-        (back_c[i], back_d[j]): v
-        for (i, j), v in phi.entries.items()
-        if i in back_c and j in back_d
-    }
-    return ModuleMap(dom, cod, phi.degree, ent)
+    return _rebuilt_map(phi, base_change_d_to_c)
 
 
 # -- barcode decomposition ---------------------------------------------------

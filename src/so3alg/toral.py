@@ -25,8 +25,14 @@ coordinate embedding into padded copies.
 
 Suspension, the sign twist, the parity split and the direct sum share one
 re-indexing routine, ``_transport``; only the functors that change a slot's
-ring move beta between models of V by hand.  A slot that is not explicit
-reads the tail (``ToralObject.beta_at`` and ``ToralObject.differential``).
+ring move beta between models of V by hand.
+
+Every per-slot datum of both models (slot modules and spaces, beta, the slot
+differentials, germ maps, morphism components, a resolution's quotient
+maps) is held by one container, ``Slots``: explicit values per slot key plus
+one tail, which every unlisted key and ``TAIL`` read.  It alone reads the
+tail, unions key sets, fills missing maps with zero and drops the listed
+copies of the tail (``Slots.normal_forms``).
 """
 
 from __future__ import annotations
@@ -339,14 +345,122 @@ def _reindex_entries(entries, row_tags, pos, cols=None) -> dict:
 # -- slot families and objects ------------------------------------------------
 
 
-class SlotFamily:
-    """Finitely many explicit slots plus a tail template.
+class Slots:
+    """Values at finitely many listed slot keys, plus one tail value.
 
-    Slot keys are integers >= 1; on the SO3 side slot 1 is always explicit
-    and is a module over Q[d] (or its Laurent ring) without involution.
+    Both models index their data so: the toral one by the cyclic slots
+    n >= 1, the dihedral one by the slots k > 2.  This class is the one place
+    that reads the tail: ``s[key]`` is the listed value, and the tail at
+    every key that is not listed and at TAIL, which is not an index and is
+    never listed.  Two instances are equal when they read equal values at
+    every key, so listing a copy of the tail changes nothing.
     """
 
-    __slots__ = ("side", "explicit", "tail")
+    __slots__ = ("explicit", "tail")
+
+    def __init__(self, explicit: dict, tail):
+        self.explicit = dict(explicit)
+        self.tail = tail
+
+    @staticmethod
+    def keys_of(parts) -> list:
+        """The keys that one of parts lists, in order, then TAIL."""
+        return sorted({k for p in parts for k in p.explicit}) + [TAIL]
+
+    @staticmethod
+    def over(parts, value) -> "Slots":
+        """value(key) at each key of ``keys_of(parts)``."""
+        listed = sorted({k for p in parts for k in p.explicit})
+        return Slots({k: value(k) for k in listed}, value(TAIL))
+
+    @staticmethod
+    def fill(parts, given, typ, zero, what: str | None) -> "Slots":
+        """One map at each key of ``keys_of(parts)``, of type typ(key) =
+        (domain, codomain, degree): given's there, or ``zero(*typ(key))``
+        where given, a dict, has none.  A dict's other keys are dropped.
+        Each given map is checked against its type, named what; with what
+        None, given is trusted, and a container is taken as it is."""
+        if not isinstance(given, Slots):
+            read = given.get
+        elif what is None:
+            return given
+        else:
+            read = given.__getitem__
+
+        def value(key):
+            f = read(key)
+            if f is None:
+                return zero(*typ(key))
+            if what is not None and (f.domain, f.codomain, f.degree) != typ(key):
+                raise SchemaError(f"{what} at slot {key!r} has wrong type")
+            return f
+
+        return Slots.over(parts, value)
+
+    def _copy(self, explicit: dict, tail) -> "Slots":
+        """Slots of the same kind with other values."""
+        return Slots(explicit, tail)
+
+    @staticmethod
+    def normal_forms(*parts) -> list:
+        """parts without the listed keys at which each of them holds a copy
+        of its tail."""
+        keep = {k for p in parts for k, v in p.explicit.items() if v != p.tail}
+        return [p._copy({k: v for k, v in p.explicit.items() if k in keep}, p.tail) for p in parts]
+
+    def with_value(self, key, value, keep=()) -> "Slots":
+        """A copy that reads value at key.  At TAIL it becomes the tail, and
+        the keys in keep are listed with the old tail, so they still read it."""
+        explicit = dict(self.explicit)
+        if key == TAIL:
+            explicit.update((k, self.tail) for k in keep if k not in explicit)
+            return self._copy(explicit, value)
+        explicit[key] = value
+        return self._copy(explicit, self.tail)
+
+    def listing(self, key) -> "Slots":
+        """A copy that lists key with the value it reads there."""
+        return self.with_value(key, self[key])
+
+    def __getitem__(self, key):
+        return self.explicit.get(key, self.tail)
+
+    def keys(self) -> list:
+        return sorted(self.explicit) + [TAIL]
+
+    def __iter__(self):
+        return iter(self.keys())
+
+    def items(self) -> list:
+        return [(k, self[k]) for k in self.keys()]
+
+    def values(self) -> list:
+        return [*self.explicit.values(), self.tail]
+
+    def map(self, f) -> "Slots":
+        return Slots({k: f(v) for k, v in self.explicit.items()}, f(self.tail))
+
+    def unzip(self) -> list:
+        """One Slots per position of the tuples held."""
+        return [
+            Slots({k: v[i] for k, v in self.explicit.items()}, self.tail[i])
+            for i in range(len(self.tail))
+        ]
+
+    def __eq__(self, other):
+        return isinstance(other, Slots) and all(
+            self[k] == other[k] for k in Slots.keys_of([self, other])
+        )
+
+
+class SlotFamily(Slots):
+    """The slot modules of a toral object: slot keys are integers >= 1.
+
+    On the SO3 side slot 1 is always explicit and is a module over Q[d] (or
+    its Laurent ring) without involution.
+    """
+
+    __slots__ = ("side",)
 
     def __init__(self, side: str, explicit: dict, tail: GradedModule):
         if side not in ("SO3", "O2"):
@@ -364,75 +478,48 @@ class SlotFamily:
                 raise SchemaError(f"slot {n} is over the wrong ring")
             if want_d and any(s.sign != 1 for s in m.summands):
                 raise InvariantError("the torus slot carries no involution")
+        super().__init__(explicit, tail)
         self.side = side
-        self.explicit = explicit
-        self.tail = tail
 
-    def slot(self, key):
-        if key == TAIL:
-            return self.tail
-        return self.explicit.get(key, self.tail)
-
-    def keys(self):
-        return sorted(self.explicit) + [TAIL]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SlotFamily)
-            and self.side == other.side
-            and self.explicit == other.explicit
-            and self.tail == other.tail
-        )
+    def _copy(self, explicit, tail) -> "SlotFamily":
+        return SlotFamily(self.side, explicit, tail)
 
     def is_torsion(self):
-        return self.tail.is_torsion() and all(
-            m.is_torsion() for m in self.explicit.values()
-        )
+        return all(m.is_torsion() for m in self.values())
 
     def is_zero(self):
-        return self.tail.is_zero() and all(m.is_zero() for m in self.explicit.values())
-
-
-def _slot_family(side: str, slots: dict) -> SlotFamily:
-    """The slot family of a dict that holds one module per explicit slot and
-    the tail template under TAIL."""
-    explicit = dict(slots)
-    tail = explicit.pop(TAIL)
-    return SlotFamily(side, explicit, tail)
+        return all(m.is_zero() for m in self.values())
 
 
 class ToralObject:
-    """An object (beta: M -> Laurent x V) of the toral model."""
+    """An object (beta: M -> Laurent x V) of the toral model.
+
+    Without a differential, dM and dV are None and every slot differential
+    is zero (``slot_differentials``).
+    """
 
     __slots__ = ("side", "M", "V", "beta", "dM", "dV")
 
-    def __init__(self, side, M: SlotFamily, V: QWSpace, beta: dict, dM=None, dV=None):
+    def __init__(self, side, M: SlotFamily, V: QWSpace, beta, dM=None, dV=None):
         if M.side != side:
             raise SchemaError("slot family side mismatch")
         self.side = side
         self.M = M
         self.V = V
-        self.beta = {}
-        for key in M.keys():
-            b = beta.get(key)
-            cod = self.beta_codomain(key)
-            if b is None:
-                b = ModuleMap.zero(M.slot(key), cod, 0)
-            if b.domain != M.slot(key) or b.codomain != cod or b.degree != 0:
-                raise SchemaError(f"structure map at slot {key!r} has wrong type")
-            self.beta[key] = b
+        self.beta = Slots.fill(
+            [M], beta, lambda key: (M[key], self.beta_codomain(key), 0), ModuleMap.zero,
+            "structure map",
+        )
         if (dM is None) != (dV is None):
             raise SchemaError("differential must cover both M and V")
-        self.dM = None if dM is None else {}
-        self.dV = dV
-        if dM is not None:
-            for key in M.keys():
-                d = dM.get(key)
-                if d is None or d.domain != M.slot(key) or d.codomain != M.slot(key) or d.degree != -1:
-                    raise SchemaError(f"differential at slot {key!r} has wrong type")
-                self.dM[key] = d
+        self.dM = self.dV = None
+        if dV is not None:
+            self.dM = Slots.fill(
+                [M], dM, lambda key: (M[key], M[key], -1), ModuleMap.zero, "differential"
+            )
             if dV.domain != V or dV.codomain != V or dV.degree != -1:
                 raise SchemaError("V differential has wrong type")
+            self.dV = dV
 
     def slot_is_torus(self, key):
         return self.side == "SO3" and key == 1
@@ -444,49 +531,32 @@ class ToralObject:
         return self.M.keys()
 
     def has_differential(self):
-        return self.dM is not None
+        return self.dV is not None
 
-    def beta_at(self, key):
-        """beta at a slot; a slot that is not explicit reads the tail."""
-        return self.beta.get(key, self.beta[TAIL])
-
-    def differential(self, key):
-        """The slot differential, read like ``beta_at``; zero without one."""
+    def slot_differentials(self) -> Slots:
+        """dM, or zero maps without a differential."""
         if self.dM is not None:
-            return self.dM.get(key, self.dM[TAIL])
-        m = self.M.slot(key)
-        return ModuleMap.zero(m, m, -1)
+            return self.dM
+        return self.M.map(lambda m: ModuleMap.zero(m, m, -1))
+
+    def _slotted(self) -> list:
+        return [self.M, self.beta] + ([self.dM] if self.has_differential() else [])
+
+    def _with_slots(self, M, beta, dM=None) -> "ToralObject":
+        return ToralObject(self.side, M, self.V, beta, dM, self.dV)
 
     def normalized(self) -> "ToralObject":
         """Drop explicit slots that duplicate the tail template."""
-        explicit = dict(self.M.explicit)
-        beta = dict(self.beta)
-        for n in list(explicit):
-            if self.slot_is_torus(n):
-                continue
-            if explicit[n] == self.M.tail and beta[n] == beta[TAIL] and (
-                self.dM is None or self.dM[n] == self.dM[TAIL]
-            ):
-                del explicit[n]
-                del beta[n]
-        fam = SlotFamily(self.side, explicit, self.M.tail)
-        dM = None
-        if self.dM is not None:
-            dM = {k: self.differential(k) for k in fam.keys()}
-        return ToralObject(self.side, fam, self.V, beta, dM, self.dV)
+        return self._with_slots(*Slots.normal_forms(*self._slotted()))
+
+    def listing(self, key) -> "ToralObject":
+        """The same object with key listed."""
+        return self._with_slots(*(p.listing(key) for p in self._slotted()))
 
     def __eq__(self, other):
-        if not isinstance(other, ToralObject):
-            return False
-        a, b = self.normalized(), other.normalized()
-        return (
-            a.side == b.side
-            and a.M == b.M
-            and a.V == b.V
-            and a.beta == b.beta
-            and a.dM == b.dM
-            and a.dV == b.dV
-        )
+        return isinstance(other, ToralObject) and (
+            self.side, self.M, self.V, self.beta, self.dM, self.dV
+        ) == (other.side, other.M, other.V, other.beta, other.dM, other.dV)
 
     def __repr__(self):
         return f"ToralObject({self.side}, slots {sorted(self.M.explicit)}, V {self.V.dims})"
@@ -495,7 +565,7 @@ class ToralObject:
         return self.M.is_zero() and self.V.is_zero()
 
     def all_modules(self):
-        return list(self.M.explicit.values()) + [self.M.tail]
+        return self.M.values()
 
 
 def zero_object(side="SO3") -> ToralObject:
@@ -515,79 +585,51 @@ class ToralMorphism:
 
     __slots__ = ("x", "y", "degree", "alpha", "phi")
 
-    def __init__(self, x: ToralObject, y: ToralObject, degree: int, alpha: dict, phi: VMap):
+    def __init__(self, x: ToralObject, y: ToralObject, degree: int, alpha, phi: VMap):
         self.x = x
         self.y = y
         self.degree = degree
-        keys = set(x.M.explicit) | set(y.M.explicit) | {TAIL}
-        self.alpha = {}
-        for key in keys:
-            a = alpha.get(key)
-            if a is None:
-                a = ModuleMap.zero(x.M.slot(key), y.M.slot(key), degree)
-            if (
-                a.domain != x.M.slot(key)
-                or a.codomain != y.M.slot(key)
-                or a.degree != degree
-            ):
-                raise SchemaError(f"morphism component at slot {key!r} has wrong type")
-            self.alpha[key] = a
+        self.alpha = Slots.fill(
+            [x.M, y.M], alpha, lambda key: (x.M[key], y.M[key], degree), ModuleMap.zero,
+            "morphism component",
+        )
         if phi.domain != x.V or phi.codomain != y.V or phi.degree != degree:
             raise SchemaError("morphism V-component has wrong type")
         self.phi = phi
 
-    def component(self, key):
-        a = self.alpha.get(key)
-        if a is not None:
-            return a
-        return self.alpha[TAIL]
-
     @staticmethod
     def identity(x: ToralObject) -> "ToralMorphism":
-        alpha = {key: ModuleMap.identity(x.M.slot(key)) for key in x.keys()}
-        return ToralMorphism(x, x, 0, alpha, VMap.identity(x.V))
+        return ToralMorphism(x, x, 0, x.M.map(ModuleMap.identity), VMap.identity(x.V))
 
     def compose(self, other: "ToralMorphism") -> "ToralMorphism":
         """self after other."""
         if other.y is not self.x and other.y != self.x:
             raise SchemaError("morphism composition mismatch")
-        keys = set(other.x.M.explicit) | set(self.y.M.explicit) | set(self.x.M.explicit) | {TAIL}
-        alpha = {}
-        for key in keys:
-            alpha[key] = self.component(key).compose(other.component(key))
+        alpha = Slots.over(
+            [other.x.M, self.y.M], lambda key: self.alpha[key].compose(other.alpha[key])
+        )
         return ToralMorphism(
             other.x, self.y, self.degree + other.degree, alpha, self.phi.compose(other.phi)
         )
 
     def __eq__(self, other):
-        if not isinstance(other, ToralMorphism):
-            return False
-        if (self.x, self.y, self.degree) != (other.x, other.y, other.degree):
-            return False
-        keys = set(self.alpha) | set(other.alpha)
-        return all(self.component(k) == other.component(k) for k in keys) and self.phi == other.phi
-
-    def _keys(self):
-        # a fixed order: the checks below stop at the first failing slot
-        return sorted(set(self.x.M.explicit) | set(self.y.M.explicit)) + [TAIL]
+        return isinstance(other, ToralMorphism) and (
+            self.x, self.y, self.degree, self.alpha, self.phi
+        ) == (other.x, other.y, other.degree, other.alpha, other.phi)
 
     def is_valid(self) -> bool:
         """The defining square commutes at every slot."""
         x, y = self.x, self.y
-        for key in self._keys():
+        # the keys in order: the check stops at the first failing slot
+        for key, a in self.alpha.items():
             l_phi = laurent_model_map(self.phi, x.slot_is_torus(key))
-            if y.beta_at(key).compose(self.component(key)) != l_phi.compose(x.beta_at(key)):
+            if y.beta[key].compose(a) != l_phi.compose(x.beta[key]):
                 return False
         return True
 
     def is_chain_map(self) -> bool:
-        x, y = self.x, self.y
-        for key in self._keys():
-            if y.differential(key).compose(self.component(key)) != self.component(key).compose(
-                x.differential(key)
-            ):
-                return False
-        return True
+        dx, dy = self.x.slot_differentials(), self.y.slot_differentials()
+        return all(dy[key].compose(a) == a.compose(dx[key]) for key, a in self.alpha.items())
 
 
 # -- the star condition ---------------------------------------------------------
@@ -730,17 +772,16 @@ def _transport(side: str, v: QWSpace, parts, dV=None) -> ToralObject:
     and beta is re-indexed to follow them; so are the slot differentials
     when dV, the differential of v, is given.
     """
-    keys = sorted(set().union(*(x.M.explicit for x, _, _ in parts))) + [TAIL]
-    slots, beta = {}, {}
-    dM = None if dV is None else {}
-    for key in keys:
-        rings = {x.M.slot(key).ring for x, _, _ in parts}
+
+    def transported(key):
+        # (module, beta, differential) at one slot
+        rings = {x.M[key].ring for x, _, _ in parts}
         if len(rings) != 1:
             raise SchemaError("direct sum over mixed rings")
         tagged = [
             (change(s), (p, j))
             for p, (x, change, _) in enumerate(parts)
-            for j, s in enumerate(x.M.slot(key).summands)
+            for j, s in enumerate(x.M[key].summands)
         ]
         m, _, pos = _module_with_index(rings.pop(), [(s, t) for s, t in tagged if s is not None])
         torus = parts[0][0].slot_is_torus(key)
@@ -749,15 +790,15 @@ def _transport(side: str, v: QWSpace, parts, dV=None) -> ToralObject:
         for p, (x, _, retag) in enumerate(parts):
             cols = {j: i for (q, j), i in pos.items() if q == p}
             vtags = [retag(t) for t in laurent_model(x.V, torus)[1]]
-            ent.update(_reindex_entries(x.beta_at(key).entries, vtags, vpos, cols))
-            if dM is not None:
-                mtags = [(p, i) for i in range(len(x.M.slot(key).summands))]
-                dent.update(_reindex_entries(x.differential(key).entries, mtags, pos, cols))
-        slots[key] = m
-        beta[key] = ModuleMap(m, cod, 0, ent)
-        if dM is not None:
-            dM[key] = ModuleMap(m, m, -1, dent)
-    return ToralObject(side, _slot_family(side, slots), v, beta, dM, dV)
+            ent.update(_reindex_entries(x.beta[key].entries, vtags, vpos, cols))
+            if dV is not None and x.has_differential():
+                mtags = [(p, i) for i in range(len(x.M[key].summands))]
+                dent.update(_reindex_entries(x.dM[key].entries, mtags, pos, cols))
+        return m, ModuleMap(m, cod, 0, ent), None if dV is None else ModuleMap(m, m, -1, dent)
+
+    slots, beta, dM = Slots.over([x.M for x, _, _ in parts], transported).unzip()
+    M = SlotFamily(side, slots.explicit, slots.tail)
+    return ToralObject(side, M, v, beta, None if dV is None else dM, dV)
 
 
 def suspend_object(x: ToralObject, k: int) -> ToralObject:
@@ -815,76 +856,66 @@ def functor_F(x: ToralObject) -> ToralObject:
     """Base change at the torus slot: from the SO3 side to the O2 side."""
     if x.side != "SO3":
         raise SchemaError("F consumes objects on the SO3 side")
-    new1, src = base_change_d_to_c(x.M.slot(1))
+    new1, src = base_change_d_to_c(x.M[1])
     lmod, _, lpos = laurent_model(x.V, False)
     back = {orig: k for k, orig in enumerate(src)}
     ent = _reindex_entries(x.beta[1].entries, laurent_model(x.V, True)[1], lpos, back)
-    explicit = {n: m for n, m in x.M.explicit.items() if n != 1}
-    explicit[1] = new1
-    beta = {key: x.beta[key] for key in x.keys() if key != 1}
-    beta[1] = ModuleMap(new1, lmod, 0, ent)
-    return ToralObject("O2", SlotFamily("O2", explicit, x.M.tail), x.V, beta)
+    M = SlotFamily("O2", {**x.M.explicit, 1: new1}, x.M.tail)
+    return ToralObject("O2", M, x.V, x.beta.with_value(1, ModuleMap(new1, lmod, 0, ent)))
 
 
 def functor_R(y: ToralObject) -> ToralObject:
     """W-fixed points at slot 1: from the O2 side to the SO3 side."""
     if y.side != "O2":
         raise SchemaError("R consumes objects on the O2 side")
-    fixed, _ = fixed_points_c_to_d(y.M.slot(1))
+    fixed, _ = fixed_points_c_to_d(y.M[1])
     ltags = laurent_model(y.V, False)[1]
     fmod, _, fpos = laurent_model(y.V, True)
-    b1 = y.beta_at(1)
+    b1 = y.beta[1]
     # re-index the codomain from fixed(Laurent V) to the fixed-point model
     _, creal = fixed_points_c_to_d(b1.codomain)
     tags = [ltags[orig] for orig, _e in creal]
     ent = _reindex_entries(fixed_points_map(b1).entries, tags, fpos)
-    explicit = {n: m for n, m in y.M.explicit.items() if n != 1}
-    explicit[1] = fixed
-    beta = {key: y.beta[key] for key in y.keys() if key != 1}
-    beta[1] = ModuleMap(fixed, fmod, 0, ent)
-    return ToralObject("SO3", SlotFamily("SO3", explicit, y.M.tail), y.V, beta)
+    M = SlotFamily("SO3", {**y.M.explicit, 1: fixed}, y.M.tail)
+    return ToralObject("SO3", M, y.V, y.beta.with_value(1, ModuleMap(fixed, fmod, 0, ent)))
 
 
 def unit_of_adjunction(x: ToralObject) -> ToralMorphism:
     """x -> R(F(x)) on the SO3 side; away from the torus slot it is identity."""
     rfx = functor_R(functor_F(x))
-    m1 = x.M.slot(1)
+    m1 = x.M[1]
     bc, src = base_change_d_to_c(m1)
     _, real = fixed_points_c_to_d(bc)
     target_of = {orig: k for k, (orig, _e) in enumerate(real)}
     ent = {}
     for j in range(len(m1.summands)):
         ent[(target_of[src.index(j)], j)] = Q(1)
-    alpha = {key: ModuleMap.identity(x.M.slot(key)) for key in x.keys() if key != 1}
-    alpha[1] = ModuleMap(m1, rfx.M.slot(1), 0, ent)
+    alpha = x.M.map(ModuleMap.identity).with_value(1, ModuleMap(m1, rfx.M[1], 0, ent))
     return ToralMorphism(x, rfx, 0, alpha, VMap.identity(x.V))
 
 
 def counit_of_adjunction(y: ToralObject) -> ToralMorphism:
     """F(R(y)) -> y on the O2 side: evaluation of fixed points."""
     fry = functor_F(functor_R(y))
-    m1 = y.M.slot(1)
+    m1 = y.M[1]
     fixed, real = fixed_points_c_to_d(m1)
     _, src = base_change_d_to_c(fixed)
     ent = {}
     for k, (orig, _e) in enumerate(real):
         ent[(orig, src.index(k))] = Q(1)
-    alpha = {key: ModuleMap.identity(y.M.slot(key)) for key in y.keys() if key != 1}
-    alpha[1] = ModuleMap(fry.M.slot(1), m1, 0, ent)
+    alpha = y.M.map(ModuleMap.identity).with_value(1, ModuleMap(fry.M[1], m1, 0, ent))
     return ToralMorphism(fry, y, 0, alpha, VMap.identity(y.V))
 
 
 def map_F(m: ToralMorphism) -> ToralMorphism:
     fx, fy = functor_F(m.x), functor_F(m.y)
-    alpha = {key: a for key, a in m.alpha.items() if key != 1}
-    alpha[1] = base_change_map(m.component(1))
+    alpha = m.alpha.with_value(1, base_change_map(m.alpha[1]))
     return ToralMorphism(fx, fy, m.degree, alpha, m.phi)
 
 
 def map_R(m: ToralMorphism) -> ToralMorphism:
     rx, ry = functor_R(m.x), functor_R(m.y)
-    alpha = {key: a for key, a in m.alpha.items() if key != 1}
-    alpha[1] = fixed_points_map(m.component(1))
+    alpha = m.alpha.with_value(1, fixed_points_map(m.alpha[1]))
     return ToralMorphism(rx, ry, m.degree, alpha, m.phi)
 
 
@@ -909,13 +940,14 @@ def twist_morphism(m: ToralMorphism) -> ToralMorphism:
         # where the twisted slot of tx or ty puts each summand of mod
         return _module_with_index(mod.ring, [(_twisted(s), j) for j, s in enumerate(mod.summands)])[2]
 
-    alpha = {}
-    for key in m.alpha:
-        ix, iy = index(m.x.M.slot(key)), index(m.y.M.slot(key))
-        alpha[key] = ModuleMap(
-            tx.M.slot(key), ty.M.slot(key), m.degree,
-            {(iy[i], ix[j]): c for (i, j), c in m.component(key).entries.items()},
+    def twisted(key):
+        ix, iy = index(m.x.M[key]), index(m.y.M[key])
+        return ModuleMap(
+            tx.M[key], ty.M[key], m.degree,
+            {(iy[i], ix[j]): c for (i, j), c in m.alpha[key].entries.items()},
         )
+
+    alpha = Slots.over([m.x.M, m.y.M], twisted)
     return ToralMorphism(tx, ty, m.degree, alpha, m.phi.twist())
 
 
@@ -1054,10 +1086,8 @@ def smash_with_torsion(x: ToralObject, fam: SlotFamily) -> ToralObject:
         raise NotTorsion("smashing needs a torsion family")
     if fam.side != x.side:
         raise SchemaError("smash across sides")
-    keys = set(x.M.explicit) | set(fam.explicit)
-    explicit = {n: _tensor_modules(x.M.slot(n), fam.slot(n)) for n in keys}
-    tail = _tensor_modules(x.M.tail, fam.tail)
-    return make_fN(SlotFamily(x.side, explicit, tail))
+    slots = Slots.over([x.M, fam], lambda n: _tensor_modules(x.M[n], fam[n]))
+    return make_fN(SlotFamily(x.side, slots.explicit, slots.tail))
 
 
 # -- parity ---------------------------------------------------------------------
@@ -1114,12 +1144,12 @@ class HomSpace:
         if x.side != y.side:
             raise SchemaError("hom across sides")
         self.x, self.y, self.degree = x, y, degree
-        self.keys = sorted(set(x.M.explicit) | set(y.M.explicit)) + [TAIL]
+        self.keys = Slots.keys_of([x.M, y.M])
         self.unknowns = []
         self.index = {}
         units = {}
         for key in self.keys:
-            dom, cod = x.M.slot(key), y.M.slot(key)
+            dom, cod = x.M[key], y.M[key]
             for i in range(len(cod.summands)):
                 for j in range(len(dom.summands)):
                     unit = _entry_allowed(dom, cod, degree, i, j)
@@ -1148,7 +1178,7 @@ class HomSpace:
         n = len(self.unknowns)
         rows = []
         for key in self.keys:
-            bx, by = x.beta_at(key), y.beta_at(key)
+            bx, by = x.beta[key], y.beta[key]
             torus = x.slot_is_torus(key)
             lx_pos, ly_pos = laurent_model(x.V, torus)[2], laurent_model(y.V, torus)[2]
             terms = []
@@ -1188,7 +1218,7 @@ class HomSpace:
             for (g, s), ent in block_ents.items()
         }
         alpha = {
-            key: ModuleMap(x.M.slot(key), y.M.slot(key), t, ent)
+            key: ModuleMap(x.M[key], y.M[key], t, ent)
             for key, ent in ent_by_key.items()
         }
         return ToralMorphism(x, y, t, alpha, VMap(x.V, y.V, t, blocks))
@@ -1200,7 +1230,7 @@ class HomSpace:
         """Unknown-space vector of a morphism (must lie in the hom space)."""
         vec = [Q(0)] * len(self.unknowns)
         for key in self.keys:
-            for (i, j), coef in m.component(key).entries.items():
+            for (i, j), coef in m.alpha[key].entries.items():
                 u = self.index.get(("a", key, i, j))
                 if u is None:
                     raise InvariantError("morphism entry outside the hom space")
@@ -1233,11 +1263,8 @@ class InjectiveResolution:
     Y0: ToralObject
     include: ToralMorphism
     Y1: ToralObject
-    quot: dict  # slot key of x -> the projection of the Y0 slot onto the Y1 slot (a WindowMap)
+    quot: Slots  # the projection of each Y0 slot onto the Y1 slot (a WindowMap)
     window: tuple[int, int]
-
-    def quot_of(self, key):
-        return self.quot.get(key, self.quot[TAIL])
 
     def check_exact(self) -> bool:
         """Degreewise exactness 0 -> x -> Y0 -> Y1 -> 0 on the window.
@@ -1245,8 +1272,8 @@ class InjectiveResolution:
         Both maps repeat along each run of degrees on which the summands of
         the three slots stay alive, so one degree per run is ranked."""
         for key in self.x.keys():
-            q = self.quot_of(key)
-            inc = self.include.component(key)
+            q = self.quot[key]
+            inc = self.include.alpha[key]
             placed = [(inc.domain, 0), (inc.codomain, 0), (q.codomain, 0)]
             for g in degree_runs(self.window, inc.domain.ring.step, placed):
                 a = inc.evaluate(g)
@@ -1280,9 +1307,10 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
     """
     check_star(x, strict=True)
     side = x.side
-    I_slots, psi = {}, {}
-    for key in x.keys():
-        m = x.M.slot(key)
+
+    def padded_torsion(key):
+        # (the I slot, psi at the slot)
+        m = x.M[key]
         ring = m.ring
         pad = 2 * m.max_torsion() + 1
         sign = (-1) ** pad if ring.flip else 1
@@ -1292,29 +1320,30 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
             if s.kind == TORSION
         ]
         imod, tags, _ = _module_with_index(ring, tagged)
-        I_slots[key] = imod
-        psi[key] = ModuleMap(m, imod, 0, {(i, j): Q(1) for i, j in enumerate(tags)})
-    f_part = make_fN(_slot_family(side, I_slots))
+        return imod, ModuleMap(m, imod, 0, {(i, j): Q(1) for i, j in enumerate(tags)})
+
+    I_slots, psi = Slots.over([x.M], padded_torsion).unzip()
+    f_part = make_fN(SlotFamily(side, I_slots.explicit, I_slots.tail))
     e_part = make_eV(x.V, side)
     Y0 = direct_sum_objects(e_part, f_part)
-    alpha = {}
-    for key in x.keys():
-        e_slot = e_part.M.slot(key)
-        _, maps = direct_sum([e_slot, I_slots[key]])
+
+    def inclusion(key):
+        _, maps = direct_sum([e_part.M[key], I_slots[key]])
         ent = {}
         for (i, j), coef in x.beta[key].entries.items():
             ent[(maps[0][i], j)] = coef
         for (i, j), coef in psi[key].entries.items():
             ent[(maps[1][i], j)] = coef
-        alpha[key] = ModuleMap(x.M.slot(key), Y0.M.slot(key), 0, ent)
-    include = ToralMorphism(x, Y0, 0, alpha, VMap.identity(x.V))
-    J_slots, quot = {}, {}
-    for key in x.keys():
-        win = auto_window(window, [x.M.slot(key), Y0.M.slot(key)])
-        J, pr = cokernel_of_map(include.component(key), win)
-        J_slots[key] = J
-        quot[key] = pr
-    Y1 = make_fN(_slot_family(side, J_slots))
+        return ModuleMap(x.M[key], Y0.M[key], 0, ent)
+
+    include = ToralMorphism(x, Y0, 0, Slots.over([x.M], inclusion), VMap.identity(x.V))
+
+    def cokernel(key):
+        win = auto_window(window, [x.M[key], Y0.M[key]])
+        return cokernel_of_map(include.alpha[key], win)
+
+    J_slots, quot = Slots.over([x.M], cokernel).unzip()
+    Y1 = make_fN(SlotFamily(side, J_slots.explicit, J_slots.tail))
     res = InjectiveResolution(x, Y0, include, Y1, quot, window)
     if not res.check_exact():
         raise InvariantError("resolution is not exact on the window")
@@ -1340,9 +1369,7 @@ def ext_A(
         cols = []
         for k in range(h0.dim):
             m = h0.basis_morphism(k)
-            alpha = {}
-            for key in h1.keys:
-                alpha[key] = res.quot_of(key).compose_module_map(m.component(key))
+            alpha = {key: res.quot[key].compose_module_map(m.alpha[key]) for key in h1.keys}
             comp = ToralMorphism(
                 x, res.Y1, t, alpha, VMap.zero(x.V, res.Y1.V, t)
             )
@@ -1368,9 +1395,10 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
         if x.beta[key].compose(x.dM[key]) != ld.compose(x.beta[key]):
             raise NotADifferential("structure map is not a chain map")
     hv, hv_data = qw_homology(x.V, x.dV)
-    slots, beta = {}, {}
-    for key in x.keys():
-        m = x.M.slot(key)
+
+    def slot_homology(key):
+        # (the homology module, its structure map)
+        m = x.M[key]
         win = auto_window(window or (0, 0), [m, x.beta[key].codomain])
         H, realized = homology_realized(m, x.dM[key], win)
         torus = x.slot_is_torus(key)
@@ -1395,9 +1423,10 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
             for col, (i, _a) in enumerate(hmod.basis(g)):
                 if out_vec[col] != 0:
                     ent[(i, k)] = ent.get((i, k), Q(0)) + out_vec[col]
-        slots[key] = H
-        beta[key] = ModuleMap(H, hmod, 0, ent)
-    return ToralObject(x.side, _slot_family(x.side, slots), hv, beta)
+        return H, ModuleMap(H, hmod, 0, ent)
+
+    slots, beta = Slots.over([x.M], slot_homology).unzip()
+    return ToralObject(x.side, SlotFamily(x.side, slots.explicit, slots.tail), hv, beta)
 
 
 def adams_bracket(x: ToralObject, y: ToralObject, degrees, window=(-12, 12)):
@@ -1478,10 +1507,13 @@ def wide_sphere_cover(x: ToralObject, key, degree: int, vector):
     """A wide sphere P with a morphism P -> x hitting the given element.
 
     The element is a degreewise vector in the slot module at the given slot;
-    it must be sign-pure.  Returns (P, morphism).
+    it must be sign-pure.  Returns (P, morphism).  A slot that x does not
+    list is listed first, as the copy of the tail it reads, so the cover's
+    component there is kept.
     """
     check_star(x, strict=True)
-    m_slot = x.M.slot(key)
+    x = x.listing(key)
+    m_slot = x.M[key]
     vector = [Fraction(v) for v in vector]
     if len(vector) != m_slot.dim(degree):
         raise SchemaError("element vector has the wrong length")
@@ -1512,12 +1544,11 @@ def _rank_one_cover(x, key, degree, vector, s_n):
         explicit[1] = slot1
         beta[1] = ModuleMap(slot1, fmod, 0, {(fpos[tag], 0): Q(1)})
     P = ToralObject(side, SlotFamily(side, explicit, tail), T, beta)
-    dom = P.M.slot(key)
     ent = {}
-    for col, (i, _a) in enumerate(x.M.slot(key).basis(degree)):
+    for col, (i, _a) in enumerate(x.M[key].basis(degree)):
         if vector[col] != 0:
             ent[(i, 0)] = vector[col]
-    alpha = {key: ModuleMap(dom, x.M.slot(key), 0, ent)}
+    alpha = {key: ModuleMap(P.M[key], x.M[key], 0, ent)}
     m = ToralMorphism(P, x, 0, alpha, VMap.zero(T, x.V, 0))
     _verify_cover(P, m, key, degree, vector, hit_vec=None)
     return P, m
@@ -1525,7 +1556,7 @@ def _rank_one_cover(x, key, degree, vector, s_n):
 
 def _proof_cover(x, key, degree, vector, w):
     side = x.side
-    m_slot = x.M.slot(key)
+    m_slot = x.M[key]
     L, ltags, _ = laurent_model(x.V, x.slot_is_torus(key))
     terms = _expand_terms(L, ltags, degree, w)
     tags = x.V.vectors()
@@ -1601,26 +1632,24 @@ def _proof_cover(x, key, degree, vector, w):
     )
     # P is free on the Euler generators at every slot but the covered one;
     # when that is the tail, x's explicit slots are listed to stay free
-    pinned = x.M.explicit if key == TAIL else {}
-    slots = dict.fromkeys([*pinned, TAIL], S_other)
-    beta = dict.fromkeys(slots, free_beta)
+    slots, beta = Slots({}, S_other), Slots({}, free_beta)
     spos_d = spos
     if side == "SO3":
         S_one, _, spos_d = _module_with_index(POLY_D, tagged)
         fmod, _, fpos = laurent_model(x.V, True)
-        slots[1] = S_one
-        beta[1] = ModuleMap(
+        slots = slots.with_value(1, S_one)
+        beta = beta.with_value(1, ModuleMap(
             S_one, fmod, 0, {(fpos[tag], spos_d[tag]): Q(1) for tag in tags}
-        )
-    slots[key], beta[key] = S_slot, ModuleMap(S_slot, L, 0, beta_ent)
-    P = ToralObject(side, _slot_family(side, slots), x.V, beta)
-    alpha = {key: ModuleMap(S_slot, m_slot, 0, alpha_ent)}
-    for key2 in set(x.M.explicit) | set(P.M.explicit) | {TAIL}:
+        ))
+    slots = slots.with_value(key, S_slot, x.M.explicit)
+    beta = beta.with_value(key, ModuleMap(S_slot, L, 0, beta_ent), x.M.explicit)
+    P = ToralObject(side, SlotFamily(side, slots.explicit, slots.tail), x.V, beta)
+
+    def component(key2):
         if key2 == key:
-            continue
-        dom = P.M.slot(key2)
+            return ModuleMap(S_slot, m_slot, 0, alpha_ent)
         pos2 = spos_d if x.slot_is_torus(key2) else spos
-        m2 = x.M.slot(key2)
+        m2 = x.M[key2]
         ent = {}
         for tag in tags:
             img = _mult_euler(
@@ -1628,8 +1657,9 @@ def _proof_cover(x, key, degree, vector, w):
             )
             for i, coef in _vector_entries(m2, tag[0] - 2 * A[tag], img).items():
                 ent[(i, pos2[tag])] = coef
-        alpha[key2] = ModuleMap(dom, m2, 0, ent)
-    m = ToralMorphism(P, x, 0, alpha, VMap.identity(x.V))
+        return ModuleMap(P.M[key2], m2, 0, ent)
+
+    m = ToralMorphism(P, x, 0, Slots.over([x.M, P.M], component), VMap.identity(x.V))
     hit_vec = None
     span_mat, img_mat = img_cols[degree]
     lam = span_mat.solve(list(w))
@@ -1644,7 +1674,7 @@ def _verify_cover(P, m, key, degree, vector, hit_vec):
         raise InvariantError("cover is not a morphism")
     check_star(P, strict=True)
     # the element must be in the image of the slot component
-    mat = m.component(key).evaluate(degree)
+    mat = m.alpha[key].evaluate(degree)
     aug = mat.solve(list(vector))
     if aug is None:
         raise InvariantError("cover misses the element")

@@ -9,7 +9,6 @@ from so3alg import burnside
 from so3alg.dihedral import (
     DihedralMorphism,
     DihedralObject,
-    GermSequence,
     QWComplex,
     cone,
     counit_const,
@@ -49,6 +48,7 @@ from so3alg.toral import (
     TAIL,
     QWSpace,
     SlotFamily,
+    Slots,
     ToralMorphism,
     ToralObject,
     VMap,
@@ -149,7 +149,7 @@ def rand_germ_object(rng):
     germ = {TAIL: rand_vmap(rng, m_inf, tail)}
     for k in explicit:
         germ[k] = rand_vmap(rng, m_inf, explicit[k])
-    return DihedralObject(m_inf, GermSequence(explicit, tail), germ)
+    return DihedralObject(m_inf, Slots(explicit, tail), germ)
 
 
 def rand_vmap(rng, dom, cod, degree=0):
@@ -364,16 +364,16 @@ def test_criterion_3_adjunction_suite():
         k = rng.choice([3, 4, 5])
         x = QWComplex(rand_qw(rng))
         # triangle identities for (i_k, p_k)
-        assert counit_i_p(functor_i_k(x, k), k).component(k) == unit_i_p(x, k)
-        assert counit_i_p(m, k).component(k).compose(
+        assert counit_i_p(functor_i_k(x, k), k).f_slots[k] == unit_i_p(x, k)
+        assert counit_i_p(m, k).f_slots[k].compose(
             unit_i_p(functor_p_k(m, k), k)
         ) == VMap.identity(m.slot(k))
         # triangle identities for (p_k, i_k)
         assert counit_p_i(functor_p_k(m, k), k).compose(
-            unit_p_i(m, k).component(k)
+            unit_p_i(m, k).f_slots[k]
         ) == VMap.identity(m.slot(k))
         assert counit_p_i(x, k).compose(
-            unit_p_i(functor_i_k(x, k), k).component(k)
+            unit_p_i(functor_i_k(x, k), k).f_slots[k]
         ) == VMap.identity(x.space)
         # triangle identities for the constant/fixed-point pair
         a = QWComplex(QWSpace({g: (rng.randint(0, 2), 0) for g in range(2)}))
@@ -444,7 +444,7 @@ def test_criterion_4_abelian_structure():
             fn = make_fN(fam)
             keys = sorted(set(x.M.explicit) | set(fam.explicit)) + [TAIL]
             want = sum(
-                legal_entry_count(x.M.slot(k), fam.slot(k), t) for k in keys
+                legal_entry_count(x.M[k], fam[k], t) for k in keys
             )
             assert hom_A(x, fn, [t])[t] == want
     report(4, "abelian structure suite")
@@ -499,20 +499,20 @@ def test_criterion_5_wide_sphere_suite():
             (key, g)
             for key in x.keys()
             for g in range(-8, 9)
-            if x.M.slot(key).dim(g)
+            if x.M[key].dim(g)
         ]
         for key, g in rng.sample(spots, min(3, len(spots))):
-            vec = sign_pure_vector(rng, x.M.slot(key), g)
+            vec = sign_pure_vector(rng, x.M[key], g)
             P, mor = wide_sphere_cover(x, key, g, vec)
             assert check_star(P)
             assert mor.is_valid()
             # the element lies in the image of the slot component
-            assert mor.component(key).evaluate(g).solve(list(vec)) is not None
+            assert mor.alpha[key].evaluate(g).solve(list(vec)) is not None
         if trial % 10 == 0:
             # assembling covers of every summand generator is surjective
             morphisms = []
             for key in x.keys():
-                m = x.M.slot(key)
+                m = x.M[key]
                 for i, s in enumerate(m.summands):
                     # cover each summand at its generator; for a Laurent
                     # piece use a basis element at the top of the window
@@ -534,14 +534,14 @@ def test_criterion_5_wide_sphere_suite():
                     vec[basis.index(pair)] = Q(1)
                     morphisms.append(wide_sphere_cover(x, key, g, vec)[1])
             for key in x.keys():
-                m = x.M.slot(key)
+                m = x.M[key]
                 for g in range(-8, 9):
                     dim = m.dim(g)
                     if not dim:
                         continue
                     cols = []
                     for mor in morphisms:
-                        mat = mor.component(key).evaluate(g)
+                        mat = mor.alpha[key].evaluate(g)
                         for j in range(mat.cols):
                             cols.append(mat.col(j))
                     combined = QMatrix(
@@ -574,7 +574,7 @@ def test_criterion_6_homology_suites():
     )
     fam = SlotFamily("SO3", {2: bad_mod}, GradedModule.zero(POLY_C))
     base = make_fN(fam)
-    bad_d = {k: ModuleMap.zero(base.M.slot(k), base.M.slot(k), -1) for k in base.keys()}
+    bad_d = {k: ModuleMap.zero(base.M[k], base.M[k], -1) for k in base.keys()}
     i0 = bad_mod.summands.index(Summand(TORSION, 0, 1, 2))
     i1 = bad_mod.summands.index(Summand(TORSION, -1, 1, 2))
     i2 = bad_mod.summands.index(Summand(TORSION, -2, 1, 2))
@@ -720,7 +720,7 @@ def rand_differential_object(rng):
     fam = SlotFamily("SO3", explicit, GradedModule.zero(POLY_C))
     dM = {}
     for k in fam.keys():
-        mod = fam.slot(k)
+        mod = fam[k]
         dM[k] = ModuleMap(mod, mod, -1, entries.get(k, {}))
     x = ToralObject(
         "SO3", fam, QWSpace.zero(), {}, dM,

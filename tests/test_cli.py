@@ -391,6 +391,91 @@ def test_cover_reports_validity_checked_once_per_cover(tmp_path, monkeypatch, ca
     assert runs == 252 and covers
 
 
+def _listing_a_tail_copy(doc, k):
+    """The document with slot k listed as a copy of the tail."""
+    doc = copy.deepcopy(doc)
+    doc["M"]["explicit"][str(k)] = doc["M"]["tail"]
+    doc["beta"][str(k)] = doc["beta"]["tail"]
+    if "diff" in doc:
+        doc["diff"]["M"][str(k)] = doc["diff"]["M"]["tail"]
+    return doc
+
+
+def test_cover_at_an_unlisted_slot_reads_the_tail(tmp_path, capsys):
+    # an index >= 1 that the object does not list reads the tail: its cover
+    # report is the report of the object that lists the index as a copy of
+    # the tail (a KeyError, exit 1, before)
+    data = Path(so3alg.__file__).resolve().parent / "data"
+    listed, a, b = tmp_path / "listed.json", tmp_path / "a.json", tmp_path / "b.json"
+    covered = 0
+    for path in sorted(data.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for k in (7, 11):
+            assert str(k) not in doc["M"]["explicit"]
+            listed.write_text(json.dumps(_listing_a_tail_copy(doc, k)))
+            for g in range(-4, 5):
+                argv = ["--slot", str(k), "--degree", str(g)]
+                assert main(["cover", str(path), *argv, "--out", str(a)]) == 0
+                assert main(["cover", str(listed), *argv, "--out", str(b)]) == 0
+                assert a.read_bytes() == b.read_bytes(), (path.name, k, g)
+                covered += len(json.loads(a.read_text())["results"])
+    capsys.readouterr()
+    assert covered >= 20, covered
+
+
+def test_cover_below_slot_one_exits_2(capsys):
+    path = str(Path(so3alg.__file__).resolve().parent / "data" / "cell-torus.json")
+    # degree 5 has no element to cover, and the index is refused all the same
+    for slot in ("0", "-3"):
+        for g in ("0", "5"):
+            assert main(["cover", path, f"--slot={slot}", "--degree", g]) == 2
+    assert "bad slot index" in capsys.readouterr().err
+
+
+def _with_entry_at(doc, path, key):
+    """A copy of doc whose map dict at path also holds key: the tail's map
+    (a structure map with coefficient 7 instead)."""
+    doc = copy.deepcopy(doc)
+    maps = node_at(doc, path)
+    extra = copy.deepcopy(maps["tail"])
+    for e in extra.get("entries", []):
+        e["coef"] = "7"
+    maps[key] = extra
+    return doc
+
+
+def test_decoders_refuse_a_map_at_a_slot_the_object_does_not_list(tmp_path, capsys):
+    # such a map used to be dropped, the slot reading the tail's map instead
+    x = sphere()
+    zero_d = {"M": {"tail": {"degree": -1, "entries": []}}, "V": {"degree": -1, "blocks": []}}
+    cases = [
+        (toral_from_json, toral_to_json(x), ("beta",)),
+        (toral_from_json, {**toral_to_json(x), "diff": zero_d}, ("diff", "M")),
+    ]
+    m = direct_sum_dihedral(
+        functor_i_k(QWComplex(QWSpace({0: (1, 1), 1: (1, 0)}), None), 4),
+        functor_const(QWComplex(QWSpace({0: (1, 0)}))),
+    )
+    cases += [
+        (dihedral_from_json, dihedral_to_json(m), ("germ",)),
+        (dihedral_from_json, {**dihedral_to_json(m), "diff": {"slots": {"tail": {"degree": -1}}}},
+         ("diff", "slots")),
+    ]
+    for decode, doc, path in cases:
+        assert decode(_with_entry_at(doc, path, "tail")) is not None
+        with pytest.raises(ParseError, match="'5'"):
+            decode(_with_entry_at(doc, path, "5"))
+    # on the SO3 side slot 1 is always listed, whether the document lists it or not
+    doc = toral_to_json(x)
+    del doc["M"]["explicit"]["1"]
+    doc["beta"]["1"] = {"degree": 0, "entries": []}
+    assert toral_from_json(doc).M[1].is_zero()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_with_entry_at(toral_to_json(x), ("beta",), "5")))
+    assert main(["star-check", str(bad)]) == 2
+    assert "'5'" in capsys.readouterr().err
+
+
 def test_bracket_and_ext_verbs(tmp_path):
     a = write_object(tmp_path, "a", sigma_one())
     b = write_object(tmp_path, "b", sphere())

@@ -14,7 +14,6 @@ from so3alg.dihedral import (
     TAIL,
     DihedralMorphism,
     DihedralObject,
-    GermSequence,
     QWComplex,
     cone,
     counit_const,
@@ -40,7 +39,7 @@ from so3alg.dihedral import (
 from so3alg.cli import dihedral_from_json, dihedral_to_json, vmap_to_json
 from so3alg.errors import BadIndex, NotADifferential, SchemaError
 from so3alg.linalg import Q, QMatrix, block_matrix
-from so3alg.toral import QWSpace, VMap
+from so3alg.toral import QWSpace, Slots, VMap
 
 
 def rand_space(rng, degrees=range(-1, 3), maxdim=2):
@@ -72,7 +71,7 @@ def rand_object(rng):
     germ = {TAIL: rand_map(rng, m_inf, tail)}
     for k in explicit:
         germ[k] = rand_map(rng, m_inf, explicit[k])
-    return DihedralObject(m_inf, GermSequence(explicit, tail), germ)
+    return DihedralObject(m_inf, Slots(explicit, tail), germ)
 
 
 def rand_complex(rng, degrees=range(0, 4), maxdim=2):
@@ -196,7 +195,7 @@ def test_padding_with_tail_copies_is_a_no_op():
         explicit[free] = m.slots.tail
         germ = dict(m.germ)
         germ[free] = m.germ[TAIL]
-        padded = DihedralObject(m.m_inf, GermSequence(explicit, m.slots.tail), germ)
+        padded = DihedralObject(m.m_inf, Slots(explicit, m.slots.tail), germ)
         assert padded == m
         assert germ_fixed_points(padded) == germ_fixed_points(m)
 
@@ -215,14 +214,14 @@ def test_slot_adjunction_units_and_counits():
         eta = unit_p_i(m, k)
         assert eta.is_valid()
         # triangle identities for (i_k, p_k)
-        assert counit_i_p(functor_i_k(x, k), k).component(k) == unit_i_p(x, k)
-        assert eps.component(k).compose(unit_i_p(functor_p_k(m, k), k)) == VMap.identity(m.slot(k))
+        assert counit_i_p(functor_i_k(x, k), k).f_slots[k] == unit_i_p(x, k)
+        assert eps.f_slots[k].compose(unit_i_p(functor_p_k(m, k), k)) == VMap.identity(m.slot(k))
         # triangle identities for (p_k, i_k)
         assert counit_p_i(functor_p_k(m, k), k).compose(
-            unit_p_i(m, k).component(k)
+            unit_p_i(m, k).f_slots[k]
         ) == VMap.identity(m.slot(k))
         assert counit_p_i(x, k).compose(
-            unit_p_i(functor_i_k(x, k), k).component(k)
+            unit_p_i(functor_i_k(x, k), k).f_slots[k]
         ) == VMap.identity(x.space)
 
 
@@ -243,7 +242,7 @@ def test_constant_adjunction_dimensions_and_triangles():
     # the other triangle: counit on a constant object is the identity
     eps = counit_const(functor_const(a))
     assert eps.f_inf == VMap.identity(a.space)
-    assert eps.component(TAIL) == VMap.identity(a.space)
+    assert eps.f_slots[TAIL] == VMap.identity(a.space)
 
 
 # -- morphism spaces ---------------------------------------------------------------
@@ -315,12 +314,12 @@ def test_levelwise_homology_matches_dense_oracle():
 def test_homology_where_infinity_and_a_slot_share_no_degree():
     # H at infinity lives in degree 0, where the slot has no space and no
     # neighbouring degree: the germ's homology block there is empty
-    m = DihedralObject(QWSpace({0: (1, 0)}), GermSequence({}, QWSpace({5: (1, 0)})), {})
+    m = DihedralObject(QWSpace({0: (1, 0)}), Slots({}, QWSpace({5: (1, 0)})), {})
     h = homology_Ch(m)
     for key in m.keys():
         assert h.slot(key).dims == homology_dims_oracle(m.level(key))
     assert h.m_inf.dims == homology_dims_oracle(m.level_inf())
-    assert h.germ_of(TAIL).is_zero()
+    assert h.germ[TAIL].is_zero()
 
 
 def test_homology_commutes_with_slot_projections():
@@ -517,7 +516,7 @@ def padded(m: DihedralObject) -> DihedralObject:
     explicit[free] = m.slots.tail
     germ, d_slots = dict(m.germ), dict(m.d_slots)
     germ[free], d_slots[free] = m.germ[TAIL], m.d_slots[TAIL]
-    return DihedralObject(m.m_inf, GermSequence(explicit, m.slots.tail), germ, m.d_inf, d_slots)
+    return DihedralObject(m.m_inf, Slots(explicit, m.slots.tail), germ, m.d_inf, d_slots)
 
 
 def plus_part(c: QWComplex) -> QWComplex:
@@ -566,7 +565,7 @@ def test_the_full_check_sees_a_bad_germ_and_a_bad_differential():
     assert not full_check(DihedralObject._assembled(x.m_inf, x.slots, x.germ, d, None))
     v = QWSpace({0: (1, 0), 1: (1, 0), 2: (1, 0)})
     dd = VMap(v, v, -1, {(1, 1): QMatrix.identity(1), (2, 1): QMatrix.identity(1)})
-    slot = GermSequence({4: v}, QWSpace.zero())
+    slot = Slots({4: v}, QWSpace.zero())
     assert not full_check(DihedralObject._assembled(QWSpace.zero(), slot, {}, None, {4: dd}))
 
 
@@ -587,3 +586,107 @@ def test_the_decoder_refuses_a_non_differential_and_a_non_chain_germ():
     # with the same differential at the tail it is an object
     doc["diff"]["slots"] = {"tail": vmap_to_json(dw)}
     assert dihedral_from_json(json.loads(json.dumps(doc))) == functor_const(QWComplex(w, dw))
+
+
+# -- the slot container against the reads it replaced ---------------------------
+#
+# Before ``Slots``, a germ object stored its germ maps and differentials as
+# dicts with the tail under TAIL, and ``GermSequence``, ``germ_of``,
+# ``d_slot`` and ``component`` each read an unlisted slot by hand.  Those reads
+# are kept here as oracles, applied to the stored values.
+
+
+def stored_dict(slots):
+    return {**slots.explicit, TAIL: slots.tail}
+
+
+def oracle_read(d, key):
+    return d.get(key, d[TAIL])
+
+
+def oracle_normal_form(m):
+    """``DihedralObject.normalized``, as the fields it stored."""
+    explicit = dict(m.slots.explicit)
+    germ, d_slots = stored_dict(m.germ), stored_dict(m.d_slots)
+    for k in list(explicit):
+        if explicit[k] == m.slots.tail and germ[k] == germ[TAIL] and d_slots[k] == d_slots[TAIL]:
+            del explicit[k], germ[k], d_slots[k]
+    return (m.m_inf, explicit, m.slots.tail, germ, m.d_inf, d_slots)
+
+
+def oracle_morphism_eq(a, b):
+    """``DihedralMorphism.__eq__``."""
+    if (a.x, a.y, a.degree) != (b.x, b.y, b.degree):
+        return False
+    da, db = stored_dict(a.f_slots), stored_dict(b.f_slots)
+    return a.f_inf == b.f_inf and all(
+        oracle_read(da, k) == oracle_read(db, k) for k in set(da) | set(db)
+    )
+
+
+def _read_keys(*sequences):
+    listed = sorted(set().union(*(s.explicit for s in sequences)))
+    return listed + [TAIL] + [k for k in (8, 9, 10) if k not in listed][:2]
+
+
+def _workload_chain_objects():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads  # the benchmark's seeded germ objects
+
+    rng = random.Random("dihedral-cones/oracle")
+    return [workloads.chain_object(rng, 1 + i % 2)[1] for i in range(8)]
+
+
+def test_germ_object_reads_match_the_fallbacks_they_replaced():
+    rng = random.Random(61)
+    base = [rand_object(rng) for _ in range(12)] + [rand_chain_object(rng) for _ in range(12)]
+    base += _workload_chain_objects()
+    objects = base + [padded(m) for m in base[::2]]
+    assert sum(any(not d.is_zero() for d in m.d_slots.values()) for m in objects) >= 10
+    for m in objects:
+        assert m.germ.explicit.keys() == m.d_slots.explicit.keys() == m.slots.explicit.keys()
+        for key in _read_keys(m.slots):
+            slot = m.slots.tail if key == TAIL else m.slots.explicit.get(key, m.slots.tail)
+            assert m.slot(key) is slot
+            assert m.germ[key] is oracle_read(stored_dict(m.germ), key)
+            assert m.d_slot(key) is oracle_read(stored_dict(m.d_slots), key)
+        n = m.normalized()
+        assert (n.m_inf, n.slots.explicit, n.slots.tail, stored_dict(n.germ), n.d_inf,
+                stored_dict(n.d_slots)) == oracle_normal_form(m)
+    forms = [oracle_normal_form(m) for m in objects]
+    equal = 0
+    for i, a in enumerate(objects):
+        for j, b in enumerate(objects):
+            assert (a == b) == (forms[i] == forms[j])
+            equal += i != j and a == b
+    assert equal >= 10, equal
+    morphisms = []
+    for m in objects:
+        ident = DihedralMorphism.identity(m)
+        k = min({3, 4, 5, 6} - set(m.slots.explicit) or {3})
+        morphisms += [ident, ident.compose(ident), counit_i_p(m, k), unit_p_i(m, k)]
+        if all(mi == 0 for _p, mi in m.m_inf.dims.values()):
+            morphisms.append(counit_const(m))
+    for f in morphisms:
+        union = set(f.x.slots.explicit) | set(f.y.slots.explicit) | {TAIL}
+        assert set(f.f_slots.explicit) | {TAIL} == union
+        for key in _read_keys(f.x.slots, f.y.slots):
+            assert f.f_slots[key] is oracle_read(stored_dict(f.f_slots), key)
+    same = 0
+    for a in morphisms:
+        for b in morphisms[::9]:
+            assert (a == b) == oracle_morphism_eq(a, b)
+            same += a is not b and a == b
+    assert same >= 5, same
+
+
+def test_maps_of_the_wrong_type_are_refused_at_their_slot():
+    m = direct_sum_dihedral(
+        functor_i_k(QWComplex(QWSpace({0: (1, 1)})), 4), functor_const(QWComplex(QWSpace({0: (1, 0)})))
+    )
+    with pytest.raises(SchemaError, match="germ map at slot 4"):
+        DihedralObject(m.m_inf, m.slots, {4: m.germ[TAIL]})
+    with pytest.raises(SchemaError, match="differential at slot 'tail'"):
+        DihedralObject(m.m_inf, m.slots, m.germ, None, {TAIL: VMap.identity(m.slot(TAIL))})
+    with pytest.raises(SchemaError, match="component at slot 4"):
+        DihedralMorphism(m, m, 0, VMap.identity(m.m_inf), {4: VMap.identity(m.slot(TAIL))})

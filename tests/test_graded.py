@@ -278,6 +278,46 @@ def test_localize_and_fixed_maps_transport_coefficients():
     assert bphi.degree == -4 and bphi.entries == {(0, 0): F(5)}
 
 
+def _hand_reindexed(phi, rebuild, source):
+    """The loop localize_map, fixed_points_map and base_change_map each
+    wrote out: rebuild domain and codomain, invert the source lists, re-index
+    the entries."""
+    dom, src_d = rebuild(phi.domain)
+    cod, src_c = rebuild(phi.codomain)
+    back_d = {source(orig): k for k, orig in enumerate(src_d)}
+    back_c = {source(orig): k for k, orig in enumerate(src_c)}
+    ent = {}
+    for (i, j), v in phi.entries.items():
+        if i in back_c and j in back_d:
+            ent[(back_c[i], back_d[j])] = v
+    return ModuleMap(dom, cod, phi.degree, ent)
+
+
+def test_rebuilt_maps_match_the_hand_written_loops():
+    def plain(orig):
+        return orig
+
+    def first(pair):
+        return pair[0]
+
+    cases = [
+        (POLY_C, localize_map, localize, plain),
+        (POLY_D, localize_map, localize, plain),
+        (POLY_C, fixed_points_map, fixed_points_c_to_d, first),
+        (POLY_D, base_change_map, base_change_d_to_c, plain),
+    ]
+    rng = random.Random(23)
+    moved = 0
+    for _ in range(150):
+        for ring, new, rebuild, source in cases:
+            dom, cod = rand_module(rng, ring), rand_module(rng, ring)
+            phi = rand_map(rng, dom, cod, ring.step * rng.randint(-2, 1))
+            got = new(phi)
+            assert got == _hand_reindexed(phi, rebuild, source), (phi.domain, phi.codomain)
+            moved += bool(got.entries)
+    assert moved >= 60, moved
+
+
 # -- barcode / reconstruction -------------------------------------------------
 
 

@@ -18,9 +18,12 @@ is read there, every local a function assigns is read in that function, and
 every parameter of a module-level private function is read in it.  Block matrices are assembled by ``linalg.block_matrix`` and
 ``QMatrix.kron``: no other module allocates a rational zero grid
 ``[[Q(0)] * n for ...]`` to place entries in by hand.  In ``toral`` only
-``_transport`` and the constructions that change a slot's ring re-index beta
-(``_reindex_entries``), and a dict of slots is split at ``TAIL`` into a
-``SlotFamily`` by ``_slot_family`` alone.
+``_transport`` (its per-slot step ``transported``) and the constructions that
+change a slot's ring re-index beta (``_reindex_entries``).  The tail of a
+slot-indexed datum is read by the container ``toral.Slots`` alone: no function
+of ``toral``, ``dihedral`` or ``cli`` outside it falls back to ``d[TAIL]``,
+compares a key with ``TAIL``, pops ``TAIL`` or builds a key union with
+``TAIL``, and no ``SlotFamily`` is built by splitting slots at ``TAIL``.
 """
 
 import ast
@@ -484,8 +487,9 @@ def _callers(tree, name: str):
 
 
 # the constructions that change the ring of a slot, and so move beta between
-# models of V by hand; every other rebuild goes through ``_transport``
-REINDEXERS = ["_localized_beta", "_transport", "functor_F", "functor_R"]
+# models of V by hand; every other rebuild goes through ``_transport``, whose
+# per-slot step is ``transported``
+REINDEXERS = ["_localized_beta", "functor_F", "functor_R", "transported"]
 
 
 def test_only_transport_and_the_ring_changes_reindex_beta():
@@ -509,12 +513,12 @@ def _is_tail(node) -> bool:
 
 
 def _hand_split_tails(tree):
-    """Every function but ``_slot_family`` that calls ``SlotFamily(...)`` and
+    """Every function that calls ``SlotFamily(...)`` and
     splits slots at the tail on its own: compares a key with TAIL, pops
     TAIL, or hands SlotFamily an argument that reads ``[TAIL]``."""
     out = []
     for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "_slot_family":
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         families = [
             node for node in ast.walk(func)
@@ -538,12 +542,11 @@ def _hand_split_tails(tree):
 
 
 def test_slot_families_are_split_at_the_tail_in_one_place():
-    # a dict of slots with the tail under TAIL becomes a SlotFamily through
-    # ``toral._slot_family`` alone
-    assert _hand_split_tails(_tree("toral")) == []
-    assert _callers(_tree("toral"), "_slot_family") == [
-        "_proof_cover", "_transport", "homology_dA", "injective_resolution",
-    ]
+    # a SlotFamily is built from listed modules and a tail, never by
+    # splitting a dict of slots at TAIL: that is the container's to do
+    assert {module: _hand_split_tails(_tree(module)) for module in TAIL_MODULES} == {
+        module: [] for module in TAIL_MODULES
+    }
 
 
 def test_hand_split_scan_sees_a_planted_split():
@@ -570,4 +573,122 @@ def test_hand_split_scan_sees_a_planted_split():
         "    tail = explicit.pop(TAIL)\n"
         "    return SlotFamily(side, explicit, tail)\n"
     )
-    assert _hand_split_tails(ast.parse(source)) == ["homology", "passed", "resolve", "suspend"]
+    # no function is exempt, a split helper included
+    assert _hand_split_tails(ast.parse(source)) == [
+        "_slot_family", "homology", "passed", "resolve", "suspend",
+    ]
+
+
+# the modules that index data by slot, and the class that reads their tails
+TAIL_MODULES = ("toral", "dihedral", "cli")
+TAIL_CONTAINER = "Slots"
+# parsing a key from text compares it with the tail's name and reads nothing
+TAIL_PARSERS = [("cli", "_slot_key", "compare")]
+
+
+def _holds_tail(node) -> bool:
+    return isinstance(node, (ast.Set, ast.List, ast.Tuple)) and any(map(_is_tail, node.elts))
+
+
+def _tail_rule(node):
+    """The tail read that node is, or None: a ``d.get(key, d[TAIL])``
+    fallback, a comparison with TAIL (or membership in a literal holding
+    it), a ``pop(TAIL)``, or a key union
+    ``... | {TAIL}`` or ``... + [TAIL]``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        args = node.args
+        if node.func.attr == "get" and len(args) == 2 and isinstance(args[1], ast.Subscript) \
+                and _is_tail(args[1].slice):
+            return "fallback"
+        if node.func.attr == "pop" and any(map(_is_tail, args)):
+            return "pop"
+    if isinstance(node, ast.Compare) and any(
+        _is_tail(side) or _holds_tail(side) for side in [node.left, *node.comparators]
+    ):
+        return "compare"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitOr, ast.Add)) \
+            and (_holds_tail(node.left) or _holds_tail(node.right)):
+        return "union"
+    return None
+
+
+def _tail_reads(tree):
+    """(function, rule) for every tail read in a module's tree outside the
+    container class; the function is None at module level."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, ast.ClassDef) and node.name == TAIL_CONTAINER:
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        rule = _tail_rule(node)
+        if rule is not None:
+            out.append((func, rule))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sorted(out, key=str)
+
+
+def test_only_the_slot_container_reads_the_tail():
+    reads = [
+        (module, func, rule)
+        for module in TAIL_MODULES
+        for func, rule in _tail_reads(_tree(module))
+    ]
+    assert reads == TAIL_PARSERS
+    # the container does read the tail, so the scan has something to skip
+    container = next(
+        node for node in ast.walk(_tree("toral"))
+        if isinstance(node, ast.ClassDef) and node.name == TAIL_CONTAINER
+    )
+    assert {_tail_rule(node) for node in ast.walk(container)} >= {"compare", "union"}
+
+
+def test_tail_scan_sees_a_planted_fallback():
+    source = (
+        "class ToralObject:\n"
+        "    def beta_at(self, key):\n"
+        "        return self.beta.get(key, self.beta[TAIL])\n"
+        "def fine(d, key):\n"
+        "    return d.get(key, d[key]), d.get(key), d[TAIL]\n"
+    )
+    assert _tail_reads(ast.parse(source)) == [("beta_at", "fallback")]
+
+
+def test_tail_scan_sees_a_planted_comparison():
+    source = (
+        "def _proof_cover(x, key):\n"
+        "    pinned = x.M.explicit if key == TAIL else {}\n"
+        "    return [k for k in x.keys() if TAIL != k or k in (TAIL,)]\n"
+        "def fine(x, key):\n"
+        "    return key == 1, key in x.keys()\n"
+    )
+    assert _tail_reads(ast.parse(source)) == [
+        ("_proof_cover", "compare"), ("_proof_cover", "compare"), ("_proof_cover", "compare"),
+    ]
+
+
+def test_tail_scan_sees_a_planted_pop():
+    source = (
+        "def homology_Ch(m, slots):\n"
+        "    tail = slots.pop(TAIL)\n"
+        "    return tail, slots.pop(3), slots.pop(TAIL, None)\n"
+    )
+    assert _tail_reads(ast.parse(source)) == [("homology_Ch", "pop"), ("homology_Ch", "pop")]
+
+
+def test_tail_scan_sees_a_planted_key_union():
+    source = (
+        "def compose(a, b):\n"
+        "    keys = set(a.explicit) | set(b.explicit) | {TAIL}\n"
+        "    return keys, sorted(set(a.explicit) | set(b.explicit)) + [TAIL]\n"
+        "def fine(a, b):\n"
+        "    return set(a.explicit) | set(b.explicit), [1] + [2], {TAIL: a}\n"
+        "class Slots:\n"
+        "    def keys(self):\n"
+        "        return sorted(self.explicit) + [TAIL] if self != TAIL else self.pop(TAIL)\n"
+    )
+    assert _tail_reads(ast.parse(source)) == [("compose", "union"), ("compose", "union")]

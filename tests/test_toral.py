@@ -252,7 +252,7 @@ def test_so3_family_always_carries_the_torus_slot():
     tail = GradedModule(POLY_C, [Summand(FREE, 0, 1)])
     fam = SlotFamily("SO3", {}, tail)
     assert fam.keys()[0] == 1
-    assert fam.slot(1).ring is POLY_D and fam.slot(1).is_zero()
+    assert fam[1].ring is POLY_D and fam[1].is_zero()
 
 
 def test_normalized_drops_slots_matching_the_tail():
@@ -435,11 +435,7 @@ class _ZeroComponents:
     """Stands in for the inclusion of a resolution: every component is zero."""
 
     def __init__(self, include):
-        self.include = include
-
-    def component(self, key):
-        c = self.include.component(key)
-        return ModuleMap.zero(c.domain, c.codomain, c.degree)
+        self.alpha = include.alpha.map(lambda c: ModuleMap.zero(c.domain, c.codomain, c.degree))
 
 
 def test_exactness_check_rejects_a_broken_resolution():
@@ -462,7 +458,7 @@ def test_exactness_ranks_one_degree_per_run():
     for x in fixture_objects() + generators():
         res = injective_resolution(x)
         for key in x.keys():
-            inc, q = res.include.component(key), res.quot_of(key)
+            inc, q = res.include.alpha[key], res.quot[key]
             step = inc.domain.ring.step
             placed = [(inc.domain, 0), (inc.codomain, 0), (q.codomain, 0)]
             runs = degree_runs(res.window, step, placed)
@@ -512,7 +508,7 @@ def test_walk_work_does_not_grow_with_the_window(monkeypatch):
     for x in fixture_objects():
         res = injective_resolution(x)
         for key in x.keys():
-            b, include = x.beta[key], res.include.component(key)
+            b, include = x.beta[key], res.include.alpha[key]
             narrow = walks(b, include, (-12, 12))
             assert narrow == walks(b, include, (-100, 100)), (x, key)
             totals = [t + n for t, n in zip(totals, narrow)]
@@ -688,7 +684,7 @@ def test_homology_rejects_a_non_chain_structure_map():
     v = QWSpace({0: (1, 0), 1: (1, 0)})
     dv = VMap(v, v, -1, {(1, 1): QMatrix(1, 1, [[F(1)]])})
     ev = make_eV(v)
-    dm = {key: ModuleMap.zero(ev.M.slot(key), ev.M.slot(key), -1) for key in ev.keys()}
+    dm = {key: ModuleMap.zero(ev.M[key], ev.M[key], -1) for key in ev.keys()}
     bad = ToralObject(ev.side, ev.M, ev.V, ev.beta, dm, dv)
     with pytest.raises(NotADifferential):
         homology_dA(bad)
@@ -708,7 +704,7 @@ def check_cover(x, key, degree, vector):
     P, m = wide_sphere_cover(x, key, degree, vector)
     assert m.is_valid()
     assert check_star(P, strict=True)
-    mat = m.component(key).evaluate(degree)
+    mat = m.alpha[key].evaluate(degree)
     assert mat.solve([F(v) for v in vector]) is not None
     return P, m
 
@@ -729,7 +725,7 @@ def test_covers_of_random_slot_elements():
     done = 0
     for x in batch:
         for key in x.keys():
-            m = x.M.slot(key)
+            m = x.M[key]
             for s in m.summands:
                 top = s.shift
                 for g in (top, top - m.ring.step):
@@ -781,6 +777,42 @@ def test_a_tail_cover_keeps_the_explicit_slots_free():
     assert pinned >= 5, pinned
 
 
+def test_a_cover_at_an_unlisted_slot_is_the_cover_of_the_listed_copy():
+    # an index >= 1 that x does not list reads x's tail: the cover there is
+    # the cover of x with the index listed as a copy of the tail (a KeyError
+    # before), and its morphism keeps the component at that index
+    covered = 0
+    for x in law_objects():
+        if not check_star(x):
+            continue
+        assert 7 not in x.M.explicit
+        tail = x.M.tail
+        for g in range(-3, 4):
+            for pos in range(tail.dim(g)):
+                vec = [F(0)] * tail.dim(g)
+                vec[pos] = F(1)
+                try:
+                    P, m = wide_sphere_cover(x, 7, g, vec)
+                except SchemaError:
+                    continue  # not sign-pure
+                Q_, n = wide_sphere_cover(padded(x), 7, g, vec)
+                assert representation(P) == representation(Q_), (x, g)
+                assert m.alpha[7] == n.alpha[7] and 7 in m.alpha.explicit
+                covered += 1
+    assert covered >= 20, covered
+
+
+def test_maps_of_the_wrong_type_are_refused_at_their_slot():
+    x = sphere()
+    d = ModuleMap.identity(x.M[1])  # degree 0, not -1
+    with pytest.raises(SchemaError, match="differential at slot 1"):
+        ToralObject(x.side, x.M, x.V, x.beta, {1: d}, VMap.zero(x.V, x.V, -1))
+    with pytest.raises(SchemaError, match="structure map at slot 'tail'"):
+        ToralObject(x.side, x.M, x.V, {TAIL: x.beta[1]})
+    with pytest.raises(SchemaError, match="morphism component at slot 1"):
+        ToralMorphism(x, x, 0, {1: ModuleMap.zero(x.M[1], x.M[1], -2)}, VMap.identity(x.V))
+
+
 # -- the windowed hom and extension systems, kept as oracles --------------------
 #
 # HomSpace reads one equation per entry of a composed map, and the first
@@ -795,8 +827,8 @@ def windowed_hom_equations(h):
     x, y, t = h.x, h.y, h.degree
     rows = []
     for key in h.keys:
-        dom, cod = x.M.slot(key), y.M.slot(key)
-        bx, by = x.beta_at(key), y.beta_at(key)
+        dom, cod = x.M[key], y.M[key]
+        bx, by = x.beta[key], y.beta[key]
         torus = x.slot_is_torus(key)
         lx_pos, ly_pos = laurent_model(x.V, torus)[2], laurent_model(y.V, torus)[2]
         lx_mod, ly_mod = bx.codomain, by.codomain
@@ -960,7 +992,7 @@ def windowed_first_stage(x, window):
     linear system, raising the pad until one solves."""
     I_slots, psi = {}, {}
     for key in x.keys():
-        m, b = x.M.slot(key), x.beta[key]
+        m, b = x.M[key], x.beta[key]
         TM, incl = kernel_of_map(b, auto_window(window, [m, b.codomain]))
         assert TM.is_torsion(), (x, key)
         first = m.max_torsion() + TM.max_torsion() + 1
@@ -984,11 +1016,11 @@ def windowed_resolution(x, window):
     Y0 = direct_sum_objects(e_part, make_fN(SlotFamily(x.side, explicit, I_slots[TAIL])))
     alpha, J_slots = {}, {}
     for key in x.keys():
-        _, (ie, ii) = direct_sum([e_part.M.slot(key), I_slots[key]])
+        _, (ie, ii) = direct_sum([e_part.M[key], I_slots[key]])
         ent = {(ie[i], j): c for (i, j), c in x.beta[key].entries.items()}
         ent.update({(ii[i], j): c for (i, j), c in psi[key].entries.items()})
-        alpha[key] = ModuleMap(x.M.slot(key), Y0.M.slot(key), 0, ent)
-        win = auto_window(window, [x.M.slot(key), Y0.M.slot(key)])
+        alpha[key] = ModuleMap(x.M[key], Y0.M[key], 0, ent)
+        win = auto_window(window, [x.M[key], Y0.M[key]])
         J_slots[key] = cokernel_of_map(alpha[key], win)[0]
     include = ToralMorphism(x, Y0, 0, alpha, VMap.identity(x.V))
     explicit = {k: v for k, v in J_slots.items() if k != TAIL}
@@ -1154,10 +1186,10 @@ def _oracle_twisted(s):
 def oracle_suspend_object(x, k):
     v = x.V.suspend(k)
     slots, beta = {}, {}
-    dM = None if x.dM is None else {}
+    dM = {} if x.has_differential() else None
     for key in x.keys():
         m, idx = _oracle_with_index(
-            x.M.slot(key), lambda s: Summand(s.kind, s.shift + k, s.sign, s.length)
+            x.M[key], lambda s: Summand(s.kind, s.shift + k, s.sign, s.length)
         )
         torus = x.slot_is_torus(key)
         cod, _, pos = laurent_model(v, torus)
@@ -1181,7 +1213,7 @@ def oracle_direct_sum_objects(a, b):
     explicit, beta = {}, {}
 
     def build(key):
-        msum, maps = direct_sum([a.M.slot(key), b.M.slot(key)])
+        msum, maps = direct_sum([a.M[key], b.M[key]])
         torus = a.slot_is_torus(key)
         cod, _, pos = laurent_model(v, torus)
         ent = {}
@@ -1198,13 +1230,13 @@ def oracle_direct_sum_objects(a, b):
     tail, beta[TAIL], _ = build(TAIL)
     fam = SlotFamily(side, explicit, tail)
     dM = dV = None
-    if a.dM is not None or b.dM is not None:
+    if a.has_differential() or b.has_differential():
         dM = {}
         for key in fam.keys():
             msum, _, maps = build(key)
             ent = {}
             for part, obj in enumerate((a, b)):
-                for (i, j), coef in obj.differential(key).entries.items():
+                for (i, j), coef in obj.slot_differentials()[key].entries.items():
                     ent[(maps[part][i], maps[part][j])] = coef
             dM[key] = ModuleMap(msum, msum, -1, ent)
         dV = toral.vmap_sum(v, v, [
@@ -1217,7 +1249,7 @@ def oracle_twist_object(y):
     v = y.V.twist()
     explicit, beta, dm = {}, {}, {}
     for key in y.keys():
-        m, idx = _oracle_with_index(y.M.slot(key), _oracle_twisted)
+        m, idx = _oracle_with_index(y.M[key], _oracle_twisted)
         torus = y.slot_is_torus(key)
         cod, _, pos = laurent_model(v, torus)
         tags = [(g, -s, i) for g, s, i in laurent_model(y.V, torus)[1]]
@@ -1240,10 +1272,10 @@ def oracle_twist_morphism(m):
     tx, ty = oracle_twist_object(m.x), oracle_twist_object(m.y)
     alpha = {}
     for key in set(m.alpha):
-        _, idx_x = _oracle_with_index(m.x.M.slot(key), _oracle_twisted)
-        _, idx_y = _oracle_with_index(m.y.M.slot(key), _oracle_twisted)
+        _, idx_x = _oracle_with_index(m.x.M[key], _oracle_twisted)
+        _, idx_y = _oracle_with_index(m.y.M[key], _oracle_twisted)
         alpha[key] = _oracle_reindex_map(
-            m.component(key), tx.M.slot(key), ty.M.slot(key), idx_x, idx_y
+            m.alpha[key], tx.M[key], ty.M[key], idx_x, idx_y
         )
     return ToralMorphism(tx, ty, m.degree, alpha, m.phi.twist())
 
@@ -1254,7 +1286,7 @@ def oracle_parity_split(x):
         explicit, beta = {}, {}
         v = x.V.parity_part(parity)
         for key in x.keys():
-            m = x.M.slot(key)
+            m = x.M[key]
             keep = [i for i, s in enumerate(m.summands) if s.shift % 2 == parity]
             sub, maps = direct_sum(
                 [GradedModule(m.ring, [m.summands[i]]) for i in keep]
@@ -1344,7 +1376,7 @@ def test_transport_objects_cover_the_hard_cases():
     resorted = 0
     for x in objects:
         for key in x.keys():
-            m = x.M.slot(key)
+            m = x.M[key]
             _, idx = _oracle_with_index(m, lambda s: Summand(s.kind, s.shift + 1, s.sign, s.length))
             resorted += idx != {j: j for j in range(len(m.summands))}
     assert resorted >= 25, resorted
@@ -1393,7 +1425,7 @@ def test_direct_sum_matches_the_hand_written_oracle():
 
 def _sphere_with_zero_differential():
     x = sphere()
-    dM = {key: ModuleMap.zero(x.M.slot(key), x.M.slot(key), -1) for key in x.keys()}
+    dM = {key: ModuleMap.zero(x.M[key], x.M[key], -1) for key in x.keys()}
     return ToralObject(x.side, x.M, x.V, x.beta, dM, VMap.zero(x.V, x.V, -1))
 
 
@@ -1402,9 +1434,9 @@ def test_a_slot_that_is_not_explicit_reads_the_tail_differential():
     # differential: the sum and a chain-map check read x at slot 5 from its
     # tail (both raised KeyError: 5)
     x = _sphere_with_zero_differential()
-    assert x.differential(5) is x.dM[TAIL]
+    assert x.dM[5] is x.dM[TAIL]
     total = direct_sum_objects(x, sigma_H(5))
-    assert total.has_differential() and total.differential(5).entries == {}
+    assert total.has_differential() and total.dM[5].entries == {}
     f = ToralMorphism(x, sigma_H(5), 0, {}, VMap.zero(x.V, QWSpace.zero(), 0))
     assert f.is_chain_map()
     assert ToralMorphism.identity(total).is_chain_map()
@@ -1415,3 +1447,138 @@ def test_homology_of_a_sum_with_a_zero_differential_is_the_plain_sum():
     h = homology_dA(total)
     assert h == direct_sum_objects(sphere(), sigma_H(5))
     assert not h.has_differential()
+
+
+# -- the slot container against the reads it replaced ---------------------------
+#
+# Before ``Slots``, objects and morphisms stored a dict with the tail under TAIL
+# and each class read an unlisted slot by hand.  Those reads are kept here as
+# oracles, applied to the stored values.
+
+
+def stored_dict(slots):
+    """A container as the dict the objects stored: listed values, tail under TAIL."""
+    return {**slots.explicit, TAIL: slots.tail}
+
+
+def oracle_read(d, key):
+    """The fallback of ``beta_at``, ``differential``, ``component`` and ``quot_of``."""
+    return d.get(key, d[TAIL])
+
+
+def oracle_family_slot(fam, key):
+    """``SlotFamily.slot``."""
+    if key == TAIL:
+        return fam.tail
+    return fam.explicit.get(key, fam.tail)
+
+
+def oracle_differential(x, key):
+    """``ToralObject.differential``: zero without a differential."""
+    if x.has_differential():
+        return oracle_read(stored_dict(x.dM), key)
+    m = oracle_family_slot(x.M, key)
+    return ModuleMap.zero(m, m, -1)
+
+
+def oracle_normal_form(x):
+    """``ToralObject.normalized``, as the fields it stored."""
+    explicit, beta = dict(x.M.explicit), stored_dict(x.beta)
+    dM = stored_dict(x.dM) if x.has_differential() else None
+    for n in list(explicit):
+        if x.slot_is_torus(n):
+            continue
+        if explicit[n] == x.M.tail and beta[n] == beta[TAIL] and (
+            dM is None or dM[n] == dM[TAIL]
+        ):
+            del explicit[n], beta[n]
+            if dM is not None:
+                del dM[n]
+    return (x.side, explicit, x.M.tail, x.V, beta, dM, x.dV)
+
+
+def oracle_morphism_keys(m):
+    """The key union of ``ToralMorphism.__init__`` and ``_keys``."""
+    return set(m.x.M.explicit) | set(m.y.M.explicit) | {TAIL}
+
+
+def oracle_morphism_eq(a, b):
+    """``ToralMorphism.__eq__``."""
+    if (a.x, a.y, a.degree) != (b.x, b.y, b.degree):
+        return False
+    da, db = stored_dict(a.alpha), stored_dict(b.alpha)
+    return all(oracle_read(da, k) == oracle_read(db, k) for k in set(da) | set(db)) and a.phi == b.phi
+
+
+def read_keys(*families):
+    """Every key one of families lists, TAIL, and two indices none lists."""
+    listed = sorted(set().union(*(f.explicit for f in families)))
+    return listed + [TAIL] + [n for n in (7, 11, 13) if n not in listed][:2]
+
+
+def padded(x):
+    """x with slot 7 listed as a copy of the tail."""
+    dM = {**stored_dict(x.dM), 7: x.dM.tail} if x.has_differential() else None
+    fam = SlotFamily(x.side, {**x.M.explicit, 7: x.M.tail}, x.M.tail)
+    return ToralObject(x.side, fam, x.V, {**stored_dict(x.beta), 7: x.beta.tail}, dM, x.dV)
+
+
+def container_objects():
+    differential = [x for x in seeded_transport_objects() if x.has_differential()][:10]
+    base = law_objects() + differential + [_sphere_with_zero_differential()]
+    return base + [padded(x) for x in base[::3]]
+
+
+def test_object_reads_match_the_fallbacks_they_replaced():
+    objects = container_objects()
+    assert sum(x.has_differential() for x in objects) >= 10
+    assert sum(7 in x.M.explicit for x in objects) >= 10
+    for x in objects:
+        # every datum lists the keys of the family, as the stored dicts did
+        assert x.beta.explicit.keys() == x.M.explicit.keys()
+        assert x.dM is None or x.dM.explicit.keys() == x.M.explicit.keys()
+        for key in read_keys(x.M):
+            assert x.M[key] is oracle_family_slot(x.M, key)
+            assert x.beta[key] is oracle_read(stored_dict(x.beta), key)
+            assert x.slot_differentials()[key] == oracle_differential(x, key)
+            if x.has_differential():
+                assert x.dM[key] is oracle_differential(x, key)
+        n = x.normalized()
+        dM = stored_dict(n.dM) if n.has_differential() else None
+        assert (n.side, n.M.explicit, n.M.tail, n.V, stored_dict(n.beta), dM, n.dV) == (
+            oracle_normal_form(x)
+        )
+    forms = [oracle_normal_form(x) for x in objects]
+    equal = 0
+    for i, x in enumerate(objects):
+        for j, y in enumerate(objects):
+            if x.side == y.side:
+                assert (x == y) == (forms[i] == forms[j]), (x, y)
+                equal += i != j and x == y
+    assert equal >= 10, equal
+
+
+def test_morphism_reads_match_the_fallbacks_they_replaced():
+    morphisms = []
+    for x in container_objects():
+        ident = ToralMorphism.identity(x)
+        morphisms.append(ident)
+        if x.has_differential():
+            continue
+        adj = unit_of_adjunction(x) if x.side == "SO3" else counit_of_adjunction(x)
+        morphisms += [adj, adj.compose(ident) if x.side == "SO3" else ident.compose(adj)]
+    for x in fixture_objects()[::4]:
+        res = injective_resolution(x)
+        morphisms.append(res.include)
+        for key in read_keys(x.M, res.Y1.M):
+            assert res.quot[key] is oracle_read(stored_dict(res.quot), key)
+    for m in morphisms:
+        assert set(m.alpha.explicit) | {TAIL} == oracle_morphism_keys(m)
+        for key in read_keys(m.x.M, m.y.M):
+            assert m.alpha[key] is oracle_read(stored_dict(m.alpha), key)
+    same = 0
+    for a in morphisms:
+        for b in morphisms[::7]:
+            assert (a == b) == oracle_morphism_eq(a, b)
+            same += a is not b and a == b
+    assert same >= 5, same
