@@ -75,6 +75,23 @@ def frac_parse(s) -> Fraction:
         raise ParseError(f"bad rational literal {s!r}")
 
 
+def _int(value, what: str) -> int:
+    """value, a JSON integer: a float, bool or string would be coerced."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be a JSON integer, not {value!r}")
+    return value
+
+
+def _int_key(raw: str, what: str) -> int:
+    """The int whose decimal is raw: "05" or " 5" would share its entry."""
+    try:
+        if str(int(raw)) == raw:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ParseError(f"bad {what} {raw!r}")
+
+
 def _object(doc, what: str) -> dict:
     """doc, if it is a JSON object; a ParseError otherwise."""
     if not isinstance(doc, dict):
@@ -135,9 +152,9 @@ def module_from_json(doc: dict) -> GradedModule:
         summands = [
             Summand(
                 _KIND_NAMES[s["kind"]],
-                int(s["shift"]),
-                int(s["sign"]),
-                int(s.get("len", 0)),
+                _int(s["shift"], "summand shift"),
+                _int(s["sign"], "summand sign"),
+                _int(s.get("len", 0), "summand len"),
             )
             for s in doc["summands"]
         ]
@@ -163,11 +180,13 @@ def map_to_json(m: ModuleMap) -> dict:
 def map_from_json(doc: dict, domain: GradedModule, codomain: GradedModule) -> ModuleMap:
     doc = _object(doc, "a map")
     try:
-        entries = {
-            (int(e["row"]), int(e["col"])): frac_parse(e["coef"])
-            for e in doc.get("entries", [])
-        }
-        degree = int(doc.get("degree", 0))
+        entries = {}
+        for e in doc.get("entries", []):
+            ij = (_int(e["row"], "map entry row"), _int(e["col"], "map entry col"))
+            if ij in entries:
+                raise ParseError(f"map entry {ij} given twice")
+            entries[ij] = frac_parse(e["coef"])
+        degree = _int(doc.get("degree", 0), "map degree")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad map document: {exc}")
     rows, cols = len(codomain.summands), len(domain.summands)
@@ -185,8 +204,11 @@ def space_to_json(v: QWSpace) -> dict:
 
 def space_from_json(doc: dict) -> QWSpace:
     try:
-        dims = {int(g): (int(pm[0]), int(pm[1])) for g, pm in doc["dims"].items()}
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        dims = {
+            _int_key(g, "space degree"): (_int(p, f"dims at {g}"), _int(m, f"dims at {g}"))
+            for g, (p, m) in doc["dims"].items()
+        }
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad space document: {exc}")
     if any(p < 0 or m < 0 for p, m in dims.values()):
         raise ParseError("negative dimension in a space document")
@@ -207,12 +229,14 @@ def vmap_to_json(m: VMap) -> dict:
 def vmap_from_json(doc: dict, domain: QWSpace, codomain: QWSpace) -> VMap:
     doc = _object(doc, "a V-map")
     try:
-        degree = int(doc.get("degree", 0))
+        degree = _int(doc.get("degree", 0), "V-map degree")
         blocks = {}
         for b in doc.get("blocks", []):
-            g, s = int(b["deg"]), int(b["sign"])
+            g, s = _int(b["deg"], "block deg"), _int(b["sign"], "block sign")
             if s not in (1, -1):
                 raise ParseError(f"bad block sign {s}")
+            if (g, s) in blocks:
+                raise ParseError(f"V-map block {(g, s)} given twice")
             blocks[(g, s)] = matrix_from_json(
                 b["mat"], codomain.dim(g + degree, s), domain.dim(g, s)
             )
@@ -243,12 +267,7 @@ def toral_to_json(x: ToralObject) -> dict:
 
 
 def _slot_key(raw: str):
-    if raw == TAIL:
-        return TAIL
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"bad slot key {raw!r}")
+    return TAIL if raw == TAIL else _int_key(raw, "slot key")
 
 
 def _listed(doc: dict, slots: Slots, what: str) -> list:
@@ -267,7 +286,7 @@ def toral_from_json(doc: dict) -> ToralObject:
     try:
         side = doc["side"]
         explicit = {
-            int(k): module_from_json(m)
+            _int_key(k, "slot key"): module_from_json(m)
             for k, m in _object(doc["M"]["explicit"], "M.explicit").items()
         }
         tail = module_from_json(doc["M"]["tail"])
@@ -316,7 +335,7 @@ def dihedral_from_json(doc: dict) -> DihedralObject:
     try:
         m_inf = space_from_json(doc["M_inf"])
         explicit = {
-            int(k): space_from_json(s)
+            _int_key(k, "slot key"): space_from_json(s)
             for k, s in _object(doc["slots"]["explicit"], "slots.explicit").items()
         }
         tail = space_from_json(doc["slots"]["tail"])

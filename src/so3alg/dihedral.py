@@ -21,7 +21,9 @@ fixed parts, normal forms, sums and suspensions of complexes are complexes,
 the slot and constant functors add a zero or identity germ, homology has
 zero differentials, and the cone of a degree-0 chain map that commutes with
 the germs (``cone`` tests its argument: morphisms are not checked on entry)
-is one.  So ``homology_Ch`` and ``is_weak_equivalence`` trust their input.
+is one.  So ``homology_Ch`` and ``is_weak_equivalence`` trust their input;
+a call of either computes the homology of each distinct pair of level
+objects once (an identity's two ends, say), and keeps none past the call.
 """
 
 from __future__ import annotations
@@ -419,13 +421,28 @@ def counit_const(m: DihedralObject) -> DihedralMorphism:
 # -- homology and the projective structure --------------------------------------------
 
 
+def _level_homology():
+    """qw_homology of a level (space, d), once per distinct pair of objects;
+    each pair is kept with its homology, so no id is reused meanwhile."""
+    memo = {}
+
+    def homology(space, d):
+        key = (id(space), id(d))
+        if key not in memo:
+            memo[key] = (space, d, qw_homology(space, d))
+        return memo[key][2]
+
+    return homology
+
+
 def homology_Ch(m: DihedralObject) -> DihedralObject:
     """Levelwise homology, with the induced germ map."""
-    h_inf, hinf_tools = qw_homology(m.m_inf, m.d_inf)
+    homology = _level_homology()
+    h_inf, hinf_tools = homology(m.m_inf, m.d_inf)
 
     def level(key):
         # (the homology at the slot, the induced germ map)
-        space, tools = qw_homology(m.slot(key), m.d_slot(key))
+        space, tools = homology(m.slot(key), m.d_slot(key))
         blocks = {
             (g, 1): _induced_block(m.germ[key], hinf_tools, tools, g, 1)
             for g in h_inf.dims if h_inf.dim(g, 1) and space.dim(g, 1)
@@ -451,9 +468,10 @@ def is_weak_equivalence(f: DihedralMorphism) -> bool:
     """Homology isomorphism at infinity, at every explicit slot, and at the tail."""
     if not f.is_chain_map():
         return False
+    homology = _level_homology()
     for lx, ly, comp in _levels(f):
-        hx, tx = qw_homology(*lx)
-        hy, ty = qw_homology(*ly)
+        hx, tx = homology(*lx)
+        hy, ty = homology(*ly)
         for g in set(hx.dims) | set(hy.dims):
             for s in (1, -1):
                 dx = hx.dim(g, s)

@@ -25,7 +25,8 @@ the Kronecker product; no other module places entries by hand.
 ``subquotient`` takes a space of cycles modulo boundaries apart with one
 elimination, and its projection sends a whole matrix of cycles to their
 coordinates; ``chain_homology``, the homology of a chain of vector spaces
-that every algebraic model uses, is one subquotient per degree.
+that every algebraic model uses, is one subquotient per degree, or one rref
+of the outgoing differential where no boundary comes in.
 """
 
 from __future__ import annotations
@@ -283,15 +284,7 @@ class QMatrix:
         """Basis of the null space, as columns of the returned matrix: one
         per free column f, with 1 at f and minus the reduced entry in
         column f at each pivot."""
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        ints = [[0] * len(free) for _ in range(self.cols)]
-        for k, fc in enumerate(free):
-            ints[fc][k] = R.den
-        for row, pc in zip(R.ints, pivots):
-            ints[pc] = [-row[fc] for fc in free]
-        return _canonical(self.cols, len(free), R.den, ints)
+        return _kernel_from_rref(*self.rref())[0]
 
     def cokernel_data(self) -> tuple["QMatrix", int]:
         """Projection onto a complement of the column space.
@@ -342,6 +335,19 @@ class QMatrix:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
+
+
+def _kernel_from_rref(R: QMatrix, pivots: list[int]) -> tuple[QMatrix, list[int]]:
+    """(``kernel_basis``, its free columns) of the matrix whose reduced row
+    echelon form is R, with those pivot columns."""
+    pivot_set = set(pivots)
+    free = [c for c in range(R.cols) if c not in pivot_set]
+    ints = [[0] * len(free) for _ in range(R.cols)]
+    for k, fc in enumerate(free):
+        ints[fc][k] = R.den
+    for row, pc in zip(R.ints, pivots):
+        ints[pc] = [-row[fc] for fc in free]
+    return _canonical(R.cols, len(free), R.den, ints), free
 
 
 def _wrap(rows: int, cols: int, den: int, ints: list[list[int]]) -> QMatrix:
@@ -568,21 +574,26 @@ def chain_homology(dims, mats):
 
     Each degree is one ``subquotient`` of the kernel basis of the outgoing
     differential (the identity when that is zero) by the columns of the
-    incoming one.
+    incoming one.  An empty degree shares one empty result, and a degree
+    that no boundary enters reads its kernel off one rref of the outgoing
+    differential: the free coordinates are a left inverse of that basis,
+    and the rref's nonzero rows annihilate exactly the kernel.
     """
     hdims, reps, projs = {}, {}, {}
     for g in sorted(dims):
         n = dims[g]
         down, up = mats.get(g), mats.get(g + 1)
-        if down is None or down.is_zero():
-            Z = QMatrix.identity(n)
-            if up is None or up.is_zero():
-                # every chain is a cycle and none is a boundary: nothing to eliminate
-                hdims[g], reps[g], projs[g] = n, Z, _projection(QMatrix(0, n), Z)
-                continue
+        closed = not n or down is None or down.is_zero()
+        if not n:
+            reps[g], projs[g] = _EMPTY, _EMPTY_PROJECTION
+        elif closed or not (up is None or up.is_zero()):
+            Z = QMatrix.identity(n) if closed else down.kernel_basis()
+            reps[g], projs[g] = subquotient(Z, QMatrix(n, 0) if up is None else up)
         else:
-            Z = down.kernel_basis()
-        reps[g], projs[g] = subquotient(Z, QMatrix(n, 0) if up is None else up)
+            R, pivots = down.rref()
+            reps[g], free = _kernel_from_rref(R, pivots)
+            left = QMatrix.from_entries(len(free), n, {(k, c): 1 for k, c in enumerate(free)})
+            projs[g] = _projection(_wrap(len(pivots), n, 1, R.ints[: len(pivots)]), left)
         hdims[g] = reps[g].cols
     return hdims, reps, projs
 
@@ -594,3 +605,8 @@ def _projection(annihilator: QMatrix, left: QMatrix):
         return left @ mat
 
     return project
+
+
+# the homology of every empty degree
+_EMPTY = QMatrix(0, 0)
+_EMPTY_PROJECTION = _projection(_EMPTY, _EMPTY)

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -474,6 +475,99 @@ def test_decoders_refuse_a_map_at_a_slot_the_object_does_not_list(tmp_path, caps
     bad.write_text(json.dumps(_with_entry_at(toral_to_json(x), ("beta",), "5")))
     assert main(["star-check", str(bad)]) == 2
     assert "'5'" in capsys.readouterr().err
+
+
+def _renamed_key(doc, path, old, new):
+    """A copy of doc whose dict at path holds its old entry under new too."""
+    doc = copy.deepcopy(doc)
+    node = node_at(doc, path)
+    node[new] = copy.deepcopy(node[old])
+    return doc
+
+
+def _toral_and_germ_docs():
+    toral_doc = toral_to_json(direct_sum_objects(sphere(), sigma_H(5)))
+    germ_doc = dihedral_to_json(direct_sum_dihedral(
+        functor_i_k(QWComplex(QWSpace({0: (1, 1), 1: (1, 0)}), None), 5),
+        functor_const(QWComplex(QWSpace({0: (1, 0)}))),
+    ))
+    germ_doc["diff"] = {"inf": {"degree": -1, "blocks": []},
+                        "slots": {"5": {"degree": -1, "blocks": []}}}
+    return toral_doc, germ_doc
+
+
+def test_decoders_refuse_a_key_that_is_not_its_integers_decimal(tmp_path, capsys):
+    # "05" and " 5" used to read as slot 5, the last entry silently winning,
+    # and "00" as degree 0
+    toral_doc, germ_doc = _toral_and_germ_docs()
+    cases = [(toral_from_json, toral_doc, path) for path in (("M", "explicit"), ("beta",))]
+    cases += [(dihedral_from_json, germ_doc, path)
+              for path in (("slots", "explicit"), ("germ",), ("diff", "slots"))]
+    for decode, doc, path in cases:
+        assert decode(_renamed_key(doc, path, "5", "5")) is not None
+        for spelling in ("05", " 5", "5 ", "+5", "5_0"):
+            with pytest.raises(ParseError, match=re.escape(repr(spelling))):
+                decode(_renamed_key(doc, path, "5", spelling))
+    space = {"dims": {"0": [1, 0], "00": [2, 0]}}
+    with pytest.raises(ParseError, match="'00'"):
+        space_from_json(space)
+    with pytest.raises(ParseError, match="'-0'"):
+        space_from_json({"dims": {"-0": [1, 0]}})
+    assert space_from_json({"dims": {"-1": [1, 0], "0": [0, 2]}}).dims == {-1: (1, 0), 0: (0, 2)}
+    # a pair of dimensions, no more and no less
+    for pm in ([1], [1, 0, 5]):
+        with pytest.raises(ParseError, match="bad space document"):
+            space_from_json({"dims": {"0": pm}})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_renamed_key(toral_doc, ("beta",), "5", "05")))
+    assert main(["star-check", str(bad)]) == 2
+    assert "'05'" in capsys.readouterr().err
+    assert main(["cover", str(bad), "--slot=05", "--degree", "0"]) == 2
+
+
+def test_decoders_refuse_a_repeated_map_entry_or_block():
+    toral_doc, germ_doc = _toral_and_germ_docs()
+    doc = copy.deepcopy(toral_doc)
+    entries = doc["beta"]["5"]["entries"]
+    entries.append({**entries[0], "coef": "9"})
+    with pytest.raises(ParseError, match=r"\(0, 0\) given twice"):
+        toral_from_json(doc)
+    doc = copy.deepcopy(germ_doc)
+    blocks = doc["germ"]["tail"]["blocks"]
+    blocks.append({**blocks[0], "mat": [["2"]]})
+    with pytest.raises(ParseError, match=r"\(0, 1\) given twice"):
+        dihedral_from_json(doc)
+
+
+@pytest.mark.parametrize("value", [1.9, 1.0, True, False, "2", None])
+def test_decoders_refuse_an_integer_field_that_is_not_a_json_integer(value):
+    # 1.9, true and "2" used to be read as 1, 1 and 2
+    toral_doc, germ_doc = _toral_and_germ_docs()
+    cases = [
+        (toral_from_json, toral_doc, path, field)
+        for path, field in [
+            (("M", "tail", "summands", 0, "shift"), "summand shift"),
+            (("M", "explicit", "5", "summands", 0, "sign"), "summand sign"),
+            (("M", "explicit", "5", "summands", 1, "len"), "summand len"),
+            (("beta", "5", "entries", 0, "row"), "map entry row"),
+            (("beta", "5", "entries", 0, "col"), "map entry col"),
+            (("beta", "tail", "degree"), "map degree"),
+            (("V", "dims", "0", 0), "dims at 0"),
+        ]
+    ]
+    cases += [
+        (dihedral_from_json, germ_doc, path, field)
+        for path, field in [
+            (("M_inf", "dims", "0", 1), "dims at 0"),
+            (("germ", "tail", "degree"), "V-map degree"),
+            (("germ", "5", "blocks", 0, "deg"), "block deg"),
+            (("germ", "5", "blocks", 0, "sign"), "block sign"),
+        ]
+    ]
+    for decode, doc, path, field in cases:
+        assert decode(doc) is not None
+        with pytest.raises(ParseError, match=f"{field} must be a JSON integer"):
+            decode(replaced(doc, path, value))
 
 
 def test_bracket_and_ext_verbs(tmp_path):

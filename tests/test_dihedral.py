@@ -680,6 +680,46 @@ def test_germ_object_reads_match_the_fallbacks_they_replaced():
     assert same >= 5, same
 
 
+def _level_pairs(x: DihedralObject) -> set:
+    """The distinct (space, d) pairs of objects among the levels of x."""
+    return {(id(x.m_inf), id(x.d_inf))} | {(id(x.slot(k)), id(x.d_slot(k))) for k in x.keys()}
+
+
+def test_each_level_homology_is_computed_once_per_call(monkeypatch):
+    # the identity's source and target levels are the same objects, and so
+    # are the constant functor's levels at infinity and at the tail; nothing
+    # is kept from one call to the next
+    import so3alg.dihedral as dihedral
+
+    rng = random.Random(131)
+    objects = [make_generator_dihedral("const"), make_generator_dihedral(3)]
+    objects += [rand_object(rng) for _ in range(4)] + [rand_chain_object(rng) for _ in range(6)]
+    objects += _workload_chain_objects()
+    objects += [padded(m) for m in objects[::3]]
+    # without the sharing: one qw_homology per level asked for
+    monkeypatch.setattr(dihedral, "_level_homology", lambda: dihedral.qw_homology)
+    unshared = [homology_Ch(x) for x in objects]
+    monkeypatch.undo()
+    calls = []
+    real = dihedral.qw_homology
+    monkeypatch.setattr(
+        dihedral, "qw_homology", lambda space, d: calls.append((id(space), id(d))) or real(space, d)
+    )
+    shared = 0
+    for x, expected in zip(objects, unshared):
+        levels = _level_pairs(x)
+        shared += len(levels) < 1 + len(x.keys())
+        for run, result in [
+            (lambda: is_weak_equivalence(DihedralMorphism.identity(x)), True),
+            (lambda: homology_Ch(x), expected),
+        ]:
+            for _ in range(2):
+                calls.clear()
+                assert run() == result
+                assert sorted(calls) == sorted(levels)
+    assert shared >= 4, shared
+
+
 def test_maps_of_the_wrong_type_are_refused_at_their_slot():
     m = direct_sum_dihedral(
         functor_i_k(QWComplex(QWSpace({0: (1, 1)})), 4), functor_const(QWComplex(QWSpace({0: (1, 0)})))

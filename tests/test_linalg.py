@@ -600,3 +600,79 @@ def test_whole_matrix_projections_match_the_per_column_oracle(seed):
                 projs[g](bad)
             with pytest.raises(InvariantError):
                 oprojs[g](bad.col(bad.cols - 1))
+
+
+def _sparse_complex(rng):
+    """A complex on degrees 0-7 in which at least half the degrees are empty
+    or have no incoming boundary: some dimensions are 0, and every other
+    differential is dropped (missing, or a zero matrix), which keeps d² = 0."""
+    dims = {g: rng.choice((0, 0, 1, 2, 3, 4)) for g in range(8)}
+    mats = _random_complex(rng, dims)
+    for g in range(rng.randint(1, 2), 8, 2):
+        if g in mats and rng.random() < 0.5:
+            mats[g] = QMatrix(dims[g - 1], dims[g])
+        else:
+            mats.pop(g, None)
+    for g in list(mats):
+        mats[g] = mats[g].scale(Q(rng.choice((-1, 1)), rng.randint(1, 5)))
+    return dims, mats
+
+
+def _no_boundary(mats, g):
+    up = mats.get(g + 1)
+    return up is None or up.is_zero()
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_empty_and_boundary_free_degrees_match_the_fraction_oracle(seed):
+    rng = random.Random(700 + seed)
+    dims, mats = _sparse_complex(rng)
+    cheap = [g for g in dims if not dims[g] or _no_boundary(mats, g)]
+    assert 2 * len(cheap) >= len(dims)
+    hdims, reps, projs = chain_homology(dims, mats)
+    ohdims, oreps, oprojs = fraction_chain_homology(dims, mats)
+    assert hdims == ohdims
+    for g, n in dims.items():
+        assert reps[g].cols == oreps[g].cols
+        for j in range(reps[g].cols):
+            assert reps[g].col(j) == oreps[g].col(j)
+        down = mats.get(g, QMatrix(dims.get(g - 1, 0), n))
+        # the cycles, from the Fraction elimination alone
+        kernel = fraction_kernel(rows_of(down), n)
+        Z = QMatrix(n, len(kernel[0]) if n else 0, kernel)
+        if g in cheap:
+            assert reps[g] == Z
+        coef = QMatrix(Z.cols, 3, [[Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)] for _ in range(Z.cols)])
+        cycles = Z @ coef
+        expected = [oprojs[g](cycles.col(j)) for j in range(cycles.cols)]
+        assert projs[g](cycles) == QMatrix(hdims[g], 3, [[e[i] for e in expected] for i in range(hdims[g])])
+        # every column of C_g that down does not kill is refused by both
+        if g in cheap:
+            for j in range(n):
+                if any(down.col(j)):
+                    bad = cycles.hstack(QMatrix.identity(n).columns([j]))
+                    with pytest.raises(InvariantError):
+                        projs[g](bad)
+                    with pytest.raises(InvariantError):
+                        oprojs[g](bad.col(bad.cols - 1))
+
+
+def test_empty_and_boundary_free_degrees_take_at_most_one_elimination(monkeypatch):
+    calls = []
+    rref = QMatrix.rref
+    monkeypatch.setattr(QMatrix, "rref", lambda self: calls.append(1) or rref(self))
+    seen = {"empty": 0, "no boundary": 0}
+    for seed in range(16):
+        dims, mats = _sparse_complex(random.Random(700 + seed))
+        for g, n in dims.items():
+            calls.clear()
+            one = {h: mats[h] for h in (g, g + 1) if h in mats}
+            chain_homology({g: n}, one)
+            down = one.get(g)
+            if not n:
+                assert not calls, (seed, g)
+                seen["empty"] += 1
+            elif _no_boundary(mats, g) and down is not None and not down.is_zero():
+                assert len(calls) == 1, (seed, g)
+                seen["no boundary"] += 1
+    assert min(seen.values()) >= 10, seen
