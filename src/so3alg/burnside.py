@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .errors import SchemaError
 from .linalg import Q
+from .literals import frac_parse, int_key
 
 EXCEPTIONAL_SO3 = ("SO3", "Sigma4", "A4", "A5", "D4")
 
@@ -34,16 +35,8 @@ _MIN_N = {"SO3": 3, "O2": 1}
 
 
 def _q(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as e:
-            raise SchemaError(f"bad rational literal {x!r}") from e
-    raise SchemaError(f"not a rational: {x!r}")
+    """x if it is a Fraction; otherwise a document's rational literal."""
+    return x if isinstance(x, Fraction) else frac_parse(x)
 
 
 @dataclass(frozen=True)
@@ -244,14 +237,13 @@ def to_json(x: BurnsideElement) -> dict:
 def from_json(doc: dict) -> BurnsideElement:
     if not isinstance(doc, dict) or "group" not in doc:
         raise SchemaError("burnside element document must be a dict with 'group'")
-    try:
-        dih = {int(k): v for k, v in doc.get("dihedral", {}).items()}
-    except ValueError as e:
-        raise SchemaError("dihedral keys must be integers") from e
+    exc, dih = doc.get("exceptional", {}), doc.get("dihedral", {})
+    if not isinstance(exc, dict) or not isinstance(dih, dict):
+        raise SchemaError("'exceptional' and 'dihedral' must be JSON objects")
     return BurnsideElement.make(
         doc["group"],
-        exceptional=doc.get("exceptional", {}),
+        exceptional=exc,
         toral=doc.get("toral", 0),
-        dihedral=dih,
+        dihedral={int_key(k, "dihedral key"): v for k, v in dih.items()},
         tail=doc.get("tail", 0),
     )

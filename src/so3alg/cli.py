@@ -10,9 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import burnside
 from .errors import (
@@ -34,6 +37,7 @@ from .graded import (
     Summand,
 )
 from .linalg import Q, QMatrix
+from .literals import frac_parse, int_key
 from .toral import (
     TAIL,
     QWSpace,
@@ -68,28 +72,11 @@ def frac_str(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def frac_parse(s) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise ParseError(f"bad rational literal {s!r}")
-
-
 def _int(value, what: str) -> int:
     """value, a JSON integer: a float, bool or string would be coerced."""
     if type(value) is not int:
         raise ParseError(f"{what} must be a JSON integer, not {value!r}")
     return value
-
-
-def _int_key(raw: str, what: str) -> int:
-    """The int whose decimal is raw: "05" or " 5" would share its entry."""
-    try:
-        if str(int(raw)) == raw:
-            return int(raw)
-    except ValueError:
-        pass
-    raise ParseError(f"bad {what} {raw!r}")
 
 
 def _object(doc, what: str) -> dict:
@@ -205,7 +192,7 @@ def space_to_json(v: QWSpace) -> dict:
 def space_from_json(doc: dict) -> QWSpace:
     try:
         dims = {
-            _int_key(g, "space degree"): (_int(p, f"dims at {g}"), _int(m, f"dims at {g}"))
+            int_key(g, "space degree"): (_int(p, f"dims at {g}"), _int(m, f"dims at {g}"))
             for g, (p, m) in doc["dims"].items()
         }
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -267,7 +254,7 @@ def toral_to_json(x: ToralObject) -> dict:
 
 
 def _slot_key(raw: str):
-    return TAIL if raw == TAIL else _int_key(raw, "slot key")
+    return TAIL if raw == TAIL else int_key(raw, "slot key")
 
 
 def _listed(doc: dict, slots: Slots, what: str) -> list:
@@ -286,7 +273,7 @@ def toral_from_json(doc: dict) -> ToralObject:
     try:
         side = doc["side"]
         explicit = {
-            _int_key(k, "slot key"): module_from_json(m)
+            int_key(k, "slot key"): module_from_json(m)
             for k, m in _object(doc["M"]["explicit"], "M.explicit").items()
         }
         tail = module_from_json(doc["M"]["tail"])
@@ -335,7 +322,7 @@ def dihedral_from_json(doc: dict) -> DihedralObject:
     try:
         m_inf = space_from_json(doc["M_inf"])
         explicit = {
-            _int_key(k, "slot key"): space_from_json(s)
+            int_key(k, "slot key"): space_from_json(s)
             for k, s in _object(doc["slots"]["explicit"], "slots.explicit").items()
         }
         tail = space_from_json(doc["slots"]["tail"])
@@ -730,6 +717,91 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# -- reports ----------------------------------------------------------------------
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def report_text(report) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2)``, built directly.
+
+    Python's C encoder serves only the unindented form, so ``indent=2`` runs
+    the pure-Python one.  This writes the same text for every report value:
+    strings through the same C quoting, ints by ``int.__repr__``, tuples as
+    lists, dict keys sorted by their own values and then written as ``json``
+    writes them (str, int, bool or None).  Any other type, a float included,
+    raises TypeError.
+    """
+    parts = []
+    _encode(report, "\n", parts.append)
+    return "".join(parts)
+
+
+def _encode(value, newline: str, put) -> None:
+    """Put the text of value, whose lines are indented as newline is."""
+    if isinstance(value, str):
+        put(_quote(value))
+    elif value is None or value is True or value is False:
+        put(_CONSTANTS[value])
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in value:
+            put(sep + inner)
+            _encode(item, inner, put)
+            sep = ","
+        put(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key, item in sorted(value.items()):
+            put(sep + inner + _quote(_key_text(key)) + ": ")
+            _encode(item, inner, put)
+            sep = ","
+        put(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or key is True or key is False:
+        return _CONSTANTS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, bool or None, not {type(key).__name__}")
+
+
+def write_report(path: str, text: str) -> None:
+    """Write text and a newline to path, overwriting the file in place.
+
+    The file is not truncated as it is opened: on some file systems cutting a
+    file that holds a report down to zero costs several times the write.
+    Whatever lies past the new end is cut off after the write, and only on a
+    regular file, so a device (``/dev/null``, ``/dev/stdout``) or a FIFO takes
+    the text as a stream.  A new file gets mode 0o666 less the umask, as with
+    ``open(path, "w")``.  As with that, the write is neither atomic nor synced.
+    """
+    data = (text + "\n").encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     # parse_args leaves the parser unchanged, so one serves every call
@@ -751,9 +823,11 @@ def main(argv=None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2))
-            fh.write("\n")
+        try:
+            write_report(args.out, report_text(report))
+        except OSError as exc:
+            print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return code
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from so3alg import burnside as b
@@ -119,3 +121,28 @@ def test_bad_inputs_raise_schema_errors():
         b.BurnsideElement.make("SO3", dihedral={2: 1})
     with pytest.raises(SchemaError):
         b.from_json({"group": "SO3", "toral": "1/0"})
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, 1.0, None, [1], {"p": 1}])
+def test_from_json_refuses_a_value_that_is_not_an_int_or_a_literal(value):
+    # "tail": true used to read as 1, and 0.5 as a Fraction of the float
+    for field in ("toral", "tail"):
+        with pytest.raises(SchemaError, match="bad rational literal"):
+            b.from_json({"group": "SO3", field: value})
+    with pytest.raises(SchemaError, match="bad rational literal"):
+        b.from_json({"group": "SO3", "dihedral": {"5": value}})
+    with pytest.raises(SchemaError, match="bad rational literal"):
+        b.from_json({"group": "SO3", "exceptional": {"A4": value}})
+    assert b.from_json({"group": "SO3", "toral": 2, "tail": "-1/2"}) == b.BurnsideElement.make(
+        "SO3", toral=2, tail=b.Q(-1, 2)
+    )
+
+
+@pytest.mark.parametrize("key", ["05", " 5", "5 ", "+5", "5_0", "x"])
+def test_from_json_refuses_a_dihedral_key_that_is_not_its_integers_decimal(key):
+    # {"5": "1", "05": "2"} used to read as one entry at 5, the last winning
+    with pytest.raises(SchemaError, match=re.escape(f"bad dihedral key '{key}'")):
+        b.from_json({"group": "SO3", "dihedral": {"5": "1", key: "2"}})
+    assert dict(b.from_json({"group": "SO3", "dihedral": {"5": "1", "6": "2"}}).dihedral) == {
+        5: 1, 6: 2,
+    }

@@ -77,6 +77,40 @@ def test_fraction_codec():
         frac_parse("1/0")
     with pytest.raises(ParseError):
         frac_parse("x")
+    assert frac_parse(-4) == Q(-4) and frac_parse("0.5") == Q(1, 2)
+
+
+@pytest.mark.parametrize("value", [True, False, 0.1, 2.0, None, [1], {"p": 1}])
+def test_a_coefficient_is_an_int_or_a_rational_literal(tmp_path, capsys, value):
+    # true used to read as 1 and 0.1 as 3602879701896397/36028797018963968
+    with pytest.raises(ParseError, match="bad rational literal"):
+        frac_parse(value)
+    toral_doc, germ_doc = _toral_and_germ_docs()
+    for decode, encode, doc, path in [
+        (toral_from_json, toral_to_json, toral_doc, ("beta", "5", "entries", 0, "coef")),
+        (dihedral_from_json, dihedral_to_json, germ_doc, ("germ", "5", "blocks", 0, "mat", 0, 0)),
+    ]:
+        assert encode(decode(replaced(doc, path, -3))) == encode(decode(replaced(doc, path, "-3")))
+        with pytest.raises(ParseError, match="bad rational literal"):
+            decode(replaced(doc, path, value))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(replaced(toral_doc, ("beta", "5", "entries", 0, "coef"), value)))
+    assert main(["star-check", str(bad)]) == 2
+    assert "bad rational literal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"group": "SO3", "dihedral": {"5": "1", "05": "2"}},
+    {"group": "SO3", "tail": True},
+    {"group": "SO3", "toral": 0.5},
+    {"group": "SO3", "dihedral": [1]},
+    {"group": "SO3", "exceptional": ["A4"]},
+])
+def test_restrict_refuses_a_burnside_document_outside_the_literal_rules(tmp_path, capsys, doc):
+    path = tmp_path / "elem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["restrict", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_toral_round_trip():

@@ -24,6 +24,8 @@ slot-indexed datum is read by the container ``toral.Slots`` alone: no function
 of ``toral``, ``dihedral`` or ``cli`` outside it falls back to ``d[TAIL]``,
 compares a key with ``TAIL``, pops ``TAIL`` or builds a key union with
 ``TAIL``, and no ``SlotFamily`` is built by splitting slots at ``TAIL``.
+Only ``cli.write_report`` opens a file for writing, and no call passes
+``indent=`` to ``json.dumps``: report text is built by ``cli.report_text``.
 """
 
 import ast
@@ -692,3 +694,87 @@ def test_tail_scan_sees_a_planted_key_union():
         "        return sorted(self.explicit) + [TAIL] if self != TAIL else self.pop(TAIL)\n"
     )
     assert _tail_reads(ast.parse(source)) == [("compose", "union"), ("compose", "union")]
+
+
+# the one function of the package that writes a file: the --out report
+FILE_WRITERS = [("cli", "write_report")]
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _opens_for_writing(call) -> bool:
+    """Whether a call opens a file for writing: ``open``/``x.open`` with a
+    mode that writes (or one the scan cannot read), ``os.open`` with a flag
+    that writes, or ``x.write_text``/``x.write_bytes``."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return isinstance(func, ast.Attribute)
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "os":
+        return any(
+            isinstance(node, ast.Attribute) and node.attr in _WRITE_FLAGS
+            or isinstance(node, ast.Name) and node.id in _WRITE_FLAGS
+            for arg in call.args[1:] + [k.value for k in call.keywords]
+            for node in ast.walk(arg)
+        )
+    # open(path, mode) and Path.open(mode): the mode is the last positional
+    # argument or the keyword
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    return any(
+        not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+        or set(m.value) & set("wax+")
+        for m in modes
+    )
+
+
+def _file_writes_and_indents(tree):
+    """(enclosing function, what) for every call in a module's tree that
+    opens a file for writing ("write") or passes ``indent=`` to a
+    ``json.dumps``/``json.dump`` ("indent")."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            if _opens_for_writing(node):
+                out.append((func, "write"))
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+            if name in ("dumps", "dump") and any(k.arg == "indent" for k in node.keywords):
+                out.append((func, "indent"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_only_the_report_writer_writes_a_file_and_nothing_indents_json():
+    # reports go through cli.report_text and cli.write_report; json.dumps
+    # with indent= is the tests' oracle for that text, not a second writer
+    found = [
+        (module, func, what)
+        for module in _modules()
+        for func, what in _file_writes_and_indents(_tree(module))
+    ]
+    assert found == [(module, func, "write") for module, func in FILE_WRITERS]
+
+
+def test_file_write_scan_sees_planted_writes_and_indents():
+    source = (
+        "def load(path):\n"
+        "    return open(path), open(path, 'rb'), path.open(), os.open(path, os.O_RDONLY)\n"
+        "def save(path, text, mode):\n"
+        "    open(path, 'w').write(text)\n"
+        "    open(path, mode=mode)\n"
+        "    io.open(path, 'a')\n"
+        "    path.open('r+')\n"
+        "    os.open(path, os.O_WRONLY | os.O_CREAT)\n"
+        "    path.write_text(text)\n"
+        "    return json.dumps(text, indent=2), json.dumps(text, sort_keys=True)\n"
+    )
+    assert _file_writes_and_indents(ast.parse(source)) == [("save", "write")] * 6 + [
+        ("save", "indent")
+    ]
