@@ -780,24 +780,40 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, bool or None, not {type(key).__name__}")
 
 
+def _stdout_fd() -> int | None:
+    """The descriptor under sys.stdout, or None when it has none (a
+    redirection to a ``StringIO``)."""
+    try:
+        return sys.stdout.fileno()
+    except (OSError, ValueError):
+        return None
+
+
 def write_report(path: str, text: str) -> None:
     """Write text and a newline to path, overwriting the file in place.
 
     The file is not truncated as it is opened: on some file systems cutting a
     file that holds a report down to zero costs several times the write.
     Whatever lies past the new end is cut off after the write, and only on a
-    regular file, so a device (``/dev/null``, ``/dev/stdout``) or a FIFO takes
-    the text as a stream.  A new file gets mode 0o666 less the umask, as with
+    regular file, so a device (``/dev/null``) or a FIFO takes the text as a
+    stream.  When path is the file that stdout writes to (``/dev/stdout``),
+    the report follows the lines printed before it: stdout is flushed first
+    and the report is written through stdout's own descriptor, at its
+    offset.  A new file gets mode 0o666 less the umask, as with
     ``open(path, "w")``.  As with that, the write is neither atomic nor synced.
     """
     data = (text + "\n").encode()
+    sys.stdout.flush()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
+        st = os.fstat(fd)
+        out = _stdout_fd()
+        target = out if out is not None and os.path.samestat(st, os.fstat(out)) else fd
         view = memoryview(data)
         while view:
-            view = view[os.write(fd, view):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
+            view = view[os.write(target, view):]
+        if stat.S_ISREG(st.st_mode):
+            os.ftruncate(target, os.lseek(target, 0, os.SEEK_CUR))
     finally:
         os.close(fd)
 

@@ -49,6 +49,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import (
+    EngineError,
     InvariantError,
     NotADifferential,
     NotEquivariant,
@@ -263,6 +264,36 @@ def direct_sum(modules) -> tuple[GradedModule, list[list[int]]]:
 # -- module maps ---------------------------------------------------------
 
 
+def _power_or_error(domain: GradedModule, codomain: GradedModule, degree: int, i: int, j: int):
+    """The rule for the monomial entry (i, j) of a degree-``degree`` map
+    domain -> codomain: the generator power it carries, None where it lands
+    past a torsion cut-off (so it is zero), or the error that forbids it,
+    returned and not raised, so that a caller can ask without a try."""
+    src = domain.summands[j]
+    dst = codomain.summands[i]
+    step = codomain.ring.step
+    num = dst.shift - src.shift - degree
+    if num % step:
+        return NotHomogeneous(f"entry ({i},{j}) cannot be homogeneous of degree {degree}")
+    a = num // step
+    if dst.kind == TORSION and a >= dst.length:
+        return None
+    if dst.kind != LAURENT and a < 0:
+        return NotHomogeneous(f"entry ({i},{j}) needs a negative power")
+    if src.kind == LAURENT and dst.kind != LAURENT:
+        return InvariantError("Laurent source cannot map to a bounded target")
+    if src.kind == TORSION and (dst.kind != TORSION or a + src.length < dst.length):
+        return InvariantError(f"entry ({i},{j}) does not annihilate the source torsion")
+    # equivariance
+    if codomain.ring.flip:
+        ok = dst.sign * (-1) ** (a % 2) == src.sign
+    else:
+        ok = dst.sign == src.sign
+    if not ok:
+        return NotEquivariant(f"entry ({i},{j}) breaks the involution")
+    return a
+
+
 class ModuleMap:
     """A homogeneous equivariant map between canonical modules.
 
@@ -284,41 +315,13 @@ class ModuleMap:
             coef = coef if isinstance(coef, Fraction) else Fraction(coef)
             if coef == 0:
                 continue
-            a = self._power_or_error(i, j)
+            a = _power_or_error(domain, codomain, degree, i, j)
             if a is None:
                 continue  # monomial lands past a torsion cutoff: it is zero
+            if isinstance(a, EngineError):
+                raise a
             clean[(i, j)] = coef
         self.entries = clean
-
-    def _power_or_error(self, i: int, j: int) -> int | None:
-        src = self.domain.summands[j]
-        dst = self.codomain.summands[i]
-        step = self.codomain.ring.step
-        num = dst.shift - src.shift - self.degree
-        if num % step:
-            raise NotHomogeneous(
-                f"entry ({i},{j}) cannot be homogeneous of degree {self.degree}"
-            )
-        a = num // step
-        if dst.kind == TORSION and a >= dst.length:
-            return None
-        if dst.kind != LAURENT and a < 0:
-            raise NotHomogeneous(f"entry ({i},{j}) needs a negative power")
-        if src.kind == LAURENT and dst.kind != LAURENT:
-            raise InvariantError("Laurent source cannot map to a bounded target")
-        if src.kind == TORSION:
-            if dst.kind != TORSION or a + src.length < dst.length:
-                raise InvariantError(
-                    f"entry ({i},{j}) does not annihilate the source torsion"
-                )
-        # equivariance
-        flip = self.codomain.ring.flip
-        ok = (
-            dst.sign * (-1) ** (a % 2) == src.sign if flip else dst.sign == src.sign
-        )
-        if not ok:
-            raise NotEquivariant(f"entry ({i},{j}) breaks the involution")
-        return a
 
     @staticmethod
     def zero(domain, codomain, degree=0) -> "ModuleMap":

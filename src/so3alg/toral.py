@@ -58,6 +58,7 @@ from .graded import (
     GradedModule,
     ModuleMap,
     Summand,
+    WindowMap,
     auto_window,
     base_change_d_to_c,
     base_change_map,
@@ -70,6 +71,7 @@ from .graded import (
     localize_map,
     sign_of,
     window_subquotient,
+    _power_or_error,
     _sort_key,
     _normalize_summand,
 )
@@ -659,12 +661,13 @@ def _localized_beta(x: ToralObject, key) -> ModuleMap:
 def check_star(x: ToralObject, strict: bool = False) -> bool:
     """Does beta become a degreewise isomorphism after inverting Euler classes?
 
-    Everything in sight is 2-periodic after localization, so checking two
-    consecutive degrees per slot suffices; a wider sample is checked anyway.
+    The localized map is one of Laurent modules over Q[c], whose matrices in
+    degrees g and g + 2 are the same, so the degrees -2 and -1 decide every
+    degree of a slot.
     """
     for key in x.keys():
         lmap = _localized_beta(x, key)
-        for g in (-2, -1, 0, 1, 2, 3):
+        for g in (-2, -1):
             mat = lmap.evaluate(g)
             if mat.rows != mat.cols or not mat.is_invertible():
                 if strict:
@@ -1108,13 +1111,12 @@ def parity_split(x: ToralObject) -> tuple[ToralObject, ToralObject]:
 
 
 def _entry_allowed(dom: GradedModule, cod: GradedModule, degree: int, i: int, j: int):
-    """The map with the single entry (i, j) = 1, or None where no such
-    monomial map exists or it lands past a torsion cut-off."""
-    try:
-        unit = ModuleMap(dom, cod, degree, {(i, j): Q(1)})
-    except EngineError:
-        return None
-    return unit if unit.entries else None
+    """The generator power of the single entry (i, j) of a degree-``degree``
+    map, or None where no such monomial map exists or it lands past a
+    torsion cut-off; read off the rule of ``ModuleMap`` without building a
+    map."""
+    a = _power_or_error(dom, cod, degree, i, j)
+    return None if isinstance(a, EngineError) else a
 
 
 def _entry_rows(n: int, terms):
@@ -1152,9 +1154,8 @@ class HomSpace:
             dom, cod = x.M[key], y.M[key]
             for i in range(len(cod.summands)):
                 for j in range(len(dom.summands)):
-                    unit = _entry_allowed(dom, cod, degree, i, j)
-                    if unit is not None:
-                        units[len(self.unknowns)] = unit
+                    if _entry_allowed(dom, cod, degree, i, j) is not None:
+                        units[len(self.unknowns)] = ModuleMap(dom, cod, degree, {(i, j): Q(1)})
                         self._add(("a", key, i, j))
         for g in sorted(x.V.dims):
             for s in (1, -1):
@@ -1302,14 +1303,23 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
     power c^pad) from each torsion summand to its copy, zero elsewhere.  The
     inclusion (beta into e(V), psi into f(I), the identity on V) is a
     morphism by construction and not checked: e(V) has the identity
-    structure map (``make_eV``) and f(I) has V = 0.  Exactness is checked
-    on the window.
+    structure map (``make_eV``) and f(I) has V = 0.
+
+    The inclusion is block-diagonal at each slot, so J is coker beta on the
+    non-torsion summands plus coker psi.  coker psi is read off: each I
+    summand leaves its top pad classes, a torsion summand of length pad, and
+    projects onto it by 1 on the powers below pad.  coker beta is zero on a
+    slot without a free summand, where beta takes Laurent summands
+    isomorphically onto e(V); elsewhere it is one window walk
+    (``cokernel_of_map``), on the window widened for the whole slot and its
+    image, since the truncated Q[c, 1/c]/Q[c] summands the walk finds end at
+    that window's top.  Exactness is checked on the window.
     """
     check_star(x, strict=True)
     side = x.side
 
     def padded_torsion(key):
-        # (the I slot, psi at the slot)
+        # (the I slot, psi at the slot, coker psi's summands in I's order)
         m = x.M[key]
         ring = m.ring
         pad = 2 * m.max_torsion() + 1
@@ -1320,29 +1330,62 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
             if s.kind == TORSION
         ]
         imod, tags, _ = _module_with_index(ring, tagged)
-        return imod, ModuleMap(m, imod, 0, {(i, j): Q(1) for i, j in enumerate(tags)})
+        psi = ModuleMap(m, imod, 0, {(i, j): Q(1) for i, j in enumerate(tags)})
+        return imod, psi, [Summand(TORSION, s.shift, s.sign, pad) for s in imod.summands]
 
-    I_slots, psi = Slots.over([x.M], padded_torsion).unzip()
+    I_slots, psi, coker_psi = Slots.over([x.M], padded_torsion).unzip()
     f_part = make_fN(SlotFamily(side, I_slots.explicit, I_slots.tail))
     e_part = make_eV(x.V, side)
     Y0 = direct_sum_objects(e_part, f_part)
 
-    def inclusion(key):
-        _, maps = direct_sum([e_part.M[key], I_slots[key]])
-        ent = {}
-        for (i, j), coef in x.beta[key].entries.items():
-            ent[(maps[0][i], j)] = coef
-        for (i, j), coef in psi[key].entries.items():
-            ent[(maps[1][i], j)] = coef
-        return ModuleMap(x.M[key], Y0.M[key], 0, ent)
+    def stage(key):
+        # (the inclusion at the slot, the J slot, the projection onto it)
+        m, b, y0 = x.M[key], x.beta[key], Y0.M[key]
+        emod, imod = e_part.M[key], I_slots[key]
+        _, (ie, ii) = direct_sum([emod, imod])
+        ent = {(ie[i], j): coef for (i, j), coef in b.entries.items()}
+        ent.update({(ii[i], j): coef for (i, j), coef in psi[key].entries.items()})
+        win = auto_window(window, [m, y0])
+        ring = m.ring
+        cb, qb = GradedModule.zero(ring), None
+        if any(s.kind == FREE for s in m.summands):
+            nmod, _, npos = _module_with_index(
+                ring, [(s, j) for j, s in enumerate(m.summands) if s.kind != TORSION]
+            )
+            b_n = ModuleMap(nmod, emod, 0, {(i, npos[j]): c for (i, j), c in b.entries.items()})
+            cb, qb = cokernel_of_map(b_n, win)
+        J, _, jpos = _module_with_index(
+            ring,
+            [(s, (0, k)) for k, s in enumerate(cb.summands)]
+            + [(s, (1, i)) for i, s in enumerate(coker_psi[key])],
+        )
+        # one projection matrix per run, as a window walk keeps it
+        mats = {}
+        step = ring.step
+        for t, n in degree_runs(win, step, [(y0, 0), (J, 0), (m, 0)]).items():
+            rows = J.basis(t)
+            if not rows:
+                continue
+            row = {e: r for r, e in enumerate(rows)}
+            cols = y0.basis(t)
+            col = {e: c for c, e in enumerate(cols)}
+            proj = {}
+            if qb is not None:
+                dst, src = cb.basis(t), emod.basis(t)
+                for r, c, coef in qb.evaluate(t).entries():
+                    (k, a), (i, ai) = dst[r], src[c]
+                    proj[(row[(jpos[(0, k)], a)], col[(ie[i], ai)])] = coef
+            for i, a in imod.basis(t):
+                r = row.get((jpos[(1, i)], a))
+                if r is not None:
+                    proj[(r, col[(ii[i], a)])] = Q(1)
+            mat = QMatrix.from_entries(len(rows), len(cols), proj)
+            for k in range(n):
+                mats[t - k * step] = mat
+        return ModuleMap(m, y0, 0, ent), J, WindowMap(y0, J, 0, win, mats)
 
-    include = ToralMorphism(x, Y0, 0, Slots.over([x.M], inclusion), VMap.identity(x.V))
-
-    def cokernel(key):
-        win = auto_window(window, [x.M[key], Y0.M[key]])
-        return cokernel_of_map(include.alpha[key], win)
-
-    J_slots, quot = Slots.over([x.M], cokernel).unzip()
+    alpha, J_slots, quot = Slots.over([x.M], stage).unzip()
+    include = ToralMorphism(x, Y0, 0, alpha, VMap.identity(x.V))
     Y1 = make_fN(SlotFamily(side, J_slots.explicit, J_slots.tail))
     res = InjectiveResolution(x, Y0, include, Y1, quot, window)
     if not res.check_exact():

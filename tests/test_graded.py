@@ -39,6 +39,7 @@ from so3alg.graded import (
     smith_canonical,
     window_of_module,
     _normalize_summand,
+    _power_or_error,
     _sort_key,
 )
 from so3alg.linalg import Q, QMatrix, subquotient
@@ -539,7 +540,8 @@ def per_column_evaluate(phi, degree):
     for col, (j, b) in enumerate(src):
         for (i, jj), coef in phi.entries.items():
             if jj == j:
-                row = pos.get((i, b + phi._power_or_error(i, jj)))
+                a = _power_or_error(phi.domain, phi.codomain, phi.degree, i, jj)
+                row = pos.get((i, b + a))
                 if row is not None:
                     ent[(row, col)] = coef
     return QMatrix.from_entries(len(dst), len(src), ent)

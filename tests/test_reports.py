@@ -11,6 +11,8 @@ import errno
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -149,6 +151,23 @@ def test_out_to_a_fifo_streams_the_report(tmp_path):
     assert main(["burnside", "e_T", "--out", str(fifo)]) == 0
     reader.join(timeout=10)
     assert got and got[0].startswith(b'{\n  "element"') and got[0].endswith(b"}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_to_dev_stdout_follows_the_printed_lines(tmp_path):
+    """With stdout redirected to a file, ``--out /dev/stdout`` leaves the
+    verb's stdout lines in it, followed by the report."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    for argv in (["burnside", "e_T"], ["resolve", FIXTURES[0]]):
+        engine = [sys.executable, "-m", "so3alg.cli", *argv]
+        lines = subprocess.run(engine, capture_output=True, env=env, check=True).stdout
+        report = tmp_path / "report.json"
+        subprocess.run(engine + ["--out", str(report)], capture_output=True, env=env, check=True)
+        out = tmp_path / "stdout.txt"
+        with out.open("wb") as fh:
+            subprocess.run(engine + ["--out", "/dev/stdout"], stdout=fh, env=env, check=True)
+        assert lines and out.read_bytes() == lines + report.read_bytes(), argv
 
 
 def test_a_new_report_file_gets_mode_0o666_less_the_umask(tmp_path):

@@ -1066,6 +1066,105 @@ def test_injective_resolution_walks_no_kernel(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("window", [(-12, 12), (-2, 2), (-8, 8)], ids=["12", "2", "8"])
+def test_split_cokernel_matches_the_whole_map_walk(window, monkeypatch):
+    """J and its projection are built as coker beta on the non-torsion
+    summands plus coker psi in closed form.  One window walk of the whole
+    inclusion is the oracle: the same J at every slot, and at every degree a
+    projection onto J with the same kernel.  Only a slot with a free summand
+    walks a window."""
+    import so3alg.graded as graded
+
+    walks = []
+    real = graded.window_subquotient
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graded, "window_subquotient", counted)
+    free_slots = other_slots = 0
+    for x in fixture_objects() + toral_ext_inputs():
+        walks.clear()
+        res = injective_resolution(x, window)
+        free = sum(any(s.kind == FREE for s in x.M[key].summands) for key in x.keys())
+        assert len(walks) == free, (x, window)
+        free_slots += free
+        other_slots += len(x.keys()) - free
+        for key in x.keys():
+            win = auto_window(window, [x.M[key], res.Y0.M[key]])
+            J, whole = cokernel_of_map(res.include.alpha[key], win)
+            assert res.Y1.M[key] == J, (x, key)
+            q = res.quot[key]
+            assert (q.domain, q.codomain, q.degree, q.window) == (res.Y0.M[key], J, 0, win)
+            for g in range(win[0], win[1] + 1):
+                a, b = q.evaluate(g), whole.evaluate(g)
+                assert a.rank() == b.rank() == J.dim(g), (x, key, g)
+                if b.cols:
+                    assert (a @ b.kernel_basis()).is_zero(), (x, key, g)
+    assert free_slots >= 100 and other_slots >= 150, (free_slots, other_slots)
+
+
+def six_degree_star(x, strict=False):
+    """The star check as it was, ranking the six degrees -2 to 3."""
+    for key in x.keys():
+        lmap = toral._localized_beta(x, key)
+        for g in (-2, -1, 0, 1, 2, 3):
+            mat = lmap.evaluate(g)
+            if mat.rows != mat.cols or not mat.is_invertible():
+                if strict:
+                    raise StarConditionError(
+                        f"slot {key!r} fails the star condition in degree {g}"
+                    )
+                return False
+    return True
+
+
+def star_check_objects(seed=41):
+    """Star objects of both sides, and each again with one structure-map
+    entry dropped at a random slot, which is mostly not a star object."""
+    rng = random.Random(seed)
+    stars = law_objects() + toral_ext_inputs(count=60)
+    stars += [functor_F(x) for x in stars if x.side == "SO3"][:40]
+    out = []
+    for x in stars:
+        out.append(x)
+        keys = [key for key in x.keys() if x.beta[key].entries]
+        if not keys:
+            continue
+        key = rng.choice(keys)
+        b = x.beta[key]
+        ent = dict(b.entries)
+        del ent[rng.choice(sorted(ent))]
+        beta = dict(x.beta)
+        beta[key] = ModuleMap(b.domain, b.codomain, b.degree, ent)
+        out.append(ToralObject(x.side, x.M, x.V, beta))
+    return out
+
+
+def test_star_check_ranks_two_degrees_of_a_two_periodic_map():
+    counts = {"star": 0, "O2": 0, "torus": 0, "degree -2": 0, "degree -1": 0}
+    for x in star_check_objects():
+        for key in x.keys():
+            lmap = toral._localized_beta(x, key)
+            counts["torus"] += x.slot_is_torus(key) and not lmap.domain.is_zero()
+            for g in range(-6, 7):
+                assert lmap.evaluate(g) == lmap.evaluate(g + 2), (x, key, g)
+        want = six_degree_star(x)
+        assert check_star(x) == want, x
+        counts["O2"] += x.side == "O2"
+        if want:
+            counts["star"] += 1
+            assert check_star(x, strict=True)
+            continue
+        with pytest.raises(StarConditionError) as oracle:
+            six_degree_star(x, strict=True)
+        with pytest.raises(StarConditionError, match=f"^{oracle.value}$"):
+            check_star(x, strict=True)
+        counts[str(oracle.value).rsplit(" in ", 1)[1]] += 1
+    assert min(counts.values()) >= 20, counts
+
+
 # -- laws of the hom spaces ------------------------------------------------------
 
 
