@@ -221,7 +221,7 @@ class DihedralMorphism:
             other.x, self.y, self.degree + other.degree,
             self.f_inf.compose(other.f_inf),
             Slots.over(
-                [other.x.slots, self.y.slots],
+                [other.f_slots, self.f_slots],
                 lambda k: self.f_slots[k].compose(other.f_slots[k]),
             ),
         )

@@ -25,8 +25,8 @@ the Kronecker product; no other module places entries by hand.
 ``subquotient`` takes a space of cycles modulo boundaries apart with one
 elimination, and its projection sends a whole matrix of cycles to their
 coordinates; ``chain_homology``, the homology of a chain of vector spaces
-that every algebraic model uses, is one subquotient per degree, or one rref
-of the outgoing differential where no boundary comes in.
+that every algebraic model uses, is per degree one rref of the outgoing
+differential and one subquotient of its kernel coordinates by the boundaries.
 """
 
 from __future__ import annotations
@@ -189,6 +189,8 @@ class QMatrix:
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "QMatrix":
         """The matrix of the entries of self in the rows and cols given, in
         those orders."""
+        if rows == range(self.rows) and cols == range(self.cols):
+            return self
         ints = [[r[j] for j in cols] for r in map(self.ints.__getitem__, rows)]
         return _canonical(len(rows), len(cols), self.den, ints)
 
@@ -299,21 +301,15 @@ class QMatrix:
 
     def solve(self, b: Sequence) -> list[Fraction] | None:
         """One solution of self @ x = b, or None if inconsistent."""
-        n = self.cols
-        R, pivots = self.hstack(QMatrix.column(b)).rref()
-        if pivots and pivots[-1] == n:
-            return None
-        x = [_ZERO] * n
-        for r, c in enumerate(pivots):
-            x[c] = R[r, n]
-        return x
+        x = self.solve_matrix(QMatrix.column(b))
+        return None if x is None else x.col(0)
 
     def solve_matrix(self, B: "QMatrix") -> "QMatrix | None":
         """Solve self @ X = B for X, or None if any column is inconsistent.
 
         One elimination of [self | B]: its row operations depend on self
-        only, so every column of X is the solution ``solve`` gives for that
-        column of B.
+        only, so each column of X is the solution that the reduced form of
+        [self | that column of B] reads off.
         """
         n = self.cols
         R, pivots = self.hstack(B).rref()
@@ -327,19 +323,20 @@ class QMatrix:
     def inverse(self) -> "QMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        R, pivots = self.hstack(QMatrix.identity(n)).rref()
-        if pivots[:n] != list(range(n)):
+        inv = self.solve_matrix(QMatrix.identity(self.rows))
+        if inv is None:
             raise ValueError("matrix is singular")
-        return _canonical(n, n, R.den, [row[n:] for row in R.ints])
+        return inv
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def _kernel_from_rref(R: QMatrix, pivots: list[int]) -> tuple[QMatrix, list[int]]:
-    """(``kernel_basis``, its free columns) of the matrix whose reduced row
-    echelon form is R, with those pivot columns."""
+def _kernel_from_rref(R: QMatrix, pivots: list[int]) -> tuple[QMatrix, Sequence[int]]:
+    """(``kernel_basis``, its free columns: a range when all are) of the
+    matrix whose reduced row echelon form is R, with those pivot columns."""
+    if not pivots:
+        return QMatrix.identity(R.cols), range(R.cols)
     pivot_set = set(pivots)
     free = [c for c in range(R.cols) if c not in pivot_set]
     ints = [[0] * len(free) for _ in range(R.cols)]
@@ -541,23 +538,26 @@ def subquotient(Z: QMatrix, B: QMatrix):
     identity its block is E's own, so [B | I] is eliminated; when B is zero
     too, nothing is.
     """
-    n = Z.rows
+    accepted, annihilator, left = _subquotient(None if Z.is_identity() else Z, B)
+    return Z.columns(accepted), _projection(annihilator, left, range(B.rows))
+
+
+def _subquotient(Z: QMatrix | None, B: QMatrix):
+    """``subquotient``'s (accepted columns, annihilator, coordinates); None is the identity."""
+    n = B.rows
     nonzero = [j for j in range(B.cols) if any(r[j] for r in B.ints)]
     if len(nonzero) < B.cols:
         B = B.columns(nonzero)
-    whole = Z.cols == n and Z.is_identity()
-    if whole and not B.cols:
-        return Z, _projection(QMatrix(0, n), Z)
-    both = B if whole else B.hstack(Z)
+    if Z is None and not B.cols:
+        return range(n), _wrap(0, n, 1, []), None
+    both = B if Z is None else B.hstack(Z)
     R, pivots = both.hstack(QMatrix.identity(n)).rref()
-    k = sum(1 for c in pivots if c < B.cols + Z.cols)
+    k = sum(1 for c in pivots if c < B.cols + (n if Z is None else Z.cols))
     nb = sum(1 for c in pivots if c < B.cols)
-    reps = Z.columns([c - B.cols for c in pivots[nb:k]])
     E = [row[both.cols :] for row in R.ints]
-    left = _canonical(k - nb, n, R.den, E[nb:k])
     # the annihilator only faces a zero test, so its denominator is dropped
     annihilator = _wrap(n - k, n, 1, E[k:])
-    return reps, _projection(annihilator, left)
+    return [c - B.cols for c in pivots[nb:k]], annihilator, _canonical(k - nb, n, R.den, E[nb:k])
 
 
 def chain_homology(dims, mats):
@@ -572,41 +572,41 @@ def chain_homology(dims, mats):
     hdims[g] x m matrix of their coordinates in that basis, raising
     InvariantError when a column is not a cycle.
 
-    Each degree is one ``subquotient`` of the kernel basis of the outgoing
-    differential (the identity when that is zero) by the columns of the
-    incoming one.  An empty degree shares one empty result, and a degree
-    that no boundary enters reads its kernel off one rref of the outgoing
-    differential: the free coordinates are a left inverse of that basis,
-    and the rref's nonzero rows annihilate exactly the kernel.
+    d squared must be zero, as ``GroupComplex.check_differential``,
+    ``QWComplex``, ``DihedralObject.__init__`` and ``toral.homology_dA``
+    check on entry (tensor and hom are built so).  So every boundary lies in
+    the span of the kernel basis K read off the rref R of the outgoing
+    differential, whose free entries are its coordinates there, and each
+    non-empty degree is one ``subquotient`` of the identity by the incoming
+    differential's free rows: its representatives are columns of K, and the
+    projection refuses a column that R's nonzero rows do not kill and reads
+    a cycle's free entries.  An empty degree shares one empty result.
     """
-    hdims, reps, projs = {}, {}, {}
+    reps, projs = {}, {}
     for g in sorted(dims):
         n = dims[g]
-        down, up = mats.get(g), mats.get(g + 1)
-        closed = not n or down is None or down.is_zero()
         if not n:
             reps[g], projs[g] = _EMPTY, _EMPTY_PROJECTION
-        elif closed or not (up is None or up.is_zero()):
-            Z = QMatrix.identity(n) if closed else down.kernel_basis()
-            reps[g], projs[g] = subquotient(Z, QMatrix(n, 0) if up is None else up)
-        else:
-            R, pivots = down.rref()
-            reps[g], free = _kernel_from_rref(R, pivots)
-            left = QMatrix.from_entries(len(free), n, {(k, c): 1 for k, c in enumerate(free)})
-            projs[g] = _projection(_wrap(len(pivots), n, 1, R.ints[: len(pivots)]), left)
-        hdims[g] = reps[g].cols
-    return hdims, reps, projs
+            continue
+        down, up = mats.get(g), mats.get(g + 1) or QMatrix(n, 0)
+        R, pivots = (_wrap(0, n, 1, []), []) if down is None or down.is_zero() else down.rref()
+        K, free = _kernel_from_rref(R, pivots)
+        accepted, _, left = _subquotient(None, up.submatrix(free, range(up.cols)))
+        reps[g] = K.columns(accepted)
+        projs[g] = _projection(_wrap(len(pivots), n, 1, R.ints[: len(pivots)]), left, free)
+    return {g: r.cols for g, r in reps.items()}, reps, projs
 
 
-def _projection(annihilator: QMatrix, left: QMatrix):
+def _projection(annihilator: QMatrix, left: QMatrix | None, rows):
     def project(mat: QMatrix) -> QMatrix:
         if not (annihilator @ mat).is_zero():
             raise InvariantError("a column is not a cycle modulo boundaries")
-        return left @ mat
+        mat = mat.submatrix(rows, range(mat.cols))
+        return mat if left is None else left @ mat
 
     return project
 
 
 # the homology of every empty degree
 _EMPTY = QMatrix(0, 0)
-_EMPTY_PROJECTION = _projection(_EMPTY, _EMPTY)
+_EMPTY_PROJECTION = _projection(_EMPTY, _EMPTY, range(0))

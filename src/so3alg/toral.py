@@ -377,17 +377,17 @@ class Slots:
 
     @staticmethod
     def fill(parts, given, typ, zero, what: str | None) -> "Slots":
-        """One map at each key of ``keys_of(parts)``, of type typ(key) =
-        (domain, codomain, degree): given's there, or ``zero(*typ(key))``
-        where given, a dict, has none.  A dict's other keys are dropped.
-        Each given map is checked against its type, named what; with what
-        None, given is trusted, and a container is taken as it is."""
+        """One map at each key of ``keys_of(parts)`` and each key given
+        lists, of type typ(key) = (domain, codomain, degree): given's there,
+        or ``zero(*typ(key))`` where given, a dict, has none.  Each given map
+        is checked against its type, named what; with what None, given is
+        trusted, and a container is taken as it is."""
         if not isinstance(given, Slots):
-            read = given.get
+            read, listed = given.get, [k for k in given if k != TAIL]
         elif what is None:
             return given
         else:
-            read = given.__getitem__
+            read, listed = given.__getitem__, given.explicit
 
         def value(key):
             f = read(key)
@@ -397,7 +397,7 @@ class Slots:
                 raise SchemaError(f"{what} at slot {key!r} has wrong type")
             return f
 
-        return Slots.over(parts, value)
+        return Slots.over([*parts, Slots(dict.fromkeys(listed), None)], value)
 
     def _copy(self, explicit: dict, tail) -> "Slots":
         """Slots of the same kind with other values."""
@@ -608,7 +608,7 @@ class ToralMorphism:
         if other.y is not self.x and other.y != self.x:
             raise SchemaError("morphism composition mismatch")
         alpha = Slots.over(
-            [other.x.M, self.y.M], lambda key: self.alpha[key].compose(other.alpha[key])
+            [other.alpha, self.alpha], lambda key: self.alpha[key].compose(other.alpha[key])
         )
         return ToralMorphism(
             other.x, self.y, self.degree + other.degree, alpha, self.phi.compose(other.phi)

@@ -61,13 +61,14 @@ def rand_map(rng, dom, cod, degree=0):
     return VMap(dom, cod, degree, blocks)
 
 
-def rand_object(rng):
-    """A random germ object without differential."""
+def rand_object(rng, keys=None):
+    """A random germ object without differential, listing keys (by default
+    up to two of the slots 3-6)."""
     m_inf = QWSpace({g: (rng.randint(0, 2), 0) for g in range(0, 3)})
     tail = rand_space(rng)
-    explicit = {
-        k: rand_space(rng) for k in rng.sample([3, 4, 5, 6], rng.randint(0, 2))
-    }
+    if keys is None:
+        keys = rng.sample([3, 4, 5, 6], rng.randint(0, 2))
+    explicit = {k: rand_space(rng) for k in keys}
     germ = {TAIL: rand_map(rng, m_inf, tail)}
     for k in explicit:
         germ[k] = rand_map(rng, m_inf, explicit[k])
@@ -730,3 +731,57 @@ def test_maps_of_the_wrong_type_are_refused_at_their_slot():
         DihedralObject(m.m_inf, m.slots, m.germ, None, {TAIL: VMap.identity(m.slot(TAIL))})
     with pytest.raises(SchemaError, match="component at slot 4"):
         DihedralMorphism(m, m, 0, VMap.identity(m.m_inf), {4: VMap.identity(m.slot(TAIL))})
+
+
+# -- composition keeps every component --------------------------------------------
+
+
+def test_a_composite_keeps_a_component_only_the_middle_object_lists():
+    a = QWComplex(QWSpace({0: (1, 0)}))
+    v = a.space
+    x = functor_const(a)
+    mid = direct_sum_dihedral(x, functor_i_k(a, 4))
+    # slot 4 of mid is x's copy of a, then functor_i_k's: f is twice the
+    # inclusion of the first there, g the projection onto it
+    w = mid.slot(4)
+    f = DihedralMorphism(x, mid, 0, VMap.identity(v), {
+        TAIL: VMap.identity(v), 4: VMap(v, w, 0, {(0, 1): QMatrix.from_rows([[2], [0]])}),
+    })
+    g = DihedralMorphism(mid, x, 0, VMap.identity(v), {
+        TAIL: VMap.identity(v), 4: VMap(w, v, 0, {(0, 1): QMatrix.from_rows([[1, 0]])}),
+    })
+    gf = g.compose(f)
+    assert gf.f_slots[4] == g.f_slots[4].compose(f.f_slots[4])
+    assert gf.f_slots[4] == VMap(v, v, 0, {(0, 1): QMatrix.from_rows([[2]])})
+    assert gf.f_slots[TAIL] == gf.f_slots[5] == VMap.identity(v)
+    assert gf != DihedralMorphism.identity(x)
+
+
+def rand_morphism(rng, x, y, keys=()):
+    """A random degree-0 morphism x -> y with a component at every key x or
+    y lists, at each of keys and at the tail; its square need not commute."""
+    listed = sorted(set(x.slots.explicit) | set(y.slots.explicit) | set(keys))
+    comps = {k: rand_map(rng, x.slot(k), y.slot(k)) for k in listed}
+    comps[TAIL] = rand_map(rng, x.slots.tail, y.slots.tail)
+    return DihedralMorphism(x, y, 0, rand_map(rng, x.m_inf, y.m_inf), comps)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_composition_is_associative_and_componentwise(seed):
+    rng = random.Random(1950 + seed)
+    # the ends list slots 3 and 4 at most, the middle objects 5-7, and each
+    # morphism may list one more slot that neither of its objects lists
+    w, z = (rand_object(rng, rng.sample([3, 4], rng.randint(0, 1))) for _ in range(2))
+    x, y = (rand_object(rng, rng.sample([5, 6, 7], rng.randint(1, 2))) for _ in range(2))
+    f, g, h = (
+        rand_morphism(rng, s, t, rng.sample([8, 9], rng.randint(0, 1)))
+        for s, t in ((w, x), (x, y), (y, z))
+    )
+    left, right = h.compose(g).compose(f), h.compose(g.compose(f))
+    assert left == right
+    listed = sorted(set().union(*(m.f_slots.explicit for m in (f, g, h))))
+    unlisted = [k for k in range(10, 20) if k not in listed][:2]
+    for key in listed + [TAIL] + unlisted:
+        want = h.f_slots[key].compose(g.f_slots[key]).compose(f.f_slots[key])
+        assert left.f_slots[key] == right.f_slots[key] == want, key
+    assert left.f_inf == h.f_inf.compose(g.f_inf).compose(f.f_inf)

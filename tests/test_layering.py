@@ -3,7 +3,9 @@
 ``exceptional`` is a leaf over the linear algebra: it may import only from
 ``linalg`` and ``errors`` inside the package.  Homology helpers are shared
 through the public ``linalg.chain_homology``, so no module imports a private
-homology helper from another module.  How a rational matrix is stored (ints
+homology helper from another module, and only ``exceptional._homology_data``
+and ``toral.qw_homology`` call it: it assumes d squared is zero, which their
+complexes were checked for where they entered.  How a rational matrix is stored (ints
 over one denominator) is decided in ``linalg`` alone: no other module touches
 a matrix's storage or reads a denominator, except the CLI's rational codec.
 Every ``GradedModule`` carries its basis cache: outside ``__init__``, modules
@@ -55,6 +57,48 @@ def _package_imports(module: str):
                 if a.name.startswith("so3alg."):
                     out.append((a.name[len("so3alg."):], []))
     return out
+
+
+def _name_uses(tree, name: str):
+    """The enclosing function of every use of ``name``, bare or as an
+    attribute (a call, or a reference passed on); imports are not uses."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            out.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+# ``linalg.chain_homology`` assumes d squared is zero; these callers pass it
+# only complexes whose constructors or entry checks verified that
+HOMOLOGY_CALLERS = {("exceptional", "_homology_data"), ("toral", "qw_homology")}
+
+
+def test_chain_homology_is_called_only_on_checked_complexes():
+    uses = {
+        (module, func) for module in _modules() for func in _name_uses(_tree(module), "chain_homology")
+    }
+    assert uses == HOMOLOGY_CALLERS
+
+
+def test_homology_caller_scan_sees_a_planted_use():
+    source = (
+        "from .linalg import chain_homology\n"
+        "def cone_homology(dims, mats):\n"
+        "    return linalg.chain_homology(dims, mats), list(map(chain_homology, mats))\n"
+        "def fine(x):\n"
+        "    return x.homology()\n"
+    )
+    assert _name_uses(ast.parse(source), "chain_homology") == ["cone_homology", "cone_homology"]
 
 
 def test_exceptional_imports_only_linalg_and_errors():

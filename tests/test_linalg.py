@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from so3alg.errors import InvariantError
 from so3alg import linalg
-from so3alg.linalg import IncrementalSpan, QMatrix, block_matrix, chain_homology
+from so3alg.linalg import IncrementalSpan, QMatrix, block_matrix, chain_homology, subquotient
 
 
 def test_identity_and_mul():
@@ -676,3 +676,109 @@ def test_empty_and_boundary_free_degrees_take_at_most_one_elimination(monkeypatc
                 assert len(calls) == 1, (seed, g)
                 seen["no boundary"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+# -- homology in kernel coordinates against the kernel route ----------------------------
+
+
+def kernel_route_homology(dims, mats):
+    """chain_homology as one subquotient of the outgoing differential's
+    kernel basis by the incoming differential in each degree, on the whole
+    space: the route that the kernel coordinates replace."""
+    hdims, reps, projs = {}, {}, {}
+    for g, n in dims.items():
+        down = mats.get(g, QMatrix(dims.get(g - 1, 0), n))
+        reps[g], projs[g] = subquotient(down.kernel_basis(), mats.get(g + 1, QMatrix(n, 0)))
+        hdims[g] = reps[g].cols
+    return hdims, reps, projs
+
+
+def _fractional_basis(rng, n):
+    """An invertible n x n matrix with entries of both signs and
+    denominators up to 6."""
+    while True:
+        m = QMatrix(n, n, [[Q(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)])
+        if m.is_invertible():
+            return m
+
+
+def _hostile_complex(rng):
+    """A complex on degrees 0-7 in random fractional bases, so that its
+    entries have both signs and denominators; some dimensions are 0, and
+    some differentials are dropped or zero, which keeps d squared zero."""
+    dims = {g: rng.choice((0, 1, 2, 3, 4, 5)) for g in range(8)}
+    mats = _random_complex(rng, dims)
+    for g in list(mats):
+        roll = rng.random()
+        if roll < 0.2:
+            del mats[g]
+        elif roll < 0.3:
+            mats[g] = QMatrix(dims[g - 1], dims[g])
+    bases = {g: _fractional_basis(rng, n) for g, n in dims.items()}
+    return dims, {g: bases[g - 1] @ m @ bases[g].inverse() for g, m in mats.items()}
+
+
+def _degree_kind(dims, mats, g):
+    def nonzero(h):
+        return h in mats and not mats[h].is_zero()
+
+    if not dims[g]:
+        return "empty"
+    if not nonzero(g):
+        return "closed"
+    return "both" if nonzero(g + 1) else "boundary-free"
+
+
+def test_kernel_coordinates_match_the_kernel_route():
+    rng = random.Random(1900)
+    seen = dict.fromkeys(("empty", "closed", "boundary-free", "both"), 0)
+    for _ in range(40):
+        dims, mats = _hostile_complex(rng)
+        assert all((mats[g - 1] @ mats[g]).is_zero() for g in mats if g - 1 in mats)
+        hdims, reps, projs = chain_homology(dims, mats)
+        ohdims, oreps, oprojs = kernel_route_homology(dims, mats)
+        assert (hdims, reps) == (ohdims, oreps)
+        for g, n in dims.items():
+            seen[_degree_kind(dims, mats, g)] += 1
+            down = mats.get(g, QMatrix(dims.get(g - 1, 0), n))
+            Z = down.kernel_basis()
+            coef = QMatrix(Z.cols, 3, [[Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3)] for _ in range(Z.cols)])
+            cycles = Z @ coef
+            assert projs[g](cycles) == oprojs[g](cycles)
+            # a column that down does not kill is refused by both routes
+            for j in range(n):
+                if any(down.col(j)):
+                    bad = cycles.hstack(QMatrix.identity(n).columns([j]))
+                    with pytest.raises(InvariantError):
+                        projs[g](bad)
+                    with pytest.raises(InvariantError):
+                        oprojs[g](bad)
+                    break
+    assert min(seen.values()) >= 20, seen
+
+
+def test_each_degree_eliminates_once_per_differential(monkeypatch):
+    # a degree with both differentials runs the rref of the outgoing one and
+    # one subquotient rref with a row per cycle coordinate; a closed degree
+    # runs at most the subquotient's, and an empty one none
+    rows = []
+    rref = QMatrix.rref
+    monkeypatch.setattr(QMatrix, "rref", lambda self: rows.append(self.rows) or rref(self))
+    rng = random.Random(1901)
+    seen = dict.fromkeys(("empty", "closed", "both"), 0)
+    for _ in range(40):
+        dims, mats = _hostile_complex(rng)
+        for g, n in dims.items():
+            kind = _degree_kind(dims, mats, g)
+            nullity = n - mats[g].rank() if kind == "both" else None
+            rows.clear()
+            chain_homology({g: n}, {h: mats[h] for h in (g, g + 1) if h in mats})
+            if kind == "both":
+                assert len(rows) == 2 and rows[1] <= nullity, (rows, nullity)
+            elif kind == "closed":
+                assert len(rows) <= 1 and all(r == n for r in rows)
+            elif kind == "empty":
+                assert not rows
+            if kind in seen:
+                seen[kind] += 1
+    assert min(seen.values()) >= 20, seen

@@ -1681,3 +1681,25 @@ def test_morphism_reads_match_the_fallbacks_they_replaced():
             assert (a == b) == oracle_morphism_eq(a, b)
             same += a is not b and a == b
     assert same >= 5, same
+
+
+def test_a_toral_composite_keeps_a_component_only_the_middle_object_lists():
+    x = sphere()
+    mid = direct_sum_objects(x, sigma_H(4))
+    # slot 4 of mid is the sphere's free summand plus sigma_H's torsion: f is
+    # twice the inclusion of the free summand there, g the projection onto it
+    m, w = x.M[4], mid.M[4]
+    i = next(k for k, s in enumerate(w.summands) if s.kind == FREE)
+    f = ToralMorphism(x, mid, 0, {
+        1: ModuleMap(x.M[1], mid.M[1], 0, {(0, 0): 1}),
+        TAIL: ModuleMap(m, mid.M[TAIL], 0, {(0, 0): 1}),
+        4: ModuleMap(m, w, 0, {(i, 0): 2}),
+    }, VMap.identity(x.V))
+    g = ToralMorphism(mid, x, 0, {
+        1: ModuleMap(mid.M[1], x.M[1], 0, {(0, 0): 1}),
+        TAIL: ModuleMap(mid.M[TAIL], m, 0, {(0, 0): 1}),
+        4: ModuleMap(w, m, 0, {(0, i): 1}),
+    }, VMap.identity(x.V))
+    gf = g.compose(f)
+    assert gf.alpha[4] == g.alpha[4].compose(f.alpha[4]) == ModuleMap(m, m, 0, {(0, 0): 2})
+    assert gf.alpha[TAIL] == gf.alpha[5] == ModuleMap.identity(m)
