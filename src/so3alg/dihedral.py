@@ -124,8 +124,9 @@ class DihedralObject:
         return x
 
     def _store(self, m_inf, slots, germ, d_inf, d_slots, checked):
-        """A missing germ map or differential is zero; other keys are dropped.
-        Unless checked, containers are taken as built: over the keys of slots."""
+        """A missing germ map or differential is zero; a key that slots do not
+        list is refused.  Unless checked, containers are taken as built: over
+        the keys of slots, and a dict's other keys are dropped."""
         self.m_inf = m_inf
         self.slots = slots
         self.d_inf = VMap.zero(m_inf, m_inf, -1) if d_inf is None else d_inf
@@ -204,7 +205,7 @@ class DihedralMorphism:
         self.f_inf = f_inf
         self.f_slots = Slots.fill(
             [x.slots, y.slots], f_slots, lambda key: (x.slot(key), y.slot(key), degree),
-            VMap.zero, "component",
+            VMap.zero, "component", _check_index,
         )
 
     @staticmethod

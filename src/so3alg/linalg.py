@@ -189,8 +189,6 @@ class QMatrix:
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "QMatrix":
         """The matrix of the entries of self in the rows and cols given, in
         those orders."""
-        if rows == range(self.rows) and cols == range(self.cols):
-            return self
         ints = [[r[j] for j in cols] for r in map(self.ints.__getitem__, rows)]
         return _canonical(len(rows), len(cols), self.den, ints)
 
@@ -301,15 +299,21 @@ class QMatrix:
 
     def solve(self, b: Sequence) -> list[Fraction] | None:
         """One solution of self @ x = b, or None if inconsistent."""
-        x = self.solve_matrix(QMatrix.column(b))
-        return None if x is None else x.col(0)
+        n = self.cols
+        R, pivots = self.hstack(QMatrix.column(b)).rref()
+        if pivots and pivots[-1] == n:
+            return None
+        x = [_ZERO] * n
+        for r, c in enumerate(pivots):
+            x[c] = R[r, n]
+        return x
 
     def solve_matrix(self, B: "QMatrix") -> "QMatrix | None":
         """Solve self @ X = B for X, or None if any column is inconsistent.
 
         One elimination of [self | B]: its row operations depend on self
-        only, so each column of X is the solution that the reduced form of
-        [self | that column of B] reads off.
+        only, so every column of X is the solution ``solve`` gives for that
+        column of B.
         """
         n = self.cols
         R, pivots = self.hstack(B).rref()
@@ -323,10 +327,11 @@ class QMatrix:
     def inverse(self) -> "QMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        inv = self.solve_matrix(QMatrix.identity(self.rows))
-        if inv is None:
+        n = self.rows
+        R, pivots = self.hstack(QMatrix.identity(n)).rref()
+        if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        return inv
+        return _canonical(n, n, R.den, [row[n:] for row in R.ints])
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -539,11 +544,13 @@ def subquotient(Z: QMatrix, B: QMatrix):
     too, nothing is.
     """
     accepted, annihilator, left = _subquotient(None if Z.is_identity() else Z, B)
-    return Z.columns(accepted), _projection(annihilator, left, range(B.rows))
+    return Z.columns(accepted), _projection(annihilator, Z if left is None else left)
 
 
 def _subquotient(Z: QMatrix | None, B: QMatrix):
-    """``subquotient``'s (accepted columns, annihilator, coordinates); None is the identity."""
+    """``subquotient``'s accepted columns of Z, annihilator and coordinate
+    rows; Z None is the identity, whose coordinates are None when B is zero:
+    a vector's own entries."""
     n = B.rows
     nonzero = [j for j in range(B.cols) if any(r[j] for r in B.ints)]
     if len(nonzero) < B.cols:
@@ -576,11 +583,13 @@ def chain_homology(dims, mats):
     ``QWComplex``, ``DihedralObject.__init__`` and ``toral.homology_dA``
     check on entry (tensor and hom are built so).  So every boundary lies in
     the span of the kernel basis K read off the rref R of the outgoing
-    differential, whose free entries are its coordinates there, and each
-    non-empty degree is one ``subquotient`` of the identity by the incoming
-    differential's free rows: its representatives are columns of K, and the
-    projection refuses a column that R's nonzero rows do not kill and reads
-    a cycle's free entries.  An empty degree shares one empty result.
+    differential, which is the identity on its free coordinates, and each
+    non-empty degree is one subquotient of the identity by the incoming
+    differential's free rows, the boundaries in the coordinates of K: it
+    eliminates nothing where no boundary comes in.  The representatives are
+    the accepted columns of K, and the projection refuses a column that R's
+    nonzero rows do not kill, then takes its free entries to coordinates.
+    An empty degree shares one empty result.
     """
     reps, projs = {}, {}
     for g in sorted(dims):
@@ -588,20 +597,34 @@ def chain_homology(dims, mats):
         if not n:
             reps[g], projs[g] = _EMPTY, _EMPTY_PROJECTION
             continue
-        down, up = mats.get(g), mats.get(g + 1) or QMatrix(n, 0)
+        down, up = mats.get(g), mats.get(g + 1)
         R, pivots = (_wrap(0, n, 1, []), []) if down is None or down.is_zero() else down.rref()
         K, free = _kernel_from_rref(R, pivots)
-        accepted, _, left = _subquotient(None, up.submatrix(free, range(up.cols)))
+        up = QMatrix(n, 0) if up is None else up
+        accepted, _, left = _subquotient(None, up.submatrix(free, range(up.cols)) if pivots else up)
         reps[g] = K.columns(accepted)
-        projs[g] = _projection(_wrap(len(pivots), n, 1, R.ints[: len(pivots)]), left, free)
+        projs[g] = _free_projection(_wrap(len(pivots), n, 1, R.ints[: len(pivots)]), free, left)
     return {g: r.cols for g, r in reps.items()}, reps, projs
 
 
-def _projection(annihilator: QMatrix, left: QMatrix | None, rows):
+def _projection(annihilator: QMatrix, left: QMatrix):
     def project(mat: QMatrix) -> QMatrix:
         if not (annihilator @ mat).is_zero():
             raise InvariantError("a column is not a cycle modulo boundaries")
-        mat = mat.submatrix(rows, range(mat.cols))
+        return left @ mat
+
+    return project
+
+
+def _free_projection(annihilator: QMatrix, free, left: QMatrix | None):
+    """A cycle's coordinates: left times its free entries, or those entries
+    where left is None; a column that annihilator does not kill is refused."""
+
+    def project(mat: QMatrix) -> QMatrix:
+        if not (annihilator @ mat).is_zero():
+            raise InvariantError("a column is not a cycle modulo boundaries")
+        if len(free) < mat.rows:
+            mat = mat.submatrix(free, range(mat.cols))
         return mat if left is None else left @ mat
 
     return project
@@ -609,4 +632,4 @@ def _projection(annihilator: QMatrix, left: QMatrix | None, rows):
 
 # the homology of every empty degree
 _EMPTY = QMatrix(0, 0)
-_EMPTY_PROJECTION = _projection(_EMPTY, _EMPTY, range(0))
+_EMPTY_PROJECTION = _projection(_EMPTY, _EMPTY)

@@ -376,18 +376,30 @@ class Slots:
         return Slots({k: value(k) for k in listed}, value(TAIL))
 
     @staticmethod
-    def fill(parts, given, typ, zero, what: str | None) -> "Slots":
-        """One map at each key of ``keys_of(parts)`` and each key given
-        lists, of type typ(key) = (domain, codomain, degree): given's there,
-        or ``zero(*typ(key))`` where given, a dict, has none.  Each given map
-        is checked against its type, named what; with what None, given is
-        trusted, and a container is taken as it is."""
+    def fill(parts, given, typ, zero, what: str | None, index=None) -> "Slots":
+        """One map at each key of ``keys_of(parts)``, of type typ(key) =
+        (domain, codomain, degree): given's there, or ``zero(*typ(key))``
+        where given, a dict, has none.  Each given map is checked against its
+        type, named what; with what None, given is trusted, and a container is
+        taken as it is.  A key that given lists and parts do not is kept when
+        index, the model's check of a slot index, passes it (a morphism's
+        component there is more than the tails compose to); without index it
+        is refused, or with what None dropped."""
         if not isinstance(given, Slots):
-            read, listed = given.get, [k for k in given if k != TAIL]
+            read, listed = given.get, given
         elif what is None:
             return given
         else:
             read, listed = given.__getitem__, given.explicit
+        extra = listed.keys() - {TAIL}
+        for p in parts:
+            extra -= p.explicit.keys()
+        if extra and index is not None:
+            for k in extra:
+                index(k)
+            parts = [*parts, Slots(dict.fromkeys(extra), None)]
+        elif extra and what is not None:
+            raise SchemaError(f"{what} at slot {next(iter(extra))!r}, which the slots do not list")
 
         def value(key):
             f = read(key)
@@ -397,7 +409,7 @@ class Slots:
                 raise SchemaError(f"{what} at slot {key!r} has wrong type")
             return f
 
-        return Slots.over([*parts, Slots(dict.fromkeys(listed), None)], value)
+        return Slots.over(parts, value)
 
     def _copy(self, explicit: dict, tail) -> "Slots":
         """Slots of the same kind with other values."""
@@ -455,6 +467,11 @@ class Slots:
         )
 
 
+def _check_slot_index(n):
+    if not (isinstance(n, int) and n >= 1):
+        raise SchemaError(f"bad slot index {n!r}")
+
+
 class SlotFamily(Slots):
     """The slot modules of a toral object: slot keys are integers >= 1.
 
@@ -473,8 +490,7 @@ class SlotFamily(Slots):
         if side == "SO3" and 1 not in explicit:
             explicit[1] = GradedModule.zero(POLY_D)
         for n, m in explicit.items():
-            if not (isinstance(n, int) and n >= 1):
-                raise SchemaError(f"bad slot index {n!r}")
+            _check_slot_index(n)
             want_d = side == "SO3" and n == 1
             if (m.ring.var == "d") != want_d:
                 raise SchemaError(f"slot {n} is over the wrong ring")
@@ -593,7 +609,7 @@ class ToralMorphism:
         self.degree = degree
         self.alpha = Slots.fill(
             [x.M, y.M], alpha, lambda key: (x.M[key], y.M[key], degree), ModuleMap.zero,
-            "morphism component",
+            "morphism component", _check_slot_index,
         )
         if phi.domain != x.V or phi.codomain != y.V or phi.degree != degree:
             raise SchemaError("morphism V-component has wrong type")

@@ -785,3 +785,26 @@ def test_composition_is_associative_and_componentwise(seed):
         want = h.f_slots[key].compose(g.f_slots[key]).compose(f.f_slots[key])
         assert left.f_slots[key] == right.f_slots[key] == want, key
     assert left.f_inf == h.f_inf.compose(g.f_inf).compose(f.f_inf)
+
+
+def test_an_object_refuses_maps_at_slots_it_does_not_list():
+    v = QWSpace({0: (1, 0), 1: (1, 0), 2: (1, 0)})
+    x = functor_const(QWComplex(v))
+    one = QMatrix.from_rows([[1]])
+    # d squared is not zero: slot 5 is not listed, so it would be checked nowhere
+    bad = VMap(v, v, -1, {(1, 1): one, (2, 1): one})
+    with pytest.raises(SchemaError, match="differential at slot 5, which the slots do not list"):
+        DihedralObject(x.m_inf, x.slots, x.germ, x.d_inf, {TAIL: x.d_slot(TAIL), 5: bad})
+    for key in (1, 2, 5):
+        with pytest.raises(SchemaError, match=f"germ map at slot {key}, which"):
+            DihedralObject(x.m_inf, x.slots, {TAIL: x.germ[TAIL], key: x.germ[TAIL]})
+
+
+def test_a_morphism_component_must_sit_at_a_slot_index():
+    v = QWSpace({0: (1, 0)})
+    x = functor_const(QWComplex(v))
+    for key in (1, 2, "5"):
+        with pytest.raises(BadIndex):
+            DihedralMorphism(x, x, 0, VMap.identity(v), {TAIL: VMap.identity(v), key: VMap.zero(v, v)})
+    f = DihedralMorphism(x, x, 0, VMap.identity(v), {TAIL: VMap.identity(v), 7: VMap.zero(v, v)})
+    assert list(f.f_slots.explicit) == [7] and f.f_slots[7] == VMap.zero(v, v)

@@ -1703,3 +1703,22 @@ def test_a_toral_composite_keeps_a_component_only_the_middle_object_lists():
     gf = g.compose(f)
     assert gf.alpha[4] == g.alpha[4].compose(f.alpha[4]) == ModuleMap(m, m, 0, {(0, 0): 2})
     assert gf.alpha[TAIL] == gf.alpha[5] == ModuleMap.identity(m)
+
+
+def test_a_toral_object_refuses_maps_at_slots_it_does_not_list():
+    x = sphere()
+    beta = {**x.beta.explicit, TAIL: x.beta.tail, 7: x.beta[TAIL]}
+    with pytest.raises(SchemaError, match="structure map at slot 7, which the slots do not list"):
+        ToralObject(x.side, x.M, x.V, beta)
+
+
+def test_a_toral_morphism_component_must_sit_at_a_slot_index():
+    x = sphere()
+    ident = ToralMorphism.identity(x)
+    for key in (0, -1, "5"):
+        with pytest.raises(SchemaError, match="bad slot index"):
+            ToralMorphism(x, x, 0, {**ident.alpha.explicit, TAIL: ident.alpha.tail,
+                                    key: ident.alpha.tail}, ident.phi)
+    f = ToralMorphism(x, x, 0, {**ident.alpha.explicit, TAIL: ident.alpha.tail,
+                                7: ident.alpha.tail}, ident.phi)
+    assert 7 in f.alpha.explicit and f == ident
