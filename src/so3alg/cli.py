@@ -53,6 +53,8 @@ from .toral import (
     hom_A,
     homology_dA,
     injective_resolution,
+    is_torus_slot,
+    laurent_model,
     parity_split,
     sigma_H,
     sigma_T,
@@ -286,9 +288,8 @@ def toral_from_json(doc: dict) -> ToralObject:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad object document: {exc}")
     fam = SlotFamily(side, explicit, tail)
-    probe = ToralObject(side, fam, vspace, {})
     beta = {
-        k: map_from_json(b, fam[k], probe.beta_codomain(k))
+        k: map_from_json(b, fam[k], laurent_model(vspace, is_torus_slot(side, k))[0])
         for k, b in _listed(beta_doc, fam, "beta")
     }
     dM = dV = None

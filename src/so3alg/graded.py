@@ -14,6 +14,10 @@ Maps between canonical modules are stored as one rational coefficient per
 (target summand, source summand) pair: homogeneity determines the monomial
 power, so the coefficient is the whole datum.
 
+Every construction that must remember where each input summand went in the
+canonical order (sums, localization, fixed points, base change, the window's
+canonical form, every slot ``toral`` rebuilds) calls ``indexed_module``.
+
 Kernels, cokernels, homology and the spans of elements are all subquotients
 Z/B of a canonical module on a window, and one routine, ``window_subquotient``,
 computes them: each run of degrees is one ``linalg.subquotient`` elimination,
@@ -51,7 +55,6 @@ from itertools import accumulate
 from .errors import (
     EngineError,
     InvariantError,
-    NotADifferential,
     NotEquivariant,
     NotHomogeneous,
     SchemaError,
@@ -140,8 +143,8 @@ class GradedModule:
     def _canonical(ring: Ring, summands) -> "GradedModule":
         """A module from summands already normalized and in canonical order.
 
-        The one constructor besides ``__init__``: every module starts with an
-        empty basis cache.
+        The one constructor besides ``__init__``, called only by
+        ``indexed_module``: every module starts with an empty basis cache.
         """
         m = GradedModule.__new__(GradedModule)
         m.ring = ring
@@ -237,6 +240,23 @@ class GradedModule:
         return max((s.length for s in self.summands if s.kind == TORSION), default=0)
 
 
+def indexed_module(ring: Ring, tagged) -> tuple[GradedModule, tuple, dict]:
+    """The canonical module of (summand, tag) pairs, normalized and sorted
+    stably (equal summands keep their input order): (module, tags, pos), tags
+    aligned with the module's summands and pos mapping tag -> index."""
+    norm = [(_normalize_summand(ring, s), tag) for s, tag in tagged]
+    order = sorted(range(len(norm)), key=lambda k: (_sort_key(norm[k][0]), k))
+    m = GradedModule._canonical(ring, (norm[k][0] for k in order))
+    tags = tuple(norm[k][1] for k in order)
+    return m, tags, {tag: i for i, tag in enumerate(tags)}
+
+
+def vector_entries(m: GradedModule, degree: int, vec) -> dict[int, Fraction]:
+    """The entries of a vector of m at a degree, by summand: a summand has
+    at most one basis element in a degree."""
+    return {i: x for (i, _a), x in zip(m.basis(degree), vec) if x != 0}
+
+
 def direct_sum(modules) -> tuple[GradedModule, list[list[int]]]:
     """Direct sum with index bookkeeping.
 
@@ -247,18 +267,12 @@ def direct_sum(modules) -> tuple[GradedModule, list[list[int]]]:
     if not modules:
         raise SchemaError("direct sum of empty family needs a ring")
     ring = modules[0].ring
-    tagged = []
-    for k, m in enumerate(modules):
-        if m.ring != ring:
-            raise SchemaError("direct sum over mixed rings")
-        for i, s in enumerate(m.summands):
-            tagged.append((s, k, i))
-    tagged.sort(key=lambda t: (_sort_key(t[0]), t[1], t[2]))
-    out = GradedModule._canonical(ring, (t[0] for t in tagged))
-    maps = [[0] * len(m.summands) for m in modules]
-    for new_idx, (_, k, i) in enumerate(tagged):
-        maps[k][i] = new_idx
-    return out, maps
+    if any(m.ring != ring for m in modules):
+        raise SchemaError("direct sum over mixed rings")
+    out, _, pos = indexed_module(
+        ring, [(s, (k, i)) for k, m in enumerate(modules) for i, s in enumerate(m.summands)]
+    )
+    return out, [[pos[(k, i)] for i in range(len(m.summands))] for k, m in enumerate(modules)]
 
 
 # -- module maps ---------------------------------------------------------
@@ -504,14 +518,13 @@ def localize(m: GradedModule) -> tuple[GradedModule, list[int]]:
     original summand giving output summand k.
     """
     ring = LAURENT_C if m.ring.var == "c" else LAURENT_D
-    tagged = []
-    for i, s in enumerate(m.summands):
-        if s.kind == TORSION:
-            continue
-        tagged.append((_normalize_summand(ring, Summand(LAURENT, s.shift, s.sign)), i))
-    tagged.sort(key=lambda t: (_sort_key(t[0]), t[1]))
-    out = GradedModule._canonical(ring, (t[0] for t in tagged))
-    return out, [t[1] for t in tagged]
+    tagged = [
+        (Summand(LAURENT, s.shift, s.sign), i)
+        for i, s in enumerate(m.summands)
+        if s.kind != TORSION
+    ]
+    out, sources, _ = indexed_module(ring, tagged)
+    return out, list(sources)
 
 
 def _rebuilt_map(phi: ModuleMap, rebuild) -> ModuleMap:
@@ -558,10 +571,9 @@ def fixed_points_c_to_d(m: GradedModule) -> tuple[GradedModule, list[tuple[int, 
             new = Summand(TORSION, shift, 1, length)
         else:
             new = Summand(s.kind, shift, 1)
-        tagged.append((_normalize_summand(ring, new), i, e))
-    tagged.sort(key=lambda t: (_sort_key(t[0]), t[1]))
-    out = GradedModule._canonical(ring, (t[0] for t in tagged))
-    return out, [(t[1], t[2]) for t in tagged]
+        tagged.append((new, (i, e)))
+    out, realization, _ = indexed_module(ring, tagged)
+    return out, list(realization)
 
 
 def fixed_points_map(phi: ModuleMap) -> ModuleMap:
@@ -591,10 +603,9 @@ def base_change_d_to_c(m: GradedModule) -> tuple[GradedModule, list[int]]:
             new = Summand(TORSION, s.shift, 1, 2 * s.length)
         else:
             new = Summand(s.kind, s.shift, 1)
-        tagged.append((_normalize_summand(ring, new), i))
-    tagged.sort(key=lambda t: (_sort_key(t[0]), t[1]))
-    out = GradedModule._canonical(ring, (t[0] for t in tagged))
-    return out, [t[1] for t in tagged]
+        tagged.append((new, i))
+    out, sources, _ = indexed_module(ring, tagged)
+    return out, list(sources)
 
 
 def base_change_map(phi: ModuleMap) -> ModuleMap:
@@ -808,13 +819,9 @@ def canonical_from_window(wm: WindowModule) -> tuple[GradedModule, list[Realized
                     length = sum(wm.runs[t] for t in tops[bar.birth : bar.death + 1])
                     s = Summand(TORSION, g_top, sign_top, length)
                 out.append(RealizedSummand(s, g_top, vec))
-    module = GradedModule(ring, [r.summand for r in out])
-    # align realized generators with the sorted canonical order
-    order = sorted(
-        range(len(out)), key=lambda k: (_sort_key(_normalize_summand(ring, out[k].summand)), k)
-    )
-    realized = [out[k] for k in order]
-    return module, realized
+    # realized generators follow the summands into the canonical order
+    module, order, _ = indexed_module(ring, [(r.summand, k) for k, r in enumerate(out)])
+    return module, [out[k] for k in order]
 
 
 # -- subquotients on a window: kernels, cokernels, homology, spans ---------------
@@ -911,11 +918,9 @@ def kernel_of_map(phi: ModuleMap, window) -> tuple[GradedModule, ModuleMap]:
     K, realized, _ = window_subquotient(m, window, runs, cycles, {})
     ent = {}
     for k, r in enumerate(realized):
-        for col, (i, _a) in enumerate(m.basis(r.degree)):
-            if r.vector[col] != 0:
-                ent[(i, k)] = r.vector[col]
-    incl = ModuleMap(K, m, 0, ent)
-    return K, incl
+        for i, x in vector_entries(m, r.degree, r.vector).items():
+            ent[(i, k)] = x
+    return K, ModuleMap(K, m, 0, ent)
 
 
 class WindowMap:
@@ -957,10 +962,8 @@ class WindowMap:
             vec = [Q(0)] * len(basis_g)
             vec[col] = Q(1)
             img = self.evaluate(g + phi.degree).apply(phi.evaluate(g).apply(vec))
-            tdeg = g + phi.degree + self.degree
-            for cidx, (i, _a) in enumerate(self.codomain.basis(tdeg)):
-                if img[cidx] != 0:
-                    ent[(i, j)] = img[cidx]
+            for i, x in vector_entries(self.codomain, g + phi.degree + self.degree, img).items():
+                ent[(i, j)] = x
         return ModuleMap(src, self.codomain, phi.degree + self.degree, ent)
 
 
@@ -991,11 +994,11 @@ def homology_realized(m: GradedModule, d: ModuleMap, window=None):
 
     Returns (H, realized): realized[k] is summand k of H with a cycle of m
     that represents its generator.
+
+    d must be a degree -1 self-map of m, and d squared must be zero, as
+    ``toral.ToralObject.__init__`` checks on entry for every slot
+    differential; nothing here checks it again.
     """
-    if d.domain != m or d.codomain != m or d.degree != -1:
-        raise NotADifferential("differential must be a degree -1 self-map")
-    if not d.compose(d).is_zero():
-        raise NotADifferential("d squared is not zero")
     if window is None:
         window = auto_window((0, 0), [m])
     # homology at g reads m at g + 1, g and g - 1

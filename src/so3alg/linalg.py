@@ -580,7 +580,7 @@ def chain_homology(dims, mats):
     InvariantError when a column is not a cycle.
 
     d squared must be zero, as ``GroupComplex.check_differential``,
-    ``QWComplex``, ``DihedralObject.__init__`` and ``toral.homology_dA``
+    ``QWComplex``, ``DihedralObject.__init__`` and ``ToralObject.__init__``
     check on entry (tensor and hom are built so).  So every boundary lies in
     the span of the kernel basis K read off the rref R of the outgoing
     differential, which is the identity on its free coordinates, and each

@@ -10,8 +10,8 @@ structure map there lands in the W-fixed points of the Laurent module, which
 is a module over Q[d, d^{-1}].
 
 Which of the two Laurent models of V a structure map lands in is decided in
-one place, ``laurent_model(v, torus)`` with ``torus = x.slot_is_torus(key)``;
-each space builds each model once and keeps it.
+one place, ``laurent_model(v, torus)`` with ``torus = is_torus_slot(side,
+key)``; each space builds each model once and keeps it.
 
 This module implements the adjunction between the two sides (base change
 against fixed points), twisted variants, the basic objects e(V) and f(N),
@@ -23,9 +23,10 @@ A resolution's first stage solves nothing: the kernel of the structure map
 is the torsion summands of a slot, and their extension into f(I) is the
 coordinate embedding into padded copies.
 
-Suspension, the sign twist, the parity split and the direct sum share one
-re-indexing routine, ``_transport``; only the functors that change a slot's
-ring move beta between models of V by hand.
+Every slot built here from tagged summands comes from
+``graded.indexed_module``.  Suspension, the sign twist, the parity split and
+the direct sum share one re-indexing routine, ``_transport``; only the
+functors that change a slot's ring move beta between models of V by hand.
 
 Every per-slot datum of both models (slot modules and spaces, beta, the slot
 differentials, germ maps, morphism components, a resolution's quotient
@@ -64,16 +65,15 @@ from .graded import (
     base_change_map,
     cokernel_of_map,
     degree_runs,
-    direct_sum,
     fixed_points_c_to_d,
     fixed_points_map,
     homology_realized,
+    indexed_module,
     localize_map,
     sign_of,
+    vector_entries,
     window_subquotient,
     _power_or_error,
-    _sort_key,
-    _normalize_summand,
 )
 from .linalg import Q, QMatrix, block_matrix, chain_homology
 
@@ -273,20 +273,6 @@ def qw_homology(space: QWSpace, d: VMap):
 # -- Laurent models of V -----------------------------------------------------
 
 
-def _module_with_index(ring, tagged):
-    """Build a module from (summand, tag) pairs; returns (module, tags, pos).
-
-    tags is a tuple aligned with the module's summand order; pos maps
-    tag -> index.
-    """
-    norm = [(_normalize_summand(ring, s), tag) for s, tag in tagged]
-    order = sorted(range(len(norm)), key=lambda k: (_sort_key(norm[k][0]), k))
-    m = GradedModule._canonical(ring, (norm[k][0] for k in order))
-    tags = tuple(norm[k][1] for k in order)
-    pos = {tag: i for i, tag in enumerate(tags)}
-    return m, tags, pos
-
-
 def laurent_model(v: QWSpace, torus: bool):
     """The Laurent model of V that structure maps land in: (module, tags, pos).
 
@@ -309,7 +295,7 @@ def laurent_model(v: QWSpace, torus: bool):
             ]
         else:
             tagged = [(Summand(LAURENT, g, s), (g, s, i)) for (g, s, i) in v.vectors()]
-        model = _module_with_index(POLY_D if torus else POLY_C, tagged)
+        model = indexed_module(POLY_D if torus else POLY_C, tagged)
         v._models[torus] = model
     return model
 
@@ -472,6 +458,12 @@ def _check_slot_index(n):
         raise SchemaError(f"bad slot index {n!r}")
 
 
+def is_torus_slot(side: str, key) -> bool:
+    """Slot 1 on the SO3 side is the torus slot: a module over Q[d] without
+    involution, whose structure map lands in the fixed-point model of V."""
+    return side == "SO3" and key == 1
+
+
 class SlotFamily(Slots):
     """The slot modules of a toral object: slot keys are integers >= 1.
 
@@ -491,7 +483,7 @@ class SlotFamily(Slots):
             explicit[1] = GradedModule.zero(POLY_D)
         for n, m in explicit.items():
             _check_slot_index(n)
-            want_d = side == "SO3" and n == 1
+            want_d = is_torus_slot(side, n)
             if (m.ring.var == "d") != want_d:
                 raise SchemaError(f"slot {n} is over the wrong ring")
             if want_d and any(s.sign != 1 for s in m.summands):
@@ -513,7 +505,9 @@ class ToralObject:
     """An object (beta: M -> Laurent x V) of the toral model.
 
     Without a differential, dM and dV are None and every slot differential
-    is zero (``slot_differentials``).
+    is zero (``slot_differentials``).  ``__init__`` checks data from outside,
+    a differential included (d squared zero, beta a chain map), and
+    ``_assembled`` stores an object rebuilt here from checked ones.
     """
 
     __slots__ = ("side", "M", "V", "beta", "dM", "dV")
@@ -521,26 +515,45 @@ class ToralObject:
     def __init__(self, side, M: SlotFamily, V: QWSpace, beta, dM=None, dV=None):
         if M.side != side:
             raise SchemaError("slot family side mismatch")
-        self.side = side
-        self.M = M
-        self.V = V
-        self.beta = Slots.fill(
-            [M], beta, lambda key: (M[key], self.beta_codomain(key), 0), ModuleMap.zero,
-            "structure map",
-        )
         if (dM is None) != (dV is None):
             raise SchemaError("differential must cover both M and V")
-        self.dM = self.dV = None
-        if dV is not None:
-            self.dM = Slots.fill(
-                [M], dM, lambda key: (M[key], M[key], -1), ModuleMap.zero, "differential"
-            )
-            if dV.domain != V or dV.codomain != V or dV.degree != -1:
-                raise SchemaError("V differential has wrong type")
-            self.dV = dV
+        if dV is not None and (dV.domain != V or dV.codomain != V or dV.degree != -1):
+            raise SchemaError("V differential has wrong type")
+        self._store(side, M, V, beta, dM, dV, checked=True)
+        if dV is None:
+            return
+        if not dV.compose(dV).is_zero():
+            raise NotADifferential("d squared is not zero on V")
+        for key in self.keys():
+            ld = laurent_model_map(dV, self.slot_is_torus(key))
+            if self.beta[key].compose(self.dM[key]) != ld.compose(self.beta[key]):
+                raise NotADifferential("structure map is not a chain map")
+        if any(not d.compose(d).is_zero() for d in self.dM.values()):
+            raise NotADifferential("d squared is not zero")
+
+    @staticmethod
+    def _assembled(side, M: SlotFamily, V: QWSpace, beta: Slots, dM=None, dV=None):
+        """An object rebuilt here from a checked one, not checked again; it is
+        stored as by ``__init__``, so it equals the checked one on its data."""
+        x = ToralObject.__new__(ToralObject)
+        x._store(side, M, V, beta, dM, dV, checked=False)
+        return x
+
+    def _store(self, side, M, V, beta, dM, dV, checked):
+        """A missing map is zero.  Checked, each map is checked against its
+        type and a key M does not list is refused; else containers are kept."""
+        self.side, self.M, self.V, self.dV = side, M, V, dV
+        self.beta = Slots.fill(
+            [M], beta, lambda key: (M[key], self.beta_codomain(key), 0), ModuleMap.zero,
+            "structure map" if checked else None,
+        )
+        self.dM = None if dV is None else Slots.fill(
+            [M], dM, lambda key: (M[key], M[key], -1), ModuleMap.zero,
+            "differential" if checked else None,
+        )
 
     def slot_is_torus(self, key):
-        return self.side == "SO3" and key == 1
+        return is_torus_slot(self.side, key)
 
     def beta_codomain(self, key):
         return laurent_model(self.V, self.slot_is_torus(key))[0]
@@ -561,7 +574,7 @@ class ToralObject:
         return [self.M, self.beta] + ([self.dM] if self.has_differential() else [])
 
     def _with_slots(self, M, beta, dM=None) -> "ToralObject":
-        return ToralObject(self.side, M, self.V, beta, dM, self.dV)
+        return ToralObject._assembled(self.side, M, self.V, beta, dM, self.dV)
 
     def normalized(self) -> "ToralObject":
         """Drop explicit slots that duplicate the tail template."""
@@ -668,7 +681,7 @@ def _localized_beta(x: ToralObject, key) -> ModuleMap:
         if s.kind == TORSION:
             continue  # torsion dies after inverting d
         tagged.append((Summand(LAURENT, s.shift, 1), i))
-    ldom, _, pos = _module_with_index(LAURENT_C, tagged)
+    ldom, _, pos = indexed_module(LAURENT_C, tagged)
     lcod, _, vpos = laurent_model(x.V, False)
     fdtags = laurent_model(x.V, True)[1]
     return ModuleMap(ldom, lcod, 0, _reindex_entries(b.entries, fdtags, vpos, pos))
@@ -765,15 +778,6 @@ def _mult_euler(m: GradedModule, degree: int, cexp: int, vec):
     return _apply_action(m, degree, cexp, vec)
 
 
-def _vector_entries(m: GradedModule, degree: int, vec) -> dict[int, Fraction]:
-    """Summand-indexed entries of a degreewise vector (one power per summand)."""
-    ent = {}
-    for col, (i, _a) in enumerate(m.basis(degree)):
-        if vec[col] != 0:
-            ent[i] = vec[col]
-    return ent
-
-
 # -- object constructions -----------------------------------------------------
 
 
@@ -787,9 +791,10 @@ def _transport(side: str, v: QWSpace, parts, dV=None) -> ToralObject:
     Each part is (object, change, retag): change(s) is the new summand for a
     summand s of one of the object's slots, or None to drop it, and retag
     maps a basis tag of the object's V to its tag in v.  Every slot is built
-    by ``_module_with_index``, so its summands sort stably across the parts,
+    by ``indexed_module``, so its summands sort stably across the parts,
     and beta is re-indexed to follow them; so are the slot differentials
-    when dV, the differential of v, is given.
+    when dV, the differential of v, is given.  The parts were checked where
+    they entered, so the result is assembled unchecked.
     """
 
     def transported(key):
@@ -802,7 +807,7 @@ def _transport(side: str, v: QWSpace, parts, dV=None) -> ToralObject:
             for p, (x, change, _) in enumerate(parts)
             for j, s in enumerate(x.M[key].summands)
         ]
-        m, _, pos = _module_with_index(rings.pop(), [(s, t) for s, t in tagged if s is not None])
+        m, _, pos = indexed_module(rings.pop(), [(s, t) for s, t in tagged if s is not None])
         torus = parts[0][0].slot_is_torus(key)
         cod, _, vpos = laurent_model(v, torus)
         ent, dent = {}, {}
@@ -817,7 +822,7 @@ def _transport(side: str, v: QWSpace, parts, dV=None) -> ToralObject:
 
     slots, beta, dM = Slots.over([x.M for x, _, _ in parts], transported).unzip()
     M = SlotFamily(side, slots.explicit, slots.tail)
-    return ToralObject(side, M, v, beta, None if dV is None else dM, dV)
+    return ToralObject._assembled(side, M, v, beta, dM, dV)
 
 
 def suspend_object(x: ToralObject, k: int) -> ToralObject:
@@ -957,7 +962,7 @@ def twist_morphism(m: ToralMorphism) -> ToralMorphism:
 
     def index(mod):
         # where the twisted slot of tx or ty puts each summand of mod
-        return _module_with_index(mod.ring, [(_twisted(s), j) for j, s in enumerate(mod.summands)])[2]
+        return indexed_module(mod.ring, [(_twisted(s), j) for j, s in enumerate(mod.summands)])[2]
 
     def twisted(key):
         ix, iy = index(m.x.M[key]), index(m.y.M[key])
@@ -1319,7 +1324,9 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
     power c^pad) from each torsion summand to its copy, zero elsewhere.  The
     inclusion (beta into e(V), psi into f(I), the identity on V) is a
     morphism by construction and not checked: e(V) has the identity
-    structure map (``make_eV``) and f(I) has V = 0.
+    structure map and f(I) has V = 0.  Each Y0 slot, the Laurent model of V
+    plus the I slot, is one ``indexed_module`` call, whose positions place
+    both Y0's structure map and the two blocks of the inclusion.
 
     The inclusion is block-diagonal at each slot, so J is coker beta on the
     non-torsion summands plus coker psi.  coker psi is read off: each I
@@ -1334,50 +1341,44 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
     check_star(x, strict=True)
     side = x.side
 
-    def padded_torsion(key):
-        # (the I slot, psi at the slot, coker psi's summands in I's order)
-        m = x.M[key]
-        ring = m.ring
+    def stage(key):
+        # (the inclusion, the Y0 slot and its structure map, the J slot and
+        # the projection onto it) at the slot
+        m, b = x.M[key], x.beta[key]
+        ring, step, emod = m.ring, m.ring.step, b.codomain
         pad = 2 * m.max_torsion() + 1
         sign = (-1) ** pad if ring.flip else 1
-        tagged = [
-            (Summand(TORSION, s.shift + ring.step * pad, s.sign * sign, s.length + pad), j)
+        imod, itags, _ = indexed_module(ring, [
+            (Summand(TORSION, s.shift + step * pad, s.sign * sign, s.length + pad), j)
             for j, s in enumerate(m.summands)
             if s.kind == TORSION
-        ]
-        imod, tags, _ = _module_with_index(ring, tagged)
-        psi = ModuleMap(m, imod, 0, {(i, j): Q(1) for i, j in enumerate(tags)})
-        return imod, psi, [Summand(TORSION, s.shift, s.sign, pad) for s in imod.summands]
-
-    I_slots, psi, coker_psi = Slots.over([x.M], padded_torsion).unzip()
-    f_part = make_fN(SlotFamily(side, I_slots.explicit, I_slots.tail))
-    e_part = make_eV(x.V, side)
-    Y0 = direct_sum_objects(e_part, f_part)
-
-    def stage(key):
-        # (the inclusion at the slot, the J slot, the projection onto it)
-        m, b, y0 = x.M[key], x.beta[key], Y0.M[key]
-        emod, imod = e_part.M[key], I_slots[key]
-        _, (ie, ii) = direct_sum([emod, imod])
-        ent = {(ie[i], j): coef for (i, j), coef in b.entries.items()}
-        ent.update({(ii[i], j): coef for (i, j), coef in psi[key].entries.items()})
+        ])
+        y0, _, pos = indexed_module(
+            ring,
+            [(s, (0, i)) for i, s in enumerate(emod.summands)]
+            + [(s, (1, i)) for i, s in enumerate(imod.summands)],
+        )
+        y0_beta = ModuleMap(
+            y0, emod, 0, {(i, pos[(0, i)]): Q(1) for i in range(len(emod.summands))}
+        )
+        ent = {(pos[(0, i)], j): coef for (i, j), coef in b.entries.items()}
+        ent.update({(pos[(1, i)], j): Q(1) for i, j in enumerate(itags)})
         win = auto_window(window, [m, y0])
-        ring = m.ring
         cb, qb = GradedModule.zero(ring), None
         if any(s.kind == FREE for s in m.summands):
-            nmod, _, npos = _module_with_index(
+            nmod, _, npos = indexed_module(
                 ring, [(s, j) for j, s in enumerate(m.summands) if s.kind != TORSION]
             )
             b_n = ModuleMap(nmod, emod, 0, {(i, npos[j]): c for (i, j), c in b.entries.items()})
             cb, qb = cokernel_of_map(b_n, win)
-        J, _, jpos = _module_with_index(
+        J, _, jpos = indexed_module(
             ring,
             [(s, (0, k)) for k, s in enumerate(cb.summands)]
-            + [(s, (1, i)) for i, s in enumerate(coker_psi[key])],
+            + [(Summand(TORSION, s.shift, s.sign, pad), (1, i))
+               for i, s in enumerate(imod.summands)],
         )
         # one projection matrix per run, as a window walk keeps it
         mats = {}
-        step = ring.step
         for t, n in degree_runs(win, step, [(y0, 0), (J, 0), (m, 0)]).items():
             rows = J.basis(t)
             if not rows:
@@ -1390,17 +1391,18 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
                 dst, src = cb.basis(t), emod.basis(t)
                 for r, c, coef in qb.evaluate(t).entries():
                     (k, a), (i, ai) = dst[r], src[c]
-                    proj[(row[(jpos[(0, k)], a)], col[(ie[i], ai)])] = coef
+                    proj[(row[(jpos[(0, k)], a)], col[(pos[(0, i)], ai)])] = coef
             for i, a in imod.basis(t):
                 r = row.get((jpos[(1, i)], a))
                 if r is not None:
-                    proj[(r, col[(ii[i], a)])] = Q(1)
+                    proj[(r, col[(pos[(1, i)], a)])] = Q(1)
             mat = QMatrix.from_entries(len(rows), len(cols), proj)
             for k in range(n):
                 mats[t - k * step] = mat
-        return ModuleMap(m, y0, 0, ent), J, WindowMap(y0, J, 0, win, mats)
+        return ModuleMap(m, y0, 0, ent), y0, y0_beta, J, WindowMap(y0, J, 0, win, mats)
 
-    alpha, J_slots, quot = Slots.over([x.M], stage).unzip()
+    alpha, y0_slots, y0_beta, J_slots, quot = Slots.over([x.M], stage).unzip()
+    Y0 = ToralObject(side, SlotFamily(side, y0_slots.explicit, y0_slots.tail), x.V, y0_beta)
     include = ToralMorphism(x, Y0, 0, alpha, VMap.identity(x.V))
     Y1 = make_fN(SlotFamily(side, J_slots.explicit, J_slots.tail))
     res = InjectiveResolution(x, Y0, include, Y1, quot, window)
@@ -1443,16 +1445,10 @@ def ext_A(
 
 
 def homology_dA(x: ToralObject, window=None) -> ToralObject:
-    """Homology of an object with differential, as a plain object."""
+    """Homology of an object with differential, as a plain object; its
+    differential was checked where the object was built."""
     if not x.has_differential():
         return x
-    if not x.dV.compose(x.dV).is_zero():
-        raise NotADifferential("d squared is not zero on V")
-    # the structure map must be a chain map
-    for key in x.keys():
-        ld = laurent_model_map(x.dV, x.slot_is_torus(key))
-        if x.beta[key].compose(x.dM[key]) != ld.compose(x.beta[key]):
-            raise NotADifferential("structure map is not a chain map")
     hv, hv_data = qw_homology(x.V, x.dV)
 
     def slot_homology(key):
@@ -1479,9 +1475,8 @@ def homology_dA(x: ToralObject, window=None) -> ToralObject:
                     if c2 != 0:
                         new_terms.append(((gv, sv, h_idx), j, c2))
             out_vec = _collect_terms(hmod, hpos, g, new_terms)
-            for col, (i, _a) in enumerate(hmod.basis(g)):
-                if out_vec[col] != 0:
-                    ent[(i, k)] = ent.get((i, k), Q(0)) + out_vec[col]
+            for i, coef in vector_entries(hmod, g, out_vec).items():
+                ent[(i, k)] = coef
         return H, ModuleMap(H, hmod, 0, ent)
 
     slots, beta = Slots.over([x.M], slot_homology).unzip()
@@ -1603,10 +1598,7 @@ def _rank_one_cover(x, key, degree, vector, s_n):
         explicit[1] = slot1
         beta[1] = ModuleMap(slot1, fmod, 0, {(fpos[tag], 0): Q(1)})
     P = ToralObject(side, SlotFamily(side, explicit, tail), T, beta)
-    ent = {}
-    for col, (i, _a) in enumerate(x.M[key].basis(degree)):
-        if vector[col] != 0:
-            ent[(i, 0)] = vector[col]
+    ent = {(i, 0): coef for i, coef in vector_entries(x.M[key], degree, vector).items()}
     alpha = {key: ModuleMap(P.M[key], x.M[key], 0, ent)}
     m = ToralMorphism(P, x, 0, alpha, VMap.zero(T, x.V, 0))
     _verify_cover(P, m, key, degree, vector, hit_vec=None)
@@ -1652,8 +1644,9 @@ def _proof_cover(x, key, degree, vector, w):
             (dg, _mult_euler(m_slot, tag[0] - 2 * E[tag], A[tag] - E[tag], pre[tag][key]))
         )
     hi = max(dg for dg, _ in gens) + m_slot.ring.step
+    # the window must reach the covered degree, so a negative m0 adds no pad
     m0 = max(A[tag] - minexp[tag] for tag in minexp)
-    pad = 2 * m0 + m_slot.ring.step * (m_slot.max_torsion() + 6) + 16
+    pad = 2 * max(m0, 0) + m_slot.ring.step * (m_slot.max_torsion() + 6) + 16
     lo = min(dg for dg, _ in gens) - pad
     S_slot, realized, spans = _polynomial_span(L, gens, (lo, hi))
     # consistency: every relation among the spanning vectors maps to zero
@@ -1671,20 +1664,20 @@ def _proof_cover(x, key, degree, vector, w):
     beta_ent, alpha_ent = {}, {}
     for ks, r in enumerate(realized):
         g = r.degree
-        for i, coef in _vector_entries(L, g, r.vector).items():
+        for i, coef in vector_entries(L, g, r.vector).items():
             beta_ent[(i, ks)] = coef
         span_mat, img_mat = img_cols[g]
         lam = span_mat.solve(r.vector)
         if lam is None:
             raise InvariantError("canonical generator escapes the span")
         target = img_mat.apply(lam)
-        for i, coef in _vector_entries(m_slot, g, target).items():
+        for i, coef in vector_entries(m_slot, g, target).items():
             alpha_ent[(i, ks)] = coef
     # the other slots: free on the Euler generators
     tagged = [
         (Summand(FREE, tag[0] - 2 * A[tag], 1), tag) for tag in tags
     ]
-    S_other, _, spos = _module_with_index(POLY_C, tagged)
+    S_other, _, spos = indexed_module(POLY_C, tagged)
     lmod_c, _, lpos_c = laurent_model(x.V, False)
     free_beta = ModuleMap(
         S_other, lmod_c, 0, {(lpos_c[tag], spos[tag]): Q(1) for tag in tags}
@@ -1694,7 +1687,7 @@ def _proof_cover(x, key, degree, vector, w):
     slots, beta = Slots({}, S_other), Slots({}, free_beta)
     spos_d = spos
     if side == "SO3":
-        S_one, _, spos_d = _module_with_index(POLY_D, tagged)
+        S_one, _, spos_d = indexed_module(POLY_D, tagged)
         fmod, _, fpos = laurent_model(x.V, True)
         slots = slots.with_value(1, S_one)
         beta = beta.with_value(1, ModuleMap(
@@ -1714,7 +1707,7 @@ def _proof_cover(x, key, degree, vector, w):
             img = _mult_euler(
                 m2, tag[0] - 2 * E[tag], A[tag] - E[tag], pre[tag][key2]
             )
-            for i, coef in _vector_entries(m2, tag[0] - 2 * A[tag], img).items():
+            for i, coef in vector_entries(m2, tag[0] - 2 * A[tag], img).items():
                 ent[(i, pos2[tag])] = coef
         return ModuleMap(P.M[key2], m2, 0, ent)
 

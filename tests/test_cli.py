@@ -27,14 +27,17 @@ from so3alg.cli import (
     space_from_json,
     toral_from_json,
     toral_to_json,
+    vmap_to_json,
 )
 from so3alg.dihedral import QWComplex, direct_sum_dihedral, functor_const, functor_i_k
 from so3alg.errors import ParseError
-from so3alg.linalg import Q
+from so3alg.linalg import Q, QMatrix
 from so3alg.toral import (
     QWSpace,
+    VMap,
     direct_sum_objects,
     make_EFbar_plus,
+    make_eV,
     make_alpha,
     sigma_H,
     sigma_T,
@@ -385,6 +388,58 @@ def test_split_and_homology_verbs(tmp_path):
     original = toral_from_json(json.loads((tmp_path / "mix.json").read_text()))
     assert direct_sum_objects(even, odd) == original
     assert main(["homology", path]) == 0
+
+
+def test_a_bad_differential_is_refused_by_every_verb_that_reads_the_object(tmp_path, capsys):
+    # e(V) with dV the identity from degree 2 to 1 and from 1 to 0, so d
+    # squared is not zero, and dM zero: the object refuses it where it is
+    # built, so no verb reads it (only homology refused it before)
+    v = QWSpace({0: (1, 0), 1: (1, 0), 2: (1, 0)})
+    doc = toral_to_json(make_eV(v))
+    dv = VMap(v, v, -1, {(1, 1): QMatrix.identity(1), (2, 1): QMatrix.identity(1)})
+    doc["diff"] = {"M": {}, "V": vmap_to_json(dv)}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["star-check", path], ["resolve", path], ["split", path],
+                 ["ext", path, path], ["hom", path, path], ["homology", path]):
+        assert main([str(a) for a in argv]) == 3, argv
+        assert "d squared is not zero on V" in capsys.readouterr().err
+
+
+def test_decoding_an_object_builds_it_once(monkeypatch):
+    # beta's codomain at each slot is read off V and the slot key, with no
+    # throwaway object built to ask for it
+    built = []
+    init = toral.ToralObject.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(toral.ToralObject, "__init__", counted)
+    data = Path(so3alg.__file__).resolve().parent / "data"
+    for path in sorted(data.glob("*.json")):
+        built.clear()
+        toral_from_json(json.loads(path.read_text()))
+        assert len(built) == 1, path.name
+
+
+@pytest.mark.parametrize("degree", ["-30", "-80"])
+def test_cover_reaches_deep_degrees(tmp_path, capsys, degree):
+    # the span's window is padded by twice the Euler power m0 it needs, and a
+    # negative m0 pulled its bottom above the covered degree (a KeyError,
+    # exit 1, before)
+    data = Path(so3alg.__file__).resolve().parent / "data"
+    out, covered = tmp_path / "covers.json", 0
+    for name in ("cell-torus.json", "image-torus-quotient.json"):
+        for slot in ("tail", "1", "5"):
+            argv = ["cover", str(data / name), "--slot", slot, "--degree", degree]
+            assert main(argv + ["--out", str(out)]) == 0, argv
+            results = json.loads(out.read_text())["results"]
+            assert all(r["valid"] is True for r in results)
+            covered += len(results)
+    capsys.readouterr()
+    assert covered, covered
 
 
 def test_cover_verb(tmp_path):

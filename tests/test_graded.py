@@ -32,6 +32,7 @@ from so3alg.graded import (
     fixed_points_c_to_d,
     fixed_points_map,
     homology_realized,
+    indexed_module,
     kernel_of_map,
     localize,
     localize_map,
@@ -494,9 +495,154 @@ def rand_map(rng, dom, cod, degree):
     return ModuleMap(dom, cod, degree, ent)
 
 
-def test_cached_basis_is_a_power_at_scan_for_every_constructor():
-    from so3alg.toral import _module_with_index
+# -- the canonical order: indexed_module and its callers -----------------------
 
+RINGS = (POLY_C, POLY_D, LAURENT_C, LAURENT_D)
+
+
+def _oracle_normalized(ring, s):
+    """A Laurent summand moved by hand into shifts 0..step-1: each step down
+    multiplies by the generator, which flips the sign over Q[c]."""
+    if s.kind != LAURENT:
+        return s
+    shift, sign = s.shift, s.sign
+    flip = -1 if ring.flip else 1
+    while shift >= ring.step:
+        shift, sign = shift - ring.step, sign * flip
+    while shift < 0:
+        shift, sign = shift + ring.step, sign * flip
+    return Summand(LAURENT, shift, sign)
+
+
+def _oracle_before(a, b):
+    """a strictly before b: higher shift first, then free, torsion, Laurent,
+    then shorter torsion, then sign + before sign -."""
+    rank = {FREE: 0, TORSION: 1, LAURENT: 2}
+    return (-a.shift, rank[a.kind], a.length, -a.sign) < (-b.shift, rank[b.kind], b.length, -b.sign)
+
+
+def _oracle_stable_sort(items):
+    """Insertion sort of (summand, tag) pairs: an item moves left only past
+    one it is strictly before, so equal summands keep their input order."""
+    out = []
+    for item in items:
+        k = len(out)
+        while k and _oracle_before(item[0], out[k - 1][0]):
+            k -= 1
+        out.insert(k, item)
+    return out
+
+
+def _summand_pool(rng, ring, size=5):
+    """A few summands to draw from with repetition, Laurent shifts far outside
+    0..step-1 among them."""
+    pool = []
+    for _ in range(size):
+        kind = rng.choice([FREE, TORSION, LAURENT])
+        sign = rng.choice([1, -1]) if ring.var == "c" else 1
+        shift = rng.randint(-13, 13) if kind == LAURENT else rng.randint(-4, 4)
+        pool.append(Summand(kind, shift, sign, rng.randint(1, 3) if kind == TORSION else 0))
+    return pool
+
+
+def test_indexed_module_is_a_stable_sort_of_the_normalized_summands():
+    rng = random.Random(83)
+    moved = repeated = 0
+    for trial in range(160):
+        ring = RINGS[trial % 4]
+        pool = _summand_pool(rng, ring)
+        summands = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
+        tags = rng.sample(range(100), len(summands))
+        tagged = list(zip(summands, tags))
+        m, out_tags, pos = indexed_module(ring, tagged)
+        expected = _oracle_stable_sort([(_oracle_normalized(ring, s), t) for s, t in tagged])
+        assert m == GradedModule(ring, summands)
+        assert list(m.summands) == [s for s, _t in expected]
+        assert out_tags == tuple(t for _s, t in expected)
+        assert pos == {t: i for i, (_s, t) in enumerate(expected)}
+        moved += any(s.kind == LAURENT and not 0 <= s.shift < ring.step for s in summands)
+        repeated += len(set(summands)) < len(summands)
+    assert moved >= 40 and repeated >= 40, (moved, repeated)
+
+
+# the canonical-order code of direct_sum, localize, fixed_points_c_to_d and
+# base_change_d_to_c before they called indexed_module, kept as their oracle
+
+
+def _parent_direct_sum(modules):
+    ring = modules[0].ring
+    tagged = []
+    for k, m in enumerate(modules):
+        for i, s in enumerate(m.summands):
+            tagged.append((s, k, i))
+    tagged.sort(key=lambda t: (_sort_key(t[0]), t[1], t[2]))
+    maps = [[0] * len(m.summands) for m in modules]
+    for new_idx, (_, k, i) in enumerate(tagged):
+        maps[k][i] = new_idx
+    return GradedModule(ring, [t[0] for t in tagged]), maps
+
+
+def _parent_localize(m):
+    ring = LAURENT_C if m.ring.var == "c" else LAURENT_D
+    tagged = []
+    for i, s in enumerate(m.summands):
+        if s.kind == TORSION:
+            continue
+        tagged.append((_normalize_summand(ring, Summand(LAURENT, s.shift, s.sign)), i))
+    tagged.sort(key=lambda t: (_sort_key(t[0]), t[1]))
+    return GradedModule(ring, [t[0] for t in tagged]), [t[1] for t in tagged]
+
+
+def _parent_fixed_points_c_to_d(m):
+    ring = LAURENT_D if m.ring.laurent else POLY_D
+    tagged = []
+    for i, s in enumerate(m.summands):
+        e = 0 if s.sign == 1 else 1
+        shift = s.shift - 2 * e
+        if s.kind == TORSION:
+            length = (s.length + (1 - e)) // 2
+            if length == 0:
+                continue
+            new = Summand(TORSION, shift, 1, length)
+        else:
+            new = Summand(s.kind, shift, 1)
+        tagged.append((_normalize_summand(ring, new), i, e))
+    tagged.sort(key=lambda t: (_sort_key(t[0]), t[1]))
+    return GradedModule(ring, [t[0] for t in tagged]), [(t[1], t[2]) for t in tagged]
+
+
+def _parent_base_change_d_to_c(m):
+    ring = LAURENT_C if m.ring.laurent else POLY_C
+    tagged = []
+    for i, s in enumerate(m.summands):
+        if s.kind == TORSION:
+            new = Summand(TORSION, s.shift, 1, 2 * s.length)
+        else:
+            new = Summand(s.kind, s.shift, 1)
+        tagged.append((_normalize_summand(ring, new), i))
+    tagged.sort(key=lambda t: (_sort_key(t[0]), t[1]))
+    return GradedModule(ring, [t[0] for t in tagged]), [t[1] for t in tagged]
+
+
+def test_canonical_order_sites_match_their_parent_sort_code():
+    rng = random.Random(89)
+    for trial in range(160):
+        ring = RINGS[trial % 4]
+        pool = _summand_pool(rng, ring)
+        mods = [
+            GradedModule(ring, [rng.choice(pool) for _ in range(rng.randint(0, 6))])
+            for _ in range(rng.randint(1, 3))
+        ]
+        assert direct_sum(mods) == _parent_direct_sum(mods)
+        m = mods[0]
+        assert localize(m) == _parent_localize(m)
+        if ring.var == "c":
+            assert fixed_points_c_to_d(m) == _parent_fixed_points_c_to_d(m)
+        else:
+            assert base_change_d_to_c(m) == _parent_base_change_d_to_c(m)
+
+
+def test_cached_basis_is_a_power_at_scan_for_every_constructor():
     rng = random.Random(17)
     for _ in range(20):
         ring = rng.choice([POLY_C, POLY_D])
@@ -517,7 +663,7 @@ def test_cached_basis_is_a_power_at_scan_for_every_constructor():
             localize(m)[0],
             fixed,
             based,
-            _module_with_index(ring, tagged)[0],
+            indexed_module(ring, tagged)[0],
             canonical_from_window(window_of_module(m, auto_window((0, 0), [m])))[0],
         ]
         for mod in modules:

@@ -9,11 +9,17 @@ complexes were checked for where they entered.  How a rational matrix is stored 
 over one denominator) is decided in ``linalg`` alone: no other module touches
 a matrix's storage or reads a denominator, except the CLI's rational codec.
 Every ``GradedModule`` carries its basis cache: outside ``__init__``, modules
-are made only by ``GradedModule._canonical``.  A ``GroupComplex`` skips the
+are made only by ``GradedModule._canonical``, which only
+``graded.indexed_module`` calls: the canonical order of tagged summands has
+one owner, and no module outside ``graded`` imports its private sort key or
+normalization.  A ``GroupComplex`` skips the
 checks of ``__init__`` only through ``GroupComplex._assembled``, which only
 the total complex of tensor and hom and ``homology_W`` call; a
-``DihedralObject`` or ``QWComplex`` only through its ``_assembled``, which only
-the listed constructions from checked parts call.  In ``dihedral`` and
+``DihedralObject``, ``QWComplex`` or ``ToralObject`` only through its
+``_assembled``, which only the listed constructions from checked parts call.
+``graded.homology_realized`` assumes d squared is zero, as its docstring
+says, so only ``toral.homology_dA`` calls it, on slot differentials that
+``ToralObject.__init__`` checked.  In ``dihedral`` and
 ``exceptional`` only an ``__init__`` calls ``check_differential``, so use
 sites do not re-check what entered checked.  Every name imported into a module
 is read there, every local a function assigns is read in that function, and
@@ -41,7 +47,12 @@ PACKAGE = Path(so3alg.__file__).resolve().parent
 def _package_imports(module: str):
     """(imported module, imported names) for every import of an so3alg
     module in the source of ``module``, at any depth of the file."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return _imports_in(ast.parse((PACKAGE / f"{module}.py").read_text()))
+
+
+def _imports_in(tree):
+    """(imported module, imported names) for every import of an so3alg
+    module in a tree."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -104,6 +115,115 @@ def test_homology_caller_scan_sees_a_planted_use():
 def test_exceptional_imports_only_linalg_and_errors():
     targets = {target for target, _ in _package_imports("exceptional")}
     assert targets <= {"linalg", "errors"}, targets
+
+
+# the private halves of the canonical order, which ``graded.indexed_module``
+# and ``GradedModule.__init__`` own
+CANONICAL_ORDER_PRIVATES = {"_sort_key", "_normalize_summand"}
+
+
+def _canonical_order_imports(module: str, tree):
+    """(module, imported module, name) for every import of a private half of
+    the canonical order into a module other than graded."""
+    return [
+        (module, target, name)
+        for target, names in _imports_in(tree)
+        for name in names
+        if name in CANONICAL_ORDER_PRIVATES and module != "graded"
+    ]
+
+
+def test_no_module_outside_graded_imports_the_canonical_order():
+    found = [
+        hit for module in _modules() for hit in _canonical_order_imports(module, _tree(module))
+    ]
+    assert found == []
+
+
+def test_canonical_order_import_scan_sees_a_planted_import():
+    source = (
+        "from .graded import GradedModule, _sort_key\n"
+        "def f(ring, tagged):\n"
+        "    from so3alg.graded import _normalize_summand\n"
+        "    return _normalize_summand, _sort_key\n"
+    )
+    tree = ast.parse(source)
+    assert _canonical_order_imports("toral", tree) == [
+        ("toral", "graded", "_sort_key"), ("toral", "graded", "_normalize_summand"),
+    ]
+    assert _canonical_order_imports("graded", tree) == []
+
+
+def test_only_indexed_module_makes_a_module_unsorted():
+    # GradedModule._canonical trusts its summands to be in canonical order;
+    # indexed_module alone sorts them so.  linalg, the layer below graded,
+    # has a QMatrix._canonical of its own
+    uses = {
+        (module, func)
+        for module in _modules()
+        if module != "linalg"
+        for func in _name_uses(_tree(module), "_canonical")
+    }
+    assert uses == {("graded", "indexed_module")}
+
+
+def test_canonical_constructor_scan_sees_a_planted_use():
+    source = (
+        "def localize(m):\n"
+        "    return GradedModule._canonical(m.ring, m.summands)\n"
+        "def fixed_points(m):\n"
+        "    build = GradedModule._canonical\n"
+        "    return build(m.ring, ())\n"
+        "def indexed_module(ring, tagged):\n"
+        "    return GradedModule._canonical(ring, tagged)\n"
+    )
+    assert _name_uses(ast.parse(source), "_canonical") == [
+        "localize", "fixed_points", "indexed_module",
+    ]
+
+
+# ``graded.homology_realized`` assumes d squared is zero, and its one caller,
+# ``toral.homology_dA`` (its per-slot step ``slot_homology``), passes it slot
+# differentials that ``ToralObject.__init__`` checked
+REALIZED_HOMOLOGY_CALLERS = {("toral", "slot_homology")}
+D_SQUARED_PRECONDITION = "d squared must be zero"
+
+
+def _docstring_of(tree, name: str) -> str:
+    """The docstring of the module-level function ``name`` in a tree."""
+    func = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+    return ast.get_docstring(func) or ""
+
+
+def test_homology_realized_is_called_only_on_checked_differentials():
+    uses = {
+        (module, func)
+        for module in _modules()
+        for func in _name_uses(_tree(module), "homology_realized")
+    }
+    assert uses == REALIZED_HOMOLOGY_CALLERS
+    # both homology routines state what they assume
+    for module, func in (("linalg", "chain_homology"), ("graded", "homology_realized")):
+        assert D_SQUARED_PRECONDITION in " ".join(_docstring_of(_tree(module), func).split())
+
+
+def test_homology_realized_scan_sees_a_planted_call_and_a_missing_precondition():
+    source = (
+        "from .graded import homology_realized\n"
+        "def homology_dA(x):\n"
+        "    def slot_homology(key):\n"
+        "        return homology_realized(x.M[key], x.dM[key])\n"
+        "    return slot_homology\n"
+        "def cone_homology(m, d):\n"
+        "    return graded.homology_realized(m, d)\n"
+        "def homology_realized(m, d):\n"
+        '    """Homology with representatives."""\n'
+    )
+    tree = ast.parse(source)
+    assert _name_uses(tree, "homology_realized") == ["slot_homology", "cone_homology"]
+    assert D_SQUARED_PRECONDITION not in _docstring_of(tree, "homology_realized")
 
 
 def test_no_private_homology_helper_crosses_modules():
@@ -185,7 +305,7 @@ def test_graded_modules_bypass_init_only_through_the_one_constructor():
 
 
 # the classes with a trusted constructor ``_assembled``
-TRUSTED_CLASSES = {"GroupComplex", "DihedralObject", "QWComplex"}
+TRUSTED_CLASSES = {"GroupComplex", "DihedralObject", "QWComplex", "ToralObject"}
 
 
 def _trusted_uses(tree, cls: str):
@@ -240,6 +360,28 @@ def test_only_derived_constructions_skip_the_dihedral_checks():
     assert _trusted_uses_by_module("QWComplex") == {
         "dihedral": (["_assembled"], TRUSTED_QW_COMPLEX),
     }
+
+
+# the constructions that rebuild a toral object from a checked one, and so
+# may skip the checks of ``ToralObject.__init__``: the slot-by-slot rebuild
+# and the re-listing of slots
+TRUSTED_TORAL = ["_transport", "_with_slots"]
+
+
+def test_only_rebuilds_of_checked_objects_skip_the_toral_checks():
+    assert _trusted_uses_by_module("ToralObject") == {
+        "toral": (["_assembled"], TRUSTED_TORAL),
+    }
+
+
+def test_toral_trusted_scan_sees_a_planted_bypass():
+    source = (
+        "def homology_dA(x):\n"
+        "    return ToralObject._assembled(x.side, x.M, x.V, x.beta)\n"
+        "def sneak(side):\n"
+        "    return ToralObject.__new__(ToralObject), DihedralObject._assembled(side)\n"
+    )
+    assert _trusted_uses(ast.parse(source), "ToralObject") == (["sneak"], ["homology_dA"])
 
 
 def test_trusted_complex_scan_sees_a_planted_bypass():

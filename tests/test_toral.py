@@ -33,13 +33,13 @@ from so3alg.graded import (
     degree_runs,
     direct_sum,
     homology_realized,
+    indexed_module,
     kernel_of_map,
 )
 from so3alg.linalg import Q, QMatrix
 from so3alg.toral import (
     TAIL,
     _entry_allowed,
-    _module_with_index,
     _reindex_entries,
     HomSpace,
     InjectiveResolution,
@@ -676,8 +676,9 @@ def test_homology_rejects_a_non_differential():
         (1, 1): QMatrix(1, 1, [[F(1)]]),
         (2, 1): QMatrix(1, 1, [[F(1)]]),
     })
-    with pytest.raises(NotADifferential):
-        homology_dA(with_differential(v, dv))
+    # refused where the object is built, before any verb reads it
+    with pytest.raises(NotADifferential, match="d squared is not zero on V"):
+        with_differential(v, dv)
 
 
 def test_homology_rejects_a_non_chain_structure_map():
@@ -685,9 +686,8 @@ def test_homology_rejects_a_non_chain_structure_map():
     dv = VMap(v, v, -1, {(1, 1): QMatrix(1, 1, [[F(1)]])})
     ev = make_eV(v)
     dm = {key: ModuleMap.zero(ev.M[key], ev.M[key], -1) for key in ev.keys()}
-    bad = ToralObject(ev.side, ev.M, ev.V, ev.beta, dm, dv)
-    with pytest.raises(NotADifferential):
-        homology_dA(bad)
+    with pytest.raises(NotADifferential, match="structure map is not a chain map"):
+        ToralObject(ev.side, ev.M, ev.V, ev.beta, dm, dv)
 
 
 def test_bracket_of_the_sphere_with_itself():
@@ -979,7 +979,7 @@ def test_hom_spaces_match_the_windowed_oracle():
 def _padded(ring, summands, pad):
     """The summands lengthened upward by pad steps: (module, tags, pos) with
     summand k tagged k."""
-    return _module_with_index(ring, [
+    return indexed_module(ring, [
         (Summand(TORSION, s.shift + ring.step * pad,
                  s.sign * (-1) ** pad if ring.flip else s.sign, s.length + pad), k)
         for k, s in enumerate(summands)
@@ -1033,6 +1033,41 @@ def toral_ext_inputs(seed=13, count=120):
     rng = random.Random(seed)
     shapes = workloads.TORAL_SHAPES
     return [workloads.toral_object(rng, shapes[k % len(shapes)]) for k in range(count)]
+
+
+def summed_first_stage(x):
+    """(Y0, include) built as e(V) + f(I) by ``direct_sum_objects``, with the
+    inclusion placed by a second ``direct_sum`` of each slot's two parts: how
+    the resolution built them before each Y0 slot was one sort."""
+    I_slots, itags = {}, {}
+    for key in x.keys():
+        m = x.M[key]
+        torsion = [j for j, s in enumerate(m.summands) if s.kind == TORSION]
+        imod, tags, _ = _padded(m.ring, [m.summands[j] for j in torsion], 2 * m.max_torsion() + 1)
+        I_slots[key], itags[key] = imod, [torsion[k] for k in tags]
+    explicit = {k: v for k, v in I_slots.items() if k != TAIL}
+    e_part = make_eV(x.V, x.side)
+    Y0 = direct_sum_objects(e_part, make_fN(SlotFamily(x.side, explicit, I_slots[TAIL])))
+    alpha = {}
+    for key in x.keys():
+        _, (ie, ii) = direct_sum([e_part.M[key], I_slots[key]])
+        ent = {(ie[i], j): c for (i, j), c in x.beta[key].entries.items()}
+        ent.update({(ii[i], j): Q(1) for i, j in enumerate(itags[key])})
+        alpha[key] = ModuleMap(x.M[key], Y0.M[key], 0, ent)
+    return Y0, ToralMorphism(x, Y0, 0, alpha, VMap.identity(x.V))
+
+
+def test_each_y0_slot_is_e_v_plus_f_i_sorted_once():
+    fixtures = fixture_objects()
+    assert len(fixtures) == 14
+    torsion = 0
+    for x in fixtures + toral_ext_inputs():
+        res = injective_resolution(x)
+        Y0, include = summed_first_stage(x)
+        assert representation(res.Y0) == representation(Y0), x
+        assert res.include == include, x
+        torsion += any(m.max_torsion() for m in x.all_modules())
+    assert torsion >= 50, torsion
 
 
 @pytest.mark.parametrize("window", [(-12, 12), (-2, 2), (-8, 8)], ids=["12", "2", "8"])
@@ -1270,7 +1305,7 @@ def test_ext_is_additive_in_each_variable():
 
 
 def _oracle_with_index(m, change):
-    new, _tags, pos = _module_with_index(m.ring, [(change(s), j) for j, s in enumerate(m.summands)])
+    new, _tags, pos = indexed_module(m.ring, [(change(s), j) for j, s in enumerate(m.summands)])
     return new, pos
 
 
