@@ -19,7 +19,8 @@ product of representations is a representation, d⊗1, ±1⊗d, post-composition
 and signed pre-composition are equivariant when their factors are, the
 Koszul and pre-composition signs make the total differential square to zero,
 and the homology of an equivariant complex carries a representation and the
-zero differential.  So ``homology_W`` and ``is_weq`` trust their arguments.
+zero differential.  So ``homology_W`` and ``is_weq`` trust their arguments;
+``is_weq`` computes no homology (``linalg.is_quasi_isomorphism``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     SchemaError,
     WrongAlgebraForClass,
 )
-from .linalg import QMatrix, block_matrix, chain_homology
+from .linalg import QMatrix, block_matrix, chain_homology, is_quasi_isomorphism
 
 EXCEPTIONAL_CLASSES = ("SO3", "Sigma4", "A4", "A5", "D4")
 
@@ -234,6 +235,9 @@ class GroupComplex:
     def dim(self, g: int) -> int:
         return self.modules.get(g, (0, ()))[0]
 
+    def dims(self) -> dict:
+        return {g: dim for g, (dim, _rho) in self.modules.items()}
+
     def action(self, g: int, e: int) -> QMatrix:
         dim, acts = self.modules.get(g, (0, ()))
         if not dim:
@@ -419,14 +423,6 @@ def internal_hom_conj(x: GroupComplex, y: GroupComplex) -> GroupComplex:
 # -- homology and the projective structure ----------------------------------------------
 
 
-def _homology_data(x: GroupComplex):
-    """Per degree: homology dimension, representing cycles, and projection."""
-    degs = set(x.modules)
-    degs |= {g - 1 for g in degs} | {g + 1 for g in degs}
-    dims = {g: x.dim(g) for g in degs}
-    return chain_homology(dims, x.diffs)
-
-
 def homology_W(x: GroupComplex) -> GroupComplex:
     """Levelwise homology with the induced action and zero differentials.
 
@@ -436,7 +432,7 @@ def homology_W(x: GroupComplex) -> GroupComplex:
     result is not checked again.
     """
     alg = x.algebra
-    hdims, reps, projs = _homology_data(x)
+    hdims, reps, projs = chain_homology(x.dims(), x.diffs)
     modules = {}
     for g, h in hdims.items():
         if not h:
@@ -452,20 +448,10 @@ def homology_W(x: GroupComplex) -> GroupComplex:
 
 
 def is_weq(f: GroupChainMap) -> bool:
-    """A homology isomorphism."""
-    if not f.is_chain_map():
-        return False
-    hx, reps_x, _ = _homology_data(f.x)
-    hy, _, projs_y = _homology_data(f.y)
-    for g in set(hx) | set(hy):
-        a, b = hx.get(g, 0), hy.get(g, 0)
-        if a != b:
-            return False
-        if not a:
-            continue
-        if projs_y[g](f.component(g) @ reps_x[g]).rank() != a:
-            return False
-    return True
+    """A homology isomorphism: a chain map with an acyclic mapping cone."""
+    return f.is_chain_map() and is_quasi_isomorphism(
+        f.x.dims(), f.x.diffs, f.y.dims(), f.y.diffs, f.mats, 0
+    )
 
 
 def is_fib(f: GroupChainMap) -> bool:

@@ -27,11 +27,14 @@ elimination, and its projection sends a whole matrix of cycles to their
 coordinates; ``chain_homology``, the homology of a chain of vector spaces
 that every algebraic model uses, is per degree one rref of the outgoing
 differential and one subquotient of its kernel coordinates by the boundaries.
+``is_quasi_isomorphism`` decides whether a chain map is a homology
+isomorphism by the ranks of its mapping cone alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -40,7 +43,8 @@ from .errors import InvariantError
 
 Q = Fraction
 
-__all__ = ["Q", "QMatrix", "IncrementalSpan", "block_matrix", "chain_homology", "subquotient"]
+__all__ = ["Q", "QMatrix", "IncrementalSpan", "block_matrix", "chain_homology",
+           "is_quasi_isomorphism", "subquotient"]
 
 _ZERO = Q(0)
 
@@ -544,7 +548,7 @@ def subquotient(Z: QMatrix, B: QMatrix):
     too, nothing is.
     """
     accepted, annihilator, left = _subquotient(None if Z.is_identity() else Z, B)
-    return Z.columns(accepted), _projection(annihilator, Z if left is None else left)
+    return Z.columns(accepted), _free_projection(annihilator, range(Z.rows), left)
 
 
 def _subquotient(Z: QMatrix | None, B: QMatrix):
@@ -607,13 +611,29 @@ def chain_homology(dims, mats):
     return {g: r.cols for g, r in reps.items()}, reps, projs
 
 
-def _projection(annihilator: QMatrix, left: QMatrix):
-    def project(mat: QMatrix) -> QMatrix:
-        if not (annihilator @ mat).is_zero():
-            raise InvariantError("a column is not a cycle modulo boundaries")
-        return left @ mat
+def is_quasi_isomorphism(x_dims, x_mats, y_dims, y_mats, f_mats, degree) -> bool:
+    """Whether a chain map f: X -> Y of the given degree is a homology
+    isomorphism.  X and Y are given as to ``chain_homology``, d squared is
+    zero on both, and f_mats maps g to f_g: X_g -> Y_{g+degree}.
 
-    return project
+    f is one exactly when its mapping cone, C_n = X_{n-1-degree} + Y_n, is
+    acyclic: when dim C_n = rank D_n + rank D_{n+1} in every degree, with
+    D_n = [[dX, 0], [f, dY]] (the cone's -dX gives the same ranks).  The
+    degrees are walked in order, up to the first that fails.
+    """
+
+    def sizes(n):
+        return [x_dims.get(n - 1 - degree, 0), y_dims.get(n, 0)]
+
+    @cache
+    def rank(n):
+        g = n - 1 - degree
+        blocks = {(0, 0): x_mats.get(g), (1, 0): f_mats.get(g), (1, 1): y_mats.get(n)}
+        parts = {ij: mat for ij, mat in blocks.items() if mat is not None}
+        return block_matrix(sizes(n - 1), sizes(n), parts).rank() if parts else 0
+
+    degrees = sorted({g + 1 + degree for g in x_dims} | set(y_dims))
+    return all(sum(sizes(n)) == rank(n) + rank(n + 1) for n in degrees)
 
 
 def _free_projection(annihilator: QMatrix, free, left: QMatrix | None):
@@ -632,4 +652,4 @@ def _free_projection(annihilator: QMatrix, free, left: QMatrix | None):
 
 # the homology of every empty degree
 _EMPTY = QMatrix(0, 0)
-_EMPTY_PROJECTION = _projection(_EMPTY, _EMPTY)
+_EMPTY_PROJECTION = _free_projection(_EMPTY, range(0), None)

@@ -34,6 +34,9 @@ maps) is held by one container, ``Slots``: explicit values per slot key plus
 one tail, which every unlisted key and ``TAIL`` read.  It alone reads the
 tail, unions key sets, fills missing maps with zero and drops the listed
 copies of the tail (``Slots.normal_forms``).
+
+Hom, Ext, resolutions, the parity split and the functors F and R read the
+underlying object of A alone, so they refuse an object with a differential.
 """
 
 from __future__ import annotations
@@ -135,6 +138,10 @@ class QWSpace:
             out.extend((g, -1, i) for i in range(m))
         return out
 
+    def part(self, sign):
+        """The dimension of the sign part in each degree of the space."""
+        return {g: self.dim(g, sign) for g in self.dims}
+
     def parity_part(self, parity):
         return QWSpace({g: pm for g, pm in self.dims.items() if g % 2 == parity})
 
@@ -198,6 +205,10 @@ class VMap:
     def is_zero(self):
         return not self.blocks
 
+    def part(self, sign):
+        """The nonzero blocks of the sign part, by degree."""
+        return {g: mat for (g, s), mat in self.blocks.items() if s == sign}
+
     def compose(self, other: "VMap") -> "VMap":
         if other.codomain != self.domain:
             raise SchemaError("V-map composition mismatch")
@@ -255,19 +266,9 @@ def vmap_sum(dom: QWSpace, cod: QWSpace, maps) -> VMap:
 def qw_homology(space: QWSpace, d: VMap):
     """Homology of a complex of Q[W]-spaces, one ``chain_homology`` per sign:
     (H, data), with data[s] the (hdims, reps, projs) of the sign-s part on the
-    degrees of the space and their neighbours."""
-    degs = set(space.dims)
-    degs |= {g - 1 for g in degs} | {g + 1 for g in degs}
-    out, data = {}, {}
-    for s in (1, -1):
-        dims = {g: space.dim(g, s) for g in degs}
-        mats = {g: mat for (g, t), mat in d.blocks.items() if t == s}
-        data[s] = chain_homology(dims, mats)
-        for g, h in data[s][0].items():
-            if h:
-                p, m = out.get(g, (0, 0))
-                out[g] = (p + h, m) if s == 1 else (p, m + h)
-    return QWSpace(out), data
+    degrees of the space."""
+    data = {s: chain_homology(space.part(s), d.part(s)) for s in (1, -1)}
+    return QWSpace({g: (data[1][0][g], data[-1][0][g]) for g in space.dims}), data
 
 
 # -- Laurent models of V -----------------------------------------------------
@@ -599,6 +600,12 @@ class ToralObject:
         return self.M.values()
 
 
+def _refuse_differential(what: str, *objects: ToralObject):
+    """what reads the underlying object of A alone, and would drop dM and dV."""
+    if any(x.has_differential() for x in objects):
+        raise SchemaError(f"{what} takes objects without a differential; see homology and bracket")
+
+
 def zero_object(side="SO3") -> ToralObject:
     return ToralObject(
         side,
@@ -880,6 +887,7 @@ def functor_F(x: ToralObject) -> ToralObject:
     """Base change at the torus slot: from the SO3 side to the O2 side."""
     if x.side != "SO3":
         raise SchemaError("F consumes objects on the SO3 side")
+    _refuse_differential("F", x)
     new1, src = base_change_d_to_c(x.M[1])
     lmod, _, lpos = laurent_model(x.V, False)
     back = {orig: k for k, orig in enumerate(src)}
@@ -892,6 +900,7 @@ def functor_R(y: ToralObject) -> ToralObject:
     """W-fixed points at slot 1: from the O2 side to the SO3 side."""
     if y.side != "O2":
         raise SchemaError("R consumes objects on the O2 side")
+    _refuse_differential("R", y)
     fixed, _ = fixed_points_c_to_d(y.M[1])
     ltags = laurent_model(y.V, False)[1]
     fmod, _, fpos = laurent_model(y.V, True)
@@ -1119,6 +1128,7 @@ def smash_with_torsion(x: ToralObject, fam: SlotFamily) -> ToralObject:
 
 def parity_split(x: ToralObject) -> tuple[ToralObject, ToralObject]:
     """Split an object into its even and odd parts; degree-0 maps preserve them."""
+    _refuse_differential("the parity split", x)
     even, odd = (
         _transport(x.side, x.V.parity_part(parity), [
             (x, lambda s, parity=parity: s if s.shift % 2 == parity else None, _unchanged),
@@ -1166,6 +1176,7 @@ class HomSpace:
     def __init__(self, x: ToralObject, y: ToralObject, degree: int):
         if x.side != y.side:
             raise SchemaError("hom across sides")
+        _refuse_differential("hom", x, y)
         self.x, self.y, self.degree = x, y, degree
         self.keys = Slots.keys_of([x.M, y.M])
         self.unknowns = []
@@ -1338,6 +1349,7 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
     image, since the truncated Q[c, 1/c]/Q[c] summands the walk finds end at
     that window's top.  Exactness is checked on the window.
     """
+    _refuse_differential("an injective resolution", x)
     check_star(x, strict=True)
     side = x.side
 
@@ -1419,6 +1431,7 @@ def ext_A(
     The resolution's window is widened to reach every generator of x and its
     image in each degree, where the quotient maps are composed with Hom(x, Y0).
     """
+    _refuse_differential("ext", x, y)
     degrees = list(degrees)
     shifts = [s.shift for m in x.all_modules() for s in m.summands]
     reach = shifts + [g + t for g in shifts for t in degrees]

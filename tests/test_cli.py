@@ -406,6 +406,35 @@ def test_a_bad_differential_is_refused_by_every_verb_that_reads_the_object(tmp_p
         assert "d squared is not zero on V" in capsys.readouterr().err
 
 
+def _acyclic_e_v(tmp_path) -> str:
+    """The path of e(V) with dV the identity from degree 1 to 0 and dM its
+    Laurent model at each slot: an acyclic object, whose homology is zero."""
+    v = QWSpace({0: (1, 0), 1: (1, 0)})
+    x = make_eV(v)
+    dv = VMap(v, v, -1, {(1, 1): QMatrix.identity(1)})
+    dM = {key: toral.laurent_model_map(dv, x.slot_is_torus(key)) for key in x.keys()}
+    return write_object(tmp_path, "acyclic", toral.ToralObject(x.side, x.M, v, x.beta, dM, dv))
+
+
+@pytest.mark.parametrize("verb", ["split", "hom", "ext", "resolve"])
+def test_a_plain_verb_refuses_an_object_with_a_differential(tmp_path, capsys, verb):
+    # these verbs read the underlying object alone; they exited 0 on it
+    # before, with answers for e(V) without its differential
+    path = _acyclic_e_v(tmp_path)
+    files = [path, path, "--window=0:0"] if verb in ("hom", "ext") else [path]
+    assert main([verb, *files]) == 2
+    err = capsys.readouterr().err
+    assert "without a differential" in err and "homology" in err and "bracket" in err
+
+
+def test_homology_and_bracket_answer_for_an_object_with_a_differential(tmp_path):
+    path, out = _acyclic_e_v(tmp_path), tmp_path / "out.json"
+    assert main(["homology", path, "--out", str(out)]) == 0
+    assert toral_from_json(json.loads(out.read_text())["object"]).is_zero()
+    assert main(["bracket", path, path, "--window=0:0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["dims"] == {"0": {"hom": 0, "ext": 0}}
+
+
 def test_decoding_an_object_builds_it_once(monkeypatch):
     # beta's codomain at each slot is read off V and the slot key, with no
     # throwaway object built to ask for it

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -39,7 +40,9 @@ from so3alg.dihedral import (
 from so3alg.cli import dihedral_from_json, dihedral_to_json, vmap_to_json
 from so3alg.errors import BadIndex, NotADifferential, SchemaError
 from so3alg.linalg import Q, QMatrix, block_matrix
+from so3alg import linalg, toral
 from so3alg.toral import QWSpace, Slots, VMap
+from weq_oracles import both_oracles, perturbed_identity, random_chain_map
 
 
 def rand_space(rng, degrees=range(-1, 3), maxdim=2):
@@ -404,6 +407,139 @@ def test_inclusion_against_an_acyclic_cone_summand_is_a_weak_equivalence():
         assert not is_fibration(f) or acyclic.is_zero()
 
 
+@pytest.mark.parametrize("t", [-1, 0, 1])
+def test_a_zero_map_into_the_constants_is_not_a_weak_equivalence(t):
+    # the homology of the constants is Q in degree 0, and a map out of zero
+    # misses it in every degree; for t = +-1 the walk over H(x) and H(y)
+    # compared H(y) at 0 + t only, and the map passed
+    cq = make_generator_dihedral("const")
+    z = DihedralMorphism(zero_dihedral(), cq, t, VMap.zero(QWSpace.zero(), cq.m_inf, t), {})
+    assert z.is_chain_map()
+    assert not is_weak_equivalence(z)
+
+
+def test_a_map_that_is_not_a_chain_map_is_not_a_weak_equivalence():
+    # on the acyclic 0 -> Q -> Q -> 0 at slot 3, the identity in degree 1 and
+    # zero in degree 0 pass the cone's rank test, which presumes a chain map
+    space = QWSpace({0: (1, 0), 1: (1, 0)})
+    a = functor_i_k(QWComplex(space, VMap(space, space, -1, {(1, 1): QMatrix.identity(1)})), 3)
+    half = VMap(space, space, 0, {(1, 1): QMatrix.identity(1)})
+    f = DihedralMorphism(a, a, 0, VMap.zero(a.m_inf, a.m_inf, 0), {3: half})
+    assert not f.is_chain_map()
+    assert linalg.is_quasi_isomorphism(*_sign_complex(space, a.d_slot(3), 1), *_sign_complex(
+        space, a.d_slot(3), 1), _sign_blocks(half, 1), 0)
+    assert not is_weak_equivalence(f)
+
+
+def _sign_complex(space: QWSpace, d: VMap, s):
+    """The sign-s part of a level, as ``linalg.is_quasi_isomorphism`` reads it."""
+    return {g: space.dim(g, s) for g in space.dims}, _sign_blocks(d, s)
+
+
+def _sign_blocks(f: VMap, s):
+    return {g: mat for (g, u), mat in f.blocks.items() if u == s}
+
+
+def _level_complexes(x: DihedralObject, keys):
+    """(key, space, d) at infinity and at each key."""
+    return [("inf", x.m_inf, x.d_inf)] + [(k, x.slot(k), x.d_slot(k)) for k in keys]
+
+
+def levelwise_map(x, y, t, level_map) -> DihedralMorphism:
+    """The degree-t morphism x -> y whose sign-s blocks at each level are
+    level_map(key, s, source complex, target complex)."""
+    keys = Slots.keys_of([x.slots, y.slots])
+    parts = {}
+    for (key, sx, dx), (_, sy, dy) in zip(_level_complexes(x, keys), _level_complexes(y, keys)):
+        blocks = {
+            (g, s): mat
+            for s in (1, -1)
+            for g, mat in level_map(key, s, _sign_complex(sx, dx, s), _sign_complex(sy, dy, s)).items()
+        }
+        parts[key] = VMap(sx, sy, t, blocks)
+    return DihedralMorphism(x, y, t, parts.pop("inf"), parts)
+
+
+def weak_equivalence_oracle(f: DihedralMorphism) -> bool:
+    """Both oracles at every level and sign of f."""
+    keys = Slots.keys_of([f.x.slots, f.y.slots])
+    comps = [f.f_inf] + [f.f_slots[k] for k in keys]
+    return all(
+        both_oracles(*_sign_complex(sx, dx, s), *_sign_complex(sy, dy, s), _sign_blocks(c, s), f.degree)
+        for (_, sx, dx), (_, sy, dy), c in zip(_level_complexes(f.x, keys), _level_complexes(f.y, keys), comps)
+        for s in (1, -1)
+    )
+
+
+def _summand_blocks(a: DihedralObject, total: DihedralObject, include):
+    """level_map of the inclusion of a into a sum total = a + b (include) or
+    of the projection of total onto a, both moved by the map's degree:
+    identity blocks on a's part, which comes first in each degree and sign."""
+
+    def level_map(key, s, _cx, _cy):
+        space, whole = (a.m_inf, total.m_inf) if key == "inf" else (a.slot(key), total.slot(key))
+        out = {}
+        for g in space.dims:
+            n = space.dim(g, s)
+            if n:
+                rest = whole.dim(g, s) - n
+                sizes = ([n, rest], [n]) if include else ([n], [n, rest])
+                out[g] = block_matrix(*sizes, {(0, 0): QMatrix.identity(n)})
+        return out
+
+    return level_map
+
+
+def _identity_blocks(key, s, cx, cy):
+    return {g: QMatrix.identity(n) for g, n in cx[0].items() if n}
+
+
+@pytest.mark.parametrize("t", [-1, 0, 1])
+def test_weak_equivalences_agree_with_both_oracles(t):
+    # identities, zero maps, the inclusion and projection of an acyclic cone
+    # summand, random chain maps and maps homotopic to the identity at each
+    # level, and the identity on x plus zero on a summand with homology,
+    # whose two ends have equal homology
+    rng = random.Random(2110 + t)
+    answers = []
+    for trial in range(6):
+        x = rand_chain_object(rng) if trial % 4 else rand_object(rng)
+        y = rand_chain_object(rng)
+        acyclic = cone(DihedralMorphism.identity(rand_chain_object(rng)))
+        big = direct_sum_dihedral(x, acyclic)
+        w = make_generator_dihedral(rng.choice(["const", 3, 4]))
+        xw = direct_sum_dihedral(x, w)
+        include, project = _summand_blocks(x, big, True), _summand_blocks(x, big, False)
+        into_xw, onto_x = _summand_blocks(x, xw, True), _summand_blocks(x, xw, False)
+
+        def random_map(key, s, cx, cy):
+            return random_chain_map(rng, cx, cy, t)
+
+        def kill_w(key, s, cx, cy):
+            inc, proj = into_xw(key, s, cx, cy), onto_x(key, s, cx, cy)
+            return {g: inc[g] @ proj[g] for g in inc}
+
+        maps = [
+            levelwise_map(x, suspend_dihedral(x, t), t, _identity_blocks),
+            levelwise_map(x, suspend_dihedral(y, t), t, lambda *_: {}),
+            levelwise_map(x, suspend_dihedral(big, t), t, include),
+            levelwise_map(big, suspend_dihedral(x, t), t, project),
+            levelwise_map(x, suspend_dihedral(y, t), t, random_map),
+            levelwise_map(x, suspend_dihedral(x, t), t, random_map),
+            levelwise_map(big, suspend_dihedral(big, t), t, random_map),
+            levelwise_map(big, suspend_dihedral(big, t), t, lambda k, s, cx, cy: perturbed_identity(rng, cx)),
+            levelwise_map(acyclic, suspend_dihedral(y, t), t, lambda *_: {}),
+            levelwise_map(acyclic, suspend_dihedral(w, t), t, lambda *_: {}),
+            levelwise_map(xw, suspend_dihedral(xw, t), t, kill_w),
+        ]
+        for f in maps:
+            assert f.is_chain_map()
+            got = is_weak_equivalence(f)
+            assert got == weak_equivalence_oracle(f), (trial, f.x, f.y)
+            answers.append(got)
+    assert answers.count(True) >= 16 and answers.count(False) >= 16, answers.count(True)
+
+
 def test_suspension_shifts_homology():
     rng = random.Random(71)
     m = rand_chain_object(rng)
@@ -686,10 +822,19 @@ def _level_pairs(x: DihedralObject) -> set:
     return {(id(x.m_inf), id(x.d_inf))} | {(id(x.slot(k)), id(x.d_slot(k))) for k in x.keys()}
 
 
+def unshared(x: DihedralObject) -> DihedralObject:
+    """x with each level's space and differential an equal copy of its own,
+    so no two levels share a pair of objects."""
+    return DihedralObject._assembled(
+        copy.copy(x.m_inf), x.slots.map(copy.copy), x.germ, copy.copy(x.d_inf),
+        x.d_slots.map(copy.copy),
+    )
+
+
 def test_each_level_homology_is_computed_once_per_call(monkeypatch):
-    # the identity's source and target levels are the same objects, and so
-    # are the constant functor's levels at infinity and at the tail; nothing
-    # is kept from one call to the next
+    # the constant functor's levels at infinity and at the tail are the same
+    # objects; nothing is kept from one call to the next, and a weak
+    # equivalence ranks mapping cones and computes no homology at all
     import so3alg.dihedral as dihedral
 
     rng = random.Random(131)
@@ -697,27 +842,28 @@ def test_each_level_homology_is_computed_once_per_call(monkeypatch):
     objects += [rand_object(rng) for _ in range(4)] + [rand_chain_object(rng) for _ in range(6)]
     objects += _workload_chain_objects()
     objects += [padded(m) for m in objects[::3]]
-    # without the sharing: one qw_homology per level asked for
-    monkeypatch.setattr(dihedral, "_level_homology", lambda: dihedral.qw_homology)
-    unshared = [homology_Ch(x) for x in objects]
-    monkeypatch.undo()
-    calls = []
-    real = dihedral.qw_homology
+    calls, chains = [], []
+    real, real_chain = dihedral.qw_homology, toral.chain_homology
     monkeypatch.setattr(
         dihedral, "qw_homology", lambda space, d: calls.append((id(space), id(d))) or real(space, d)
     )
+    monkeypatch.setattr(toral, "chain_homology", lambda *a: chains.append(1) or real_chain(*a))
     shared = 0
-    for x, expected in zip(objects, unshared):
+    for x in objects:
         levels = _level_pairs(x)
         shared += len(levels) < 1 + len(x.keys())
-        for run, result in [
-            (lambda: is_weak_equivalence(DihedralMorphism.identity(x)), True),
-            (lambda: homology_Ch(x), expected),
-        ]:
-            for _ in range(2):
-                calls.clear()
-                assert run() == result
-                assert sorted(calls) == sorted(levels)
+        # without the sharing: one qw_homology per level asked for
+        calls.clear()
+        expected = homology_Ch(unshared(x))
+        assert len(calls) == 1 + len(x.keys())
+        for _ in range(2):
+            calls.clear()
+            assert homology_Ch(x) == expected
+            assert sorted(calls) == sorted(levels)
+            calls.clear()
+            chains.clear()
+            assert is_weak_equivalence(DihedralMorphism.identity(x))
+            assert calls == [] and chains == []
     assert shared >= 4, shared
 
 

@@ -30,7 +30,9 @@ from so3alg.exceptional import (
     weyl_group_of,
     zero_complex,
 )
-from so3alg.linalg import Q, QMatrix, chain_homology
+from so3alg import linalg
+from so3alg.linalg import Q, QMatrix, block_matrix, chain_homology
+from weq_oracles import both_oracles, perturbed_identity, random_chain_map
 
 
 def regular_rep(alg):
@@ -592,6 +594,126 @@ def test_projection_off_acyclic_summand_is_weq_and_fib():
     inc = GroupChainMap(u, x, {0: QMatrix(2, 1, [[Q(1)], [Q(0)]])})
     assert is_weq(inc)
     assert not is_fib(inc)
+
+
+def test_a_map_that_is_not_a_chain_map_is_not_a_weq():
+    # on the acyclic 0 -> Q -> Q -> 0, the identity in degree 1 and zero in
+    # degree 0 pass the cone's rank test, which presumes a chain map
+    one = QMatrix.identity(1)
+    x = GroupComplex(trivial_group(), {0: (1, {0: one}), 1: (1, {0: one})}, {1: one})
+    f = GroupChainMap(x, x, {1: one})
+    assert not f.is_chain_map()
+    assert linalg.is_quasi_isomorphism(*_chain_data(x), *_chain_data(x), f.mats, 0)
+    assert not is_weq(f)
+
+
+def _chain_data(x: GroupComplex):
+    """x as ``linalg.is_quasi_isomorphism`` reads it: dims and differentials."""
+    return {g: x.dim(g) for g in x.modules}, x.diffs
+
+
+def _sum_complex(a: GroupComplex, b: GroupComplex) -> GroupComplex:
+    """a + b, with block-diagonal actions and differentials; a comes first."""
+    degrees = set(a.modules) | set(b.modules)
+
+    def sizes(g):
+        return [a.dim(g), b.dim(g)]
+
+    modules = {
+        g: (a.dim(g) + b.dim(g), {
+            e: block_matrix(sizes(g), sizes(g), {(0, 0): a.action(g, e), (1, 1): b.action(g, e)})
+            for e in range(a.algebra.order)
+        })
+        for g in degrees
+    }
+    diffs = {g: block_matrix(sizes(g - 1), sizes(g), {(0, 0): a.diff(g), (1, 1): b.diff(g)}) for g in degrees}
+    return GroupComplex(a.algebra, modules, diffs)
+
+
+def _acyclic_cone(z: GroupComplex) -> GroupComplex:
+    """The cone of the identity of z: Z_{n-1} + Z_n with [[-dZ, 0], [1, dZ]]."""
+    degrees = set(z.modules) | {g + 1 for g in z.modules}
+
+    def sizes(n):
+        return [z.dim(n - 1), z.dim(n)]
+
+    modules = {
+        n: (z.dim(n - 1) + z.dim(n), {
+            e: block_matrix(sizes(n), sizes(n), {(0, 0): z.action(n - 1, e), (1, 1): z.action(n, e)})
+            for e in range(z.algebra.order)
+        })
+        for n in degrees
+    }
+    diffs = {
+        n: block_matrix(sizes(n - 1), sizes(n), {
+            (0, 0): z.diff(n - 1).scale(-1), (1, 0): QMatrix.identity(z.dim(n - 1)), (1, 1): z.diff(n),
+        })
+        for n in degrees
+    }
+    return GroupComplex(z.algebra, modules, diffs)
+
+
+def _first_summand(a: GroupComplex, b: GroupComplex, include) -> dict:
+    """Components of the inclusion a -> a + b (include) or the projection
+    a + b -> a."""
+    out = {}
+    for g in a.modules:
+        sizes = ([a.dim(g), b.dim(g)], [a.dim(g)]) if include else ([a.dim(g)], [a.dim(g), b.dim(g)])
+        out[g] = block_matrix(*sizes, {(0, 0): QMatrix.identity(a.dim(g))})
+    return out
+
+
+def averaged(x: GroupComplex):
+    """The group average of a map X_g -> X_{g+1}: an equivariant map."""
+
+    def average(g, h):
+        alg = x.algebra
+        total = QMatrix(h.rows, h.cols)
+        for e in range(alg.order):
+            total = total + x.action(g + 1, e) @ h @ x.action(g, alg.inv(e))
+        return total.scale(Q(1, alg.order))
+
+    return average
+
+
+def test_weak_equivalences_agree_with_both_oracles():
+    # over each Weyl group: identities, zero maps, the inclusion and
+    # projection of an acyclic cone summand, random equivariant chain maps,
+    # maps homotopic to the identity, and the identity on x plus zero on a
+    # summand with homology, whose two ends have equal homology
+    rng = random.Random(2120)
+    answers = []
+    for trial in range(8):
+        alg = weyl_group_of(EXCEPTIONAL_CLASSES[trial % 5])
+        # the regular representation over D4, A4 and a trivial group
+        x, y = seeded_complex(alg, rng, trial % 3 == 1), seeded_complex(alg, rng, rng.randrange(2))
+        acyclic = _acyclic_cone(seeded_complex(alg, rng, rng.randrange(2)))
+        big, xy = _sum_complex(x, acyclic), _sum_complex(x, y)
+        inc, proj = _first_summand(x, y, True), _first_summand(x, y, False)
+
+        def random_map(a, b):
+            actions = [
+                (lambda g, s=s: a.action(g, s), lambda g, s=s: b.action(g, s)) for s in alg.generators
+            ]
+            return GroupChainMap(a, b, random_chain_map(rng, _chain_data(a), _chain_data(b), 0, actions))
+
+        maps = [
+            GroupChainMap.identity(x),
+            GroupChainMap(x, y, {}),
+            GroupChainMap(acyclic, y, {}),
+            GroupChainMap(x, big, _first_summand(x, acyclic, True)),
+            GroupChainMap(big, x, _first_summand(x, acyclic, False)),
+            random_map(x, y),
+            random_map(x, x),
+            GroupChainMap(big, big, perturbed_identity(rng, _chain_data(big), averaged(big))),
+            GroupChainMap(xy, xy, {g: inc[g] @ proj[g] for g in inc}),
+        ]
+        for f in maps:
+            assert f.is_chain_map()
+            got = is_weq(f)
+            assert got == both_oracles(*_chain_data(f.x), *_chain_data(f.y), f.mats, 0), trial
+            answers.append(got)
+    assert answers.count(True) >= 40 and answers.count(False) >= 10, answers.count(True)
 
 
 # -- the five-factor product --------------------------------------------------------

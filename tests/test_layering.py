@@ -3,9 +3,11 @@
 ``exceptional`` is a leaf over the linear algebra: it may import only from
 ``linalg`` and ``errors`` inside the package.  Homology helpers are shared
 through the public ``linalg.chain_homology``, so no module imports a private
-homology helper from another module, and only ``exceptional._homology_data``
+homology helper from another module, and only ``exceptional.homology_W``
 and ``toral.qw_homology`` call it: it assumes d squared is zero, which their
-complexes were checked for where they entered.  How a rational matrix is stored (ints
+complexes were checked for where they entered.  Only the weak-equivalence
+predicates ``dihedral.is_weak_equivalence`` and ``exceptional.is_weq`` call
+``linalg.is_quasi_isomorphism``, and neither reads a homology routine.  How a rational matrix is stored (ints
 over one denominator) is decided in ``linalg`` alone: no other module touches
 a matrix's storage or reads a denominator, except the CLI's rational codec.
 Every ``GradedModule`` carries its basis cache: outside ``__init__``, modules
@@ -91,7 +93,7 @@ def _name_uses(tree, name: str):
 
 # ``linalg.chain_homology`` assumes d squared is zero; these callers pass it
 # only complexes whose constructors or entry checks verified that
-HOMOLOGY_CALLERS = {("exceptional", "_homology_data"), ("toral", "qw_homology")}
+HOMOLOGY_CALLERS = {("exceptional", "homology_W"), ("toral", "qw_homology")}
 
 
 def test_chain_homology_is_called_only_on_checked_complexes():
@@ -110,6 +112,59 @@ def test_homology_caller_scan_sees_a_planted_use():
         "    return x.homology()\n"
     )
     assert _name_uses(ast.parse(source), "chain_homology") == ["cone_homology", "cone_homology"]
+
+
+# a quasi-isomorphism is decided by ``linalg.is_quasi_isomorphism`` alone,
+# from the ranks of a mapping cone; the two weak-equivalence predicates call
+# it and build no homology representatives or induced maps
+QUASI_ISOMORPHISM_CALLERS = {("dihedral", "is_weak_equivalence"), ("exceptional", "is_weq")}
+HOMOLOGY_TOOLS = {"qw_homology", "chain_homology", "homology_Ch", "homology_W", "_induced_block"}
+
+
+def _tools_read(tree, funcs):
+    """(function, name) for every read of a homology tool inside one of the
+    module-level functions funcs, nested functions included."""
+    return [
+        (node.name, name)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in funcs
+        for inner in ast.walk(node)
+        for name in [getattr(inner, "id", None) or getattr(inner, "attr", None)]
+        if isinstance(inner, (ast.Name, ast.Attribute)) and name in HOMOLOGY_TOOLS
+    ]
+
+
+def test_only_the_weak_equivalence_predicates_decide_a_quasi_isomorphism():
+    uses = {
+        (module, func)
+        for module in _modules()
+        for func in _name_uses(_tree(module), "is_quasi_isomorphism")
+    }
+    assert uses == QUASI_ISOMORPHISM_CALLERS
+    predicates = {func for _module, func in QUASI_ISOMORPHISM_CALLERS}
+    for module, _func in QUASI_ISOMORPHISM_CALLERS:
+        assert _tools_read(_tree(module), predicates) == [], module
+
+
+def test_quasi_isomorphism_scan_sees_a_planted_violation():
+    source = (
+        "from .linalg import chain_homology, is_quasi_isomorphism\n"
+        "def is_weq(f):\n"
+        "    def level(x):\n"
+        "        return linalg.chain_homology(x.dims, x.diffs)\n"
+        "    return is_quasi_isomorphism(f) and level(f.x)\n"
+        "def is_weak_equivalence(f):\n"
+        "    return _induced_block(f) and qw_homology(f.x)\n"
+        "def homology_W(x):\n"
+        "    return is_quasi_isomorphism(x) and chain_homology(x)\n"
+    )
+    tree = ast.parse(source)
+    assert _name_uses(tree, "is_quasi_isomorphism") == ["is_weq", "homology_W"]
+    assert _tools_read(tree, {"is_weq", "is_weak_equivalence"}) == [
+        ("is_weq", "chain_homology"),
+        ("is_weak_equivalence", "_induced_block"),
+        ("is_weak_equivalence", "qw_homology"),
+    ]
 
 
 def test_exceptional_imports_only_linalg_and_errors():

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from so3alg.errors import InvariantError
 from so3alg import linalg
 from so3alg.linalg import IncrementalSpan, QMatrix, block_matrix, chain_homology, subquotient
+from weq_oracles import (
+    both_oracles, is_chain_map, perturbed_identity, random_chain_map, random_complex,
+)
 
 
 def test_identity_and_mul():
@@ -782,3 +785,91 @@ def test_each_degree_eliminates_once_per_differential(monkeypatch):
             if kind in seen:
                 seen[kind] += 1
     assert min(seen.values()) >= 20, seen
+
+
+# -- quasi-isomorphisms by the ranks of a mapping cone ----------------------------
+
+
+def _shift(c, t):
+    """The complex c moved up by t degrees, with the same differentials."""
+    dims, mats = c
+    return {g + t: n for g, n in dims.items()}, {g + t: m for g, m in mats.items()}
+
+
+def _sum(a, b):
+    """a + b, with block-diagonal differentials; a's basis comes first."""
+    dims = {g: a[0].get(g, 0) + b[0].get(g, 0) for g in set(a[0]) | set(b[0])}
+    mats = {}
+    for g in set(a[1]) | set(b[1]):
+        parts = {(i, i): c[1][g] for i, c in enumerate((a, b)) if g in c[1]}
+        sizes = [[c[0].get(h, 0) for c in (a, b)] for h in (g - 1, g)]
+        mats[g] = block_matrix(*sizes, parts)
+    return dims, mats
+
+
+def _acyclic_cone(z):
+    """The cone of the identity of z: C_n = Z_{n-1} + Z_n, with
+    D_n = [[-dZ, 0], [1, dZ]], which has no homology."""
+    dims, mats = z
+    cdims = {n: dims.get(n - 1, 0) + dims.get(n, 0) for n in set(dims) | {g + 1 for g in dims}}
+    cmats = {}
+    for n in cdims:
+        sizes = [[dims.get(n - 2, 0), dims.get(n - 1, 0)], [dims.get(n - 1, 0), dims.get(n, 0)]]
+        parts = {(1, 0): QMatrix.identity(dims.get(n - 1, 0))}
+        if n - 1 in mats:
+            parts[(0, 0)] = mats[n - 1].scale(-1)
+        if n in mats:
+            parts[(1, 1)] = mats[n]
+        cmats[n] = block_matrix(*sizes, parts)
+    return cdims, cmats
+
+
+def _first_summand(a, b, include):
+    """The inclusion a -> a + b (include) or the projection a + b -> a."""
+    out = {}
+    for g, n in a[0].items():
+        if n:
+            sizes = ([n, b[0].get(g, 0)], [n]) if include else ([n], [n, b[0].get(g, 0)])
+            out[g] = block_matrix(*sizes, {(0, 0): QMatrix.identity(n)})
+    return out
+
+
+def _sampled_chain_maps(rng, t):
+    """(X, Y, f_mats) for chain maps of degree t: identities, zero maps, the
+    inclusion and projection of an acyclic summand, random chain maps, maps
+    homotopic to an identity, and
+    an endomorphism that kills the homology of a summand, whose two ends have
+    equal homology."""
+    degrees = range(rng.randint(-2, 0), rng.randint(1, 3))
+    x, y = random_complex(rng, degrees), random_complex(rng, degrees)
+    acyclic = _acyclic_cone(random_complex(rng, degrees, 2))
+    # one line in one degree: a complex with homology
+    w = ({rng.choice(degrees): 1}, {})
+    big, xw = _sum(x, acyclic), _sum(x, w)
+    inc, proj = _first_summand(x, w, True), _first_summand(x, w, False)
+    return [
+        (x, _shift(x, t), {g: QMatrix.identity(n) for g, n in x[0].items() if n}),
+        (x, _shift(x, t), {}),
+        (x, _shift(y, t), {}),
+        (x, _shift(big, t), _first_summand(x, acyclic, True)),
+        (big, _shift(x, t), _first_summand(x, acyclic, False)),
+        (x, _shift(y, t), random_chain_map(rng, x, _shift(y, t), t)),
+        (x, _shift(x, t), random_chain_map(rng, x, _shift(x, t), t)),
+        (big, _shift(big, t), random_chain_map(rng, big, _shift(big, t), t)),
+        (big, _shift(big, t), perturbed_identity(rng, big)),
+        (acyclic, _shift(y, t), {}),
+        (xw, _shift(xw, t), {g: inc[g] @ proj[g] for g in inc}),
+    ]
+
+
+@pytest.mark.parametrize("t", [-1, 0, 1])
+def test_quasi_isomorphism_agrees_with_both_oracles(t):
+    rng = random.Random(2100 + t)
+    answers = []
+    for _ in range(20):
+        for x, y, f in _sampled_chain_maps(rng, t):
+            assert is_chain_map(x, y, f, t)
+            got = linalg.is_quasi_isomorphism(*x, *y, f, t)
+            assert got == both_oracles(*x, *y, f, t), (x, y, f, t)
+            answers.append(got)
+    assert answers.count(True) >= 60 and answers.count(False) >= 50, answers.count(True)
