@@ -23,7 +23,8 @@ zero differentials, and the cone of a degree-0 chain map that commutes with
 the germs (``cone`` tests its argument: morphisms are not checked on entry)
 is one.  So ``homology_Ch`` and ``is_weak_equivalence`` trust their input;
 a call of ``homology_Ch`` computes the homology of each distinct pair of
-level objects once and keeps none, and ``is_weak_equivalence`` computes none.
+level objects once and keeps none, builds bases only for the sign-+ parts
+in the degrees of a germ block, and ``is_weak_equivalence`` computes none.
 """
 
 from __future__ import annotations

@@ -25,19 +25,20 @@ the Kronecker product; no other module places entries by hand.
 ``subquotient`` takes a space of cycles modulo boundaries apart with one
 elimination, and its projection sends a whole matrix of cycles to their
 coordinates; ``chain_homology``, the homology of a chain of vector spaces
-that every algebraic model uses, is per degree one rref of the outgoing
-differential and one subquotient of its kernel coordinates by the boundaries.
+that every algebraic model uses, ranks each differential once for the
+dimensions and takes a degree's kernel coordinates modulo the boundaries,
+one subquotient, only when its basis is read.
 ``is_quasi_isomorphism`` decides whether a chain map is a homology
 isomorphism by the ranks of its mapping cone alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantError
 
@@ -585,30 +586,35 @@ def chain_homology(dims, mats):
 
     d squared must be zero, as ``GroupComplex.check_differential``,
     ``QWComplex``, ``DihedralObject.__init__`` and ``ToralObject.__init__``
-    check on entry (tensor and hom are built so).  So every boundary lies in
-    the span of the kernel basis K read off the rref R of the outgoing
-    differential, which is the identity on its free coordinates, and each
-    non-empty degree is one subquotient of the identity by the incoming
-    differential's free rows, the boundaries in the coordinates of K: it
-    eliminates nothing where no boundary comes in.  The representatives are
-    the accepted columns of K, and the projection refuses a column that R's
-    nonzero rows do not kill, then takes its free entries to coordinates.
-    An empty degree shares one empty result.
+    check on entry (tensor and hom are built so).  So hdims[g] is dims[g] -
+    rank d_g - rank d_{g+1}, from one rref of each nonzero differential, and
+    every boundary lies in the span of the kernel basis K read off the rref
+    R of d_g, which is the identity on its free coordinates.  reps[g] and
+    projs[g] are built together on the first read of either, by one
+    subquotient of the identity by d_{g+1}'s free rows, the boundaries in
+    the coordinates of K: it eliminates nothing where no boundary comes in.
+    The representatives are the accepted columns of K, and the projection
+    refuses a column that R's nonzero rows do not kill, then takes its free
+    entries to coordinates.  A read uses dims and mats: they must not change.
     """
-    reps, projs = {}, {}
-    for g in sorted(dims):
-        n = dims[g]
-        if not n:
-            reps[g], projs[g] = _EMPTY, _EMPTY_PROJECTION
-            continue
-        down, up = mats.get(g), mats.get(g + 1)
-        R, pivots = (_wrap(0, n, 1, []), []) if down is None or down.is_zero() else down.rref()
-        K, free = _kernel_from_rref(R, pivots)
-        up = QMatrix(n, 0) if up is None else up
-        accepted, _, left = _subquotient(None, up.submatrix(free, range(up.cols)) if pivots else up)
-        reps[g] = K.columns(accepted)
-        projs[g] = _free_projection(_wrap(len(pivots), n, 1, R.ints[: len(pivots)]), free, left)
-    return {g: r.cols for g, r in reps.items()}, reps, projs
+    reduced = {h: d.rref() for h, d in mats.items() if not d.is_zero()}
+    ranks = {h: len(pivots) for h, (_, pivots) in reduced.items()}
+    bases = {}
+
+    def basis(g):
+        # (reps[g], projs[g]), built on the first read of either
+        if g not in bases:
+            n = dims[g]
+            R, pivots = reduced[g] if g in reduced else (_wrap(0, n, 1, []), [])
+            K, free = _kernel_from_rref(R, pivots)
+            up = mats.get(g + 1) or QMatrix(n, 0)
+            accepted, _, left = _subquotient(None, up.submatrix(free, range(up.cols)) if pivots else up)
+            proj = _free_projection(_wrap(len(pivots), n, 1, R.ints[: len(pivots)]), free, left)
+            bases[g] = K.columns(accepted), proj
+        return bases[g]
+
+    hdims = {g: dims[g] - ranks.get(g, 0) - ranks.get(g + 1, 0) for g in sorted(dims)}
+    return hdims, _OnRead(hdims, lambda g: basis(g)[0]), _OnRead(hdims, lambda g: basis(g)[1])
 
 
 def is_quasi_isomorphism(x_dims, x_mats, y_dims, y_mats, f_mats, degree) -> bool:
@@ -650,6 +656,23 @@ def _free_projection(annihilator: QMatrix, free, left: QMatrix | None):
     return project
 
 
-# the homology of every empty degree
-_EMPTY = QMatrix(0, 0)
-_EMPTY_PROJECTION = _free_projection(_EMPTY, range(0), None)
+class _OnRead(Mapping):
+    """The keys of a dict, read-only, with value(g) asked for on a read of g."""
+
+    def __init__(self, keys, value):
+        self._keys, self._value = keys, value
+
+    def __getitem__(self, g):
+        if g not in self._keys:
+            raise KeyError(g)
+        return self._value(g)
+
+    def __contains__(self, g):
+        return g in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+

@@ -266,7 +266,8 @@ def vmap_sum(dom: QWSpace, cod: QWSpace, maps) -> VMap:
 def qw_homology(space: QWSpace, d: VMap):
     """Homology of a complex of Q[W]-spaces, one ``chain_homology`` per sign:
     (H, data), with data[s] the (hdims, reps, projs) of the sign-s part on the
-    degrees of the space."""
+    degrees of the space.  H is read off ranks; the sign-s basis in degree g
+    is built only when data[s][1][g] or data[s][2][g] is read."""
     data = {s: chain_homology(space.part(s), d.part(s)) for s in (1, -1)}
     return QWSpace({g: (data[1][0][g], data[-1][0][g]) for g in space.dims}), data
 

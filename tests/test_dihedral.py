@@ -42,6 +42,7 @@ from so3alg.errors import BadIndex, NotADifferential, SchemaError
 from so3alg.linalg import Q, QMatrix, block_matrix
 from so3alg import linalg, toral
 from so3alg.toral import QWSpace, Slots, VMap
+from elimination_spy import SubquotientSpy
 from weq_oracles import both_oracles, perturbed_identity, random_chain_map
 
 
@@ -865,6 +866,55 @@ def test_each_level_homology_is_computed_once_per_call(monkeypatch):
             assert is_weak_equivalence(DihedralMorphism.identity(x))
             assert calls == [] and chains == []
     assert shared >= 4, shared
+
+
+def test_homology_builds_bases_only_for_the_germ_blocks(monkeypatch):
+    # homology_Ch reads the sign -1 parts' dimensions alone, so it runs no
+    # subquotient elimination there; on the sign +1 part it runs at most one
+    # per (level, degree) whose germ block it builds, while reading it:
+    # representatives at infinity, projections at the slot
+    import so3alg.dihedral as dihedral
+
+    rng = random.Random(2201)
+    objects = [make_generator_dihedral("const"), make_generator_dihedral(3)]
+    objects += _workload_chain_objects() + [rand_chain_object(rng) for _ in range(6)]
+    objects += [cone(DihedralMorphism.identity(x)) for x in objects]
+    spy = SubquotientSpy(monkeypatch)
+    state = {}
+    real_qw, real_part = dihedral.qw_homology, QWSpace.part
+
+    def qw(space, d):
+        state["pair"] = (id(space), id(d))
+        return real_qw(space, d)
+
+    def part(space, sign):
+        # qw_homology asks for a sign part's dimensions right before its
+        # chain_homology call
+        state["sign"] = sign
+        return real_part(space, sign)
+
+    monkeypatch.setattr(dihedral, "qw_homology", qw)
+    monkeypatch.setattr(QWSpace, "part", part)
+    monkeypatch.setattr(toral, "chain_homology", spy.wrap(toral.chain_homology, lambda: (state["pair"], state["sign"])))
+    minus_boundaries = built = 0
+    for m in objects:
+        spy.records.clear()
+        h = homology_Ch(m)
+        # the (level, degree) pairs whose germ block homology_Ch builds
+        plus_inf = {g for g in h.m_inf.dims if h.m_inf.dim(g, 1)}
+        allowed = {(id(m.m_inf), id(m.d_inf)): {g for g in plus_inf if any(h.slot(k).dim(g, 1) for k in m.keys())}}
+        for k in m.keys():
+            allowed.setdefault((id(m.slot(k)), id(m.d_slot(k))), set()).update(
+                g for g in plus_inf if h.slot(k).dim(g, 1)
+            )
+        levels = [m.d_inf] + [m.d_slot(k) for k in m.keys()]
+        minus_boundaries += sum(1 for d in levels for (_, s), b in d.blocks.items() if s == -1 and not b.is_zero())
+        assert [r for r in spy.records if r[0][1] == -1] == [], m
+        assert len(spy.records) == len(set(spy.records))
+        for (pair, _), g in spy.records:
+            assert g in allowed[pair], (pair, g)
+        built += len(spy.records)
+    assert minus_boundaries >= 10 and built >= 10, (minus_boundaries, built)
 
 
 def test_maps_of_the_wrong_type_are_refused_at_their_slot():

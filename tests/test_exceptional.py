@@ -32,6 +32,7 @@ from so3alg.exceptional import (
 )
 from so3alg import linalg
 from so3alg.linalg import Q, QMatrix, block_matrix, chain_homology
+from elimination_spy import SubquotientSpy
 from weq_oracles import both_oracles, perturbed_identity, random_chain_map
 
 
@@ -550,6 +551,35 @@ def test_built_complexes_pass_the_full_checks():
                         levels += len(h.modules)
     assert signed >= 200
     assert levels >= 20
+
+
+def test_homology_builds_no_basis_in_a_degree_without_homology(monkeypatch):
+    # homology_W induces the action only where H_g is nonzero, so a degree
+    # with zero homology, boundaries coming in or not, runs no subquotient
+    # elimination, and every other degree at most one, while it is read
+    import so3alg.exceptional as exceptional
+
+    rng = random.Random(2202)
+    complexes = []
+    for cls in EXCEPTIONAL_CLASSES * 2:
+        alg = weyl_group_of(cls)
+        x, y = seeded_complex(alg, rng, True), seeded_complex(alg, rng, False)
+        complexes += [x, y, tensor_diagonal(x, y), internal_hom_conj(y, x)]
+        complexes += [_acyclic_cone(x), _sum_complex(x, _acyclic_cone(y))]
+    spy = SubquotientSpy(monkeypatch)
+    real = exceptional.chain_homology
+    monkeypatch.setattr(exceptional, "chain_homology", spy.wrap(real, lambda: "homology_W"))
+    zero_with_boundaries = built = 0
+    for x in complexes:
+        hdims = real(x.dims(), x.diffs)[0]
+        zero_with_boundaries += sum(1 for g, h in hdims.items() if not h and x.dims()[g] and (g + 1) in x.diffs)
+        spy.records.clear()
+        homology_W(x)
+        degrees = [g for _, g in spy.records]
+        assert all(g is not None and hdims[g] for g in degrees), (degrees, hdims)
+        assert len(degrees) == len(set(degrees))
+        built += len(degrees)
+    assert zero_with_boundaries >= 10 and built >= 10, (zero_with_boundaries, built)
 
 
 def test_homology_of_zero_differential_is_the_complex():

@@ -29,7 +29,9 @@ every parameter of a module-level private function is read in it.  Block matrice
 ``QMatrix.kron``: no other module allocates a rational zero grid
 ``[[Q(0)] * n for ...]`` to place entries in by hand.  In ``toral`` only
 ``_transport`` (its per-slot step ``transported``) and the constructions that
-change a slot's ring re-index beta (``_reindex_entries``).  The tail of a
+change a slot's ring re-index beta (``_reindex_entries``), and every call of
+``_transport`` passes the differential on (dV) or sits in a function that
+refuses an object with a differential first (``_refuse_differential``).  The tail of a
 slot-indexed datum is read by the container ``toral.Slots`` alone: no function
 of ``toral``, ``dihedral`` or ``cli`` outside it falls back to ``d[TAIL]``,
 compares a key with ``TAIL``, pops ``TAIL`` or builds a key union with
@@ -749,6 +751,73 @@ def test_reindex_scan_sees_a_planted_call():
         "    return toral._reindex_entries({}, [], {})\n"
     )
     assert _callers(ast.parse(source), "_reindex_entries") == ["build"]
+
+
+def _refuses_first(func) -> bool:
+    """Whether the first statement of func, past its docstring, is a call of
+    ``_refuse_differential``."""
+    body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+    first = body[0] if body else None
+    return (
+        isinstance(first, ast.Expr) and isinstance(first.value, ast.Call)
+        and isinstance(first.value.func, ast.Name) and first.value.func.id == "_refuse_differential"
+    )
+
+
+def _transports_dropping_a_differential(tree):
+    """The enclosing function of every use of ``_transport`` that is not a
+    call passing dV, the differential of the new V, positionally or by name,
+    from a function that refuses an object with a differential first; a use
+    that is not a call is listed too."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_transport":
+            passes = len(node.args) >= 4 or any(k.arg == "dV" for k in node.keywords)
+            if not (passes or (func is not None and _refuses_first(func))):
+                out.append(func.name if func else None)
+            children = node.args + [k.value for k in node.keywords]
+        else:
+            if isinstance(node, ast.Name) and node.id == "_transport":
+                out.append(func.name if func else None)
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_every_transport_keeps_or_refuses_the_differential():
+    # parity_split refuses an object with a differential; suspension, the
+    # twist and the direct sum carry it to the new object
+    tree = _tree("toral")
+    assert _transports_dropping_a_differential(tree) == []
+    assert "parity_split" in _callers(tree, "_transport")
+    assert _refuses_first(next(n for n in tree.body if getattr(n, "name", None) == "parity_split"))
+
+
+def test_transport_scan_sees_a_planted_violation():
+    source = (
+        "def parity_split(x):\n"
+        "    _refuse_differential('the parity split', x)\n"
+        "    return _transport(x.side, x.V, [])\n"
+        "def suspend_object(x, k):\n"
+        "    return _transport(x.side, x.V.suspend(k), [], x.dV.suspend(k))\n"
+        "def twist_object(y):\n"
+        "    return _transport('O2', y.V.twist(), parts, dV=None)\n"
+        "def functor_F(x):\n"
+        "    y = _transport(x.side, x.V, [])\n"
+        "    _refuse_differential('F', x)\n"
+        "    return y\n"
+        "def direct_sum_objects(a, b):\n"
+        "    return _transport(a.side, v, [(a, _transport, _unchanged)])\n"
+    )
+    assert _transports_dropping_a_differential(ast.parse(source)) == [
+        "functor_F", "direct_sum_objects", "direct_sum_objects",
+    ]
 
 
 def _is_tail(node) -> bool:

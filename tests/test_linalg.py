@@ -760,31 +760,82 @@ def test_kernel_coordinates_match_the_kernel_route():
     assert min(seen.values()) >= 20, seen
 
 
+def _has_identity_block(m):
+    """Whether the last m.rows columns of m are the identity, as in the
+    [boundaries | I] elimination of a subquotient."""
+    return m.cols >= m.rows and m.columns(range(m.cols - m.rows, m.cols)).is_identity()
+
+
 def test_each_degree_eliminates_once_per_differential(monkeypatch):
-    # a degree with both differentials runs the rref of the outgoing one and
-    # one subquotient rref with a row per cycle coordinate; a closed degree
-    # runs at most the subquotient's, and an empty one none
-    rows = []
+    # a call with nothing read reduces each nonzero differential once, and
+    # nothing else; reading a degree's representatives and then its
+    # projection adds one subquotient elimination, with a row per cycle
+    # coordinate, where a boundary comes in, and nothing where none does
+    reduced = []
     rref = QMatrix.rref
-    monkeypatch.setattr(QMatrix, "rref", lambda self: rows.append(self.rows) or rref(self))
+    monkeypatch.setattr(QMatrix, "rref", lambda self: reduced.append(self) or rref(self))
     rng = random.Random(1901)
-    seen = dict.fromkeys(("empty", "closed", "both"), 0)
+    seen = dict.fromkeys(("empty", "closed", "boundary-free", "both"), 0)
     for _ in range(40):
         dims, mats = _hostile_complex(rng)
+        nullity = {g: n - mats[g].rank() if g in mats else n for g, n in dims.items()}
+        nonzero = [m for m in mats.values() if not m.is_zero()]
+        reduced.clear()
+        hdims, reps, projs = chain_homology(dims, mats)
+        assert len(reduced) == len(nonzero)
+        assert all(any(r is m for m in nonzero) for r in reduced)
+        assert not any(map(_has_identity_block, reduced))
         for g, n in dims.items():
             kind = _degree_kind(dims, mats, g)
-            nullity = n - mats[g].rank() if kind == "both" else None
-            rows.clear()
-            chain_homology({g: n}, {h: mats[h] for h in (g, g + 1) if h in mats})
-            if kind == "both":
-                assert len(rows) == 2 and rows[1] <= nullity, (rows, nullity)
-            elif kind == "closed":
-                assert len(rows) <= 1 and all(r == n for r in rows)
-            elif kind == "empty":
-                assert not rows
-            if kind in seen:
-                seen[kind] += 1
+            seen[kind] += 1
+            incoming = not _no_boundary(mats, g)
+            reduced.clear()
+            reps[g]
+            projs[g]
+            assert len(reduced) == (1 if n and incoming else 0), (kind, len(reduced))
+            if reduced:
+                sub = reduced[0]
+                assert _has_identity_block(sub) and sub is not mats.get(g)
+                assert sub.rows <= nullity[g] if kind == "both" else sub.rows == n
+            # a second read builds nothing
+            before = len(reduced)
+            assert reps[g].cols == hdims[g] and projs[g] is projs[g]
+            assert len(reduced) == before
     assert min(seen.values()) >= 20, seen
+
+
+def test_bases_do_not_depend_on_the_read_order():
+    # projections before representatives, high degrees first and only some
+    # degrees: each basis read equals a full read and the kernel route, and
+    # each projection still refuses a non-cycle
+    rng = random.Random(2200)
+    read = 0
+    for make in (_hostile_complex, _sparse_complex):
+        for _ in range(30):
+            dims, mats = make(rng)
+            _, full_reps, full_projs = chain_homology(dims, mats)
+            full_reps, full_projs = dict(full_reps), dict(full_projs)
+            hdims, reps, projs = chain_homology(dims, mats)
+            ohdims, oreps, oprojs = kernel_route_homology(dims, mats)
+            assert hdims == ohdims and list(reps) == list(projs) == sorted(dims)
+            for g in sorted(dims, reverse=True):
+                if rng.random() < 0.4:
+                    continue
+                read += 1
+                n = dims[g]
+                down = mats.get(g, QMatrix(dims.get(g - 1, 0), n))
+                Z = down.kernel_basis()
+                coef = QMatrix(Z.cols, 2, [[Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(2)] for _ in range(Z.cols)])
+                cycles = Z @ coef
+                assert projs[g](cycles) == full_projs[g](cycles) == oprojs[g](cycles)
+                assert reps[g] == full_reps[g] == oreps[g]
+                outside = [j for j in range(n) if any(down.col(j))]
+                if outside:
+                    with pytest.raises(InvariantError):
+                        projs[g](cycles.hstack(QMatrix.identity(n).columns(outside[:1])))
+            # the degrees left unread read as in the full read
+            assert reps == full_reps
+    assert read >= 200, read
 
 
 # -- quasi-isomorphisms by the ranks of a mapping cone ----------------------------
