@@ -36,6 +36,10 @@ slot-indexed datum is read by the container ``toral.Slots`` alone: no function
 of ``toral``, ``dihedral`` or ``cli`` outside it falls back to ``d[TAIL]``,
 compares a key with ``TAIL``, pops ``TAIL`` or builds a key union with
 ``TAIL``, and no ``SlotFamily`` is built by splitting slots at ``TAIL``.
+``toral.injective_resolution``, its per-slot ``stage`` and every ``toral``
+function or method they reach read none of the window walks
+(``cokernel_of_map``, ``window_subquotient``, ``canonical_from_window``,
+``kernel_of_map``).
 Only ``cli.write_report`` opens a file for writing, and no call passes
 ``indent=`` to ``json.dumps``: report text is built by ``cli.report_text``.
 """
@@ -751,6 +755,81 @@ def test_reindex_scan_sees_a_planted_call():
         "    return toral._reindex_entries({}, [], {})\n"
     )
     assert _callers(ast.parse(source), "_reindex_entries") == ["build"]
+
+
+# a resolution reads coker beta off the free summands and ker beta off the
+# canonical form: ``injective_resolution``, its ``stage`` and every ``toral``
+# function or method they reach walk no window
+WINDOW_WALKS = {"cokernel_of_map", "window_subquotient", "canonical_from_window", "kernel_of_map"}
+
+
+def _reached(tree, root: str):
+    """The module-level functions and methods of a tree that ``root``
+    reaches: every one whose name a reached one reads, as a bare name or an
+    attribute (so a method is reached through any object); reading a class
+    reaches all its methods, and a nested function belongs to its parent."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs.setdefault(node.name, []).append(node)
+        elif isinstance(node, ast.ClassDef):
+            methods = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+            defs.setdefault(node.name, []).extend(methods)
+            for n in methods:
+                defs.setdefault(n.name, []).append(n)
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for func in defs[name]:
+            todo += [
+                read for inner in ast.walk(func)
+                for read in [getattr(inner, "id", None) or getattr(inner, "attr", None)]
+                if isinstance(inner, (ast.Name, ast.Attribute)) and read in defs
+            ]
+    return [func for name in sorted(seen) for func in defs[name]]
+
+
+def _window_walks(tree, root: str):
+    """(function, walk) for every read of a window walk in a function that
+    ``root`` reaches."""
+    return sorted({
+        (func.name, name)
+        for func in _reached(tree, root)
+        for inner in ast.walk(func)
+        for name in [getattr(inner, "id", None) or getattr(inner, "attr", None)]
+        if isinstance(inner, (ast.Name, ast.Attribute)) and name in WINDOW_WALKS
+    })
+
+
+def test_injective_resolution_walks_no_window():
+    reached = {func.name for func in _reached(_tree("toral"), "injective_resolution")}
+    assert {"injective_resolution", "check_exact", "check_star", "make_fN"} <= reached
+    assert _window_walks(_tree("toral"), "injective_resolution") == []
+
+
+def test_window_walk_scan_sees_a_planted_walk():
+    source = (
+        "from .graded import cokernel_of_map, kernel_of_map\n"
+        "def _quotient(b, win):\n"
+        "    return cokernel_of_map(b, win)\n"
+        "class Resolution:\n"
+        "    def check(self):\n"
+        "        return graded.canonical_from_window(self.wm)\n"
+        "def injective_resolution(x, window):\n"
+        "    def stage(key):\n"
+        "        return graded.window_subquotient(x.M[key], window)\n"
+        "    return Resolution(_quotient(stage(1), window)).check()\n"
+        "def wide_sphere_cover(x):\n"
+        "    return kernel_of_map(x.beta[1], (0, 0))\n"
+    )
+    assert _window_walks(ast.parse(source), "injective_resolution") == [
+        ("_quotient", "cokernel_of_map"),
+        ("check", "canonical_from_window"),
+        ("injective_resolution", "window_subquotient"),
+    ]
 
 
 def _refuses_first(func) -> bool:
