@@ -17,7 +17,10 @@ row is kept primitive (divided by the gcd of its entries after every
 update), and a reduced row is divided by its pivot entry only where it is
 read.  The reduced row echelon form is unique, so every derived basis
 (kernels, images, cokernel complements) is the one an elimination in
-Fractions gives, and is deterministic for a given input.
+Fractions gives, and is deterministic for a given input.  A rank needs no
+reduced form: ``rank`` is a forward elimination with the same pivoting,
+which clears only below each pivot, drops the rows that become zero and
+builds no matrix.
 Block matrices are assembled in one place: ``block_matrix`` places blocks
 given by their (row block, column block) position, and ``QMatrix.kron`` is
 the Kronecker product; no other module places entries by hand.
@@ -26,8 +29,9 @@ the Kronecker product; no other module places entries by hand.
 elimination, and its projection sends a whole matrix of cycles to their
 coordinates; ``chain_homology``, the homology of a chain of vector spaces
 that every algebraic model uses, ranks each differential once for the
-dimensions and takes a degree's kernel coordinates modulo the boundaries,
-one subquotient, only when its basis is read.
+dimensions, by forward elimination; a differential is reduced only where its
+basis is read, and a degree's kernel coordinates are then taken modulo the
+boundaries, one subquotient.
 ``is_quasi_isomorphism`` decides whether a chain map is a homology
 isomorphism by the ranks of its mapping cone alone.
 """
@@ -268,7 +272,8 @@ class QMatrix:
     def rref(self) -> tuple["QMatrix", list[int]]:
         """Reduced row echelon form with first-nonzero pivoting.
 
-        Returns (R, pivot_columns).  Every other elimination reads this R.
+        Returns (R, pivot_columns).  Every other elimination but ``rank``
+        reads this R.
         """
         reduced, pivots = _eliminate(self.ints, self.cols)
         # a primitive row divided by its pivot p has denominator |p|
@@ -281,9 +286,8 @@ class QMatrix:
         return _wrap(self.rows, self.cols, den, ints), pivots
 
     def rank(self) -> int:
-        if not (self.rows and self.cols):
-            return 0
-        return len(self.rref()[1])
+        """The number of pivots of ``rref``, by forward elimination alone."""
+        return _forward_rank(self.ints, self.cols)
 
     def kernel_basis(self) -> "QMatrix":
         """Basis of the null space, as columns of the returned matrix: one
@@ -456,6 +460,44 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list
     return m, pivots
 
 
+def _forward_rank(rows: list[list[int]], ncols: int) -> int:
+    """The rank of the integer matrix with these rows: ``_eliminate``'s
+    first-nonzero pivoting, clearing only below each pivot.
+
+    Rows are kept primitive and a row that becomes zero is dropped, so every
+    row left when column c is reached is zero before c: a lone row left adds
+    one to the rank and ends the elimination.  Nothing is built but the rank.
+    """
+    m = [r for r in rows if any(r)]
+    rank = 0
+    for c in range(ncols):
+        if len(m) < 2:
+            break
+        # first nonzero entry in column c among the rows not yet pivots
+        pr = next((i for i, r in enumerate(m) if r[c]), None)
+        if pr is None:
+            continue
+        prow = m.pop(pr)
+        rank += 1
+        p = prow[c]
+        nz = [(k, y) for k, y in enumerate(prow) if y and k > c]
+        rest = []
+        for row in m:
+            a = row[c]
+            if not a:
+                rest.append(row)
+                continue
+            # p * row - a * prow, which is zero at column c
+            row = [p * x for x in row] if p != 1 else row[:]
+            row[c] = 0
+            for k, y in nz:
+                row[k] -= a * y
+            if any(row):
+                rest.append(_primitive(row))
+        m = rest
+    return rank + len(m)
+
+
 # -- incremental spans and chain homology ------------------------------------------
 
 
@@ -587,25 +629,26 @@ def chain_homology(dims, mats):
     d squared must be zero, as ``GroupComplex.check_differential``,
     ``QWComplex``, ``DihedralObject.__init__`` and ``ToralObject.__init__``
     check on entry (tensor and hom are built so).  So hdims[g] is dims[g] -
-    rank d_g - rank d_{g+1}, from one rref of each nonzero differential, and
-    every boundary lies in the span of the kernel basis K read off the rref
-    R of d_g, which is the identity on its free coordinates.  reps[g] and
-    projs[g] are built together on the first read of either, by one
+    rank d_g - rank d_{g+1}, from one ``rank`` of each nonzero differential:
+    a forward elimination, with no reduced form built.  A differential is
+    reduced only where its basis is read: every boundary lies in the span of
+    the kernel basis K read off the rref R of d_g, which is the identity on
+    its free coordinates.  reps[g] and projs[g] are built together on the
+    first read of either, by one rref of d_g where it is nonzero and one
     subquotient of the identity by d_{g+1}'s free rows, the boundaries in
     the coordinates of K: it eliminates nothing where no boundary comes in.
     The representatives are the accepted columns of K, and the projection
     refuses a column that R's nonzero rows do not kill, then takes its free
     entries to coordinates.  A read uses dims and mats: they must not change.
     """
-    reduced = {h: d.rref() for h, d in mats.items() if not d.is_zero()}
-    ranks = {h: len(pivots) for h, (_, pivots) in reduced.items()}
+    ranks = {h: d.rank() for h, d in mats.items() if not d.is_zero()}
     bases = {}
 
     def basis(g):
         # (reps[g], projs[g]), built on the first read of either
         if g not in bases:
             n = dims[g]
-            R, pivots = reduced[g] if g in reduced else (_wrap(0, n, 1, []), [])
+            R, pivots = mats[g].rref() if g in ranks else (_wrap(0, n, 1, []), [])
             K, free = _kernel_from_rref(R, pivots)
             up = mats.get(g + 1) or QMatrix(n, 0)
             accepted, _, left = _subquotient(None, up.submatrix(free, range(up.cols)) if pivots else up)

@@ -1,0 +1,93 @@
+"""The summary arithmetic of the A/B driver ``tools/ab.py``, on synthetic runs."""
+
+import importlib.util
+import statistics
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+END_TO_END = [
+    {"name": "throughput_jobs_per_s", "better": "higher", "bound": 0.25},
+    {"name": "latency_p50_ms", "better": "lower", "bound": 0.1},
+]
+
+
+def synthetic(workload, seed, parent, change):
+    """Runs of both sides, pair by pair: parent and change are lists of
+    (throughput, p50) per pair."""
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        for side, (t, lat) in (("parent", p), ("change", c)):
+            runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
+                         "metrics": {"throughput_jobs_per_s": t, "latency_p50_ms": lat}})
+    return runs
+
+
+def test_a_clear_gain_is_claimed():
+    parent = [(100 + k, 10.0) for k in range(10)]
+    change = [(120 + k, 9.0) for k in range(10)]
+    change[3] = (90, 11.0)  # one pair lost: 9 of 10 still claims
+    out = ab.summarize(synthetic("w", 1, parent, change), END_TO_END)["w seed 1"]
+    t = out["throughput_jobs_per_s"]
+    assert t["parent"] == [p for p, _ in parent] and t["change"] == [c for c, _ in change]
+    assert t["parent_median"] == statistics.median(range(100, 110)) == 104.5
+    assert t["change_median"] == statistics.median([c for c, _ in change])
+    lo, _, hi = statistics.quantiles(range(100, 110), n=4)
+    assert t["parent_quartiles"] == [lo, hi] and t["parent_iqr"] == hi - lo
+    assert (t["change_wins"], t["pairs"]) == (9, 10)
+    assert t["change_worse_by"] == pytest.approx((104.5 - t["change_median"]) / 104.5)
+    assert t["change_worse_by"] < 0
+    assert t["gain"] and not t["unresolved"] and not t["exceeds_bound"]
+    # lower is better: the change's 9.0 against the parent's 10.0 is 10% better
+    lat = out["latency_p50_ms"]
+    assert (lat["parent_median"], lat["change_median"]) == (10.0, 9.0)
+    assert lat["change_worse_by"] == pytest.approx(-0.1)
+    assert lat["change_wins"] == 9
+    # the parent's quartile spread is 0, so 9 of 10 and any gain claims
+    assert lat["parent_iqr"] == 0 and lat["gain"]
+
+
+def test_eight_wins_in_ten_or_a_gain_inside_the_spread_is_no_claim():
+    parent = [(100 + 10 * (k % 2), 10.0) for k in range(10)]  # quartiles 100 and 110
+    change = [(p + 1, 10.0) for p, _ in parent]
+    out = ab.summarize(synthetic("w", 2, parent, change), END_TO_END)["w seed 2"]
+    t = out["throughput_jobs_per_s"]
+    assert t["change_wins"] == 10 and t["parent_iqr"] == 10
+    assert t["unresolved"] and not t["gain"]
+    # ties count for neither side
+    lat = out["latency_p50_ms"]
+    assert lat["change_wins"] == 0 and lat["change_worse_by"] == 0
+    assert lat["unresolved"] and not lat["gain"]
+    change = [(p + 20, 10.0) for p, _ in parent]
+    change[0] = change[1] = (50, 10.0)
+    t = ab.summarize(synthetic("w", 2, parent, change), END_TO_END)["w seed 2"]["throughput_jobs_per_s"]
+    assert t["change_wins"] == 8 and not t["gain"]
+
+
+def test_a_regression_past_the_bound_is_flagged_per_workload_and_seed():
+    parent = [(100.0, 10.0)] * 5
+    runs = synthetic("a", 1, parent, [(70.0, 10.5)] * 5) + synthetic("a", 2, parent, [(80.0, 12.0)] * 5)
+    out = ab.summarize(runs, END_TO_END)
+    assert sorted(out) == ["a seed 1", "a seed 2"]
+    one, two = out["a seed 1"], out["a seed 2"]
+    assert one["throughput_jobs_per_s"]["change_worse_by"] == pytest.approx(0.3)
+    assert one["throughput_jobs_per_s"]["exceeds_bound"]
+    assert one["latency_p50_ms"]["change_worse_by"] == pytest.approx(0.05)
+    assert not one["latency_p50_ms"]["exceeds_bound"]
+    assert two["throughput_jobs_per_s"]["change_worse_by"] == pytest.approx(0.2)
+    assert not two["throughput_jobs_per_s"]["exceeds_bound"]
+    assert two["latency_p50_ms"]["exceeds_bound"]  # 20% against a 10% bound
+    assert not any(m["gain"] for table in out.values() for m in table.values())
+
+
+def test_a_pair_with_one_side_missing_is_left_out():
+    runs = synthetic("w", 1, [(100.0, 10.0)] * 3, [(110.0, 9.0)] * 3)
+    runs.append({"workload": "w", "seed": 1, "pair": 3, "side": "parent",
+                 "metrics": {"throughput_jobs_per_s": 1.0, "latency_p50_ms": 99.0}})
+    t = ab.summarize(runs, END_TO_END)["w seed 1"]["throughput_jobs_per_s"]
+    assert t["pairs"] == 3 and t["parent"] == [100.0] * 3
+    assert ab.quartiles([5.0]) == [5.0, 5.0, 5.0]

@@ -555,6 +555,7 @@ from so3alg.dihedral import (
     DihedralMorphism, QWComplex, direct_sum_dihedral, functor_const, functor_i_k,
     is_fibration, is_weak_equivalence,
 )
+from so3alg import linalg
 from so3alg.linalg import QMatrix
 from so3alg.toral import QWSpace, VMap
 
@@ -564,19 +565,26 @@ for k in (3, 5):
 # the identity except at slot 5, where it is zero: only slot 5 fails
 f = DihedralMorphism(x, x, 0, VMap.identity(x.m_inf),
                      {key: VMap.identity(x.slot(key)) for key in x.keys() if key != 5})
-calls = 0
-rref = QMatrix.rref
+# eliminations run: rrefs, and the forward-only ones behind QMatrix.rank
+calls = ranks = 0
+rref, forward_rank = QMatrix.rref, linalg._forward_rank
 
 def counted(self):
     global calls
     calls += 1
     return rref(self)
 
+def counted_rank(rows, ncols):
+    global ranks
+    ranks += 1
+    return forward_rank(rows, ncols)
+
 QMatrix.rref = counted
+linalg._forward_rank = counted_rank
 out = []
 for predicate in (is_weak_equivalence, is_fibration):
-    calls = 0
-    out.append([predicate(f), calls])
+    calls = ranks = 0
+    out.append([predicate(f), calls, ranks])
 print(json.dumps(out))
 """
 
@@ -592,7 +600,9 @@ def test_weak_equivalence_work_does_not_follow_the_hash_seed():
         )
         outs.append(json.loads(done.stdout))
     assert outs[0] == outs[1]
-    assert [result for result, _calls in outs[0]] == [False, False]
+    assert [result for result, _calls, _ranks in outs[0]] == [False, False]
+    # both predicates rank, so the counts compared above are not vacuous
+    assert all(ranks for _result, _calls, ranks in outs[0]), outs[0]
 
 
 # -- objects built from checked parts ------------------------------------------------

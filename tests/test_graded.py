@@ -43,6 +43,7 @@ from so3alg.graded import (
     _power_or_error,
     _sort_key,
 )
+from so3alg import linalg
 from so3alg.linalg import Q, QMatrix, subquotient
 
 
@@ -769,14 +770,21 @@ def test_cokernel_projection_matches_the_per_vector_solve_oracle(monkeypatch):
 
 
 def test_cokernel_eliminates_no_empty_matrix(monkeypatch):
+    # the shape of every matrix eliminated: each rref, and each forward-only
+    # elimination behind QMatrix.rank
     shapes = []
-    rref = QMatrix.rref
+    rref, forward_rank = QMatrix.rref, linalg._forward_rank
 
     def recorded(self):
         shapes.append((self.rows, self.cols))
         return rref(self)
 
+    def recorded_rank(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return forward_rank(rows, ncols)
+
     monkeypatch.setattr(QMatrix, "rref", recorded)
+    monkeypatch.setattr(linalg, "_forward_rank", recorded_rank)
     rng = random.Random(29)
     for _ in range(20):
         ring = rng.choice([POLY_C, POLY_D])

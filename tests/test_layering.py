@@ -42,6 +42,8 @@ function or method they reach read none of the window walks
 ``kernel_of_map``).
 Only ``cli.write_report`` opens a file for writing, and no call passes
 ``indent=`` to ``json.dumps``: report text is built by ``cli.report_text``.
+No module but ``linalg`` names its forward-only elimination
+(``_forward_rank``): every other module ranks through ``QMatrix.rank``.
 """
 
 import ast
@@ -717,6 +719,43 @@ def test_storage_scan_sees_a_planted_write_and_read():
         ("f", "data"), ("f", "den"), ("f", "ints"),
     ]
     assert _attribute_reads(_tree("linalg"), MATRIX_STORAGE)
+
+
+# the forward-only elimination behind ``QMatrix.rank``; a rank elsewhere goes
+# through that method, which the benchmark's tracer sees as ``linalg.rank``
+FORWARD_RANK = "_forward_rank"
+
+
+def _forward_rank_names(tree):
+    """Where a tree names the forward-only elimination: the enclosing function
+    of each use, bare, as an attribute or as a string ("<module>" at module
+    level), and "<import>" for each import of it."""
+    uses = [func or "<module>" for func in _name_uses(tree, FORWARD_RANK)]
+    uses += [
+        "<string>" for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == FORWARD_RANK
+    ]
+    return uses + ["<import>" for _, names in _imports_in(tree) if FORWARD_RANK in names]
+
+
+def test_only_linalg_names_the_forward_only_elimination():
+    names = {module: _forward_rank_names(_tree(module)) for module in _modules() if module != "linalg"}
+    assert {m: uses for m, uses in names.items() if uses} == {}
+    assert _forward_rank_names(_tree("linalg"))
+
+
+def test_forward_rank_scan_sees_a_planted_use():
+    source = (
+        "from .linalg import _forward_rank\n"
+        "from so3alg import linalg\n"
+        "def quick_rank(m):\n"
+        "    return linalg._forward_rank(m.ints, m.cols)\n"
+        "def sneaky_rank(m):\n"
+        "    return getattr(linalg, '_forward_rank')(m.ints, m.cols)\n"
+        "def fine(m):\n"
+        "    return m.rank()\n"
+    )
+    assert _forward_rank_names(ast.parse(source)) == ["quick_rank", "<string>", "<import>"]
 
 
 def _callers(tree, name: str):

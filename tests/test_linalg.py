@@ -562,6 +562,68 @@ def test_rank_builds_no_fraction(monkeypatch):
     assert [m.rank() for m in mats] == [2, 1, 1, 0]
 
 
+def _low_rank_rows(rng, rows, cols, rank, entry):
+    """The rows of a product of a rows x rank and a rank x cols factor whose
+    entries entry(rng) draws: of rank at most rank."""
+    left = [[entry(rng) for _ in range(rank)] for _ in range(rows)]
+    right = [[entry(rng) for _ in range(cols)] for _ in range(rank)]
+    return [[sum((a * b for a, b in zip(row, col)), Q(0)) for col in zip(*right)] for row in left]
+
+
+def _small(rng):
+    return Q(rng.choice((0, 0, 1, -1, 2, -3, 4)), rng.choice((1, 1, 2, 3)))
+
+
+def _distinct_denominator(rng):
+    return Q(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 11, 13, 17)))
+
+
+def _large(rng):
+    return Q(rng.randint(-10**30, 10**30), rng.choice((1, 10**12 + 39)))
+
+
+def hostile_rank_matrices(rng):
+    """(kind, rows, cols, the most the rank can be by construction) for each
+    kind of matrix the rank test needs; the rows are shuffled, so that
+    dependent rows can come before the rows they depend on."""
+    out = []
+    n = rng.randint(2, 5)
+    for kind, entry in (("small", _small), ("denominators", _distinct_denominator), ("large", _large)):
+        base = [[entry(rng) for _ in range(n + 1)] for _ in range(n)]
+        lam = Q(rng.choice((-5, -2, 3, 7)), rng.choice((2, 3, 11)))
+        out.append((f"zero rows, {kind}", base[:2] + [[Q(0)] * (n + 1)] * 2, n + 1, 2))
+        out.append((f"repeated rows, {kind}", base + base[:2], n + 1, n))
+        out.append((f"proportional rows, {kind}", base + [[lam * x for x in r] for r in base[:2]], n + 1, n))
+        out.append((f"wide, {kind}", base, n + 1, n))
+    k = rng.randint(1, n - 1)
+    out.append(("tall deficient", _low_rank_rows(rng, n + 3, n, k, _distinct_denominator), n, k))
+    out.append(("wide deficient", _low_rank_rows(rng, n, n + 3, k, _small), n + 3, k))
+    out.append(("tall deficient, large", _low_rank_rows(rng, n + 2, n, k, _large), n, k))
+    out.append(("0xn", [], n, 0))
+    out.append(("nx0", [[] for _ in range(n)], 0, 0))
+    out.append(("1xn", [[_distinct_denominator(rng) for _ in range(n)]], n, 1))
+    out.append(("1xn zero", [[Q(0)] * n], n, 0))
+    out.append(("nx1", [[_large(rng)] for _ in range(n)], 1, 1))
+    out.append(("nx1 zero", [[Q(0)] for _ in range(n)], 1, 0))
+    for _, data, _, _ in out:
+        rng.shuffle(data)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rank_matches_the_fraction_oracle_on_hostile_matrices(seed):
+    # rank is a forward elimination of its own: it must count the pivots
+    # that the Fraction oracle and rref find
+    deficient = 0
+    for kind, data, cols, most in hostile_rank_matrices(random.Random(5100 + seed)):
+        a = QMatrix(len(data), cols, data)
+        pivots = len(fraction_rref(data, cols)[1])
+        assert a.rank() == pivots == len(a.rref()[1]), kind
+        assert pivots <= most, kind
+        deficient += pivots < min(a.rows, a.cols)
+    assert deficient >= 8
+
+
 @given(
     st.lists(st.lists(st.builds(Q, st.integers(-3, 3), st.integers(1, 6)), min_size=4, max_size=4), max_size=7)
 )
@@ -660,23 +722,59 @@ def test_empty_and_boundary_free_degrees_match_the_fraction_oracle(seed):
                         oprojs[g](bad.col(bad.cols - 1))
 
 
+class _EliminationSpy:
+    """The eliminations run, in order: ("rref", the matrix) for each
+    ``QMatrix.rref``, and ("rank", its rows) for each forward-only
+    elimination behind ``QMatrix.rank``."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        rref, forward_rank = QMatrix.rref, linalg._forward_rank
+
+        def spied_rref(m):
+            self.calls.append(("rref", m))
+            return rref(m)
+
+        def spied_rank(rows, ncols):
+            self.calls.append(("rank", rows))
+            return forward_rank(rows, ncols)
+
+        monkeypatch.setattr(QMatrix, "rref", spied_rref)
+        monkeypatch.setattr(linalg, "_forward_rank", spied_rank)
+
+    def of(self, kind):
+        return [x for k, x in self.calls if k == kind]
+
+
+def _ranks_each_nonzero_differential_once(spy, mats):
+    """A chain_homology call with nothing read: one forward-only elimination
+    of each nonzero differential and no rref."""
+    nonzero = [m for m in mats.values() if not m.is_zero()]
+    assert spy.of("rref") == []
+    ranked = spy.of("rank")
+    assert len(ranked) == len(nonzero)
+    assert {id(rows) for rows in ranked} == {id(m.ints) for m in nonzero}
+
+
 def test_empty_and_boundary_free_degrees_take_at_most_one_elimination(monkeypatch):
-    calls = []
-    rref = QMatrix.rref
-    monkeypatch.setattr(QMatrix, "rref", lambda self: calls.append(1) or rref(self))
+    spy = _EliminationSpy(monkeypatch)
     seen = {"empty": 0, "no boundary": 0}
     for seed in range(16):
         dims, mats = _sparse_complex(random.Random(700 + seed))
         for g, n in dims.items():
-            calls.clear()
+            spy.calls.clear()
             one = {h: mats[h] for h in (g, g + 1) if h in mats}
-            chain_homology({g: n}, one)
+            _, reps, projs = chain_homology({g: n}, one)
+            _ranks_each_nonzero_differential_once(spy, one)
             down = one.get(g)
+            spy.calls.clear()
+            reps[g], projs[g]
             if not n:
-                assert not calls, (seed, g)
+                assert not spy.calls, (seed, g)
                 seen["empty"] += 1
             elif _no_boundary(mats, g) and down is not None and not down.is_zero():
-                assert len(calls) == 1, (seed, g)
+                # the one rref of d_g, and no subquotient elimination
+                assert spy.calls == [("rref", down)] and spy.calls[0][1] is down, (seed, g)
                 seen["no boundary"] += 1
     assert min(seen.values()) >= 10, seen
 
@@ -767,40 +865,41 @@ def _has_identity_block(m):
 
 
 def test_each_degree_eliminates_once_per_differential(monkeypatch):
-    # a call with nothing read reduces each nonzero differential once, and
-    # nothing else; reading a degree's representatives and then its
-    # projection adds one subquotient elimination, with a row per cycle
+    # a call with nothing read ranks each nonzero differential once by
+    # forward elimination, and reduces nothing; reading a degree's
+    # representatives and then its projection adds the rref of d_g where
+    # rank d_g > 0, then one subquotient elimination, with a row per cycle
     # coordinate, where a boundary comes in, and nothing where none does
-    reduced = []
-    rref = QMatrix.rref
-    monkeypatch.setattr(QMatrix, "rref", lambda self: reduced.append(self) or rref(self))
+    spy = _EliminationSpy(monkeypatch)
     rng = random.Random(1901)
     seen = dict.fromkeys(("empty", "closed", "boundary-free", "both"), 0)
     for _ in range(40):
         dims, mats = _hostile_complex(rng)
-        nullity = {g: n - mats[g].rank() if g in mats else n for g, n in dims.items()}
-        nonzero = [m for m in mats.values() if not m.is_zero()]
-        reduced.clear()
+        rank = {g: mats[g].rank() if g in mats else 0 for g in dims}
+        spy.calls.clear()
         hdims, reps, projs = chain_homology(dims, mats)
-        assert len(reduced) == len(nonzero)
-        assert all(any(r is m for m in nonzero) for r in reduced)
-        assert not any(map(_has_identity_block, reduced))
+        _ranks_each_nonzero_differential_once(spy, mats)
         for g, n in dims.items():
             kind = _degree_kind(dims, mats, g)
             seen[kind] += 1
             incoming = not _no_boundary(mats, g)
-            reduced.clear()
+            spy.calls.clear()
             reps[g]
             projs[g]
-            assert len(reduced) == (1 if n and incoming else 0), (kind, len(reduced))
-            if reduced:
-                sub = reduced[0]
+            assert spy.of("rank") == []
+            reduced = spy.of("rref")
+            want = [mats[g]] if rank[g] else []
+            assert reduced[: len(want)] == want and all(a is b for a, b in zip(reduced, want))
+            subs = reduced[len(want):]
+            assert len(subs) == (1 if n and incoming else 0), (kind, len(reduced))
+            if subs:
+                sub = subs[0]
                 assert _has_identity_block(sub) and sub is not mats.get(g)
-                assert sub.rows <= nullity[g] if kind == "both" else sub.rows == n
+                assert sub.rows <= n - rank[g] if kind == "both" else sub.rows == n
             # a second read builds nothing
-            before = len(reduced)
+            spy.calls.clear()
             assert reps[g].cols == hdims[g] and projs[g] is projs[g]
-            assert len(reduced) == before
+            assert spy.calls == []
     assert min(seen.values()) >= 20, seen
 
 
