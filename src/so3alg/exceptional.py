@@ -21,6 +21,14 @@ Koszul and pre-composition signs make the total differential square to zero,
 and the homology of an equivariant complex carries a representation and the
 zero differential.  So ``homology_W`` and ``is_weq`` trust their arguments;
 ``is_weq`` computes no homology (``linalg.is_quasi_isomorphism``).
+
+The identity acts as the identity: ``GroupComplex.__init__`` checks it on
+entry, and a Kronecker product or a block-diagonal sum of identities is the
+identity, so tensor, hom and homology give the identity element
+``QMatrix.identity`` and assemble only the other elements' actions (none
+over the trivial Weyl groups of SO3, Sigma4 and A5).  The differentials of
+tensor and hom are d⊗1 and ±1⊗d, whose identity factor ``QMatrix.kron``
+places rather than multiplies by.
 """
 
 from __future__ import annotations
@@ -330,18 +338,22 @@ def _total_complex(alg: FiniteGroupAlg, levels: dict, size, action, pieces) -> G
 
     levels maps a degree n to its blocks in order; size(n, b) is the
     dimension of block b of degree n, action(n, b, e) the action of element e
-    on it, and pieces(n, b) yields (target, matrix) for each nonzero
-    component of the differential from that block into the block target of
-    degree n - 1.
+    on it, asked for every element but the identity, and pieces(n, b) yields
+    (target, matrix) for each nonzero component of the differential from that
+    block into the block target of degree n - 1.
     """
     sizes = {n: [size(n, b) for b in bl] for n, bl in levels.items()}
     modules = {}
     for n, bl in levels.items():
+        dim = sum(sizes[n])
+        # the identity acts as the identity on every checked factor, and a
+        # Kronecker product and a block-diagonal sum of identities is one
         acts = [
-            block_matrix(sizes[n], sizes[n], {(i, i): action(n, b, e) for i, b in enumerate(bl)})
+            QMatrix.identity(dim) if e == alg.identity
+            else block_matrix(sizes[n], sizes[n], {(i, i): action(n, b, e) for i, b in enumerate(bl)})
             for e in range(alg.order)
         ]
-        modules[n] = (sum(sizes[n]), acts)
+        modules[n] = (dim, acts)
     diffs = {}
     for n, bl in levels.items():
         blocks = {}
@@ -399,8 +411,11 @@ def internal_hom_conj(x: GroupComplex, y: GroupComplex) -> GroupComplex:
             levels.setdefault(qy - p, []).append(p)
     # g . f = g o f o g^{-1}: on matrix coordinates this is the Kronecker
     # product of the target action of g with the transposed source action of
-    # g^{-1}, which is built once per source degree
-    src = {p: [x.action(p, alg.inv(e)).transpose() for e in range(alg.order)] for p in x.degrees()}
+    # g^{-1}, which is built once per source degree and element but the identity
+    src = {
+        p: {e: x.action(p, alg.inv(e)).transpose() for e in range(alg.order) if e != alg.identity}
+        for p in x.degrees()
+    }
 
     def action(n, p, e):
         return y.action(p + n, e).kron(src[p][e])

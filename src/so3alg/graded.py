@@ -48,7 +48,7 @@ whole window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
@@ -74,15 +74,14 @@ _KIND_RANK = {FREE: 0, TORSION: 1, LAURENT: 2}
 class Ring:
     var: str  # "c" or "d"
     laurent: bool
+    # the generator's degree, and whether multiplying by it flips the
+    # involution sign (over Q[c]): both read off var once, not compared
+    step: int = field(init=False, compare=False)
+    flip: bool = field(init=False, compare=False)
 
-    @property
-    def step(self) -> int:
-        return 2 if self.var == "c" else 4
-
-    @property
-    def flip(self) -> bool:
-        # multiplying by the generator flips the involution sign over Q[c]
-        return self.var == "c"
+    def __post_init__(self):
+        object.__setattr__(self, "step", 2 if self.var == "c" else 4)
+        object.__setattr__(self, "flip", self.var == "c")
 
     def __repr__(self):
         base = f"Q[{self.var}]"

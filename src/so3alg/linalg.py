@@ -23,15 +23,18 @@ which clears only below each pivot, drops the rows that become zero and
 builds no matrix.
 Block matrices are assembled in one place: ``block_matrix`` places blocks
 given by their (row block, column block) position, and ``QMatrix.kron`` is
-the Kronecker product; no other module places entries by hand.
+the Kronecker product, which places an identity factor's blocks instead of
+multiplying by its entries; no other module places entries by hand.
 ``IncrementalSpan`` grows a basis one integer vector at a time.
 ``subquotient`` takes a space of cycles modulo boundaries apart with one
 elimination, and its projection sends a whole matrix of cycles to their
-coordinates; ``chain_homology``, the homology of a chain of vector spaces
-that every algebraic model uses, ranks each differential once for the
-dimensions, by forward elimination; a differential is reduced only where its
-basis is read, and a degree's kernel coordinates are then taken modulo the
-boundaries, one subquotient.
+coordinates; where the cycles are the whole space, that elimination is of
+the boundaries' transpose alone, with no identity block.
+``chain_homology``, the homology of a chain of vector spaces that every
+algebraic model uses, ranks each differential once for the dimensions, by
+forward elimination; a differential is reduced only where its basis is
+read, and a degree's kernel coordinates are then taken modulo the
+boundaries, one subquotient of the identity.
 ``is_quasi_isomorphism`` decides whether a chain map is a homology
 isomorphism by the ranks of its mapping cone alone.
 """
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 
@@ -165,11 +168,7 @@ class QMatrix:
 
     def is_identity(self) -> bool:
         n = self.cols
-        return (
-            self.rows == n
-            and self.den == 1
-            and all(r[i] == 1 and r.count(0) == n - 1 for i, r in enumerate(self.ints))
-        )
+        return self.rows == n and self.den == 1 and self.ints == _identity_rows(n)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -256,9 +255,30 @@ class QMatrix:
         return _wrap(self.rows, self.cols + other.cols, den, ints)
 
     def kron(self, other: "QMatrix") -> "QMatrix":
-        """The Kronecker product: entry (i, j) of self times the block other."""
+        """The Kronecker product: entry (i, j) of self times the block other.
+
+        An identity factor is placed, not multiplied by: I ⊗ B is B down the
+        diagonal blocks and A ⊗ I puts row i of A in every m-th column of
+        rows i*m to i*m + m - 1, both over the other factor's denominator.
+        """
+        rows, cols = self.rows * other.rows, self.cols * other.cols
+        if not (rows and cols):
+            return QMatrix(rows, cols)
+        if self.is_identity():
+            c = other.cols
+            ints = [[0] * (i * c) + r + [0] * (cols - c - i * c) for i in range(self.rows) for r in other.ints]
+            return _wrap(rows, cols, other.den, ints)
+        if other.is_identity():
+            m = other.rows
+            ints = []
+            for ra in self.ints:
+                for k in range(m):
+                    row = [0] * cols
+                    row[k::m] = ra
+                    ints.append(row)
+            return _wrap(rows, cols, self.den, ints)
         ints = [[a * b for a in ra for b in rb] for ra in self.ints for rb in other.ints]
-        return _canonical(self.rows * other.rows, self.cols * other.cols, self.den * other.den, ints)
+        return _canonical(rows, cols, self.den * other.den, ints)
 
     def apply(self, vec: Sequence) -> list[Fraction]:
         if len(vec) != self.cols:
@@ -359,6 +379,12 @@ def _kernel_from_rref(R: QMatrix, pivots: list[int]) -> tuple[QMatrix, Sequence[
     for row, pc in zip(R.ints, pivots):
         ints[pc] = [-row[fc] for fc in free]
     return _canonical(R.cols, len(free), R.den, ints), free
+
+
+@lru_cache(maxsize=64)
+def _identity_rows(n: int) -> list[list[int]]:
+    """The rows of the n x n identity, for comparison only: never stored."""
+    return QMatrix.identity(n).ints
 
 
 def _wrap(rows: int, cols: int, den: int, ints: list[list[int]]) -> QMatrix:
@@ -587,8 +613,10 @@ def subquotient(Z: QMatrix, B: QMatrix):
     annihilate exactly their span.  A vector's coordinates in [boundaries |
     reps] are therefore its product with the first k rows of E, and the rows
     past the boundaries are its subquotient coordinates.  When Z is the
-    identity its block is E's own, so [B | I] is eliminated; when B is zero
-    too, nothing is.
+    identity, the accepted columns and the coordinates depend on span(B)
+    alone, and one elimination of B's transpose with its coordinates
+    reversed reads both off (``_identity_subquotient``); when B is zero too,
+    nothing is eliminated.
     """
     accepted, annihilator, left = _subquotient(None if Z.is_identity() else Z, B)
     return Z.columns(accepted), _free_projection(annihilator, range(Z.rows), left)
@@ -602,16 +630,45 @@ def _subquotient(Z: QMatrix | None, B: QMatrix):
     nonzero = [j for j in range(B.cols) if any(r[j] for r in B.ints)]
     if len(nonzero) < B.cols:
         B = B.columns(nonzero)
-    if Z is None and not B.cols:
-        return range(n), _wrap(0, n, 1, []), None
-    both = B if Z is None else B.hstack(Z)
+    if Z is None:
+        return _identity_subquotient(B)
+    both = B.hstack(Z)
     R, pivots = both.hstack(QMatrix.identity(n)).rref()
-    k = sum(1 for c in pivots if c < B.cols + (n if Z is None else Z.cols))
+    k = sum(1 for c in pivots if c < both.cols)
     nb = sum(1 for c in pivots if c < B.cols)
     E = [row[both.cols :] for row in R.ints]
     # the annihilator only faces a zero test, so its denominator is dropped
     annihilator = _wrap(n - k, n, 1, E[k:])
     return [c - B.cols for c in pivots[nb:k]], annihilator, _canonical(k - nb, n, R.den, E[nb:k])
+
+
+def _identity_subquotient(B: QMatrix):
+    """``_subquotient`` of the identity by the nonzero columns of B.
+
+    The reduced form of B^T with its coordinates reversed has one row w_t
+    per coordinate t that some vector of span(B) ends at, with w_t[t] its
+    pivot and w_t zero at every other such coordinate: these are the
+    trailing coordinates, exactly the identity columns that a greedy span
+    rejects after B.  The others are accepted, in order, and the row of the
+    coordinates for accepted a is the identity at a and -w_t[a] / w_t[t] at
+    each trailing t, which kills every w_t and so span(B).
+    """
+    n = B.rows
+    if not B.cols:
+        return range(n), _wrap(0, n, 1, []), None
+    R, pivots = _wrap(B.cols, n, 1, [list(c) for c in zip(*B.ints[::-1])]).rref()
+    trailing = [n - 1 - c for c in pivots]
+    rejected = set(trailing)
+    accepted = [i for i in range(n) if i not in rejected]
+    # each reduced row has its pivot entry equal to R.den
+    left = []
+    for a in accepted:
+        row = [0] * n
+        row[a] = R.den
+        for t, w in zip(trailing, R.ints):
+            row[t] = -w[n - 1 - a]
+        left.append(row)
+    return accepted, _wrap(0, n, 1, []), _canonical(len(accepted), n, R.den, left)
 
 
 def chain_homology(dims, mats):
@@ -636,7 +693,8 @@ def chain_homology(dims, mats):
     its free coordinates.  reps[g] and projs[g] are built together on the
     first read of either, by one rref of d_g where it is nonzero and one
     subquotient of the identity by d_{g+1}'s free rows, the boundaries in
-    the coordinates of K: it eliminates nothing where no boundary comes in.
+    the coordinates of K: an elimination of their transpose, one row per
+    nonzero boundary, and nothing where no boundary comes in.
     The representatives are the accepted columns of K, and the projection
     refuses a column that R's nonzero rows do not kill, then takes its free
     entries to coordinates.  A read uses dims and mats: they must not change.

@@ -91,3 +91,45 @@ def test_a_pair_with_one_side_missing_is_left_out():
     t = ab.summarize(runs, END_TO_END)["w seed 1"]["throughput_jobs_per_s"]
     assert t["pairs"] == 3 and t["parent"] == [100.0] * 3
     assert ab.quartiles([5.0]) == [5.0, 5.0, 5.0]
+
+
+def ordered(workload, seed, firsts, seconds):
+    """Runs by position alone: pair k's first run reads firsts[k] and its
+    second seconds[k], as (throughput, p50), the sides alternating."""
+    runs = []
+    for pair, readings in enumerate(zip(firsts, seconds)):
+        sides = ab.SIDES if pair % 2 == 0 else ab.SIDES[::-1]
+        for position, (side, (t, lat)) in enumerate(zip(sides, readings)):
+            runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side, "position": position,
+                         "metrics": {"throughput_jobs_per_s": t, "latency_p50_ms": lat}})
+    return runs
+
+
+def test_the_order_effect_compares_second_runs_with_first_whatever_the_side():
+    firsts = [(100.0, 10.0), (200.0, 10.0), (100.0, 20.0), (50.0, 10.0)]
+    seconds = [(90.0, 11.0), (180.0, 10.0), (110.0, 18.0), (45.0, 12.0)]
+    out = ab.order_effect(ordered("w", 1, firsts, seconds), END_TO_END)
+    assert list(out) == ["w seed 1"]
+    t, lat = out["w seed 1"]["throughput_jobs_per_s"], out["w seed 1"]["latency_p50_ms"]
+    # throughput steps -0.1, -0.1, +0.1, -0.1; higher is better
+    assert t["second_vs_first_median"] == pytest.approx(-0.1)
+    assert (t["second_worse"], t["pairs"]) == (3, 4)
+    # p50 steps +0.1, 0, -0.1, +0.2; lower is better and the tie counts for neither
+    assert lat["second_vs_first_median"] == pytest.approx(0.05)
+    assert (lat["second_worse"], lat["pairs"]) == (2, 4)
+
+
+def test_the_order_effect_leaves_out_a_lone_run_and_keeps_workloads_and_seeds_apart():
+    runs = ordered("a", 1, [(100.0, 10.0)] * 2, [(100.0, 10.0)] * 2)
+    runs += ordered("a", 2, [(100.0, 10.0)] * 3, [(80.0, 10.0)] * 3)
+    runs.append({"workload": "a", "seed": 1, "pair": 2, "side": "parent", "position": 0,
+                 "metrics": {"throughput_jobs_per_s": 1.0, "latency_p50_ms": 0.0}})
+    out = ab.order_effect(runs, END_TO_END)
+    assert sorted(out) == ["a seed 1", "a seed 2"]
+    one, two = out["a seed 1"]["throughput_jobs_per_s"], out["a seed 2"]["throughput_jobs_per_s"]
+    assert one == {"second_vs_first_median": 0.0, "second_worse": 0, "pairs": 2}
+    assert two["second_vs_first_median"] == pytest.approx(-0.2) and two["second_worse"] == 3
+    # a pair whose first run reads 0 has no ratio, but still counts
+    zero = ordered("z", 1, [(0.0, 0.0)], [(5.0, 1.0)])
+    lat = ab.order_effect(zero, END_TO_END)["z seed 1"]["latency_p50_ms"]
+    assert lat == {"second_vs_first_median": None, "second_worse": 1, "pairs": 1}

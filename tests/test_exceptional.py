@@ -553,6 +553,86 @@ def test_built_complexes_pass_the_full_checks():
     assert levels >= 20
 
 
+def entrywise_kron(a, b):
+    """The Kronecker product, entry by entry."""
+    return QMatrix.from_entries(a.rows * b.rows, a.cols * b.cols, {
+        (i * b.rows + k, j * b.cols + l): x * y for i, j, x in a.entries() for k, l, y in b.entries()
+    })
+
+
+def assembled_total(x, y, hom):
+    """tensor_diagonal(x, y), or internal_hom_conj(x, y) when hom, put
+    together by hand: each degree's blocks in the order the engine lists
+    them, every element's action, the identity's included, the block
+    diagonal of the Kronecker products of the factors' actions, and each
+    differential the block matrix of Kronecker products of a factor's
+    differential with the other factor's identity, through the checked
+    constructor."""
+    alg = x.algebra
+    eye = QMatrix.identity
+    levels = {}
+    for p in x.degrees():
+        for q in y.degrees():
+            n = q - p if hom else p + q
+            levels.setdefault(n, []).append(p if hom else (p, q))
+    for bl in levels.values():
+        bl.sort(reverse=not hom)
+    if hom:
+        def act(n, p, e):
+            return entrywise_kron(y.action(p + n, e), x.action(p, alg.inv(e)).transpose())
+
+        def pieces(n, p):
+            yield p, entrywise_kron(y.diff(p + n), eye(x.dim(p)))
+            yield p + 1, entrywise_kron(eye(y.dim(p + n)), x.diff(p + 1).transpose()).scale(-1 if n % 2 else 1)
+
+        def size(n, p):
+            return y.dim(p + n) * x.dim(p)
+    else:
+        def act(n, pq, e):
+            return entrywise_kron(x.action(pq[0], e), y.action(pq[1], e))
+
+        def pieces(n, pq):
+            p, q = pq
+            yield (p - 1, q), entrywise_kron(x.diff(p), eye(y.dim(q)))
+            yield (p, q - 1), entrywise_kron(eye(x.dim(p)), y.diff(q)).scale(-1 if p % 2 else 1)
+
+        def size(n, pq):
+            return x.dim(pq[0]) * y.dim(pq[1])
+    sizes = {n: [size(n, b) for b in bl] for n, bl in levels.items()}
+    modules = {
+        n: (sum(sizes[n]), {e: block_matrix(sizes[n], sizes[n], {(i, i): act(n, b, e) for i, b in enumerate(bl)})
+                            for e in range(alg.order)})
+        for n, bl in levels.items()
+    }
+    diffs = {}
+    for n, bl in levels.items():
+        blocks = {
+            (levels[n - 1].index(t), j): m
+            for j, b in enumerate(bl) for t, m in pieces(n, b) if t in levels.get(n - 1, ())
+        }
+        if blocks:
+            diffs[n] = block_matrix(sizes[n - 1], sizes[n], blocks)
+    return GroupComplex(alg, modules, diffs)
+
+
+def test_tensor_and_hom_equal_the_assembly_of_every_elements_action():
+    # the engine gives the identity element the identity matrix and places
+    # the identity factors of d (x) 1 and 1 (x) d; the hand assembly
+    # multiplies every element's action out, the identity's included
+    rng = random.Random(25)
+    trivial = 0
+    for cls in EXCEPTIONAL_CLASSES:
+        alg = weyl_group_of(cls)
+        for trial in range(12 if alg.order == 6 else 6):
+            x = seeded_complex(alg, rng, regular=trial % 2 == 0)
+            y = seeded_complex(alg, rng, regular=trial % 3 == 0)
+            for a, b in ((x, y), (y, x)):
+                assert tensor_diagonal(a, b) == assembled_total(a, b, hom=False)
+                assert internal_hom_conj(a, b) == assembled_total(a, b, hom=True)
+                trivial += alg.order == 1
+    assert trivial >= 30
+
+
 def test_homology_builds_no_basis_in_a_degree_without_homology(monkeypatch):
     # homology_W induces the action only where H_g is nonzero, so a degree
     # with zero homology, boundaries coming in or not, runs no subquotient

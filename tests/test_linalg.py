@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from so3alg.errors import InvariantError
 from so3alg import linalg
 from so3alg.linalg import IncrementalSpan, QMatrix, block_matrix, chain_homology, subquotient
+from subquotient_oracle import bordered_subquotient
 from weq_oracles import (
     both_oracles, is_chain_map, perturbed_identity, random_chain_map, random_complex,
 )
@@ -344,6 +345,46 @@ def test_kron_matches_the_loop_oracle(ab):
     k = a.kron(b)
     assert k == loop_kron(a, b)
     assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+
+
+@st.composite
+def identity_and_factor(draw):
+    """An identity of size 0-4 and a factor of 0-4 rows and columns, with a
+    denominator above 1 when it is nonzero and drawn so."""
+    n, r, c = (draw(st.integers(0, 4)) for _ in range(3))
+    other = draw(rational_matrix(r, c))
+    if draw(st.booleans()):
+        other = other.scale(Q(1, draw(st.integers(2, 7))))
+    return QMatrix.identity(n), other
+
+
+@given(identity_and_factor(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_an_identity_factor_on_either_side_matches_the_loop_oracle(pair, on_the_left):
+    # kron places an identity factor's blocks or spread rows instead of
+    # multiplying by its entries; the result must still be canonical
+    eye, other = pair
+    a, b = (eye, other) if on_the_left else (other, eye)
+    assert a.kron(b) == loop_kron(a, b)
+
+
+def test_an_identity_factor_keeps_the_canonical_denominator():
+    half = QMatrix(1, 1, [[Q(1, 2)]])
+    thirds = QMatrix(2, 2, [[Q(1, 3), Q(0)], [Q(-2, 3), Q(5, 6)]])
+    empty = QMatrix.identity(0)
+    for a, b in (
+        (empty, half), (half, empty),  # 0 x 0: the empty matrix has den 1
+        (QMatrix.identity(3), QMatrix(0, 2)), (QMatrix(0, 2), QMatrix.identity(3)),
+        (QMatrix.identity(2), QMatrix(3, 0)), (QMatrix(3, 0), QMatrix.identity(2)),
+        (QMatrix.identity(2), thirds), (thirds, QMatrix.identity(3)),
+        (QMatrix.identity(1), half), (QMatrix.identity(2), QMatrix.identity(3)),
+    ):
+        k = a.kron(b)
+        assert k == loop_kron(a, b), (a, b)
+        if not (k.rows and k.cols):
+            assert (k.den, k.ints) == (1, [[]] * k.rows), (a, b)
+    assert empty.kron(half).den == half.kron(empty).den == 1
+    assert QMatrix.identity(2).kron(thirds).den == thirds.kron(QMatrix.identity(2)).den == 6
 
 
 def test_project_columns_reads_homology_classes():
@@ -858,18 +899,13 @@ def test_kernel_coordinates_match_the_kernel_route():
     assert min(seen.values()) >= 20, seen
 
 
-def _has_identity_block(m):
-    """Whether the last m.rows columns of m are the identity, as in the
-    [boundaries | I] elimination of a subquotient."""
-    return m.cols >= m.rows and m.columns(range(m.cols - m.rows, m.cols)).is_identity()
-
-
 def test_each_degree_eliminates_once_per_differential(monkeypatch):
     # a call with nothing read ranks each nonzero differential once by
     # forward elimination, and reduces nothing; reading a degree's
     # representatives and then its projection adds the rref of d_g where
-    # rank d_g > 0, then one subquotient elimination, with a row per cycle
-    # coordinate, where a boundary comes in, and nothing where none does
+    # rank d_g > 0, then one subquotient elimination where a boundary comes
+    # in, of the boundaries' transpose: a row per nonzero boundary column
+    # and a column per cycle coordinate; and nothing where none comes in
     spy = _EliminationSpy(monkeypatch)
     rng = random.Random(1901)
     seen = dict.fromkeys(("empty", "closed", "boundary-free", "both"), 0)
@@ -894,13 +930,103 @@ def test_each_degree_eliminates_once_per_differential(monkeypatch):
             assert len(subs) == (1 if n and incoming else 0), (kind, len(reduced))
             if subs:
                 sub = subs[0]
-                assert _has_identity_block(sub) and sub is not mats.get(g)
-                assert sub.rows <= n - rank[g] if kind == "both" else sub.rows == n
+                up = mats[g + 1]
+                boundaries = sum(1 for j in range(up.cols) if any(up.col(j)))
+                assert (sub.rows, sub.cols) == (boundaries, n - rank[g]), kind
+                assert sub is not mats.get(g)
             # a second read builds nothing
             spy.calls.clear()
             assert reps[g].cols == hdims[g] and projs[g] is projs[g]
             assert spy.calls == []
     assert min(seen.values()) >= 20, seen
+
+
+# -- the identity subquotient against the bordered [B | I] elimination ------------------
+
+
+def hostile_boundaries(rng):
+    """(kind, n, columns) for each kind of boundary matrix B the identity
+    subquotient needs: B has n rows and these columns, shuffled, so that a
+    dependent column can come before the columns it depends on."""
+    out = []
+    n = rng.randint(2, 5)
+    for kind, entry in (("small", _small), ("denominators", _distinct_denominator), ("large", _large)):
+        base = [[entry(rng) for _ in range(n)] for _ in range(n - 1)]
+        lam = Q(rng.choice((-5, -2, 3, 7)), rng.choice((2, 3, 11)))
+        out.append((f"zero columns, {kind}", n, base[:2] + [[Q(0)] * n] * 2))
+        out.append((f"repeated columns, {kind}", n, base + base[:2]))
+        out.append((f"proportional columns, {kind}", n, base + [[lam * x for x in c] for c in base[:2]]))
+        out.append((f"spanning, {kind}", n, base + [[entry(rng) for _ in range(n)] for _ in range(2)]))
+        k = rng.randint(1, n - 1)
+        out.append((f"deficient, {kind}", n, _low_rank_rows(rng, n + 2, n, k, entry)))
+    out.append(("rank 0", n, [[Q(0)] * n for _ in range(3)]))
+    out.append(("0xb", 0, [[] for _ in range(3)]))
+    out.append(("nx0", n, []))
+    out.append(("1xb", 1, [[_distinct_denominator(rng)] for _ in range(n)]))
+    out.append(("1xb zero", 1, [[Q(0)] for _ in range(n)]))
+    out.append(("nx1", n, [[_large(rng) for _ in range(n)]]))
+    out.append(("nx1 zero", n, [[Q(0)] * n]))
+    out.append(("identity", n, [[Q(int(i == j)) for i in range(n)] for j in range(n)]))
+    for _, _, columns in out:
+        rng.shuffle(columns)
+    return out
+
+
+def _same_subquotient(B):
+    accepted, annihilator, left = linalg._subquotient(None, B)
+    o_accepted, o_annihilator, o_left = bordered_subquotient(None, B)
+    assert list(accepted) == list(o_accepted)
+    assert annihilator == o_annihilator
+    assert left == o_left
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_identity_subquotient_matches_the_bordered_elimination(seed):
+    # the accepted coordinates and the coordinate rows depend on span(B)
+    # alone, so the b x n elimination of B^T gives what [B | I] gave
+    ranks = {"0": 0, "full": 0, "deficient": 0}
+    for kind, n, columns in hostile_boundaries(random.Random(6300 + seed)):
+        B = QMatrix.from_columns(n, columns)
+        _same_subquotient(B)
+        # and through the public route, with the identity as Z
+        reps, proj = subquotient(QMatrix.identity(n), B)
+        accepted, _, left = bordered_subquotient(None, B)
+        assert reps == QMatrix.identity(n).columns(accepted), kind
+        cycles = QMatrix(n, 2, [[Q(i - j, j + 1) for j in range(2)] for i in range(n)])
+        assert proj(cycles) == (cycles if left is None else left @ cycles), kind
+        r = B.rank()
+        ranks["0" if not r else "full" if r == n else "deficient"] += 1
+    assert min(ranks.values()) >= 3, ranks
+
+
+@given(hostile_matrix())
+@settings(max_examples=200, deadline=None)
+def test_identity_subquotient_matches_the_bordered_elimination_on_any_shape(B):
+    _same_subquotient(B)
+
+
+def test_chain_homology_bases_match_the_bordered_route(monkeypatch):
+    # every basis read of chain_homology, and the same complexes with the
+    # bordered elimination in place of the identity subquotient
+    rng = random.Random(2600)
+    complexes = [_hostile_complex(rng) for _ in range(40)]
+    ours = []
+    for dims, mats in complexes:
+        hdims, reps, projs = chain_homology(dims, mats)
+        ours.append((hdims, dict(reps), dict(projs)))
+    monkeypatch.setattr(linalg, "_subquotient", bordered_subquotient)
+    incoming = 0
+    for (dims, mats), (hdims, reps, projs) in zip(complexes, ours):
+        ohdims, oreps, oprojs = chain_homology(dims, mats)
+        assert hdims == ohdims and reps == dict(oreps)
+        for g, n in dims.items():
+            incoming += bool(n) and not _no_boundary(mats, g)
+            down = mats.get(g, QMatrix(dims.get(g - 1, 0), n))
+            Z = down.kernel_basis()
+            coef = QMatrix(Z.cols, 3, [[Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(3)] for _ in range(Z.cols)])
+            cycles = Z @ coef
+            assert projs[g](cycles) == oprojs[g](cycles)
+    assert incoming >= 60, incoming
 
 
 def test_bases_do_not_depend_on_the_read_order():

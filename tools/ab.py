@@ -21,8 +21,10 @@ seed and per end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles, the change's wins, ``change_worse_by`` against that metric's
 bound, ``unresolved`` when the medians differ by no more than the parent's
 quartile spread, and ``gain`` when the change wins at least nine tenths of
-the pairs and is better by more than that spread; ``traced`` holds the
-traced runs.
+the pairs and is better by more than that spread; ``order_effect`` holds,
+per workload and seed and per end-to-end metric, whichever side ran first,
+the median over pairs of (second run - first run) / first run and how many
+pairs read worse on the second run; ``traced`` holds the traced runs.
 """
 
 from __future__ import annotations
@@ -148,6 +150,32 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def order_effect(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per "<workload> seed <seed>" and per end-to-end metric, by each run's
+    ``position`` in its pair and whichever side it is: the median over pairs
+    of (second - first) / first (None when no pair has a nonzero first run),
+    how many pairs read worse on the second run (ties count for neither),
+    and the number of pairs with both runs."""
+    groups: dict[str, dict[int, dict[int, dict]]] = {}
+    for r in runs:
+        key = f"{r['workload']} seed {r['seed']}"
+        groups.setdefault(key, {}).setdefault(r["pair"], {})[r["position"]] = r["metrics"]
+    out = {}
+    for key, pairs in groups.items():
+        both = [(p[0], p[1]) for _, p in sorted(pairs.items()) if set(p) == {0, 1}]
+        table = {}
+        for spec in end_to_end:
+            name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
+            steps = [(second[name] - first[name]) / first[name] for first, second in both if first[name]]
+            table[name] = {
+                "second_vs_first_median": statistics.median(steps) if steps else None,
+                "second_worse": sum(1 for first, second in both if sign * (second[name] - first[name]) < 0),
+                "pairs": len(both),
+            }
+        out[key] = table
+    return out
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
@@ -190,6 +218,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "runs": runs,
         "summary": summarize(runs, spec["end_to_end"]),
+        "order_effect": order_effect(runs, spec["end_to_end"]),
         "traced": traced,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
