@@ -256,24 +256,6 @@ def vector_entries(m: GradedModule, degree: int, vec) -> dict[int, Fraction]:
     return {i: x for (i, _a), x in zip(m.basis(degree), vec) if x != 0}
 
 
-def direct_sum(modules) -> tuple[GradedModule, list[list[int]]]:
-    """Direct sum with index bookkeeping.
-
-    Returns (sum, maps) where maps[k][i] is the summand index in the sum of
-    summand i of modules[k].
-    """
-    modules = list(modules)
-    if not modules:
-        raise SchemaError("direct sum of empty family needs a ring")
-    ring = modules[0].ring
-    if any(m.ring != ring for m in modules):
-        raise SchemaError("direct sum over mixed rings")
-    out, _, pos = indexed_module(
-        ring, [(s, (k, i)) for k, m in enumerate(modules) for i, s in enumerate(m.summands)]
-    )
-    return out, [[pos[(k, i)] for i in range(len(m.summands))] for k, m in enumerate(modules)]
-
-
 # -- module maps ---------------------------------------------------------
 
 
@@ -726,20 +708,6 @@ class WindowModule:
 
     def dim(self, t):
         return len(self.signs.get(t, ()))
-
-
-def window_of_module(m: GradedModule, window) -> WindowModule:
-    lo = window[0]
-    step = m.ring.step
-    runs = degree_runs(window, step, [(m, 0)])
-    signs, acts = {}, {}
-    for t, n in runs.items():
-        if m.dim(t):
-            signs[t] = [m.basis_sign(i, a) for i, a in m.basis(t)]
-            bottom = t - (n - 1) * step
-            if bottom - step >= lo:
-                acts[t] = m.action_matrix(bottom)
-    return WindowModule(m.ring, window, runs, signs, acts)
 
 
 def sign_of(m: GradedModule, degree: int, vec) -> int | None:

@@ -10,7 +10,12 @@ built only where an entry is read (``m[i, j]``, ``row``, ``col``,
 ``entries``, ``apply``), and no other module reads a Fraction's denominator,
 except the CLI's rational codec.  Matrices are immutable: no module but this
 one touches the storage, and ``QMatrix.from_entries`` builds a matrix from
-its nonzero entries.
+its nonzero entries.  So a result that equals an operand is that operand:
+``A @ B`` is B when A is the identity and A when B is, ``block_matrix`` of a
+lone block that fills the whole matrix is that block, and a ``submatrix``
+(or ``columns``) of every row and column in order is the matrix itself.
+``QMatrix.identity(n)`` is one shared instance per size (of the 64 sizes
+last asked for), which ``is_identity`` compares with.
 
 Elimination is fraction-free Gauss-Jordan with first-nonzero pivoting: each
 row is kept primitive (divided by the gcd of its entries after every
@@ -46,6 +51,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
 from math import gcd, lcm
+from operator import eq
 
 from .errors import InvariantError
 
@@ -105,7 +111,11 @@ class QMatrix:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def identity(n: int) -> "QMatrix":
+        """The n x n identity: one shared instance per size, for the 64 sizes
+        last asked for (``is_identity`` asks for the size of every square
+        matrix it tests)."""
         ints = [[0] * n for _ in range(n)]
         for i in range(n):
             ints[i][i] = 1
@@ -168,7 +178,7 @@ class QMatrix:
 
     def is_identity(self) -> bool:
         n = self.cols
-        return self.rows == n and self.den == 1 and self.ints == _identity_rows(n)
+        return self.rows == n and self.den == 1 and self.ints == QMatrix.identity(n).ints
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -196,7 +206,9 @@ class QMatrix:
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "QMatrix":
         """The matrix of the entries of self in the rows and cols given, in
-        those orders."""
+        those orders: self itself when that is every row and column in order."""
+        if _in_order(rows, self.rows) and _in_order(cols, self.cols):
+            return self
         ints = [[r[j] for j in cols] for r in map(self.ints.__getitem__, rows)]
         return _canonical(len(rows), len(cols), self.den, ints)
 
@@ -225,6 +237,10 @@ class QMatrix:
             raise ValueError(f"shape mismatch in mul: {self.cols} vs {other.rows}")
         if not (self.rows and self.cols and other.cols):
             return QMatrix(self.rows, other.cols)
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         # the nonzero entries of each row of the right factor, read once
         right = [[(j, v) for j, v in enumerate(row) if v] for row in other.ints]
         out = []
@@ -381,10 +397,9 @@ def _kernel_from_rref(R: QMatrix, pivots: list[int]) -> tuple[QMatrix, Sequence[
     return _canonical(R.cols, len(free), R.den, ints), free
 
 
-@lru_cache(maxsize=64)
-def _identity_rows(n: int) -> list[list[int]]:
-    """The rows of the n x n identity, for comparison only: never stored."""
-    return QMatrix.identity(n).ints
+def _in_order(seq: Sequence[int], n: int) -> bool:
+    """Whether seq is 0, 1, ..., n - 1."""
+    return len(seq) == n and all(map(eq, seq, range(n)))
 
 
 def _wrap(rows: int, cols: int, den: int, ints: list[list[int]]) -> QMatrix:
@@ -415,12 +430,17 @@ def block_matrix(row_sizes: Sequence[int], col_sizes: Sequence[int], blocks: dic
 
     Row block i has row_sizes[i] rows and column block j has col_sizes[j]
     columns; blocks maps (i, j) to the QMatrix at that position, and an absent
-    block is zero.  A block of the wrong shape raises ValueError.
+    block is zero.  A block of the wrong shape raises ValueError; a lone
+    block that fills the whole matrix is returned as it is.
     """
     row_off, col_off = [0, *accumulate(row_sizes)], [0, *accumulate(col_sizes)]
     for (i, j), b in blocks.items():
         if (b.rows, b.cols) != (row_sizes[i], col_sizes[j]):
             raise ValueError(f"block {(i, j)} is {b.rows}x{b.cols}, not {row_sizes[i]}x{col_sizes[j]}")
+    if len(blocks) == 1:
+        (b,) = blocks.values()
+        if (b.rows, b.cols) == (row_off[-1], col_off[-1]):
+            return b
     den = lcm(*{b.den for b in blocks.values()})
     ints = [[0] * col_off[-1] for _ in range(row_off[-1])]
     for (i, j), b in blocks.items():

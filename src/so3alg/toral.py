@@ -270,11 +270,7 @@ class VMap:
 
 
 def vmap_sum(dom: QWSpace, cod: QWSpace, maps) -> VMap:
-    """Block-diagonal sum of maps whose domains and codomains add up.
-
-    Where one map's block is the whole matrix (every other map has
-    dimension 0 there) the block itself is kept: a ``QMatrix`` is immutable.
-    """
+    """Block-diagonal sum of maps whose domains and codomains add up."""
     degree = maps[0].degree
     blocks = {}
     for g in dom.dims:
@@ -284,11 +280,7 @@ def vmap_sum(dom: QWSpace, cod: QWSpace, maps) -> VMap:
                 continue
             rows = [f.codomain.dim(g + degree, s) for f in maps]
             cols = [f.domain.dim(g, s) for f in maps]
-            lone = next(iter(parts.values())) if len(parts) == 1 else None
-            if lone is not None and (lone.rows, lone.cols) == (sum(rows), sum(cols)):
-                blocks[(g, s)] = lone
-            else:
-                blocks[(g, s)] = block_matrix(rows, cols, parts)
+            blocks[(g, s)] = block_matrix(rows, cols, parts)
     return VMap(dom, cod, degree, blocks)
 
 

@@ -133,3 +133,33 @@ def test_the_order_effect_leaves_out_a_lone_run_and_keeps_workloads_and_seeds_ap
     zero = ordered("z", 1, [(0.0, 0.0)], [(5.0, 1.0)])
     lat = ab.order_effect(zero, END_TO_END)["z seed 1"]["latency_p50_ms"]
     assert lat == {"second_vs_first_median": None, "second_worse": 1, "pairs": 1}
+
+
+@pytest.mark.parametrize("output, counts", [
+    ("....\n490 passed in 48.12s\n", {"passed": 490, "failed": 0, "errors": 0}),
+    ("F.\nFAILED tests/test_x.py::test_y - assert 0\n2 failed, 488 passed, 1 warning, 3 errors in 61.07s (0:01:01)\n",
+     {"passed": 488, "failed": 2, "errors": 3}),
+    ("===== 1 failed, 1 error in 0.50s =====\n", {"passed": 0, "failed": 1, "errors": 1}),
+    # the counts come from the summary line, not from a test's own output
+    ("12 passed in a test's output\n3 passed in 0.10s\nwarning text after it\n",
+     {"passed": 3, "failed": 0, "errors": 0}),
+    ("", {"passed": 0, "failed": 0, "errors": 0}),
+])
+def test_pytest_counts_read_the_summary_line(output, counts):
+    assert ab.pytest_counts(output) == counts
+
+
+def test_tier1_runs_the_suite_once_in_the_side_root(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(cmd, cwd, env, capture_output, text):
+        seen.append((cmd, cwd, env["PYTHONPATH"]))
+        return ab.subprocess.CompletedProcess(cmd, 1, stdout="..F\n1 failed, 2 passed in 0.20s\n", stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    out = ab.tier1(tmp_path)
+    assert seen == [([ab.sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"], tmp_path,
+                     "src" + ab.os.pathsep + "elsewhere")]
+    assert (out["passed"], out["failed"], out["errors"]) == (2, 1, 0)
+    assert isinstance(out["seconds"], float) and out["seconds"] >= 0

