@@ -15,16 +15,23 @@ of the projective structure.
 Each law is checked once, where data enters: ``DihedralObject.__init__``
 checks the types, the trivial action at infinity, d² = 0 at infinity and at
 every slot and the germ as a chain map at the tail; ``QWComplex.__init__``
-checks d² = 0.  The constructions here build their results with
-``_assembled``, unchecked, as they are objects when their parts are: levels,
-fixed parts, normal forms, sums and suspensions of complexes are complexes,
-the slot and constant functors add a zero or identity germ, homology has
-zero differentials, and the cone of a degree-0 chain map that commutes with
-the germs (``cone`` tests its argument: morphisms are not checked on entry)
-is one.  So ``homology_Ch`` and ``is_weak_equivalence`` trust their input;
-a call of ``homology_Ch`` computes the homology of each distinct pair of
-level objects once and keeps none, builds bases only for the sign-+ parts
-in the degrees of a germ block, and ``is_weak_equivalence`` computes none.
+checks d² = 0; ``DihedralMorphism.__init__`` checks the component types and
+that the germ square commutes at the tail.  The constructions here build
+their results with ``_assembled``, unchecked, as they are objects or
+morphisms when their parts are: levels, fixed parts, normal forms, sums and
+suspensions of complexes are complexes, the slot and constant functors add
+a zero or identity germ, homology has zero differentials, the cone of a
+degree-0 chain map is one, and identities, composites and the units and
+counits of the slot and constant adjunctions commute with the germs.  Being
+a chain map is not a law of a morphism (an object meets the germ's
+differential only at the tail, so even the counit of the constant
+adjunction need not be one): ``cone`` tests its argument, except an
+identity, which is a chain map and a weak equivalence by theorem, as
+``is_weak_equivalence`` answers it without a rank.  So ``homology_Ch`` and
+``is_weak_equivalence`` trust their input; a call of ``homology_Ch``
+computes the homology of each distinct pair of level objects once and keeps
+none, builds bases only for the sign-+ parts in the degrees of a germ
+block, and ``is_weak_equivalence`` computes none.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .errors import (
     BadIndex,
     InvariantError,
     NotADifferential,
+    NotAMorphism,
     SchemaError,
 )
 from .linalg import Q, QMatrix, block_matrix, is_quasi_isomorphism
@@ -183,32 +191,48 @@ def zero_dihedral() -> DihedralObject:
 
 
 class DihedralMorphism:
-    """A degree-t map: one component per slot, constrained through the germ."""
+    """A degree-t map: one component per slot, constrained through the germ
+    (the square with the germs commutes at the tail)."""
 
     __slots__ = ("x", "y", "degree", "f_inf", "f_slots")
 
     def __init__(self, x: DihedralObject, y: DihedralObject, degree: int,
                  f_inf: VMap, f_slots: dict):
-        self.x, self.y, self.degree = x, y, degree
         if f_inf.domain != x.m_inf or f_inf.codomain != y.m_inf or f_inf.degree != degree:
             raise SchemaError("component at infinity has wrong type")
-        self.f_inf = f_inf
+        self._store(x, y, degree, f_inf, f_slots, checked=True)
+        if not self.is_valid():
+            raise NotAMorphism("the germ square does not commute at the tail")
+
+    @staticmethod
+    def _assembled(x: DihedralObject, y: DihedralObject, degree: int,
+                   f_inf: VMap, f_slots) -> "DihedralMorphism":
+        """A morphism built here whose germ square commutes by construction,
+        not checked again; it is stored as by ``__init__``."""
+        f = DihedralMorphism.__new__(DihedralMorphism)
+        f._store(x, y, degree, f_inf, f_slots, checked=False)
+        return f
+
+    def _store(self, x, y, degree, f_inf, f_slots, checked):
+        """A missing component is zero; unless checked, a component is taken
+        as built and a Slots container as it is."""
+        self.x, self.y, self.degree, self.f_inf = x, y, degree, f_inf
         self.f_slots = Slots.fill(
             [x.slots, y.slots], f_slots, lambda key: (x.slot(key), y.slot(key), degree),
-            VMap.zero, "component", _check_index,
+            VMap.zero, "component" if checked else None, _check_index,
         )
 
     @staticmethod
     def identity(x: DihedralObject) -> "DihedralMorphism":
-        return DihedralMorphism(
+        return DihedralMorphism._assembled(
             x, x, 0, VMap.identity(x.m_inf), x.slots.map(VMap.identity),
         )
 
     def compose(self, other: "DihedralMorphism") -> "DihedralMorphism":
         """self after other."""
-        if other.y != self.x:
+        if other.y is not self.x and other.y != self.x:
             raise SchemaError("composition mismatch")
-        return DihedralMorphism(
+        return DihedralMorphism._assembled(
             other.x, self.y, self.degree + other.degree,
             self.f_inf.compose(other.f_inf),
             Slots.over(
@@ -227,6 +251,16 @@ class DihedralMorphism:
         lhs = self.f_slots[TAIL].compose(self.x.germ[TAIL])
         rhs = self.y.germ[TAIL].compose(self.f_inf)
         return lhs == rhs
+
+    def is_identity(self) -> bool:
+        """The identity of its object, component by component: a chain map
+        and an isomorphism by theorem."""
+        return (
+            self.degree == 0
+            and self.x is self.y
+            and self.f_inf.is_identity()
+            and all(comp.is_identity() for comp in self.f_slots.values())
+        )
 
     def is_chain_map(self) -> bool:
         if self.y.d_inf.compose(self.f_inf) != self.f_inf.compose(self.x.d_inf):
@@ -351,7 +385,7 @@ def unit_i_p(x: QWComplex, k: int) -> VMap:
 def counit_i_p(m: DihedralObject, k: int) -> DihedralMorphism:
     """i_k(p_k(M)) -> M: the identity at slot k, zero elsewhere."""
     src = functor_i_k(m.level(k), k)
-    return DihedralMorphism(
+    return DihedralMorphism._assembled(
         src, m, 0, VMap.zero(src.m_inf, m.m_inf, 0),
         {k: VMap.identity(m.slot(k))},
     )
@@ -360,7 +394,7 @@ def counit_i_p(m: DihedralObject, k: int) -> DihedralMorphism:
 def unit_p_i(m: DihedralObject, k: int) -> DihedralMorphism:
     """M -> i_k(p_k(M)): the identity at slot k, zero elsewhere."""
     dst = functor_i_k(m.level(k), k)
-    return DihedralMorphism(
+    return DihedralMorphism._assembled(
         m, dst, 0, VMap.zero(m.m_inf, dst.m_inf, 0),
         {k: VMap.identity(m.slot(k))},
     )
@@ -406,7 +440,7 @@ def counit_const(m: DihedralObject) -> DihedralMorphism:
             if parts:
                 blocks[(g, 1)] = block_matrix([n.slot(k).dim(g, 1)], c, parts)
         f_slots[k] = VMap(gm.space, n.slot(k), 0, blocks)
-    return DihedralMorphism(src, n, 0, proj, f_slots)
+    return DihedralMorphism._assembled(src, n, 0, proj, f_slots)
 
 
 # -- homology and the projective structure --------------------------------------------
@@ -453,9 +487,10 @@ def _levels(f: DihedralMorphism):
 
 
 def is_weak_equivalence(f: DihedralMorphism) -> bool:
-    """A chain map that is a quasi-isomorphism on each sign part at infinity,
-    at every explicit slot, and at the tail."""
-    return f.is_chain_map() and all(
+    """An identity, which is an isomorphism and so a weak equivalence by
+    axiom, or a chain map that is a quasi-isomorphism on each sign part at
+    infinity, at every explicit slot, and at the tail."""
+    return f.is_identity() or f.is_chain_map() and all(
         is_quasi_isomorphism(sx.part(s), dx.part(s), sy.part(s), dy.part(s), comp.part(s), f.degree)
         for (sx, dx), (sy, dy), comp in _levels(f)
         for s in (1, -1)
@@ -513,8 +548,9 @@ def suspend_dihedral(m: DihedralObject, k: int) -> DihedralObject:
 
 
 def cone(f: DihedralMorphism) -> DihedralObject:
-    """The mapping cone of a degree-0 chain map."""
-    if f.degree != 0 or not (f.is_valid() and f.is_chain_map()):
+    """The mapping cone of a degree-0 chain map: an identity is one, and any
+    other morphism is tested."""
+    if f.degree != 0 or not (f.is_identity() or f.is_chain_map()):
         raise SchemaError("cones need degree-0 chain maps")
     sx = suspend_dihedral(f.x, 1)
     m_inf, slots, germ, d_slots = _summed_levels(sx, f.y, lambda key, _space: _cone_diff(
@@ -540,7 +576,7 @@ def _cone_diff(sa: QWSpace, sb: QWSpace, da: VMap, db: VMap, comp: VMap) -> VMap
                 blocks[(g, s)] = block_matrix(
                     [sa.dim(g - 1, s), sb.dim(g - 1, s)], [sa.dim(g, s), sb.dim(g, s)], parts
                 )
-    return VMap(dom, dom, -1, blocks)
+    return VMap._assembled(dom, dom, -1, blocks)
 
 
 # -- graded morphism dimensions ----------------------------------------------------

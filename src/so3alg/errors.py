@@ -29,6 +29,10 @@ class NotADifferential(InvariantError):
     """Candidate differential fails d*d = 0 or the commutation rule."""
 
 
+class NotAMorphism(InvariantError):
+    """A candidate morphism fails to commute with its objects' germ maps."""
+
+
 class NotTorsion(InvariantError):
     """A torsion module was required but a free or Laurent part is present."""
 

@@ -183,17 +183,24 @@ class VMap:
     __slots__ = ("domain", "codomain", "degree", "blocks")
 
     def __init__(self, domain: QWSpace, codomain: QWSpace, degree: int, blocks):
+        for (g, s), mat in blocks.items():
+            if (mat.rows, mat.cols) != (codomain.dim(g + degree, s), domain.dim(g, s)):
+                raise SchemaError(f"V-map block {(g, s)} has wrong shape")
+        self._store(domain, codomain, degree, blocks)
+
+    @staticmethod
+    def _assembled(domain: QWSpace, codomain: QWSpace, degree: int, blocks) -> "VMap":
+        """A map whose blocks were built here in the shapes its type asks
+        for, not checked again; zero blocks are dropped as by ``__init__``."""
+        f = VMap.__new__(VMap)
+        f._store(domain, codomain, degree, blocks)
+        return f
+
+    def _store(self, domain, codomain, degree, blocks):
         self.domain = domain
         self.codomain = codomain
         self.degree = degree
-        clean = {}
-        for (g, s), mat in blocks.items():
-            want = (codomain.dim(g + degree, s), domain.dim(g, s))
-            if (mat.rows, mat.cols) != want:
-                raise SchemaError(f"V-map block {(g, s)} has wrong shape")
-            if not mat.is_zero():
-                clean[(g, s)] = mat
-        self.blocks = clean
+        self.blocks = {key: mat for key, mat in blocks.items() if not mat.is_zero()}
 
     @staticmethod
     def zero(domain, codomain, degree=0):
@@ -207,7 +214,7 @@ class VMap:
                 blocks[(g, 1)] = QMatrix.identity(p)
             if m:
                 blocks[(g, -1)] = QMatrix.identity(m)
-        return VMap(v, v, 0, blocks)
+        return VMap._assembled(v, v, 0, blocks)
 
     def block(self, g, s):
         mat = self.blocks.get((g, s))
@@ -227,6 +234,16 @@ class VMap:
     def is_zero(self):
         return not self.blocks
 
+    def is_identity(self):
+        """The identity of its domain, block by block: a block of the right
+        shape at each nonzero (degree, sign) part, each an identity."""
+        return (
+            self.degree == 0
+            and self.domain == self.codomain
+            and len(self.blocks) == sum((p > 0) + (m > 0) for p, m in self.domain.dims.values())
+            and all(mat.is_identity() for mat in self.blocks.values())
+        )
+
     def part(self, sign):
         """The nonzero blocks of the sign part, by degree."""
         return {g: mat for (g, s), mat in self.blocks.items() if s == sign}
@@ -242,28 +259,30 @@ class VMap:
                 left = self.blocks.get((g + other.degree, s))
                 if right is not None and left is not None:
                     blocks[(g, s)] = left @ right
-        return VMap(other.domain, self.codomain, self.degree + other.degree, blocks)
+        return VMap._assembled(other.domain, self.codomain, self.degree + other.degree, blocks)
 
     def __add__(self, other):
+        if (other.domain, other.codomain, other.degree) != (self.domain, self.codomain, self.degree):
+            raise SchemaError("V-map sum mismatch")
         blocks = {}
         for key in set(self.blocks) | set(other.blocks):
             blocks[key] = self.block(*key) + other.block(*key)
-        return VMap(self.domain, self.codomain, self.degree, blocks)
+        return VMap._assembled(self.domain, self.codomain, self.degree, blocks)
 
     def scale(self, k):
-        return VMap(
+        return VMap._assembled(
             self.domain, self.codomain, self.degree,
             {key: mat.scale(k) for key, mat in self.blocks.items()},
         )
 
     def suspend(self, k):
-        return VMap(
+        return VMap._assembled(
             self.domain.suspend(k), self.codomain.suspend(k), self.degree,
             {(g + k, s): mat for (g, s), mat in self.blocks.items()},
         )
 
     def twist(self):
-        return VMap(
+        return VMap._assembled(
             self.domain.twist(), self.codomain.twist(), self.degree,
             {(g, -s): mat for (g, s), mat in self.blocks.items()},
         )
@@ -281,7 +300,7 @@ def vmap_sum(dom: QWSpace, cod: QWSpace, maps) -> VMap:
             rows = [f.codomain.dim(g + degree, s) for f in maps]
             cols = [f.domain.dim(g, s) for f in maps]
             blocks[(g, s)] = block_matrix(rows, cols, parts)
-    return VMap(dom, cod, degree, blocks)
+    return VMap._assembled(dom, cod, degree, blocks)
 
 
 def qw_homology(space: QWSpace, d: VMap):

@@ -40,7 +40,7 @@ from so3alg.dihedral import (
 from so3alg.cli import dihedral_from_json, dihedral_to_json, vmap_to_json
 from so3alg.errors import BadIndex, NotADifferential, SchemaError
 from so3alg.linalg import Q, QMatrix, block_matrix
-from so3alg import linalg, toral
+from so3alg import errors, linalg, toral
 from so3alg.toral import QWSpace, Slots, VMap
 from elimination_spy import SubquotientSpy
 from weq_oracles import both_oracles, perturbed_identity, random_chain_map
@@ -446,9 +446,9 @@ def _level_complexes(x: DihedralObject, keys):
     return [("inf", x.m_inf, x.d_inf)] + [(k, x.slot(k), x.d_slot(k)) for k in keys]
 
 
-def levelwise_map(x, y, t, level_map) -> DihedralMorphism:
-    """The degree-t morphism x -> y whose sign-s blocks at each level are
-    level_map(key, s, source complex, target complex)."""
+def levelwise_parts(x, y, t, level_map) -> dict:
+    """The degree-t components x -> y, by level ("inf" and each slot key),
+    whose sign-s blocks are level_map(key, s, source complex, target complex)."""
     keys = Slots.keys_of([x.slots, y.slots])
     parts = {}
     for (key, sx, dx), (_, sy, dy) in zip(_level_complexes(x, keys), _level_complexes(y, keys)):
@@ -458,12 +458,40 @@ def levelwise_map(x, y, t, level_map) -> DihedralMorphism:
             for g, mat in level_map(key, s, _sign_complex(sx, dx, s), _sign_complex(sy, dy, s)).items()
         }
         parts[key] = VMap(sx, sy, t, blocks)
+    return parts
+
+
+def levelwise_map(x, y, t, level_map) -> DihedralMorphism:
+    """The degree-t morphism x -> y with the components of levelwise_parts;
+    level_map must make the germ square commute."""
+    parts = levelwise_parts(x, y, t, level_map)
     return DihedralMorphism(x, y, t, parts.pop("inf"), parts)
 
 
+def _sign_part(f: VMap, s) -> VMap:
+    return VMap(f.domain, f.codomain, f.degree, {k: m for k, m in f.blocks.items() if k[1] == s})
+
+
+def through_infinity(x, y, t, level_map, ends, a) -> DihedralMorphism:
+    """A degree-t morphism x -> y whose germ square commutes: level_map's
+    blocks at each explicit slot and on the sign-- part of the tail, which
+    the germ of x misses; at infinity and on the sign-+ part of the tail,
+    which the germs couple, the blocks of ends (one that commutes with the
+    germs: the identity or zero) plus a after germ_x and germ_y after a, for
+    a degree-t map a from the tail of x to y at infinity.  The germs are
+    chain maps, so this is a chain map when level_map, ends and a are."""
+    parts = levelwise_parts(x, y, t, level_map)
+    base = levelwise_parts(x, y, t, ends)
+    gx, gy = x.germ[TAIL], y.germ[TAIL]
+    parts.pop("inf")
+    parts[TAIL] = _sign_part(base[TAIL], 1) + _sign_part(parts[TAIL], -1) + gy.compose(a)
+    return DihedralMorphism(x, y, t, base["inf"] + a.compose(gx), parts)
+
+
 def weak_equivalence_oracle(f: DihedralMorphism) -> bool:
-    """Both oracles at every level and sign of f."""
-    keys = Slots.keys_of([f.x.slots, f.y.slots])
+    """Both oracles at every level and sign of f, at infinity and at each
+    key that f or one of its objects lists."""
+    keys = Slots.keys_of([f.x.slots, f.y.slots, f.f_slots])
     comps = [f.f_inf] + [f.f_slots[k] for k in keys]
     return all(
         both_oracles(*_sign_complex(sx, dx, s), *_sign_complex(sy, dy, s), _sign_blocks(c, s), f.degree)
@@ -516,21 +544,44 @@ def test_weak_equivalences_agree_with_both_oracles(t):
         def random_map(key, s, cx, cy):
             return random_chain_map(rng, cx, cy, t)
 
+        def random_ends(source, target):
+            # a random chain map from the tail of source to target at infinity
+            cx = _sign_complex(source.slots.tail, source.d_slot(TAIL), 1)
+            cy = _sign_complex(target.m_inf, target.d_inf, 1)
+            blocks = {(g, 1): mat for g, mat in random_chain_map(rng, cx, cy, t).items()}
+            return VMap(source.slots.tail, target.m_inf, t, blocks)
+
+        def null_ends(source, target):
+            # d h + h d for a random h of degree t + 1: null-homotopic, so
+            # the identity plus it, after or before the germs, is homotopic
+            # to the identity at infinity and at the tail
+            h = rand_map(rng, source.slots.tail, target.m_inf, t + 1)
+            return target.d_inf.compose(h) + h.compose(source.d_slot(TAIL))
+
         def kill_w(key, s, cx, cy):
             inc, proj = into_xw(key, s, cx, cy), onto_x(key, s, cx, cy)
             return {g: inc[g] @ proj[g] for g in inc}
 
+        def zero(*_):
+            return {}
+
+        def random_through_infinity(source, target):
+            target = suspend_dihedral(target, t)
+            return through_infinity(source, target, t, random_map, zero, random_ends(source, target))
+
+        big_t = suspend_dihedral(big, t)
         maps = [
             levelwise_map(x, suspend_dihedral(x, t), t, _identity_blocks),
-            levelwise_map(x, suspend_dihedral(y, t), t, lambda *_: {}),
+            levelwise_map(x, suspend_dihedral(y, t), t, zero),
             levelwise_map(x, suspend_dihedral(big, t), t, include),
             levelwise_map(big, suspend_dihedral(x, t), t, project),
-            levelwise_map(x, suspend_dihedral(y, t), t, random_map),
-            levelwise_map(x, suspend_dihedral(x, t), t, random_map),
-            levelwise_map(big, suspend_dihedral(big, t), t, random_map),
-            levelwise_map(big, suspend_dihedral(big, t), t, lambda k, s, cx, cy: perturbed_identity(rng, cx)),
-            levelwise_map(acyclic, suspend_dihedral(y, t), t, lambda *_: {}),
-            levelwise_map(acyclic, suspend_dihedral(w, t), t, lambda *_: {}),
+            random_through_infinity(x, y),
+            random_through_infinity(x, x),
+            random_through_infinity(big, big),
+            through_infinity(big, big_t, t, lambda k, s, cx, cy: perturbed_identity(rng, cx),
+                             _identity_blocks, null_ends(big, big_t)),
+            levelwise_map(acyclic, suspend_dihedral(y, t), t, zero),
+            levelwise_map(acyclic, suspend_dihedral(w, t), t, zero),
             levelwise_map(xw, suspend_dihedral(xw, t), t, kill_w),
         ]
         for f in maps:
@@ -965,11 +1016,16 @@ def test_a_composite_keeps_a_component_only_the_middle_object_lists():
 
 def rand_morphism(rng, x, y, keys=()):
     """A random degree-0 morphism x -> y with a component at every key x or
-    y lists, at each of keys and at the tail; its square need not commute."""
+    y lists, at each of keys and at the tail.  Its square commutes: for a
+    random a from the tail of x to y at infinity, the component at infinity
+    is a after germ_x, and the tail's is germ_y after a plus a random map on
+    the sign-- part, which germ_x misses."""
     listed = sorted(set(x.slots.explicit) | set(y.slots.explicit) | set(keys))
     comps = {k: rand_map(rng, x.slot(k), y.slot(k)) for k in listed}
-    comps[TAIL] = rand_map(rng, x.slots.tail, y.slots.tail)
-    return DihedralMorphism(x, y, 0, rand_map(rng, x.m_inf, y.m_inf), comps)
+    a = rand_map(rng, x.slots.tail, y.m_inf)
+    minus = _sign_part(rand_map(rng, x.slots.tail, y.slots.tail), -1)
+    comps[TAIL] = y.germ[TAIL].compose(a) + minus
+    return DihedralMorphism(x, y, 0, a.compose(x.germ[TAIL]), comps)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -1014,3 +1070,202 @@ def test_a_morphism_component_must_sit_at_a_slot_index():
             DihedralMorphism(x, x, 0, VMap.identity(v), {TAIL: VMap.identity(v), key: VMap.zero(v, v)})
     f = DihedralMorphism(x, x, 0, VMap.identity(v), {TAIL: VMap.identity(v), 7: VMap.zero(v, v)})
     assert list(f.f_slots.explicit) == [7] and f.f_slots[7] == VMap.zero(v, v)
+
+
+# -- morphisms checked on entry ---------------------------------------------------------
+
+
+def _exit_code(exc) -> int:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads  # the CLI's mapping of errors onto exit codes
+
+    return workloads.exit_code_of(exc)
+
+
+def test_a_morphism_whose_germ_square_does_not_commute_is_refused():
+    # on the constants Q the germ is the identity, so the components at
+    # infinity and at the tail must agree
+    x = make_generator_dihedral("const")
+    v = x.m_inf
+    with pytest.raises(errors.NotAMorphism, match="germ square") as err:
+        DihedralMorphism(x, x, 0, VMap.identity(v), {TAIL: VMap.zero(v, v)})
+    assert _exit_code(err.value) == 3
+    with pytest.raises(errors.NotAMorphism):
+        DihedralMorphism(x, x, 0, VMap.identity(v), {TAIL: VMap.identity(v).scale(2)})
+    # seeded: a random morphism whose square commutes is taken, and the
+    # same morphism with its component at infinity moved where the germ of
+    # the target sees it is refused
+    rng = random.Random(2710)
+    refused = 0
+    for _ in range(12):
+        x, y = rand_object(rng), rand_chain_object(rng)
+        f = rand_morphism(rng, x, y)
+        assert f.is_valid()
+        bump = rand_map(rng, x.m_inf, y.m_inf)
+        if y.germ[TAIL].compose(bump).is_zero():
+            continue
+        with pytest.raises(errors.NotAMorphism):
+            DihedralMorphism(x, y, 0, f.f_inf + bump, f.f_slots)
+        refused += 1
+    assert refused >= 6, refused
+
+
+def test_trusted_morphisms_pass_the_slow_checks():
+    # identity, compose, counit_const, counit_i_p and unit_p_i skip the
+    # germ square on entry; each commutes by construction, and identities
+    # and composites of chain maps are chain maps
+    rng = random.Random(2720)
+    chain_composites = 0
+    for trial in range(10):
+        m = rand_chain_object(rng)
+        if trial % 2:
+            m = direct_sum_dihedral(m, functor_const(plus_part(rand_complex(rng))))
+        y = rand_chain_object(rng)
+        k = rng.choice([3, 4, 5, 6])
+        ident = DihedralMorphism.identity(m)
+        inc, proj = summand_map(m, y, 0, 2), summand_map(m, y, 0, 1, project=True)
+        eps_i, eta_p = counit_i_p(m, k), unit_p_i(m, k)
+        chain_maps = [
+            ident, ident.compose(ident), proj.compose(inc), inc.compose(ident),
+            proj.compose(inc.compose(ident)), eps_i.compose(eta_p),
+        ]
+        for f in chain_maps + [eps_i, eta_p, counit_const(m)]:
+            assert f.is_valid()
+        for f in chain_maps:
+            assert f.is_chain_map()
+            chain_composites += not f.is_identity()
+        assert ident.is_identity() and ident.compose(ident).is_identity()
+    assert chain_composites >= 40, chain_composites
+
+
+def _isolated_block(x: DihedralObject):
+    """(key, (g, s)) of a nonzero block of the identity at a slot key whose
+    differential neither leaves nor enters that degree and sign, so that
+    changing the block keeps a chain map; key 7, which x does not list,
+    reads the tail, and a component there does not meet the germ."""
+    for key in sorted(x.slots.explicit) + [7]:
+        d = x.d_slot(key)
+        for g, s in sorted(VMap.identity(x.slot(key)).blocks):
+            if (g, s) not in d.blocks and (g + 1, s) not in d.blocks:
+                return key, (g, s)
+    return None
+
+
+def _identity_but(x: DihedralObject, key, block, mat) -> DihedralMorphism:
+    """The identity of x with its block at (key, block) replaced by mat, or
+    dropped where mat is None."""
+    blocks = dict(VMap.identity(x.slot(key)).blocks)
+    if mat is None:
+        del blocks[block]
+    else:
+        blocks[block] = mat
+    comps = {k: VMap.identity(x.slot(k)) for k in x.keys()}
+    comps[key] = VMap(x.slot(key), x.slot(key), 0, blocks)
+    return DihedralMorphism(x, x, 0, VMap.identity(x.m_inf), comps)
+
+
+def test_the_identity_is_a_weak_equivalence_without_ranks(monkeypatch):
+    # the identity rule answers without a rank; look-alikes, each a chain
+    # map that is not the identity of its object, take the rank path and
+    # agree with both oracles
+    import so3alg.dihedral as dihedral
+
+    calls = []
+    real = dihedral.is_quasi_isomorphism
+    monkeypatch.setattr(dihedral, "is_quasi_isomorphism", lambda *a: calls.append(1) or real(*a))
+    rng = random.Random(2730)
+    kinds = {}
+    for trial in range(12):
+        x = rand_chain_object(rng) if trial % 3 else rand_object(rng)
+        ident = DihedralMorphism.identity(x)
+        calls.clear()
+        assert is_weak_equivalence(ident) and calls == []
+        assert weak_equivalence_oracle(ident)
+        twin = DihedralObject(x.m_inf, x.slots, x.germ, x.d_inf, x.d_slots)
+        assert twin == x and twin is not x
+        lookalikes = {
+            "into an equal copy": DihedralMorphism(
+                x, twin, 0, VMap.identity(x.m_inf), {k: VMap.identity(x.slot(k)) for k in x.keys()},
+            ),
+            "degree 1": levelwise_map(x, suspend_dihedral(x, 1), 1, _identity_blocks),
+            "degree -1": levelwise_map(x, suspend_dihedral(x, -1), -1, _identity_blocks),
+        }
+        found = _isolated_block(x)
+        if found is not None:
+            key, (g, s) = found
+            n = x.slot(key).dim(g, s)
+            lookalikes["a block scaled by 2"] = _identity_but(x, key, (g, s), QMatrix.identity(n).scale(2))
+            lookalikes["a block missing"] = _identity_but(x, key, (g, s), None)
+        for kind, f in lookalikes.items():
+            assert not f.is_identity() and f.is_valid() and f.is_chain_map(), kind
+            calls.clear()
+            got = is_weak_equivalence(f)
+            assert calls, kind
+            assert got == weak_equivalence_oracle(f), kind
+            kinds.setdefault(kind, set()).add(got)
+    assert kinds == {
+        "into an equal copy": {True}, "degree 1": {True}, "degree -1": {True},
+        "a block scaled by 2": {True}, "a block missing": {False},
+    }
+
+
+def _vmap_storage(f: VMap):
+    """Everything a V-map holds: its type, and each block, the matrix object
+    itself and a deep copy of its storage."""
+    return (
+        dict(f.domain.dims), dict(f.codomain.dims), f.degree,
+        {key: (id(m), m.rows, m.cols, m.den, copy.deepcopy(m.ints)) for key, m in f.blocks.items()},
+    )
+
+
+def _held_maps(*items):
+    """Every V-map the given objects and morphisms hold."""
+    out = []
+    for item in items:
+        if isinstance(item, DihedralObject):
+            out += [item.d_inf, *item.germ.values(), *item.d_slots.values()]
+        else:
+            out += [item.f_inf, *item.f_slots.values()]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_no_dihedral_construction_changes_an_input_or_a_shared_identity(seed):
+    # trusted constructions may return an input's blocks, or a shared
+    # identity, inside their results: nothing may write into them
+    rng = random.Random(2740 + seed)
+    x = direct_sum_dihedral(rand_chain_object(rng), functor_const(plus_part(rand_complex(rng))))
+    y = rand_chain_object(rng)
+    ident = DihedralMorphism.identity(x)
+    inc, proj = summand_map(x, y, 0, 2), summand_map(x, y, 0, 1, project=True)
+    inputs = _held_maps(x, y, ident, inc, proj)
+    identities = [QMatrix.identity(k) for k in range(6)]
+    saved = [_vmap_storage(f) for f in inputs]
+    saved_identities = [copy.deepcopy(m.ints) for m in identities]
+    eps = counit_const(x)
+    results = [
+        cone(ident), cone(inc), ident.compose(ident), proj.compose(inc), inc.compose(ident),
+        direct_sum_dihedral(x, y), homology_Ch(x), homology_Ch(cone(inc)), eps,
+        is_weak_equivalence(ident), is_weak_equivalence(inc), is_weak_equivalence(eps),
+        is_weak_equivalence(proj.compose(inc)),
+    ]
+    assert results  # kept alive while the inputs are compared
+    assert [_vmap_storage(f) for f in inputs] == saved
+    assert [m.ints for m in identities] == saved_identities
+    for k, m in enumerate(identities):
+        assert QMatrix.identity(k) is m and m.is_identity()
+
+
+def test_the_dihedral_sharing_guard_sees_a_planted_write(monkeypatch):
+    # a compose that puts an equal copy in place of each block of its right
+    # factor changes no value, but writes into an input's blocks
+    real = VMap.compose
+
+    def rewriting_compose(self, other):
+        for key, mat in list(other.blocks.items()):
+            other.blocks[key] = copy.copy(mat)
+        return real(self, other)
+
+    monkeypatch.setattr(VMap, "compose", rewriting_compose)
+    with pytest.raises(AssertionError):
+        test_no_dihedral_construction_changes_an_input_or_a_shared_identity(0)

@@ -18,7 +18,9 @@ normalization.  A ``GroupComplex`` skips the
 checks of ``__init__`` only through ``GroupComplex._assembled``, which only
 the total complex of tensor and hom and ``homology_W`` call; a
 ``DihedralObject``, ``QWComplex`` or ``ToralObject`` only through its
-``_assembled``, which only the listed constructions from checked parts call.
+``_assembled``, which only the listed constructions from checked parts call;
+a ``DihedralMorphism`` skips its germ square, and a ``VMap`` its block
+shapes, only in the listed constructions that hold them by construction.
 ``graded.homology_realized`` assumes d squared is zero, as its docstring
 says, so only ``toral.homology_dA`` calls it, on slot differentials that
 ``ToralObject.__init__`` checked.  In ``dihedral`` and
@@ -368,7 +370,9 @@ def test_graded_modules_bypass_init_only_through_the_one_constructor():
 
 
 # the classes with a trusted constructor ``_assembled``
-TRUSTED_CLASSES = {"GroupComplex", "DihedralObject", "QWComplex", "ToralObject"}
+TRUSTED_CLASSES = {
+    "GroupComplex", "DihedralObject", "QWComplex", "ToralObject", "DihedralMorphism", "VMap",
+}
 
 
 def _trusted_uses(tree, cls: str):
@@ -435,6 +439,47 @@ def test_only_rebuilds_of_checked_objects_skip_the_toral_checks():
     assert _trusted_uses_by_module("ToralObject") == {
         "toral": (["_assembled"], TRUSTED_TORAL),
     }
+
+
+# the morphisms whose germ square commutes by construction: identities,
+# composites of morphisms, and the units and counits of the adjunctions
+TRUSTED_DIHEDRAL_MORPHISM = ["compose", "counit_const", "counit_i_p", "identity", "unit_p_i"]
+
+
+def test_only_morphisms_that_commute_by_construction_skip_the_germ_square():
+    assert _trusted_uses_by_module("DihedralMorphism") == {
+        "dihedral": (["_assembled"], TRUSTED_DIHEDRAL_MORPHISM),
+    }
+
+
+# the V-maps whose blocks have their type's shapes by construction: products,
+# sums and rescalings of checked maps, their shifts and twists, identities,
+# block-diagonal sums and the differential of a cone
+TRUSTED_VMAP_TORAL = ["__add__", "compose", "identity", "scale", "suspend", "twist", "vmap_sum"]
+TRUSTED_VMAP_DIHEDRAL = ["_cone_diff"]
+
+
+def test_only_shaped_constructions_skip_the_vmap_shape_check():
+    assert _trusted_uses_by_module("VMap") == {
+        "toral": (["_assembled"], TRUSTED_VMAP_TORAL),
+        "dihedral": ([], TRUSTED_VMAP_DIHEDRAL),
+    }
+
+
+def test_morphism_and_vmap_trusted_scans_see_a_planted_bypass():
+    source = (
+        "def identity(x):\n"
+        "    return DihedralMorphism._assembled(x, x, 0, VMap._assembled(x, x, 0, {}), {})\n"
+        "def sneak(x, f):\n"
+        "    g = DihedralMorphism.__new__(DihedralMorphism)\n"
+        "    return g, object.__new__(VMap), f._assembled(x)\n"
+        "def rescale(f):\n"
+        "    return VMap._assembled(f.domain, f.codomain, f.degree, {})\n"
+    )
+    tree = ast.parse(source)
+    assert _trusted_uses(tree, "DihedralMorphism") == (["sneak"], ["identity", "sneak"])
+    assert _trusted_uses(tree, "VMap") == (["sneak"], ["identity", "rescale", "sneak"])
+    assert _trusted_uses(tree, "ToralObject") == ([], ["sneak"])
 
 
 def test_toral_trusted_scan_sees_a_planted_bypass():
