@@ -7,7 +7,9 @@ no floating point appears anywhere.  The subpackages are layered:
 - ``burnside``: the rational Burnside rings of SO(3) and O(2) as spaces of
   locally constant functions on conjugacy classes of closed subgroups.
 - ``graded``: canonical forms for graded modules over Q[c] and Q[d] with a
-  Weyl-group involution, graded Smith reduction, fixed points and base change.
+  Weyl-group involution, fixed points and base change.
+- ``qw``: graded Q[W]-spaces, their maps and homology, and the slot container,
+  which the toral and dihedral models share.
 - ``toral``: the algebraic model attached to the maximal torus (objects with a
   structure map to a localized module, adjunctions, injective resolutions,
   Ext, wide spheres, differentials).

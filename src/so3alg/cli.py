@@ -38,14 +38,11 @@ from .graded import (
 )
 from .linalg import Q, QMatrix
 from .literals import frac_parse, int_key
+from .qw import TAIL, QWSpace, Slots, VMap
 from .toral import (
-    TAIL,
-    QWSpace,
     SlotFamily,
-    Slots,
     ToralMorphism,
     ToralObject,
-    VMap,
     adams_bracket,
     check_star,
     ext_A,

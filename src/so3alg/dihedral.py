@@ -3,9 +3,12 @@
 An object holds a plain graded Q-space at infinity, one graded Q[W]-space
 per index k > 2 (finitely many explicit, the rest following one tail
 template), and a germ map from infinity into the tail of the sequence.
-The spaces, germ maps, slot differentials and morphism components are each
-held by ``toral.Slots``, the one container that reads an unlisted slot's
-tail; this module adds only its index rule, k > 2 (``_check_index``).
+The spaces and maps are ``qw``'s graded Q[W]-spaces, shared with the toral
+model (this module imports neither ``toral`` nor ``graded``); each V-map
+built here is a ``qw.block_vmap`` or a fixed part.  The spaces, germ maps,
+slot differentials and morphism components are each held by ``qw.Slots``,
+the one container that reads an unlisted slot's tail; this module adds only
+its index rule, k > 2 (``_check_index``).
 Morphisms carry one map per slot and are constrained only through the
 germ, that is, at the tail template.  The module provides the three
 adjoint pairs around the slot projections and the constant functor,
@@ -43,8 +46,8 @@ from .errors import (
     NotAMorphism,
     SchemaError,
 )
-from .linalg import Q, QMatrix, block_matrix, is_quasi_isomorphism
-from .toral import TAIL, QWSpace, Slots, VMap, qw_homology, qw_sum, vmap_sum
+from .linalg import Q, QMatrix, is_quasi_isomorphism
+from .qw import TAIL, QWSpace, Slots, VMap, block_vmap, qw_homology, qw_sum, vmap_sum
 
 
 # -- chain complexes of Q[W]-spaces -------------------------------------------
@@ -75,9 +78,6 @@ class QWComplex:
     def is_zero(self) -> bool:
         return self.space.is_zero()
 
-    def is_trivial_action(self) -> bool:
-        return all(m == 0 for _p, m in self.space.dims.values())
-
     def check_differential(self):
         if not self.d.compose(self.d).is_zero():
             raise NotADifferential("d squared is not zero")
@@ -105,10 +105,10 @@ class DihedralObject:
                  d_inf: VMap | None = None, d_slots=None):
         for k in slots.explicit:
             _check_index(k)
-        if any(m for _p, m in m_inf.dims.values()):
+        if m_inf.fixed() != m_inf:
             raise InvariantError("the action at infinity must be trivial")
         self._store(m_inf, slots, germ, d_inf, d_slots, checked=True)
-        if self.d_inf.domain != m_inf or self.d_inf.degree != -1:
+        if (self.d_inf.domain, self.d_inf.codomain, self.d_inf.degree) != (m_inf, m_inf, -1):
             raise SchemaError("differential at infinity has wrong type")
         self.check_differential()
 
@@ -299,7 +299,7 @@ def functor_p_k(m: DihedralObject, k: int) -> QWComplex:
 
 def functor_const(a: QWComplex) -> DihedralObject:
     """The constant object: the same complex at infinity and at every slot."""
-    if not a.is_trivial_action():
+    if a.space.fixed() != a.space:
         raise SchemaError("the constant functor consumes trivial-action complexes")
     return DihedralObject._assembled(
         a.space,
@@ -320,15 +320,9 @@ def germ_fixed_points(m: DihedralObject) -> QWComplex:
     normal form.
     """
     n = m.normalized()
-    total, diffs = n.m_inf, [n.d_inf]
-    for k in sorted(n.slots.explicit):
-        fixed = QWSpace({g: (p, 0) for g, (p, _m) in n.slot(k).dims.items()})
-        # the slot differential is equivariant, so it restricts to the
-        # fixed part: its (g, +) blocks
-        d = n.d_slot(k)
-        blocks = {(g, 1): mat for (g, s), mat in d.blocks.items() if s == 1}
-        diffs.append(VMap(fixed, fixed, -1, blocks))
-        total = qw_sum(total, fixed)
+    # a slot differential is equivariant, so it restricts to the fixed part
+    diffs = [n.d_inf] + [n.d_slot(k).fixed() for k in sorted(n.slots.explicit)]
+    total = qw_sum(*(d.domain for d in diffs))
     return QWComplex._assembled(total, vmap_sum(total, total, diffs))
 
 
@@ -339,38 +333,25 @@ def map_germ_fixed_points(f: DihedralMorphism) -> VMap:
     of the target; in particular on the counit of the adjunction.
     """
     nx, ny = f.x.normalized(), f.y.normalized()
-    gx, gy = germ_fixed_points(f.x), germ_fixed_points(f.y)
-    x_keys = sorted(nx.slots.explicit)
-    y_keys = sorted(ny.slots.explicit)
-    y_index = {k: 1 + i for i, k in enumerate(y_keys)}
-    # the deviation of f at each explicit target slot, applied to the
-    # template value of the source coordinates at infinity
-    devs = [
-        f.f_slots[k].compose(nx.germ[k]) + f.y.germ[k].compose(f.f_inf).scale(-1)
-        for k in y_keys
-    ]
-    blocks = {}
-    for g in gx.space.dims:
-        t = g + f.degree
-        rows = [ny.m_inf.dim(t, 1)] + [ny.slot(k).dim(t, 1) for k in y_keys]
-        cols = [nx.m_inf.dim(g, 1)] + [nx.slot(k).dim(g, 1) for k in x_keys]
-        parts = {}
-        # the infinity coordinates
-        for i, h in enumerate([f.f_inf] + devs):
-            b = h.blocks.get((g, 1))
-            if b is not None:
-                parts[(i, 0)] = b
-        # the correction coordinates
-        for j, k in enumerate(x_keys, 1):
-            b = f.f_slots[k].blocks.get((g, 1))
-            if b is None:
-                continue
-            if k not in y_index:
+    x_keys, y_keys = sorted(nx.slots.explicit), sorted(ny.slots.explicit)
+    # the infinity coordinates: f at infinity, and the deviation of f at each
+    # explicit target slot, applied to the template value of the source
+    # coordinates at infinity
+    pieces = {(0, 0): (f.f_inf, 0)} | {
+        (i, 0): (f.f_slots[k].compose(nx.germ[k]) + f.y.germ[k].compose(f.f_inf).scale(-1), 0)
+        for i, k in enumerate(y_keys, 1)
+    }
+    # the correction coordinates
+    for j, k in enumerate(x_keys, 1):
+        comp = f.f_slots[k].fixed()
+        if not comp.is_zero():
+            if k not in y_keys:
                 raise InvariantError("correction escapes the explicit slots of the target")
-            parts[(y_index[k], j)] = b
-        if parts:
-            blocks[(g, 1)] = block_matrix(rows, cols, parts)
-    return VMap(gx.space, gy.space, f.degree, blocks)
+            pieces[(1 + y_keys.index(k), j)] = (comp, 0)
+    # the coordinates of the germ fixed points of x and of y
+    doms = [nx.m_inf] + [nx.slot(k).fixed() for k in x_keys]
+    cods = [ny.m_inf] + [ny.slot(k).fixed() for k in y_keys]
+    return block_vmap(qw_sum(*doms), qw_sum(*cods), f.degree, doms, cods, pieces)
 
 
 # -- the three adjunctions ----------------------------------------------------------
@@ -418,29 +399,18 @@ def counit_const(m: DihedralObject) -> DihedralMorphism:
     """c(germ_fixed_points(M)) -> M: evaluate the germ and the corrections."""
     n = m.normalized()
     gm = germ_fixed_points(m)
-    src = functor_const(gm)
     keys = sorted(n.slots.explicit)
-    # the coordinates of gm in each degree: infinity, then each explicit slot
-    cols = {g: [n.m_inf.dim(g, 1)] + [n.slot(k).dim(g, 1) for k in keys] for g in gm.space.dims}
-    # projection to the infinity coordinates
-    proj = VMap(gm.space, n.m_inf, 0, {
-        (g, 1): block_matrix(c[:1], c, {(0, 0): QMatrix.identity(c[0])})
-        for g, c in cols.items() if c[0]
-    })
+    # the coordinates of gm: infinity, then the fixed part of each explicit slot
+    coords = [n.m_inf] + [n.slot(k).fixed() for k in keys]
+    proj = block_vmap(gm.space, n.m_inf, 0, coords, [n.m_inf], {(0, 0): (VMap.identity(n.m_inf), 0)})
     f_slots = {TAIL: n.germ[TAIL].compose(proj)}
     for i, k in enumerate(keys, 1):
-        # the germ on the infinity coordinates plus the slot's own correction
-        germ = n.germ[k]
-        blocks = {}
-        for g, c in cols.items():
-            parts = {(0, i): QMatrix.identity(c[i])} if c[i] else {}
-            b = germ.blocks.get((g, 1))
-            if b is not None:
-                parts[(0, 0)] = b
-            if parts:
-                blocks[(g, 1)] = block_matrix([n.slot(k).dim(g, 1)], c, parts)
-        f_slots[k] = VMap(gm.space, n.slot(k), 0, blocks)
-    return DihedralMorphism._assembled(src, n, 0, proj, f_slots)
+        # the germ on the infinity coordinates plus the slot's own correction,
+        # the inclusion of its fixed part
+        f_slots[k] = block_vmap(gm.space, n.slot(k), 0, coords, [n.slot(k)], {
+            (0, 0): (n.germ[k], 0), (0, i): (VMap.identity(coords[i]), 0),
+        })
+    return DihedralMorphism._assembled(functor_const(gm), n, 0, proj, f_slots)
 
 
 # -- homology and the projective structure --------------------------------------------
@@ -469,7 +439,7 @@ def homology_Ch(m: DihedralObject) -> DihedralObject:
             (g, 1): projs[g](m.germ[key].block(g, 1) @ reps[g])
             for g in h_inf.dims if h_inf.dim(g, 1) and space.dim(g, 1)
         }
-        return space, VMap(h_inf, space, 0, blocks)
+        return space, VMap._assembled(h_inf, space, 0, blocks)
 
     slots, germ = Slots.over([m.slots], level).unzip()
     return DihedralObject._assembled(h_inf, slots, germ)
@@ -553,30 +523,18 @@ def cone(f: DihedralMorphism) -> DihedralObject:
     if f.degree != 0 or not (f.is_identity() or f.is_chain_map()):
         raise SchemaError("cones need degree-0 chain maps")
     sx = suspend_dihedral(f.x, 1)
-    m_inf, slots, germ, d_slots = _summed_levels(sx, f.y, lambda key, _space: _cone_diff(
-        sx.slot(key), f.y.slot(key), sx.d_slot(key), f.y.d_slot(key), f.f_slots[key]
+    m_inf, slots, germ, d_slots = _summed_levels(sx, f.y, lambda key, space: _cone_diff(
+        space, sx.slot(key), f.y.slot(key), sx.d_slot(key), f.y.d_slot(key), f.f_slots[key]
     ))
-    d_inf = _cone_diff(sx.m_inf, f.y.m_inf, sx.d_inf, f.y.d_inf, f.f_inf)
+    d_inf = _cone_diff(m_inf, sx.m_inf, f.y.m_inf, sx.d_inf, f.y.d_inf, f.f_inf)
     return DihedralObject._assembled(m_inf, slots, germ, d_inf, d_slots)
 
 
-def _cone_diff(sa: QWSpace, sb: QWSpace, da: VMap, db: VMap, comp: VMap) -> VMap:
-    """The differential [[-da, 0], [comp, db]] on sa + sb; comp has degree 0,
-    so out of the suspension sa it lowers the degree by one."""
-    dom = qw_sum(sa, sb)
-    pieces = {(0, 0): (da.scale(-1), 0), (1, 0): (comp, -1), (1, 1): (db, 0)}
-    blocks = {}
-    for g in dom.dims:
-        for s in (1, -1):
-            parts = {
-                ij: f.blocks[(g + shift, s)]
-                for ij, (f, shift) in pieces.items() if (g + shift, s) in f.blocks
-            }
-            if parts:
-                blocks[(g, s)] = block_matrix(
-                    [sa.dim(g - 1, s), sb.dim(g - 1, s)], [sa.dim(g, s), sb.dim(g, s)], parts
-                )
-    return VMap._assembled(dom, dom, -1, blocks)
+def _cone_diff(dom: QWSpace, sa: QWSpace, sb: QWSpace, da: VMap, db: VMap, comp: VMap) -> VMap:
+    """The differential [[-da, 0], [comp, db]] on dom = sa + sb; comp has
+    degree 0, so out of the suspension sa it lowers the degree by one."""
+    return block_vmap(dom, dom, -1, [sa, sb], [sa, sb],
+                      {(0, 0): (da.scale(-1), 0), (1, 0): (comp, -1), (1, 1): (db, 0)})
 
 
 # -- graded morphism dimensions ----------------------------------------------------

@@ -163,3 +163,50 @@ def test_tier1_runs_the_suite_once_in_the_side_root(monkeypatch, tmp_path):
                      "src" + ab.os.pathsep + "elsewhere")]
     assert (out["passed"], out["failed"], out["errors"]) == (2, 1, 0)
     assert isinstance(out["seconds"], float) and out["seconds"] >= 0
+
+
+def traced(spans, metrics=None):
+    """A traced run with planted (calls, self seconds) per span name."""
+    return {"metrics": metrics or {}, "spans": {name: {"calls": c, "self_s": t} for name, (c, t) in spans.items()}}
+
+
+def test_traced_runs_report_the_median_of_each_span():
+    runs = [
+        traced({"dihedral.homology_Ch": (10, 0.179), "linalg.rank": (6490, 0.03)}, {"trace.wall_s": 0.48}),
+        traced({"dihedral.homology_Ch": (10, 0.128), "linalg.rank": (6500, 0.05)}, {"trace.wall_s": 0.29}),
+        traced({"dihedral.homology_Ch": (12, 0.131), "cli.decode": (3, 0.5)}, {"trace.wall_s": 0.30}),
+    ]
+    out = ab.traced_medians(runs)
+    # one slow pass does not move the median
+    assert out["spans"]["dihedral.homology_Ch"] == {"calls": 10, "self_s": 0.131}
+    assert out["metrics"] == {"trace.wall_s": 0.30}
+    # a span a run lacks reads 0 there
+    assert out["spans"]["linalg.rank"] == {"calls": 6490, "self_s": 0.03}
+    assert out["spans"]["cli.decode"] == {"calls": 0, "self_s": 0}
+    assert sorted(out["spans"]) == ["cli.decode", "dihedral.homology_Ch", "linalg.rank"]
+    assert ab.TRACED_RUNS == 3
+
+
+def test_each_side_keeps_every_traced_run(monkeypatch, tmp_path):
+    order = []
+
+    def fake_traced(root, workload, seed):
+        order.append("change" if root == ab.ROOT else "parent")
+        k = len(order)
+        return traced({"s": (k, k / 10)}, {"m": k})
+
+    monkeypatch.setattr(ab, "unpack", lambda rev, dest: "c0ffee")
+    monkeypatch.setattr(ab, "timed_run", lambda *a: {"metrics": {"throughput_jobs_per_s": 1.0}})
+    monkeypatch.setattr(ab, "traced_run", fake_traced)
+    monkeypatch.setattr(ab, "tier1", lambda root: {})
+    monkeypatch.setattr(ab, "summarize", lambda runs, spec: {})
+    monkeypatch.setattr(ab, "order_effect", lambda runs, spec: {})
+    out = tmp_path / "ab.json"
+    assert ab.main(["--parent", "HEAD", "--pairs", "1", "--workload", "dihedral-cones", "--out", str(out)]) == 0
+    report = ab.json.loads(out.read_text())
+    sides = {t["side"]: t for t in report["traced"]}
+    # the sides alternate: parent, change, change, parent, parent, change
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [r["metrics"]["m"] for r in sides["parent"]["runs"]] == [1, 4, 5]
+    assert [r["metrics"]["m"] for r in sides["change"]["runs"]] == [2, 3, 6]
+    assert sides["parent"]["median"] == {"metrics": {"m": 4}, "spans": {"s": {"calls": 4, "self_s": 0.4}}}

@@ -38,10 +38,11 @@ from so3alg.dihedral import (
     zero_dihedral,
 )
 from so3alg.cli import dihedral_from_json, dihedral_to_json, vmap_to_json
-from so3alg.errors import BadIndex, NotADifferential, SchemaError
+from so3alg.errors import BadIndex, InvariantError, NotADifferential, SchemaError
 from so3alg.linalg import Q, QMatrix, block_matrix
-from so3alg import errors, linalg, toral
-from so3alg.toral import QWSpace, Slots, VMap
+from so3alg import errors, linalg, qw
+from so3alg.qw import QWSpace, Slots, VMap
+from dihedral_oracles import hand_counit_const, hand_germ_fixed_points, hand_map_germ_fixed_points
 from elimination_spy import SubquotientSpy
 from weq_oracles import both_oracles, perturbed_identity, random_chain_map
 
@@ -608,7 +609,7 @@ from so3alg.dihedral import (
 )
 from so3alg import linalg
 from so3alg.linalg import QMatrix
-from so3alg.toral import QWSpace, VMap
+from so3alg.qw import QWSpace, VMap
 
 x = functor_const(QWComplex(QWSpace({0: (1, 0), 1: (2, 0), 2: (1, 0)})))
 for k in (3, 5):
@@ -905,11 +906,11 @@ def test_each_level_homology_is_computed_once_per_call(monkeypatch):
     objects += _workload_chain_objects()
     objects += [padded(m) for m in objects[::3]]
     calls, chains = [], []
-    real, real_chain = dihedral.qw_homology, toral.chain_homology
+    real, real_chain = dihedral.qw_homology, qw.chain_homology
     monkeypatch.setattr(
         dihedral, "qw_homology", lambda space, d: calls.append((id(space), id(d))) or real(space, d)
     )
-    monkeypatch.setattr(toral, "chain_homology", lambda *a: chains.append(1) or real_chain(*a))
+    monkeypatch.setattr(qw, "chain_homology", lambda *a: chains.append(1) or real_chain(*a))
     shared = 0
     for x in objects:
         levels = _level_pairs(x)
@@ -944,7 +945,7 @@ def test_homology_builds_bases_only_for_the_germ_blocks(monkeypatch):
     state = {}
     real_qw, real_part = dihedral.qw_homology, QWSpace.part
 
-    def qw(space, d):
+    def level_homology(space, d):
         state["pair"] = (id(space), id(d))
         return real_qw(space, d)
 
@@ -954,9 +955,9 @@ def test_homology_builds_bases_only_for_the_germ_blocks(monkeypatch):
         state["sign"] = sign
         return real_part(space, sign)
 
-    monkeypatch.setattr(dihedral, "qw_homology", qw)
+    monkeypatch.setattr(dihedral, "qw_homology", level_homology)
     monkeypatch.setattr(QWSpace, "part", part)
-    monkeypatch.setattr(toral, "chain_homology", spy.wrap(toral.chain_homology, lambda: (state["pair"], state["sign"])))
+    monkeypatch.setattr(qw, "chain_homology", spy.wrap(qw.chain_homology, lambda: (state["pair"], state["sign"])))
     minus_boundaries = built = 0
     for m in objects:
         spy.records.clear()
@@ -1060,6 +1061,56 @@ def test_an_object_refuses_maps_at_slots_it_does_not_list():
     for key in (1, 2, 5):
         with pytest.raises(SchemaError, match=f"germ map at slot {key}, which"):
             DihedralObject(x.m_inf, x.slots, {TAIL: x.germ[TAIL], key: x.germ[TAIL]})
+
+
+def test_the_differential_at_infinity_is_refused_into_another_space():
+    # d_inf must be an endomorphism of m_inf: one into a larger space is
+    # refused with the type error, before d squared is composed
+    v = QWSpace({0: (1, 0), 1: (1, 0)})
+    x = functor_const(QWComplex(v))
+    larger = QWSpace({0: (2, 0), 1: (1, 0)})
+    into = VMap(v, larger, -1, {(1, 1): QMatrix.from_rows([[1], [0]])})
+    with pytest.raises(SchemaError, match="differential at infinity has wrong type"):
+        DihedralObject(v, x.slots, x.germ, into, x.d_slots)
+    for d_inf in (VMap.zero(larger, v, -1), VMap.zero(v, v, 0)):
+        with pytest.raises(SchemaError, match="differential at infinity has wrong type"):
+            DihedralObject(v, x.slots, x.germ, d_inf, x.d_slots)
+
+
+def _refused_or(fn, f):
+    """fn(f), or the message of the InvariantError it raises."""
+    try:
+        return fn(f)
+    except InvariantError as exc:
+        return ("refused", str(exc))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_germ_fixed_points_and_the_counit_equal_their_hand_loops(seed):
+    # the fixed parts and block_vmap build what the hand loops built, value
+    # for value, and refuse what they refused
+    rng = random.Random(2850 + seed)
+    objects = [rand_object(rng) for _ in range(3)] + [rand_chain_object(rng) for _ in range(3)]
+    objects += [
+        direct_sum_dihedral(rand_chain_object(rng), functor_const(plus_part(rand_complex(rng))))
+        for _ in range(3)
+    ]
+    objects += _workload_chain_objects()[2 * seed: 2 * seed + 3]
+    objects += [padded(m) for m in objects[::3]]
+    kinds = {"value": 0, "refused": 0}
+    for x in objects:
+        assert germ_fixed_points(x) == hand_germ_fixed_points(x)
+        eps = counit_const(x)
+        assert eps == hand_counit_const(x)
+        y = rng.choice(objects)
+        c = rng.choice((1, -1, 2, Q(1, 2)))
+        inc, proj = summand_map(x, y, 1, c), summand_map(x, y, 1, c, project=True)
+        morphisms = [eps, DihedralMorphism.identity(x), summand_map(x, y, 0, c), inc, proj, proj.compose(inc)]
+        for f in morphisms:
+            got = _refused_or(map_germ_fixed_points, f)
+            assert got == _refused_or(hand_map_germ_fixed_points, f)
+            kinds["refused" if isinstance(got, tuple) else "value"] += 1
+    assert kinds["value"] >= 40 and kinds["refused"] >= 3, kinds
 
 
 def test_a_morphism_component_must_sit_at_a_slot_index():
@@ -1246,6 +1297,7 @@ def test_no_dihedral_construction_changes_an_input_or_a_shared_identity(seed):
     results = [
         cone(ident), cone(inc), ident.compose(ident), proj.compose(inc), inc.compose(ident),
         direct_sum_dihedral(x, y), homology_Ch(x), homology_Ch(cone(inc)), eps,
+        germ_fixed_points(x), map_germ_fixed_points(eps),
         is_weak_equivalence(ident), is_weak_equivalence(inc), is_weak_equivalence(eps),
         is_weak_equivalence(proj.compose(inc)),
     ]

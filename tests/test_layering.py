@@ -1,10 +1,14 @@
 """Import layering of the engine, read from the source with ``ast``.
 
 ``exceptional`` is a leaf over the linear algebra: it may import only from
-``linalg`` and ``errors`` inside the package.  Homology helpers are shared
+``linalg`` and ``errors`` inside the package, and so may ``qw``, the graded
+Q[W]-spaces the toral and dihedral models share.  ``dihedral`` imports
+neither ``toral`` nor ``graded`` (a fresh import loads neither), and each
+name that moved from ``toral`` into ``qw`` is still bound there, as the same
+object.  Homology helpers are shared
 through the public ``linalg.chain_homology``, so no module imports a private
 homology helper from another module, and only ``exceptional.homology_W``
-and ``toral.qw_homology`` call it: it assumes d squared is zero, which their
+and ``qw.qw_homology`` call it: it assumes d squared is zero, which their
 complexes were checked for where they entered.  Only the weak-equivalence
 predicates ``dihedral.is_weak_equivalence`` and ``exceptional.is_weq`` call
 ``linalg.is_quasi_isomorphism``, and neither reads a homology routine.  How a rational matrix is stored (ints
@@ -20,7 +24,9 @@ the total complex of tensor and hom and ``homology_W`` call; a
 ``DihedralObject``, ``QWComplex`` or ``ToralObject`` only through its
 ``_assembled``, which only the listed constructions from checked parts call;
 a ``DihedralMorphism`` skips its germ square, and a ``VMap`` its block
-shapes, only in the listed constructions that hold them by construction.
+shapes, only in the listed constructions that hold them by construction:
+the checked ``VMap(...)`` is called by the JSON decoder alone, and
+``dihedral`` assembles no ``block_matrix`` (``qw.block_vmap`` does).
 ``graded.homology_realized`` assumes d squared is zero, as its docstring
 says, so only ``toral.homology_dA`` calls it, on slot differentials that
 ``ToralObject.__init__`` checked.  In ``dihedral`` and
@@ -34,8 +40,8 @@ every parameter of a module-level private function is read in it.  Block matrice
 change a slot's ring re-index beta (``_reindex_entries``), and every call of
 ``_transport`` passes the differential on (dV) or sits in a function that
 refuses an object with a differential first (``_refuse_differential``).  The tail of a
-slot-indexed datum is read by the container ``toral.Slots`` alone: no function
-of ``toral``, ``dihedral`` or ``cli`` outside it falls back to ``d[TAIL]``,
+slot-indexed datum is read by the container ``qw.Slots`` alone: no function
+of ``qw``, ``toral``, ``dihedral`` or ``cli`` outside it falls back to ``d[TAIL]``,
 compares a key with ``TAIL``, pops ``TAIL`` or builds a key union with
 ``TAIL``, and no ``SlotFamily`` is built by splitting slots at ``TAIL``.
 ``toral.injective_resolution``, its per-slot ``stage`` and every ``toral``
@@ -49,6 +55,9 @@ No module but ``linalg`` names its forward-only elimination
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import so3alg
@@ -103,7 +112,7 @@ def _name_uses(tree, name: str):
 
 # ``linalg.chain_homology`` assumes d squared is zero; these callers pass it
 # only complexes whose constructors or entry checks verified that
-HOMOLOGY_CALLERS = {("exceptional", "homology_W"), ("toral", "qw_homology")}
+HOMOLOGY_CALLERS = {("exceptional", "homology_W"), ("qw", "qw_homology")}
 
 
 def test_chain_homology_is_called_only_on_checked_complexes():
@@ -180,6 +189,82 @@ def test_quasi_isomorphism_scan_sees_a_planted_violation():
 def test_exceptional_imports_only_linalg_and_errors():
     targets = {target for target, _ in _package_imports("exceptional")}
     assert targets <= {"linalg", "errors"}, targets
+
+
+def _import_targets(tree) -> set:
+    """The so3alg modules a tree imports from, at any depth: ``from .m
+    import x``, ``from so3alg.m import x``, ``import so3alg.m``, and the
+    modules named by ``from . import m`` or ``from so3alg import m``."""
+    out = set()
+    for target, names in _imports_in(tree):
+        out |= set(names) if target == "" else {target}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "so3alg":
+            out |= {a.name for a in node.names}
+    return out
+
+
+def test_qw_imports_only_linalg_and_errors():
+    assert _import_targets(_tree("qw")) == {"linalg", "errors"}
+
+
+def test_dihedral_imports_neither_toral_nor_graded():
+    # the dihedral model reaches the Q[W]-spaces through qw alone
+    assert _import_targets(_tree("dihedral")) & {"toral", "graded"} == set()
+    assert "qw" in _import_targets(_tree("dihedral"))
+
+
+def test_import_scan_sees_planted_imports():
+    source = (
+        "from .qw import VMap\n"
+        "from . import graded\n"
+        "def f():\n"
+        "    from so3alg.toral import Slots\n"
+        "    import so3alg.cli\n"
+        "    from so3alg import burnside\n"
+        "    import json\n"
+        "    return Slots, graded, so3alg, burnside, json\n"
+    )
+    assert _import_targets(ast.parse(source)) == {"qw", "graded", "toral", "cli", "burnside"}
+
+
+def test_a_fresh_import_of_dihedral_loads_neither_toral_nor_graded():
+    src = str(PACKAGE.parent)
+    probe = "import sys, so3alg.dihedral; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert {"so3alg.dihedral", "so3alg.qw", "so3alg.linalg"} <= loaded
+    assert not loaded & {"so3alg.toral", "so3alg.graded"}
+
+
+# the names that moved from toral into qw, still bound in toral
+MOVED_TO_QW = ["TAIL", "QWSpace", "qw_sum", "VMap", "vmap_sum", "qw_homology", "Slots"]
+
+
+def _rebound(a, b, names) -> list:
+    """The names that are not one and the same object in a and in b."""
+    return [n for n in names if getattr(a, n, None) is not getattr(b, n, a)]
+
+
+def test_each_moved_name_is_the_same_object_in_toral_and_qw():
+    from so3alg import qw, toral
+
+    assert _rebound(toral, qw, MOVED_TO_QW) == []
+    assert set(MOVED_TO_QW) <= set(toral.__all__)
+
+
+def test_rebound_scan_sees_a_planted_copy():
+    from types import SimpleNamespace
+
+    from so3alg import qw
+
+    copy = SimpleNamespace(**{n: getattr(qw, n) for n in MOVED_TO_QW})
+    copy.VMap = type("VMap", (qw.VMap,), {})
+    del copy.Slots
+    assert _rebound(copy, qw, MOVED_TO_QW) == ["VMap", "Slots"]
 
 
 # the private halves of the canonical order, which ``graded.indexed_module``
@@ -453,17 +538,90 @@ def test_only_morphisms_that_commute_by_construction_skip_the_germ_square():
 
 
 # the V-maps whose blocks have their type's shapes by construction: products,
-# sums and rescalings of checked maps, their shifts and twists, identities,
-# block-diagonal sums and the differential of a cone
-TRUSTED_VMAP_TORAL = ["__add__", "compose", "identity", "scale", "suspend", "twist", "vmap_sum"]
-TRUSTED_VMAP_DIHEDRAL = ["_cone_diff"]
+# sums and rescalings of checked maps, their shifts and twists, identities and
+# zeros, fixed parts, the one block assembler (behind block-diagonal sums,
+# cone differentials, the germ fixed points' maps and the counit), the germ
+# maps of homology and the morphisms of a hom space's solutions
+TRUSTED_VMAP_QW = [
+    "__add__", "block_vmap", "compose", "fixed", "identity", "scale", "suspend", "twist", "zero",
+]
+TRUSTED_VMAP_DIHEDRAL = ["level"]
+TRUSTED_VMAP_TORAL = ["from_vector"]
 
 
 def test_only_shaped_constructions_skip_the_vmap_shape_check():
     assert _trusted_uses_by_module("VMap") == {
-        "toral": (["_assembled"], TRUSTED_VMAP_TORAL),
+        "qw": (["_assembled"], TRUSTED_VMAP_QW),
         "dihedral": ([], TRUSTED_VMAP_DIHEDRAL),
+        "toral": ([], TRUSTED_VMAP_TORAL),
     }
+
+
+def _calls_of(tree, name: str):
+    """The enclosing function of every call of ``name``, bare or as an
+    attribute (``qw.VMap(...)``)."""
+    return [
+        func for func, node in _enclosed(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name
+        )
+    ]
+
+
+def _enclosed(tree):
+    """(enclosing function, node) for every node of a tree; None at module
+    level."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        out.append((func, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+# V-maps from outside enter through the JSON decoder; every V-map the package
+# builds itself goes through ``VMap._assembled``
+CHECKED_VMAP_CALLERS = [("cli", "vmap_from_json")]
+
+
+def test_only_the_decoder_builds_a_checked_vmap():
+    calls = [(module, func) for module in _modules() for func in _calls_of(_tree(module), "VMap")]
+    assert calls == CHECKED_VMAP_CALLERS
+
+
+def test_checked_vmap_scan_sees_a_planted_call():
+    source = (
+        "def level(h, space, blocks):\n"
+        "    return VMap(h, space, 0, blocks), qw.VMap(h, h, 0, {})\n"
+        "def fine(h):\n"
+        "    return VMap._assembled(h, h, 0, {}), VMap.zero(h, h), isinstance(h, VMap)\n"
+    )
+    assert _calls_of(ast.parse(source), "VMap") == ["level", "level"]
+
+
+def test_dihedral_assembles_no_block_matrix():
+    # dihedral's V-maps are assembled by qw.block_vmap, which owns the call
+    tree = _tree("dihedral")
+    assert _name_uses(tree, "block_matrix") == []
+    assert [names for _target, names in _imports_in(tree) if "block_matrix" in names] == []
+    assert _name_uses(_tree("qw"), "block_matrix") == ["block_vmap"]
+
+
+def test_block_matrix_scan_sees_a_planted_assembly():
+    source = (
+        "from .linalg import block_matrix\n"
+        "def _cone_diff(sa, sb, parts):\n"
+        "    return linalg.block_matrix([sa], [sb], parts), block_matrix([sa], [sb], parts)\n"
+    )
+    tree = ast.parse(source)
+    assert _name_uses(tree, "block_matrix") == ["_cone_diff", "_cone_diff"]
+    assert [names for _target, names in _imports_in(tree) if "block_matrix" in names] == [["block_matrix"]]
 
 
 def test_morphism_and_vmap_trusted_scans_see_a_planted_bypass():
@@ -1055,7 +1213,7 @@ def test_hand_split_scan_sees_a_planted_split():
 
 
 # the modules that index data by slot, and the class that reads their tails
-TAIL_MODULES = ("toral", "dihedral", "cli")
+TAIL_MODULES = ("qw", "toral", "dihedral", "cli")
 TAIL_CONTAINER = "Slots"
 # parsing a key from text compares it with the tail's name and reads nothing
 TAIL_PARSERS = [("cli", "_slot_key", "compare")]
@@ -1116,7 +1274,7 @@ def test_only_the_slot_container_reads_the_tail():
     assert reads == TAIL_PARSERS
     # the container does read the tail, so the scan has something to skip
     container = next(
-        node for node in ast.walk(_tree("toral"))
+        node for node in ast.walk(_tree("qw"))
         if isinstance(node, ast.ClassDef) and node.name == TAIL_CONTAINER
     )
     assert {_tail_rule(node) for node in ast.walk(container)} >= {"compare", "union"}

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import so3alg
-from so3alg import toral
+from so3alg import qw, toral
 from so3alg.cli import load_toral, main
 
 from so3alg.errors import (
@@ -207,8 +207,8 @@ def test_vmap_sum_matches_the_block_assembly():
 
 def test_vmap_sum_keeps_a_lone_whole_block(monkeypatch):
     calls = []
-    real = toral.block_matrix
-    monkeypatch.setattr(toral, "block_matrix", lambda *a: calls.append(real(*a)) or calls[-1])
+    real = qw.block_matrix
+    monkeypatch.setattr(qw, "block_matrix", lambda *a: calls.append(real(*a)) or calls[-1])
     u, v = QWSpace({0: (2, 1)}), QWSpace({1: (1, 0)})
     f = VMap(u, u, 0, {(0, 1): QMatrix.from_rows([[1, 2], [3, 4]])})
     zero = VMap.zero(v, v, 0)

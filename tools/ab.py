@@ -9,9 +9,11 @@ into a temporary directory (``git archive``, so the repository's ``.git`` is
 left as it was), and ``perfbench/run.py`` runs on both sides: the parent
 copy and this checkout, each from its own ``src/``.  For each workload and
 seed, ``--pairs`` pairs run one after the other, the side that runs first
-alternating (the parent first in even pairs).  Then each side makes one
-traced run (``--trace 1``), whose per-layer metrics and per-span call counts
-and self times are kept.  The temporary copy is removed at the end.
+alternating (the parent first in even pairs).  Then each side makes
+``TRACED_RUNS`` traced runs (``--trace 1``), the sides alternating, whose
+per-layer metrics and per-span call counts and self times are kept, with
+their medians: a single traced pass is too noisy to show which way a span
+moved.  The temporary copy is removed at the end.
 
 The output is one JSON object with a fixed schema: ``runs`` holds every
 timed run made, with its end-to-end metrics, ``correct``,
@@ -24,7 +26,9 @@ quartile spread, and ``gain`` when the change wins at least nine tenths of
 the pairs and is better by more than that spread; ``order_effect`` holds,
 per workload and seed and per end-to-end metric, whichever side ran first,
 the median over pairs of (second run - first run) / first run and how many
-pairs read worse on the second run; ``traced`` holds the traced runs;
+pairs read worse on the second run; ``traced`` holds, per workload, seed
+and side, the traced runs and the median of each per-layer metric and of
+each span's calls and self seconds over them;
 ``tier1`` holds, per side, the wall seconds of one Tier-1 run (the test
 suite, run as ``TIER1`` from that side's root after its benchmark runs) and
 the passed, failed and error counts of pytest's summary line.
@@ -51,6 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = Path("perfbench") / "run.py"
 SIDES = ("parent", "change")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TRACED_RUNS = 3
 
 
 def unpack(rev: str, dest: Path) -> str:
@@ -103,6 +108,21 @@ def traced_run(root: Path, workload: str, seed: int) -> dict:
         "failed": result["failed"],
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
         "spans": {name: {"calls": calls[name], "self_s": self_s[name]} for name in sorted(calls)},
+    }
+
+
+def traced_medians(runs: list[dict]) -> dict:
+    """The median over traced runs of each per-layer metric and of each
+    span's calls and self seconds; a run without a span reads 0 for it."""
+    metrics = sorted({name for r in runs for name in r["metrics"]})
+    spans = sorted({name for r in runs for name in r["spans"]})
+    return {
+        "metrics": {name: statistics.median(r["metrics"].get(name, 0) for r in runs) for name in metrics},
+        "spans": {
+            name: {key: statistics.median(r["spans"].get(name, {}).get(key, 0) for r in runs)
+                   for key in ("calls", "self_s")}
+            for name in spans
+        },
     }
 
 
@@ -230,9 +250,13 @@ def main(argv=None) -> int:
                                      "position": position, **run})
                         print(f"{workload} seed {seed} pair {pair} {side}: "
                               f"{run['metrics']['throughput_jobs_per_s']:.2f} jobs/s", file=sys.stderr)
+                kept = {side: [] for side in SIDES}
+                for i in range(TRACED_RUNS):
+                    for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                        kept[side].append(traced_run(roots[side], workload, seed))
                 for side in SIDES:
                     traced.append({"workload": workload, "seed": seed, "side": side,
-                                   **traced_run(roots[side], workload, seed)})
+                                   "runs": kept[side], "median": traced_medians(kept[side])})
         tests = {side: tier1(roots[side]) for side in SIDES}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
