@@ -319,7 +319,11 @@ def germ_fixed_points(m: DihedralObject) -> QWComplex:
     infinity level extended by the fixed part of each explicit slot of the
     normal form.
     """
-    n = m.normalized()
+    return _germ_fixed_points_of_normal(m.normalized())
+
+
+def _germ_fixed_points_of_normal(n: DihedralObject) -> QWComplex:
+    """``germ_fixed_points`` of an object already in normal form."""
     # a slot differential is equivariant, so it restricts to the fixed part
     diffs = [n.d_inf] + [n.d_slot(k).fixed() for k in sorted(n.slots.explicit)]
     total = qw_sum(*(d.domain for d in diffs))
@@ -398,7 +402,7 @@ def unit_const(a: QWComplex) -> VMap:
 def counit_const(m: DihedralObject) -> DihedralMorphism:
     """c(germ_fixed_points(M)) -> M: evaluate the germ and the corrections."""
     n = m.normalized()
-    gm = germ_fixed_points(m)
+    gm = _germ_fixed_points_of_normal(n)
     keys = sorted(n.slots.explicit)
     # the coordinates of gm: infinity, then the fixed part of each explicit slot
     coords = [n.m_inf] + [n.slot(k).fixed() for k in keys]

@@ -53,7 +53,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import (
-    EngineError,
     InvariantError,
     NotEquivariant,
     NotHomogeneous,
@@ -259,34 +258,49 @@ def vector_entries(m: GradedModule, degree: int, vec) -> dict[int, Fraction]:
 # -- module maps ---------------------------------------------------------
 
 
-def _power_or_error(domain: GradedModule, codomain: GradedModule, degree: int, i: int, j: int):
+# why _entry_rule refuses an entry: the error raised and its message
+_REFUSALS = {
+    "inhomogeneous": (NotHomogeneous, "entry ({i},{j}) cannot be homogeneous of degree {degree}"),
+    "negative": (NotHomogeneous, "entry ({i},{j}) needs a negative power"),
+    "laurent": (InvariantError, "Laurent source cannot map to a bounded target"),
+    "torsion": (InvariantError, "entry ({i},{j}) does not annihilate the source torsion"),
+    "involution": (NotEquivariant, "entry ({i},{j}) breaks the involution"),
+}
+
+
+def _entry_rule(domain: GradedModule, codomain: GradedModule, degree: int, i: int, j: int):
     """The rule for the monomial entry (i, j) of a degree-``degree`` map
-    domain -> codomain: the generator power it carries, None where it lands
-    past a torsion cut-off (so it is zero), or the error that forbids it,
-    returned and not raised, so that a caller can ask without a try."""
+    domain -> codomain: the generator power it carries (an int), None where
+    it lands past a torsion cut-off (so it is zero), or the key in
+    ``_REFUSALS`` of the reason that forbids it (a str): a caller that only
+    asks builds no error, and ``_refusal`` builds the one to raise."""
     src = domain.summands[j]
     dst = codomain.summands[i]
     step = codomain.ring.step
     num = dst.shift - src.shift - degree
     if num % step:
-        return NotHomogeneous(f"entry ({i},{j}) cannot be homogeneous of degree {degree}")
+        return "inhomogeneous"
     a = num // step
     if dst.kind == TORSION and a >= dst.length:
         return None
     if dst.kind != LAURENT and a < 0:
-        return NotHomogeneous(f"entry ({i},{j}) needs a negative power")
+        return "negative"
     if src.kind == LAURENT and dst.kind != LAURENT:
-        return InvariantError("Laurent source cannot map to a bounded target")
+        return "laurent"
     if src.kind == TORSION and (dst.kind != TORSION or a + src.length < dst.length):
-        return InvariantError(f"entry ({i},{j}) does not annihilate the source torsion")
+        return "torsion"
     # equivariance
     if codomain.ring.flip:
         ok = dst.sign * (-1) ** (a % 2) == src.sign
     else:
         ok = dst.sign == src.sign
-    if not ok:
-        return NotEquivariant(f"entry ({i},{j}) breaks the involution")
-    return a
+    return a if ok else "involution"
+
+
+def _refusal(reason: str, i: int, j: int, degree: int):
+    """The error that forbids entry (i, j) for ``_entry_rule``'s reason."""
+    error, text = _REFUSALS[reason]
+    return error(text.format(i=i, j=j, degree=degree))
 
 
 class ModuleMap:
@@ -310,11 +324,11 @@ class ModuleMap:
             coef = coef if isinstance(coef, Fraction) else Fraction(coef)
             if coef == 0:
                 continue
-            a = _power_or_error(domain, codomain, degree, i, j)
+            a = _entry_rule(domain, codomain, degree, i, j)
             if a is None:
                 continue  # monomial lands past a torsion cutoff: it is zero
-            if isinstance(a, EngineError):
-                raise a
+            if isinstance(a, str):
+                raise _refusal(a, i, j, degree)
             clean[(i, j)] = coef
         self.entries = clean
 
@@ -383,7 +397,7 @@ class ModuleMap:
         dst = self.codomain.basis(degree + self.degree)
         if not src or not dst:
             return QMatrix(len(dst), len(src))
-        # every entry passed _power_or_error in __init__, so its power is
+        # every entry passed _entry_rule in __init__, so its power is
         # the plain degree difference
         step = self.codomain.ring.step
         by_src: dict[int, list] = {}

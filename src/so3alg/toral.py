@@ -18,7 +18,9 @@ against fixed points), twisted variants, the basic objects e(V) and f(N),
 the standard generators, degreewise hom and Ext via injective resolutions of
 length one, homology of differentials, smashing with torsion families, and
 wide-sphere covers.  The hom spaces are linear systems with one equation
-per entry of a composed map, not per basis element on a window of degrees.
+per entry of a composite map, not per basis element on a window of degrees,
+read off the entries of the structure maps; a dimension is a rank, and a
+kernel basis is reduced only where one is read.
 A resolution solves nothing and walks no window: the kernel of the
 structure map is the torsion summands of a slot, their extension into f(I)
 is the coordinate embedding into padded copies, and the cokernel of the
@@ -42,10 +44,10 @@ underlying object of A alone, so they refuse an object with a differential.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
-    EngineError,
     InvariantError,
     NotADifferential,
     NotTorsion,
@@ -76,7 +78,7 @@ from .graded import (
     sign_of,
     vector_entries,
     window_subquotient,
-    _power_or_error,
+    _entry_rule,
 )
 from .linalg import Q, QMatrix
 from .qw import TAIL, QWSpace, Slots, VMap, qw_homology, qw_sum, vmap_sum
@@ -853,33 +855,47 @@ def parity_split(x: ToralObject) -> tuple[ToralObject, ToralObject]:
 def _entry_allowed(dom: GradedModule, cod: GradedModule, degree: int, i: int, j: int):
     """The generator power of the single entry (i, j) of a degree-``degree``
     map, or None where no such monomial map exists or it lands past a
-    torsion cut-off; read off the rule of ``ModuleMap`` without building a
-    map."""
-    a = _power_or_error(dom, cod, degree, i, j)
-    return None if isinstance(a, EngineError) else a
+    torsion cut-off; read off ``graded._entry_rule`` without building a map
+    or an error."""
+    a = _entry_rule(dom, cod, degree, i, j)
+    return None if a is None or isinstance(a, str) else a
 
 
-def _entry_rows(n: int, terms):
-    """The rows of sum_u v_u * term_u == 0 over the n unknowns, one per map
-    entry.
+def _by_column(entries) -> dict:
+    """A map's entries grouped by column: j -> [(i, coef), ...]."""
+    out = {}
+    for (i, j), coef in entries.items():
+        out.setdefault(j, []).append((i, coef))
+    return out
 
-    terms are (unknown index, map) pairs of maps with one domain and
-    codomain.  Every ModuleMap entry is a monomial and ModuleMap drops the
-    entries past a torsion cut-off, so a map into a Laurent or torsion
-    module is zero exactly when each entry is.
-    """
-    eqs = {}
-    for u, term in terms:
-        for e, coef in term.entries.items():
-            eqs.setdefault(e, {})[u] = coef
-    return [[eq.get(u, Q(0)) for u in range(n)] for eq in eqs.values()]
+
+def _by_row(entries) -> dict:
+    """A map's entries grouped by row: i -> [(j, coef), ...]."""
+    out = {}
+    for (i, j), coef in entries.items():
+        out.setdefault(i, []).append((j, coef))
+    return out
 
 
 class HomSpace:
-    """All degree-t morphisms x -> y, solved as one exact linear system.
+    """All degree-t morphisms x -> y, as one exact linear system.
 
-    Unknowns are the allowed monomial entries of the slot components plus the
-    blocks of the V-component; the defining squares give the constraints.
+    The unknowns are the allowed monomial entries of the slot components,
+    slot by slot, then the entries of the blocks of the V-component.  The
+    constraints are the squares by o a == l o bx, one equation per entry
+    (r, j) of a composite at a slot, read straight off the entries of the
+    structure maps: the slot unknown a_ij has by's entries in column i in the
+    equations (r, j), and a V unknown minus bx's entries in the row of its
+    Laurent summand.  No map is built or composed: both sides land in a
+    Laurent model of V, where no entry is cut off and each entry is one
+    monomial, so a composite vanishes exactly when each of its entries does.
+
+    ``dim`` is the number of unknowns minus the rank of the system, by
+    forward elimination alone, and a system with no equations (f(J) and
+    every object with V = 0 give none) runs no elimination.  The kernel
+    basis ``basis_mat``, one column per basis morphism, is reduced from the
+    same system on its first read; the reduced echelon form is unique, so
+    it does not depend on the order the equations are read in.
     """
 
     def __init__(self, x: ToralObject, y: ToralObject, degree: int):
@@ -889,56 +905,46 @@ class HomSpace:
         self.x, self.y, self.degree = x, y, degree
         self.keys = Slots.keys_of([x.M, y.M])
         self.unknowns = []
-        self.index = {}
-        units = {}
+        rows, entries = {}, {}
         for key in self.keys:
             dom, cod = x.M[key], y.M[key]
+            by = _by_column(y.beta[key].entries)
             for i in range(len(cod.summands)):
                 for j in range(len(dom.summands)):
                     if _entry_allowed(dom, cod, degree, i, j) is not None:
-                        units[len(self.unknowns)] = ModuleMap(dom, cod, degree, {(i, j): Q(1)})
-                        self._add(("a", key, i, j))
-        for g in sorted(x.V.dims):
-            for s in (1, -1):
-                for ix in range(x.V.dim(g, s)):
-                    for iy in range(y.V.dim(g + degree, s)):
-                        self._add(("v", g, s, iy, ix))
-        rows = self._equations(units)
-        n = len(self.unknowns)
-        mat = QMatrix(len(rows), n, rows)
-        self.basis_mat = mat.kernel_basis() if n else QMatrix(0, 0)
-
-    def _add(self, u):
-        self.index[u] = len(self.unknowns)
-        self.unknowns.append(u)
-
-    def _equations(self, units):
-        """Rows of by o a == l o bx at every slot, one per entry of the
-        composed maps: a slot unknown contributes by o unit, a V unknown
-        minus its single-entry map of Laurent models after bx."""
-        x, y, t = self.x, self.y, self.degree
-        n = len(self.unknowns)
-        rows = []
-        for key in self.keys:
-            bx, by = x.beta[key], y.beta[key]
+                        u = len(self.unknowns)
+                        self.unknowns.append(("a", key, i, j))
+                        for r, coef in by.get(i, ()):
+                            entries[rows.setdefault((key, r, j), len(rows)), u] = coef
+        v_labels = [
+            ("v", g, s, iy, ix)
+            for g in sorted(x.V.dims)
+            for s in (1, -1)
+            for ix in range(x.V.dim(g, s))
+            for iy in range(y.V.dim(g + degree, s))
+        ]
+        first_v = len(self.unknowns)
+        self.unknowns += v_labels
+        for key in self.keys if v_labels else ():
+            bx = _by_row(x.beta[key].entries)
             torus = x.slot_is_torus(key)
             lx_pos, ly_pos = laurent_model(x.V, torus)[2], laurent_model(y.V, torus)[2]
-            terms = []
-            for u, label in enumerate(self.unknowns):
-                if label[0] == "a":
-                    if label[1] == key:
-                        terms.append((u, by.compose(units[u])))
-                else:
-                    _, g, s, iy, ix = label
-                    entry = (ly_pos[(g + t, s, iy)], lx_pos[(g, s, ix)])
-                    l_unit = ModuleMap(bx.codomain, by.codomain, t, {entry: Q(-1)})
-                    terms.append((u, l_unit.compose(bx)))
-            rows += _entry_rows(n, terms)
-        return rows
+            for u, (_, g, s, iy, ix) in enumerate(v_labels, first_v):
+                r = ly_pos[(g + degree, s, iy)]
+                for j, coef in bx.get(lx_pos[(g, s, ix)], ()):
+                    entries[rows.setdefault((key, r, j), len(rows)), u] = -coef
+        self._system = QMatrix.from_entries(len(rows), len(self.unknowns), entries)
+        self.dim = len(self.unknowns) - (self._system.rank() if rows else 0)
 
-    @property
-    def dim(self) -> int:
-        return self.basis_mat.cols
+    @cached_property
+    def basis_mat(self) -> QMatrix:
+        """The kernel basis of the system, reduced on its first read."""
+        return self._system.kernel_basis() if self.unknowns else QMatrix(0, 0)
+
+    @cached_property
+    def index(self) -> dict:
+        """unknown label -> its position."""
+        return {u: k for k, u in enumerate(self.unknowns)}
 
     def from_vector(self, vec) -> ToralMorphism:
         """Build the morphism with the given unknown values."""
@@ -986,7 +992,11 @@ class HomSpace:
         return vec
 
     def coords_of(self, m: ToralMorphism):
-        sol = self.basis_mat.solve(self.vector_of(m))
+        vec = self.vector_of(m)
+        if not self._system.rows:
+            # no equations: the basis is the identity
+            return vec
+        sol = self.basis_mat.solve(vec)
         if sol is None:
             raise InvariantError("morphism does not satisfy the hom constraints")
         return sol

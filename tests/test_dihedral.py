@@ -1113,6 +1113,19 @@ def test_germ_fixed_points_and_the_counit_equal_their_hand_loops(seed):
     assert kinds["value"] >= 40 and kinds["refused"] >= 3, kinds
 
 
+def test_the_counit_normalizes_its_argument_once(monkeypatch):
+    # counit_const reads the germ fixed points off the normal form it holds
+    calls = []
+    normalized = DihedralObject.normalized
+    monkeypatch.setattr(DihedralObject, "normalized", lambda m: calls.append(m) or normalized(m))
+    objects = _workload_chain_objects()
+    objects += [padded(m) for m in objects]
+    for x in objects:
+        calls.clear()
+        counit_const(x)
+        assert calls == [x]
+
+
 def test_a_morphism_component_must_sit_at_a_slot_index():
     v = QWSpace({0: (1, 0)})
     x = functor_const(QWComplex(v))

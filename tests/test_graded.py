@@ -38,7 +38,7 @@ from so3alg.graded import (
     sign_of,
     smith_canonical,
     _normalize_summand,
-    _power_or_error,
+    _entry_rule,
     _sort_key,
 )
 from so3alg import linalg
@@ -686,7 +686,7 @@ def per_column_evaluate(phi, degree):
     for col, (j, b) in enumerate(src):
         for (i, jj), coef in phi.entries.items():
             if jj == j:
-                a = _power_or_error(phi.domain, phi.codomain, phi.degree, i, jj)
+                a = _entry_rule(phi.domain, phi.codomain, phi.degree, i, jj)
                 row = pos.get((i, b + a))
                 if row is not None:
                     ent[(row, col)] = coef

@@ -52,6 +52,9 @@ Only ``cli.write_report`` opens a file for writing, and no call passes
 ``indent=`` to ``json.dumps``: report text is built by ``cli.report_text``.
 No module but ``linalg`` names its forward-only elimination
 (``_forward_rank``): every other module ranks through ``QMatrix.rank``.
+``toral.HomSpace`` reads its equations off the structure maps' entries: no
+method of it but ``from_vector``, and no function those methods call,
+builds a ``ModuleMap`` or composes a map.
 """
 
 import ast
@@ -502,7 +505,7 @@ TRUSTED_DIHEDRAL = [
     "cone", "direct_sum_dihedral", "functor_const", "functor_i_k",
     "homology_Ch", "normalized", "suspend_dihedral", "zero_dihedral",
 ]
-TRUSTED_QW_COMPLEX = ["germ_fixed_points", "level", "level_inf"]
+TRUSTED_QW_COMPLEX = ["_germ_fixed_points_of_normal", "level", "level_inf"]
 
 
 def test_only_derived_constructions_skip_the_dihedral_checks():
@@ -959,6 +962,61 @@ def test_forward_rank_scan_sees_a_planted_use():
         "    return m.rank()\n"
     )
     assert _forward_rank_names(ast.parse(source)) == ["quick_rank", "<string>", "<import>"]
+
+
+# a hom space reads its equations off the structure maps' entries: no method
+# of ``toral.HomSpace`` but ``from_vector``, which builds the morphism of a
+# solution, and no module-level function those methods call by its bare name
+# constructs a ``ModuleMap`` or composes a map
+MORPHISM_BUILDERS = {"from_vector"}
+
+
+def _hom_space_maps(tree):
+    """(function, "ModuleMap" or "compose") for every mention of
+    ``ModuleMap`` and every use of ``.compose`` in the methods of
+    ``HomSpace`` outside ``MORPHISM_BUILDERS`` and in the module-level
+    functions they reach by bare-name calls."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "HomSpace")
+    todo = [m for m in cls.body if isinstance(m, ast.FunctionDef) and m.name not in MORPHISM_BUILDERS]
+    seen, out = set(), set()
+    while todo:
+        func = todo.pop()
+        if id(func) in seen:
+            continue
+        seen.add(id(func))
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in defs:
+                todo.append(defs[node.func.id])
+            name = getattr(node, "id", None) if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "ModuleMap" or (isinstance(node, ast.Attribute) and name == "compose"):
+                out.add((func.name, name))
+    return sorted(out)
+
+
+def test_hom_spaces_build_and_compose_no_maps():
+    assert _hom_space_maps(_tree("toral")) == []
+
+
+def test_hom_space_map_scan_sees_a_planted_map():
+    source = (
+        "def _unit(dom, cod, t, e):\n"
+        "    return ModuleMap(dom, cod, t, {e: 1})\n"
+        "def _rows(terms):\n"
+        "    return [graded.ModuleMap.zero(a, b) for a, b in terms]\n"
+        "def _unread(x):\n"
+        "    return ModuleMap.identity(x)\n"
+        "class HomSpace:\n"
+        "    def __init__(self, x, y, t):\n"
+        "        self.terms = [x.beta[1].compose(_unit(x, y, t, (0, 0)))]\n"
+        "    def dim(self):\n"
+        "        return len(_rows(self.terms))\n"
+        "    def from_vector(self, vec):\n"
+        "        return ModuleMap(self.x, self.y, 0, _unread(vec))\n"
+    )
+    assert _hom_space_maps(ast.parse(source)) == [
+        ("__init__", "compose"), ("_rows", "ModuleMap"), ("_unit", "ModuleMap"),
+    ]
 
 
 def _callers(tree, name: str):

@@ -904,11 +904,11 @@ def test_maps_of_the_wrong_type_are_refused_at_their_slot():
 
 # -- the windowed hom and extension systems, kept as oracles --------------------
 #
-# HomSpace reads one equation per entry of a composed map, and the first
-# stage of injective_resolution reads ker beta and its extension off the
-# canonical form.  The oracles below walk a padded window of degrees instead
-# and write one equation per basis element there; both must give the same
-# hom spaces and the same resolutions.
+# HomSpace reads one equation per entry of a composite off the structure
+# maps' entries, and the first stage of injective_resolution reads ker beta
+# and its extension off the canonical form.  The oracles below walk a padded
+# window of degrees instead and write one equation per basis element there;
+# both must give the same hom spaces and the same resolutions.
 
 
 def windowed_hom_equations(h):
@@ -1060,7 +1060,10 @@ def test_hom_spaces_match_the_windowed_oracle():
     for x, y in pairs:
         for t in LAW_DEGREES:
             h = HomSpace(x, y, t)
-            assert h.basis_mat == windowed_hom_basis(h), (x, y, t)
+            windowed = windowed_hom_basis(h)
+            # dim by rank, read before the basis is
+            assert h.dim == windowed.cols, (x, y, t)
+            assert h.basis_mat == windowed, (x, y, t)
             nonzero += h.dim > 0
     assert nonzero >= 100
 
