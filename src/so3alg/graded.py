@@ -925,28 +925,6 @@ class WindowMap:
             return QMatrix(self.codomain.dim(g + self.degree), self.domain.dim(g))
         return m
 
-    def compose_module_map(self, phi: ModuleMap) -> ModuleMap:
-        """self after phi, reconstructed from generator degrees.
-
-        Requires phi.domain to be a polynomial-ring module whose generators
-        lie in the window.
-        """
-        lo, hi = self.window
-        src = phi.domain
-        ent = {}
-        for j, s in enumerate(src.summands):
-            g = s.shift
-            if not (lo <= g <= hi and lo <= g + phi.degree <= hi):
-                raise InvariantError("window does not reach a generator")
-            basis_g = src.basis(g)
-            col = basis_g.index((j, 0))
-            vec = [Q(0)] * len(basis_g)
-            vec[col] = Q(1)
-            img = self.evaluate(g + phi.degree).apply(phi.evaluate(g).apply(vec))
-            for i, x in vector_entries(self.codomain, g + phi.degree + self.degree, img).items():
-                ent[(i, j)] = x
-        return ModuleMap(src, self.codomain, phi.degree + self.degree, ent)
-
 
 def cokernel_of_map(phi: ModuleMap, window) -> tuple[GradedModule, WindowMap]:
     """Cokernel of a map with its projection, reconstructed on the window:

@@ -19,8 +19,8 @@ the standard generators, degreewise hom and Ext via injective resolutions of
 length one, homology of differentials, smashing with torsion families, and
 wide-sphere covers.  The hom spaces are linear systems with one equation
 per entry of a composite map, not per basis element on a window of degrees,
-read off the entries of the structure maps; a dimension is a rank, and a
-kernel basis is reduced only where one is read.
+read off the entries of the structure maps.  A dimension is a rank, and so
+is Ext's, read off the columns of the resolution's projections.
 A resolution solves nothing and walks no window: the kernel of the
 structure map is the torsion summands of a slot, their extension into f(I)
 is the coordinate embedding into padded copies, and the cokernel of the
@@ -44,7 +44,6 @@ underlying object of A alone, so they refuse an object with a differential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -79,6 +78,7 @@ from .graded import (
     vector_entries,
     window_subquotient,
     _entry_rule,
+    _refusal,
 )
 from .linalg import Q, QMatrix
 from .qw import TAIL, QWSpace, Slots, VMap, qw_homology, qw_sum, vmap_sum
@@ -892,10 +892,9 @@ class HomSpace:
 
     ``dim`` is the number of unknowns minus the rank of the system, by
     forward elimination alone, and a system with no equations (f(J) and
-    every object with V = 0 give none) runs no elimination.  The kernel
-    basis ``basis_mat``, one column per basis morphism, is reduced from the
-    same system on its first read; the reduced echelon form is unique, so
-    it does not depend on the order the equations are read in.
+    every object with V = 0 give none) runs no elimination.  No kernel
+    basis is reduced: ``ext_A`` stacks its own rows under the system
+    ``_system`` and ranks again.
     """
 
     def __init__(self, x: ToralObject, y: ToralObject, degree: int):
@@ -936,71 +935,6 @@ class HomSpace:
         self._system = QMatrix.from_entries(len(rows), len(self.unknowns), entries)
         self.dim = len(self.unknowns) - (self._system.rank() if rows else 0)
 
-    @cached_property
-    def basis_mat(self) -> QMatrix:
-        """The kernel basis of the system, reduced on its first read."""
-        return self._system.kernel_basis() if self.unknowns else QMatrix(0, 0)
-
-    @cached_property
-    def index(self) -> dict:
-        """unknown label -> its position."""
-        return {u: k for k, u in enumerate(self.unknowns)}
-
-    def from_vector(self, vec) -> ToralMorphism:
-        """Build the morphism with the given unknown values."""
-        x, y, t = self.x, self.y, self.degree
-        ent_by_key = {key: {} for key in self.keys}
-        block_ents = {}
-        for u, label in enumerate(self.unknowns):
-            val = vec[u]
-            if val == 0:
-                continue
-            if label[0] == "a":
-                _, key, i, j = label
-                ent_by_key[key][(i, j)] = val
-            else:
-                _, g, s, iy, ix = label
-                block_ents.setdefault((g, s), {})[(iy, ix)] = val
-        blocks = {
-            (g, s): QMatrix.from_entries(y.V.dim(g + t, s), x.V.dim(g, s), ent)
-            for (g, s), ent in block_ents.items()
-        }
-        alpha = {
-            key: ModuleMap(x.M[key], y.M[key], t, ent)
-            for key, ent in ent_by_key.items()
-        }
-        return ToralMorphism(x, y, t, alpha, VMap._assembled(x.V, y.V, t, blocks))
-
-    def basis_morphism(self, k: int) -> ToralMorphism:
-        return self.from_vector(self.basis_mat.col(k))
-
-    def vector_of(self, m: ToralMorphism):
-        """Unknown-space vector of a morphism (must lie in the hom space)."""
-        vec = [Q(0)] * len(self.unknowns)
-        for key in self.keys:
-            for (i, j), coef in m.alpha[key].entries.items():
-                u = self.index.get(("a", key, i, j))
-                if u is None:
-                    raise InvariantError("morphism entry outside the hom space")
-                vec[u] = coef
-        for (g, s), mat in m.phi.blocks.items():
-            for iy, ix, coef in mat.entries():
-                u = self.index.get(("v", g, s, iy, ix))
-                if u is None:
-                    raise InvariantError("V-entry outside the hom space")
-                vec[u] = coef
-        return vec
-
-    def coords_of(self, m: ToralMorphism):
-        vec = self.vector_of(m)
-        if not self._system.rows:
-            # no equations: the basis is the identity
-            return vec
-        sol = self.basis_mat.solve(vec)
-        if sol is None:
-            raise InvariantError("morphism does not satisfy the hom constraints")
-        return sol
-
 
 def hom_A(x: ToralObject, y: ToralObject, degrees) -> dict[int, int]:
     return {t: HomSpace(x, y, t).dim for t in degrees}
@@ -1017,8 +951,8 @@ class InjectiveResolution:
     Y1: ToralObject
     # the projection of each Y0 slot onto the Y1 slot: a WindowMap with one
     # matrix per run of the window, read off beta's inverse on each residue
-    # class and the I summands' top classes (a module map: it commutes with
-    # the ring action, which ext_A's composition relies on)
+    # class and the I summands' top classes; a module map, so ext_A reads a
+    # composite's entries off its columns at the generators' degrees
     quot: Slots
     window: tuple[int, int]
 
@@ -1166,13 +1100,50 @@ def injective_resolution(x: ToralObject, window=(-12, 12)) -> InjectiveResolutio
     return res
 
 
+def _post_composition(h0: HomSpace, quot: Slots) -> tuple[dict, dict]:
+    """Post-composition with the projections onto Y1, one row {unknown:
+    coef} over Hom(x, Y0) per composite entry (key, r, j): (the rows the
+    entry rule allows, the refused ones with the rule's reason).
+
+    A composite is a module map, so its entry (r, j) is the coordinate on J
+    summand r of the image of x_j's generator: a_ij puts there the column of
+    the projection at that degree, at Y0's basis element of summand i.  The
+    V unknowns come last and put nothing: Y1 has V = 0.
+    """
+    t = h0.degree
+    allowed, refused = {}, {}
+    for u, label in enumerate(h0.unknowns):
+        if label[0] != "a":
+            break
+        _, key, i, j = label
+        dom, q = h0.x.M[key], quot[key]
+        g = dom.summands[j].shift + t
+        column = q.evaluate(g).col(q.domain.basis(g).index((i, q.domain.power_at(i, g))))
+        for (r, _), coef in zip(q.codomain.basis(g), column):
+            if coef:
+                # r is alive at g, so the rule gives its power or a refusal
+                rule = _entry_rule(dom, q.codomain, t, r, j)
+                if isinstance(rule, str):
+                    refused.setdefault((key, r, j), (rule, {}))[1][u] = coef
+                else:
+                    allowed.setdefault((key, r, j), {})[u] = coef
+    return allowed, refused
+
+
 def ext_A(
     x: ToralObject, y: ToralObject, degrees, window=(-12, 12)
 ) -> dict[int, tuple[int, int]]:
     """Degreewise hom and Ext of x against y via a length-one resolution.
 
     The resolution's window is widened to reach every generator of x and its
-    image in each degree, where the quotient maps are composed with Hom(x, Y0).
+    image in each degree.  Hom and Ext are the kernel and cokernel of
+    post-composition Hom(x, Y0) -> Hom(x, Y1), so only its rank is needed:
+    rank [E0; C] - rank E0, with E0 the equations of Hom(x, Y0) and C the
+    rows of post-composition over its unknowns.  Hom(x, Y1) has no
+    equations (Y1 has V = 0), so its unknowns are its coordinates.  A
+    composite entry that no map may carry (a Laurent summand of x into a
+    torsion summand of J) is refused where some morphism x -> Y0 reaches
+    it, and dropped where none does.
     """
     _refuse_differential("ext", x, y)
     degrees = list(degrees)
@@ -1181,18 +1152,24 @@ def ext_A(
     res = injective_resolution(y, (min([window[0], *reach]), max([window[1], *reach])))
     out = {}
     for t in degrees:
-        h0 = HomSpace(x, res.Y0, t)
-        h1 = HomSpace(x, res.Y1, t)
-        cols = []
-        for k in range(h0.dim):
-            m = h0.basis_morphism(k)
-            alpha = {key: res.quot[key].compose_module_map(m.alpha[key]) for key in h1.keys}
-            comp = ToralMorphism(
-                x, res.Y1, t, alpha, VMap.zero(x.V, res.Y1.V, t)
-            )
-            cols.append(h1.coords_of(comp))
-        post = QMatrix.from_columns(h1.dim, cols)
-        rank = post.rank()
+        h0, h1 = HomSpace(x, res.Y0, t), HomSpace(x, res.Y1, t)
+        e0, rank0 = h0._system, len(h0.unknowns) - h0.dim
+
+        def gain(rows):
+            # rank [E0; rows] - rank E0
+            ent = {(r, c): coef for r, c, coef in e0.entries()}
+            for k, row in enumerate(rows, e0.rows):
+                ent.update({(k, u): coef for u, coef in row.items()})
+            return QMatrix.from_entries(e0.rows + len(rows), e0.cols, ent).rank() - rank0
+
+        allowed, refused = _post_composition(h0, res.quot) if h0.dim else ({}, {})
+        if refused and gain([row for _, row in refused.values()]):
+            # some morphism reaches a refused entry, so some entry alone is
+            # reached: refuse the first such
+            for (_, r, j), (reason, row) in refused.items():
+                if gain([row]):
+                    raise _refusal(reason, r, j, t)
+        rank = gain(list(allowed.values())) if allowed else 0
         out[t] = (h0.dim - rank, h1.dim - rank)
     return out
 

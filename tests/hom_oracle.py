@@ -1,15 +1,21 @@
-"""The one-system hom space, kept as a test oracle for ``toral.HomSpace``.
+"""The one-system hom space and Ext by composition, kept as test oracles for
+``toral.HomSpace`` and ``toral.ext_A``.
 
 ``HomSpace`` here builds one ``ModuleMap`` per unknown, composes it with the
 structure maps, writes one equation per entry of each composite and reads
 the kernel basis off one elimination of the whole system.  The engine's
 ``HomSpace`` reads the same equations off the structure maps' entries and
 counts ``dim`` by rank; both must give the same unknowns, dimensions and
-bases.
+kernel bases.
+
+``ext_A`` here builds each basis morphism into Y0, composes it with the
+resolution's projections (``compose_window_map``), rebuilds the composite
+as a morphism into Y1 and reads its coordinates back; the engine's
+``ext_A`` ranks post-composition without building a morphism.
 """
 
 from so3alg.errors import InvariantError, SchemaError
-from so3alg.graded import ModuleMap
+from so3alg.graded import ModuleMap, WindowMap, vector_entries
 from so3alg.linalg import Q, QMatrix
 from so3alg.qw import Slots, VMap
 from so3alg.toral import (
@@ -17,8 +23,15 @@ from so3alg.toral import (
     ToralObject,
     _entry_allowed,
     _refuse_differential,
+    injective_resolution,
     laurent_model,
 )
+
+
+def system_kernel(h) -> QMatrix:
+    """The kernel basis of a ``toral.HomSpace``'s system, one column per
+    basis morphism."""
+    return h._system.kernel_basis() if h.unknowns else QMatrix(0, 0)
 
 
 def _entry_rows(n: int, terms):
@@ -152,3 +165,51 @@ class HomSpace:
         if sol is None:
             raise InvariantError("morphism does not satisfy the hom constraints")
         return sol
+
+
+def compose_window_map(w: WindowMap, phi: ModuleMap) -> ModuleMap:
+    """w after phi, reconstructed from generator degrees.
+
+    Requires phi.domain to be a polynomial-ring module whose generators
+    lie in the window.
+    """
+    lo, hi = w.window
+    src = phi.domain
+    ent = {}
+    for j, s in enumerate(src.summands):
+        g = s.shift
+        if not (lo <= g <= hi and lo <= g + phi.degree <= hi):
+            raise InvariantError("window does not reach a generator")
+        basis_g = src.basis(g)
+        col = basis_g.index((j, 0))
+        vec = [Q(0)] * len(basis_g)
+        vec[col] = Q(1)
+        img = w.evaluate(g + phi.degree).apply(phi.evaluate(g).apply(vec))
+        for i, x in vector_entries(w.codomain, g + phi.degree + w.degree, img).items():
+            ent[(i, j)] = x
+    return ModuleMap(src, w.codomain, phi.degree + w.degree, ent)
+
+
+def ext_A(x: ToralObject, y: ToralObject, degrees, window=(-12, 12)) -> dict[int, tuple[int, int]]:
+    """Degreewise hom and Ext of x against y: the rank of post-composition
+    with the resolution's projections, one composed basis morphism at a
+    time."""
+    _refuse_differential("ext", x, y)
+    degrees = list(degrees)
+    shifts = [s.shift for m in x.all_modules() for s in m.summands]
+    reach = shifts + [g + t for g in shifts for t in degrees]
+    res = injective_resolution(y, (min([window[0], *reach]), max([window[1], *reach])))
+    out = {}
+    for t in degrees:
+        h0 = HomSpace(x, res.Y0, t)
+        h1 = HomSpace(x, res.Y1, t)
+        cols = []
+        for k in range(h0.dim):
+            m = h0.basis_morphism(k)
+            alpha = {key: compose_window_map(res.quot[key], m.alpha[key]) for key in h1.keys}
+            comp = ToralMorphism(x, res.Y1, t, alpha, VMap.zero(x.V, res.Y1.V, t))
+            cols.append(h1.coords_of(comp))
+        post = QMatrix.from_columns(h1.dim, cols)
+        rank = post.rank()
+        out[t] = (h0.dim - rank, h1.dim - rank)
+    return out

@@ -196,6 +196,7 @@ def test_each_side_keeps_every_traced_run(monkeypatch, tmp_path):
         return traced({"s": (k, k / 10)}, {"m": k})
 
     monkeypatch.setattr(ab, "unpack", lambda rev, dest: "c0ffee")
+    monkeypatch.setattr(ab, "head_commit", lambda: "decaf")
     monkeypatch.setattr(ab, "timed_run", lambda *a: {"metrics": {"throughput_jobs_per_s": 1.0}})
     monkeypatch.setattr(ab, "traced_run", fake_traced)
     monkeypatch.setattr(ab, "tier1", lambda root: {})
@@ -204,6 +205,7 @@ def test_each_side_keeps_every_traced_run(monkeypatch, tmp_path):
     out = tmp_path / "ab.json"
     assert ab.main(["--parent", "HEAD", "--pairs", "1", "--workload", "dihedral-cones", "--out", str(out)]) == 0
     report = ab.json.loads(out.read_text())
+    assert (report["parent_commit"], report["change"]) == ("c0ffee", "working tree at decaf")
     sides = {t["side"]: t for t in report["traced"]}
     # the sides alternate: parent, change, change, parent, parent, change
     assert order == ["parent", "change", "change", "parent", "parent", "change"]

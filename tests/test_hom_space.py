@@ -1,12 +1,14 @@
-"""HomSpace by rank against the one-system oracle, and what ``engine hom``
-eliminates.
+"""HomSpace and Ext by rank against the composition oracles, and what
+``engine hom`` and ``engine ext`` eliminate.
 
 ``hom_oracle.HomSpace`` composes one map per unknown and reduces the whole
-system; ``toral.HomSpace`` reads the same equations off the structure maps,
-counts ``dim`` by forward elimination and reduces only where a basis is
-read.  Both must give the same unknowns, dimensions, bases and coordinates
-on objects drawn the way the benchmark draws its toral objects, on both
-sides.
+system; ``toral.HomSpace`` reads the same equations off the structure maps
+and counts ``dim`` by forward elimination.  Both must give the same
+unknowns, dimensions and kernel bases on objects drawn the way the
+benchmark draws its toral objects, on both sides.  ``hom_oracle.ext_A``
+composes each basis morphism with the resolution's projections;
+``toral.ext_A`` ranks post-composition, and both must give the same tables
+or raise the same class of error.
 """
 
 import json
@@ -14,9 +16,12 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 import so3alg
-from so3alg import cli
+from so3alg import cli, toral
 from so3alg.cli import main
+from so3alg.errors import EngineError, InvariantError
 from so3alg.graded import FREE, LAURENT, POLY_C, TORSION, GradedModule, Summand
 from so3alg.linalg import QMatrix
 from so3alg.toral import (
@@ -91,9 +96,7 @@ def test_hom_spaces_match_the_one_system_oracle():
             assert h.unknowns == old.unknowns, (x, y, t)
             # dim by rank, read before any basis is
             assert h.dim == old.dim, (x, y, t)
-            assert h.basis_mat == old.basis_mat, (x, y, t)
-            for k in range(old.dim):
-                assert h.coords_of(old.basis_morphism(k)) == old.coords_of(old.basis_morphism(k))
+            assert hom_oracle.system_kernel(h) == old.basis_mat, (x, y, t)
             seen["equations"] += h.dim < len(h.unknowns)
             seen["both"] += 0 < h.dim < len(h.unknowns)
     assert seen["sides"] == {"SO3", "O2"}
@@ -103,13 +106,13 @@ def test_hom_spaces_match_the_one_system_oracle():
 
 
 def _count_eliminations(monkeypatch):
-    counts = {"rref": 0, "kernel_basis": 0, "rank": 0}
+    counts = {"rref": 0, "kernel_basis": 0, "rank": 0, "solve": 0}
     for name in counts:
         method = getattr(QMatrix, name)
 
-        def spied(m, method=method, name=name):
+        def spied(m, *args, method=method, name=name):
             counts[name] += 1
-            return method(m)
+            return method(m, *args)
 
         monkeypatch.setattr(QMatrix, name, spied)
     return counts
@@ -129,6 +132,79 @@ def test_engine_hom_reduces_no_system_on_the_fixtures(monkeypatch, capsys):
     assert counts["rank"] > 0
 
 
+def test_engine_ext_reduces_no_kernel_basis_on_the_fixtures(monkeypatch, capsys):
+    # post-composition is ranked, not solved for in a basis of Hom(x, Y0)
+    files = sorted((Path(so3alg.__file__).parent / "data").glob("*.json"))
+    sides = {p: cli.load_toral(str(p)).side for p in files}
+    counts = _count_eliminations(monkeypatch)
+    pairs = [(a, b) for a in files for b in files if sides[a] == sides[b]]
+    for a, b in pairs:
+        assert main(["ext", str(a), str(b)]) == 0
+    capsys.readouterr()
+    assert len(pairs) == 196
+    assert counts["kernel_basis"] == counts["solve"] == 0, counts
+    assert counts["rank"] > 0
+
+
+def toral_ext_pair(seed: int, slot: int):
+    """The (x, y) of a ``toral-ext`` job of the benchmark, drawn as
+    ``workloads.toral_ext_job`` draws them."""
+    variant = workloads.variants_for(seed, workloads.TORAL_SLOTS)[slot]
+    rng = random.Random(f"toral-ext/{slot}/{variant}")
+    xs, ys = workloads.toral_shapes(slot)
+    return workloads.toral_object(rng, xs), workloads.toral_object(rng, ys)
+
+
+def _ext_outcome(ext, x, y):
+    """ext's table on degrees -3..3, or the class of the engine error it
+    raises."""
+    try:
+        return ext(x, y, range(-3, 4), (-3, 3))
+    except EngineError as exc:
+        return type(exc)
+
+
+def test_ext_by_ranks_matches_the_composition_oracle(monkeypatch):
+    files = sorted((Path(so3alg.__file__).parent / "data").glob("*.json"))
+    fixtures = [cli.load_toral(str(p)) for p in files]
+    pairs = seeded_pairs() + [toral_ext_pair(1, 33)] + [
+        (x, y) for x in fixtures for y in fixtures if x.side == y.side
+    ]
+    # per degree evaluation: whether post-composition reached a refused entry
+    evaluations = []
+    post = toral._post_composition
+
+    def spied(h0, quot):
+        allowed, refused = post(h0, quot)
+        evaluations.append(bool(refused))
+        return allowed, refused
+
+    monkeypatch.setattr(toral, "_post_composition", spied)
+    seen = {"tables": 0, "raised": 0, "fired": 0, "vanished": 0, "laurent": 0}
+    for x, y in pairs:
+        evaluations.clear()
+        old = _ext_outcome(hom_oracle.ext_A, x, y)
+        new = _ext_outcome(toral.ext_A, x, y)
+        assert new == old, (x, y)
+        seen["tables" if isinstance(old, dict) else "raised"] += 1
+        seen["laurent"] += LAURENT in _kinds(x)
+        # a refusal ends the call in the evaluation that reached it; every
+        # other evaluation with refused entries dropped them
+        fired = not isinstance(old, dict) and evaluations[-1:] == [True]
+        seen["fired"] += fired
+        seen["vanished"] += sum(evaluations) - fired
+    assert seen["tables"] >= 300 and seen["raised"] >= 1 and seen["laurent"] >= 40, seen
+    assert seen["fired"] >= 1 and seen["vanished"] >= 1, seen
+
+
+def test_ext_refuses_a_laurent_source_where_a_morphism_reaches_it():
+    # the first refused job of the benchmark at seed 1
+    x, y = toral_ext_pair(1, 33)
+    assert LAURENT in _kinds(x)
+    with pytest.raises(InvariantError, match="Laurent source cannot map to a bounded target"):
+        toral.ext_A(x, y, range(-2, 3), (-2, 2))
+
+
 def edge_document(slots: int) -> dict:
     """An O2 object inside every input budget: each of the listed slots holds
     16 torsion summands of the largest length, and V = 0."""
@@ -145,6 +221,23 @@ def test_hom_on_the_budget_edge_runs_no_elimination(tmp_path, monkeypatch, capsy
     out = tmp_path / "hom.json"
     assert main(["hom", str(path), str(path), "--window=0:0", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert counts == {"rref": 0, "kernel_basis": 0, "rank": 0}
+    assert counts == {"rref": 0, "kernel_basis": 0, "rank": 0, "solve": 0}
     # 8 slots of 16 x 16 entries of degree 0, each an endomorphism of Q[c]/c^64
     assert json.loads(out.read_text())["dims"] == {"0": 8 * 16 * 16}
+
+
+def test_ext_on_the_budget_edge_reduces_no_kernel_basis(tmp_path, monkeypatch, capsys):
+    # Hom(x, Y0) has no equations and post-composition is ranked: no basis
+    # morphism is built, so no kernel basis is reduced and nothing is solved
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(edge_document(8)))
+    counts = _count_eliminations(monkeypatch)
+    out = tmp_path / "ext.json"
+    assert main(["ext", str(path), str(path), "--window=0:4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert counts["kernel_basis"] == counts["solve"] == 0, counts
+    # 8 slots of 16 x 16 entries, each of Q[c]/c^64 into Q[c]/c^64
+    full = 8 * 16 * 16
+    dims = {str(t): {"hom": 0, "ext": 0} for t in range(5)}
+    dims["0"]["hom"] = dims["4"]["ext"] = full
+    assert json.loads(out.read_text())["dims"] == dims

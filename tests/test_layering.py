@@ -52,9 +52,11 @@ Only ``cli.write_report`` opens a file for writing, and no call passes
 ``indent=`` to ``json.dumps``: report text is built by ``cli.report_text``.
 No module but ``linalg`` names its forward-only elimination
 (``_forward_rank``): every other module ranks through ``QMatrix.rank``.
-``toral.HomSpace`` reads its equations off the structure maps' entries: no
-method of it but ``from_vector``, and no function those methods call,
-builds a ``ModuleMap`` or composes a map.
+``toral.HomSpace`` reads its equations off the structure maps' entries, and
+``toral.ext_A`` ranks post-composition off the resolution's projections:
+no method of ``HomSpace``, nor ``ext_A``, nor any function they call (but
+the resolution's own construction) builds a ``ModuleMap`` or
+``ToralMorphism`` or composes a map.
 """
 
 import ast
@@ -543,20 +545,18 @@ def test_only_morphisms_that_commute_by_construction_skip_the_germ_square():
 # the V-maps whose blocks have their type's shapes by construction: products,
 # sums and rescalings of checked maps, their shifts and twists, identities and
 # zeros, fixed parts, the one block assembler (behind block-diagonal sums,
-# cone differentials, the germ fixed points' maps and the counit), the germ
-# maps of homology and the morphisms of a hom space's solutions
+# cone differentials, the germ fixed points' maps and the counit) and the
+# germ maps of homology; ``toral`` builds every V-map through these
 TRUSTED_VMAP_QW = [
     "__add__", "block_vmap", "compose", "fixed", "identity", "scale", "suspend", "twist", "zero",
 ]
 TRUSTED_VMAP_DIHEDRAL = ["level"]
-TRUSTED_VMAP_TORAL = ["from_vector"]
 
 
 def test_only_shaped_constructions_skip_the_vmap_shape_check():
     assert _trusted_uses_by_module("VMap") == {
         "qw": (["_assembled"], TRUSTED_VMAP_QW),
         "dihedral": ([], TRUSTED_VMAP_DIHEDRAL),
-        "toral": ([], TRUSTED_VMAP_TORAL),
     }
 
 
@@ -964,21 +964,23 @@ def test_forward_rank_scan_sees_a_planted_use():
     assert _forward_rank_names(ast.parse(source)) == ["quick_rank", "<string>", "<import>"]
 
 
-# a hom space reads its equations off the structure maps' entries: no method
-# of ``toral.HomSpace`` but ``from_vector``, which builds the morphism of a
-# solution, and no module-level function those methods call by its bare name
-# constructs a ``ModuleMap`` or composes a map
-MORPHISM_BUILDERS = {"from_vector"}
+# a hom space reads its equations off the structure maps' entries and Ext
+# ranks post-composition off the resolution's projections: no method of
+# ``toral.HomSpace``, nor ``toral.ext_A``, nor any module-level function they
+# call by its bare name constructs a ``ModuleMap`` or ``ToralMorphism`` or
+# composes a map; the scan does not enter the resolution's construction,
+# whose maps ``ext_A`` reads
+MAP_SCAN_STOPS = {"injective_resolution"}
 
 
-def _hom_space_maps(tree):
-    """(function, "ModuleMap" or "compose") for every mention of
-    ``ModuleMap`` and every use of ``.compose`` in the methods of
-    ``HomSpace`` outside ``MORPHISM_BUILDERS`` and in the module-level
-    functions they reach by bare-name calls."""
+def _map_builders(tree):
+    """(function, "ModuleMap", "ToralMorphism" or "compose") for every mention
+    of the two classes and every use of ``.compose`` in the methods of
+    ``HomSpace``, in ``ext_A`` and in the module-level functions they reach by
+    bare-name calls, outside ``MAP_SCAN_STOPS``."""
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "HomSpace")
-    todo = [m for m in cls.body if isinstance(m, ast.FunctionDef) and m.name not in MORPHISM_BUILDERS]
+    todo = [m for m in cls.body if isinstance(m, ast.FunctionDef)] + [defs["ext_A"]]
     seen, out = set(), set()
     while todo:
         func = todo.pop()
@@ -986,16 +988,18 @@ def _hom_space_maps(tree):
             continue
         seen.add(id(func))
         for node in ast.walk(func):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in defs:
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+                node.func.id in defs.keys() - MAP_SCAN_STOPS
+            ):
                 todo.append(defs[node.func.id])
             name = getattr(node, "id", None) if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name == "ModuleMap" or (isinstance(node, ast.Attribute) and name == "compose"):
+            if name in ("ModuleMap", "ToralMorphism") or (isinstance(node, ast.Attribute) and name == "compose"):
                 out.add((func.name, name))
     return sorted(out)
 
 
 def test_hom_spaces_build_and_compose_no_maps():
-    assert _hom_space_maps(_tree("toral")) == []
+    assert _map_builders(_tree("toral")) == []
 
 
 def test_hom_space_map_scan_sees_a_planted_map():
@@ -1006,16 +1010,23 @@ def test_hom_space_map_scan_sees_a_planted_map():
         "    return [graded.ModuleMap.zero(a, b) for a, b in terms]\n"
         "def _unread(x):\n"
         "    return ModuleMap.identity(x)\n"
+        "def injective_resolution(y):\n"
+        "    return ToralMorphism(y, y, 0, {}, None)\n"
+        "def _basis_morphism(h, k):\n"
+        "    return ToralMorphism(h.x, h.y, h.degree, {}, None)\n"
         "class HomSpace:\n"
         "    def __init__(self, x, y, t):\n"
         "        self.terms = [x.beta[1].compose(_unit(x, y, t, (0, 0)))]\n"
         "    def dim(self):\n"
         "        return len(_rows(self.terms))\n"
-        "    def from_vector(self, vec):\n"
-        "        return ModuleMap(self.x, self.y, 0, _unread(vec))\n"
+        "def ext_A(x, y, degrees):\n"
+        "    res = injective_resolution(y)\n"
+        "    h = HomSpace(x, res.Y0, 0)\n"
+        "    return [res.quot[1].compose(_basis_morphism(h, k).alpha[1]) for k in degrees]\n"
     )
-    assert _hom_space_maps(ast.parse(source)) == [
-        ("__init__", "compose"), ("_rows", "ModuleMap"), ("_unit", "ModuleMap"),
+    assert _map_builders(ast.parse(source)) == [
+        ("__init__", "compose"), ("_basis_morphism", "ToralMorphism"), ("_rows", "ModuleMap"),
+        ("_unit", "ModuleMap"), ("ext_A", "compose"),
     ]
 
 

@@ -69,6 +69,12 @@ def unpack(rev: str, dest: Path) -> str:
     return commit
 
 
+def head_commit() -> str:
+    """The commit the working tree is checked out at."""
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     """(info, result): the last two lines ``perfbench/run.py`` prints."""
     cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
@@ -260,11 +266,9 @@ def main(argv=None) -> int:
         tests = {side: tier1(roots[side]) for side in SIDES}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                          text=True, check=True).stdout.strip()
     report = {
         "parent_commit": parent,
-        "change": f"working tree at {head}",
+        "change": f"working tree at {head_commit()}",
         "command": [str(RUN), "--seconds", args.seconds, "--trace", 0],
         "pairs": args.pairs,
         "runs": runs,
